@@ -1,7 +1,6 @@
 """Numerical laboratory for universal compression of stationary quantum sources."""
 
-from .errors import (ConfigError, ConvergenceError, QuclabError, SizeError,
-                     ValidationError)
+from .errors import ConfigError, QuclabError, SizeError, ValidationError
 from .operators import (hermitian_eig, partial_trace, projector_join,
                         projector_leq, tensor_product, validate_density,
                         validate_projector)

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Source and channel specs are JSON, either inline or @path-to-file.
-Exit codes: 0 success, 1 bad configuration/input, 2 numerical non-convergence.
+Exit codes: 0 success, 1 bad configuration/input.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, QuclabError
+from .errors import QuclabError
 from .harness import (ExperimentConfig, build_source, compress_c1, compress_c2,
                       report_csv, run_experiment)
 from .info import fidelity, mean_entropy
@@ -61,7 +61,7 @@ def _cmd_check_ergodic(args) -> int:
 def _cmd_build_projector(args) -> int:
     m = args.l * args.n
     q = assemble_q(m, args.d, args.R / args.l, k_order=args.k,
-                   override=(args.l, args.n, args.R), seed=args.seed)
+                   override=(args.l, args.n, args.R))
     export_projector(q, args.out)
     print(f"wrote {args.out}.real.csv / .imag.csv / .json  "
           f"(rank {q.join.rank}, trace-rate {q.trace_log_rate:.6f})")
@@ -121,7 +121,8 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the projector is deterministic")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_projector)
 
@@ -141,9 +142,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (QuclabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 A code over alphabet L with block length n and rate R is the set of the
 first 2^floor(nR) sequences under the total order (cyclic k-th-order
-empirical conditional entropy ascending, then lexicographic).  Dense mode
+empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
+equal, then lexicographic).  Dense mode
 enumerates all L^n sequences; for binary alphabets with k = 0 a type-class
 representation handles block lengths up to 64.
 """
@@ -20,6 +21,9 @@ from .processes import (DENSE_CAP, ClassicalProcess, IIDProcess,
 
 # guard against float-floor artifacts like 0.7 * 10 -> 6.999...
 FLOOR_GUARD = 1e-9
+# Scores closer than this are equal: k >= 1 scores that tie in exact
+# arithmetic (a sequence and its complement) can differ in the last bits.
+SCORE_TIE_TOL = 1e-9
 
 
 def code_size(n: int, R: float) -> int:
@@ -144,7 +148,9 @@ def build_code(L: int, R: float, n: int, k: int = 0,
     if L ** n <= dense_cap:
         digits = all_sequences(L, n)
         scores = empirical_entropy_scores(digits, L, k)
-        order = np.lexsort((np.arange(L ** n), scores))
+        values = np.sort(scores)
+        cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
+        order = np.lexsort((np.arange(L ** n), cluster[np.searchsorted(values, scores)]))
         return BlockCode(L, n, R, k, members=order[:size])
     if L == 2 and k == 0 and n <= 64:
         return _build_binary_typeclass(R, n, size)

@@ -15,7 +15,3 @@ class SizeError(QuclabError):
 
 class ConfigError(QuclabError):
     """Malformed experiment configuration or CLI input."""
-
-
-class ConvergenceError(QuclabError):
-    """A randomized construction failed to stabilize within its budget."""

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .channels import channel_from_spec
-from .codes import build_code, code_measure
+from .codes import BlockCode, build_code, code_measure
 from .errors import ConfigError, QuclabError, ValidationError
 from .operators import range_basis
 from .processes import (ClassicalProcess, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess)
-from .projectors import UniversalProjector, assemble_q
+from .projectors import JOIN_RTOL, UniversalProjector, assemble_q
 from .sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
                       IIDSource, QuantumAlphabet, QuantumSource)
 
@@ -113,7 +113,7 @@ class ExperimentConfig:
     r: float
     n_range: list
     scheme: str = "c1"
-    seed: int = 0
+    seed: int = 0                   # accepted and recorded; nothing depends on it
     output: str | None = None
     override_schedule: dict = field(default_factory=dict)
     projector_mode: str = "orbit"   # "orbit" builds the join; "code" skips it
@@ -154,6 +154,9 @@ class ReportRow:
     achieved_rate: float | None = None
     wall_ms: float = 0.0
     error: str = ""
+    # orbit-mode join evidence; in the JSON mirror only, not in the CSV
+    join_rank: int | None = None
+    invariance_residual: float | None = None
 
 
 def _fmt(v) -> str:
@@ -164,21 +167,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _diag_row(source: QuantumSource, l: int, n_blocks: int, R: float,
-              k_order: int, d: int) -> tuple[float, float]:
+def _diag_row(source: QuantumSource, code: BlockCode, l: int,
+              scheme: str) -> tuple[float, float]:
     """Diagonal fast path: exact classical code-measure acceptance and the
-    matching scheme-1 entanglement fidelity (off-diagonal terms vanish).
-    Padded trailing sites are accepted unconditionally, so they drop out."""
+    matching scheme fidelity.  Scheme 1's F_e is accept^2 (off-diagonal terms
+    vanish); scheme 2's F(rho, P rho P / tr(P rho))^2 equals tr(P rho) =
+    accept for every projector P.  Padded trailing sites are accepted
+    unconditionally, so they drop out."""
     process = source.classical_view()
     proc_l = process.block(l) if l > 1 else process
-    code = build_code(d ** l, R, n_blocks, k_order)
     accept = code_measure(proc_l, code)
-    return accept, accept ** 2
+    return accept, (accept ** 2 if scheme == "c1" else accept)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    q_cache: dict[int, UniversalProjector] = {}
+    # keyed on everything that determines the value; codes serve code mode,
+    # orbit mode reuses the code its projector carries
+    projectors: dict[tuple, UniversalProjector] = {}
+    codes: dict[tuple, BlockCode] = {}
     wall_times: list[float] = []
     for s_idx, spec in enumerate(cfg.sources):
         sid = spec.get("id", f"source{s_idx}")
@@ -194,16 +201,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                 pad = n - l * n_blocks
                 diag_ok = source.classical_view() is not None and d ** l <= 2 ** 10
                 if cfg.projector_mode == "orbit":
-                    if n not in q_cache:
-                        q_cache[n] = assemble_q(
-                            n, d, cfg.r, k_order=cfg.k_order,
-                            override=(l, n_blocks, R),
-                            seed=cfg.seed * 100003 + n)
-                    up = q_cache[n]
+                    key = (n, d, l, n_blocks, R, cfg.k_order)
+                    if key not in projectors:
+                        projectors[key] = assemble_q(n, d, cfg.r, k_order=cfg.k_order,
+                                                     override=(l, n_blocks, R))
+                    up = projectors[key]
                     row.achieved_rate = up.trace_log_rate
+                    row.join_rank = up.join.rank
+                    row.invariance_residual = up.join.invariance_residual
                     if diag_ok:
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
-                            source, l, n_blocks, R, cfg.k_order, d)
+                            source, up.code, l, cfg.scheme)
                     else:
                         rho = source.marginal(n)
                         b = up.extended_basis()
@@ -222,9 +230,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                 else:
                     if not diag_ok:
                         raise ConfigError("projector_mode=code needs a diagonal source")
-                    code = build_code(d ** l, R, n_blocks, cfg.k_order)
+                    key = (d ** l, R, n_blocks, cfg.k_order)
+                    if key not in codes:
+                        codes[key] = build_code(*key)
+                    code = codes[key]
                     row.accept_prob, row.entanglement_fidelity = _diag_row(
-                        source, l, n_blocks, R, cfg.k_order, d)
+                        source, code, l, cfg.scheme)
                     row.achieved_rate = (np.log2(float(code.size)) + pad * np.log2(d)) / n
             except QuclabError as exc:
                 row.error = f"{type(exc).__name__}: {exc}"
@@ -260,7 +271,7 @@ def write_report(cfg: ExperimentConfig, rows: list[ReportRow],
                    "projector_mode": cfg.projector_mode, "k_order": cfg.k_order},
         "rows": [asdict(r) for r in rows],
         "wall_ms_measured": wall_times or [],
-        "tolerances": {"join_tolerance": 1e-6, "join_budget": 32},
+        "tolerances": {"join_rank_rtol": JOIN_RTOL},
     }
     with open(cfg.output + ".json", "w") as fh:
         json.dump(mirror, fh, indent=2, sort_keys=True)

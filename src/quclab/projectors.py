@@ -1,10 +1,11 @@
 """Universal projector construction: schedule arithmetic, code projectors,
-randomized unitary-orbit joins, and the assembled block projectors with
+deterministic unitary-orbit joins, and the assembled block projectors with
 their trace-rate bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -12,16 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import BlockCode, build_code
-from .errors import ConfigError, ConvergenceError, SizeError, ValidationError
-from .operators import DEFAULT_DIM_CAP, haar_unitary, range_basis, span_basis
+from .codes import BlockCode, all_sequences, build_code
+from .errors import ConfigError, SizeError, ValidationError
+from .operators import DEFAULT_DIM_CAP, range_basis, span_basis
 from .processes import index_sequence
 from .sources import QuantumSource
 
-JOIN_TOL = 1e-6
-JOIN_BUDGET = 32
-JOIN_VERIFY_SAMPLES = 8
-NEW_DIRECTION_TOL = 1e-8
+# Singular values below JOIN_RTOL (relative) are rounding, not new join directions.
+JOIN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,6 @@ def schedule(m: int, d: int, r: float) -> Schedule:
             raise ValidationError(f"no admissible schedule index for m = {m}")
     l = 2 ** i
     return Schedule(m=m, d=d, r=r, i=i, l=l, n=m // l, R=l * r)
-
-
-def _tensor_power_apply(U: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Apply U^{x n} (U acting per block site) to a (D^n, K) column stack."""
-    D = U.shape[0]
-    K = cols.shape[1]
-    t = cols.reshape((D,) * n + (K,))
-    for site in range(n):
-        t = np.moveaxis(np.tensordot(U, t, axes=([1], [site])), 0, site)
-    return t.reshape(D ** n, K)
 
 
 def code_range_basis(code: BlockCode, block_basis: np.ndarray | None = None) -> np.ndarray:
@@ -93,36 +82,53 @@ def code_projector(code: BlockCode, block_basis: np.ndarray | None = None) -> np
     return q @ q.conj().T
 
 
-def _adjoin(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, int]:
-    """Extend the orthonormal column set Q by the new directions in W."""
-    R = W - Q @ (Q.conj().T @ W)
-    R = R - Q @ (Q.conj().T @ R)
-    if R.shape[1] == 0:
-        return Q, 0
-    u, s, _ = np.linalg.svd(R, full_matrices=False)
-    keep = u[:, s > NEW_DIRECTION_TOL]
-    if keep.shape[1] == 0:
-        return Q, 0
-    keep = keep - Q @ (Q.conj().T @ keep)
-    keep /= np.linalg.norm(keep, axis=0)
-    return np.hstack([Q, keep]), keep.shape[1]
+def _type_classes(D: int, n: int):
+    """Type classes (weight spaces) of the D^n computational basis, and how
+    the collective generators J_ab = sum_i E_ab^(i), a != b, move between them.
+
+    Returns each class's symbol counts and member indices (ascending), and the
+    moves (class, target class, [(source rows, target rows) per site]): J_ab
+    maps the class with counts c into the one with counts c + e_a - e_b.
+    """
+    digits = all_sequences(D, n)
+    counts = np.stack([(digits == a).sum(axis=1) for a in range(D)], axis=1)
+    order = np.lexsort(counts.T)
+    starts = np.flatnonzero(np.diff(counts[order], axis=0, prepend=-1).any(axis=1))
+    members = np.split(order, starts[1:])
+    classes = [tuple(int(c) for c in counts[idx[0]]) for idx in members]
+    index = {c: t for t, c in enumerate(classes)}
+    position = np.empty(D ** n, dtype=np.int64)
+    for idx in members:
+        position[idx] = np.arange(len(idx))
+    moves = []
+    for t, idx in enumerate(members):
+        for a, b in itertools.permutations(range(D), 2):
+            if classes[t][b]:
+                target = index[tuple(c + (s == a) - (s == b) for s, c in enumerate(classes[t]))]
+                srcs = [np.flatnonzero(digits[idx, i] == b) for i in range(n)]
+                moves.append((t, target, [(src, position[idx[src] + (a - b) * D ** (n - 1 - i)])
+                                          for i, src in enumerate(srcs)]))
+    return classes, members, moves
+
+
+def _orthonormal(cols: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal basis of span(cols), cutting singular values at
+    JOIN_RTOL * max(s_max, scale): with `scale` the size of a genuine
+    direction, columns that are numerically zero add nothing."""
+    if cols.shape[1] == 0:
+        return cols
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, s > JOIN_RTOL * max(s[0], scale)]
 
 
 @dataclass
 class JoinResult:
-    """Orthonormal basis of the approximated unitary-orbit join, plus build
-    evidence (sample count, rank history, verification deviation)."""
+    """Orthonormal basis of the unitary-orbit join, the rank of each type
+    class (keyed by symbol counts) and the invariance certificate."""
 
     basis: np.ndarray
-    block_dim: int
-    n: int
-    samples: int
-    verify_deviation: float
-    seed: int | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    class_ranks: dict[tuple[int, ...], int]
+    invariance_residual: float
 
     @property
     def rank(self) -> int:
@@ -135,70 +141,63 @@ class JoinResult:
         return (np.abs(self.basis) ** 2).sum(axis=1)
 
 
-def orbit_join_basis(base: np.ndarray, block_dim: int, n: int,
-                     tolerance: float = JOIN_TOL, budget: int = JOIN_BUDGET,
-                     rng=None, seed: int | None = None) -> JoinResult:
-    """Randomized span saturation of the orbit of span(base) under tensor
-    powers of single-block unitaries; verified on fresh samples afterwards."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    dim = block_dim ** n
-    if base.shape[0] != dim:
+def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
+    """The unitary-orbit join of span(base): the smallest subspace holding
+    span(base) and invariant under U^{(x)n} for every block unitary U.
+
+    By Schur-Weyl duality that is the smallest such subspace invariant under
+    the collective generators J_ab, a != b.  The type-class projectors lie in
+    the same algebra, so the join holds every class component of the base,
+    and each J_ab maps one class into one other.  So the closure is built one
+    class at a time: each J_ab B_t that leaks out of its target class block
+    is added by re-orthonormalising the whole target block, in passes of
+    alternating direction, until a pass adds nothing.  The basis is real
+    when the base is.
+
+    The certificate `invariance_residual` is the largest Frobenius norm of a
+    class block of (1 - QQ^dagger) J_ab Q in that last pass; it bounds
+    max_ab ||(1 - QQ^dagger) J_ab Q|| from above.
+    """
+    base = np.asarray(base)
+    if base.ndim != 2 or base.shape[0] != block_dim ** n:
         raise ValidationError("base dimension does not match block_dim^n")
-    Q = span_basis(base)
-    samples = 0
-    cap = 100 * budget
-    while True:
-        stable = 0
-        while stable < budget and Q.shape[1] < dim:
-            samples += 1
-            if samples > cap:
-                raise ConvergenceError(
-                    f"orbit join rank failed to stabilize after {samples} samples "
-                    f"(rank {Q.shape[1]} of {dim})")
-            U = haar_unitary(block_dim, rng)
-            W = _tensor_power_apply(U, base, n)
-            Q, added = _adjoin(Q, W)
-            stable = 0 if added else stable + 1
-        if Q.shape[1] == dim:
-            return JoinResult(basis=np.eye(dim, dtype=complex), block_dim=block_dim,
-                              n=n, samples=samples, verify_deviation=0.0, seed=seed)
-        dev = 0.0
-        extra = []
-        for _ in range(JOIN_VERIFY_SAMPLES):
-            samples += 1
-            U = haar_unitary(block_dim, rng)
-            W = _tensor_power_apply(U, base, n)
-            res = W - Q @ (Q.conj().T @ W)
-            dev = max(dev, float(np.linalg.norm(res, axis=0).max()))
-            extra.append(W)
-        if dev <= tolerance:
-            return JoinResult(basis=Q, block_dim=block_dim, n=n, samples=samples,
-                              verify_deviation=dev, seed=seed)
-        if samples > cap:
-            raise ConvergenceError(
-                f"orbit join failed verification (deviation {dev:.3e}) after "
-                f"{samples} samples")
-        for W in extra:
-            Q, _ = _adjoin(Q, W)
+    base = base.astype(complex) if base.imag.any() else base.real.astype(float)
+    classes, members, moves = _type_classes(block_dim, n)
+    scale = float(np.linalg.norm(base, axis=0).max(initial=0.0))
+    blocks = [_orthonormal(base[idx], scale) for idx in members]
+    grew = True
+    while grew:
+        grew, residual = False, 0.0
+        for t, target, sites in moves:
+            pushed = np.zeros((len(members[target]), blocks[t].shape[1]), dtype=base.dtype)
+            for src, dst in sites:
+                pushed[dst] += blocks[t][src]
+            kept = blocks[target]
+            leak = float(np.linalg.norm(pushed - kept @ (kept.conj().T @ pushed)))
+            if leak > JOIN_RTOL:
+                grown = _orthonormal(np.hstack([kept, pushed]), 1.0)
+                if grown.shape[1] > kept.shape[1]:
+                    blocks[target], grew = grown, True
+                    continue
+            residual = max(residual, leak)
+        moves.reverse()
+    basis = np.zeros((block_dim ** n, sum(b.shape[1] for b in blocks)), dtype=base.dtype)
+    col = 0
+    for idx, block in zip(members, blocks):
+        basis[idx, col:col + block.shape[1]] = block
+        col += block.shape[1]
+    return JoinResult(basis=basis, invariance_residual=residual, class_ranks={
+        c: b.shape[1] for c, b in zip(classes, blocks) if b.shape[1]})
 
 
-def orbit_join(p: np.ndarray, l: int, n: int, tolerance: float = JOIN_TOL,
-               budget: int = JOIN_BUDGET, rng=None, seed: int | None = None,
-               d: int | None = None) -> np.ndarray:
-    """Projector-in, projector-out wrapper around orbit_join_basis."""
+def orbit_join(p: np.ndarray, n: int) -> np.ndarray:
+    """Projector-in, projector-out wrapper around orbit_join_basis; the block
+    dimension is the n-th root of p's dimension."""
     p = np.asarray(p, dtype=complex)
-    dim = p.shape[0]
-    if d is None:
-        d = 2
-    block_dim = d ** l
-    if block_dim ** n != dim:
-        raise ValidationError(f"projector dimension {dim} != ({d}^{l})^{n}")
-    base = range_basis(p)
-    if base.shape[1] == dim:
-        return np.eye(dim, dtype=complex)
-    res = orbit_join_basis(base, block_dim, n, tolerance, budget, rng=rng, seed=seed)
-    return res.matrix()
+    block_dim = round(p.shape[0] ** (1.0 / n))
+    if block_dim ** n != p.shape[0]:
+        raise ValidationError(f"projector dimension {p.shape[0]} is not an n = {n} power")
+    return orbit_join_basis(range_basis(p), block_dim, n).matrix()
 
 
 def symmetric_subspace_trace_bound(block_dim: int, n: int, base_trace: int) -> float:
@@ -228,8 +227,12 @@ class UniversalProjector:
     k_order: int
     join: JoinResult
     pad: int
-    code_size: int
+    code: BlockCode
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def code_size(self) -> int:
+        return self.code.size
 
     @property
     def trace(self) -> float:
@@ -238,9 +241,6 @@ class UniversalProjector:
     @property
     def trace_log_rate(self) -> float:
         return math.log2(self.trace) / self.m
-
-    def upper_rate(self) -> float:
-        return self.r + rate_upper_bound(self.d, self.l, self.n)
 
     def diagonal(self) -> np.ndarray:
         diag = self.join.diagonal()
@@ -263,8 +263,7 @@ class UniversalProjector:
 
 def assemble_q(m: int, d: int, r: float, k_order: int = 0,
                override: tuple[int, int, float] | None = None,
-               tolerance: float = JOIN_TOL, budget: int = JOIN_BUDGET,
-               seed: int | None = None, dim_cap: int = DEFAULT_DIM_CAP) -> UniversalProjector:
+               dim_cap: int = DEFAULT_DIM_CAP) -> UniversalProjector:
     """Build q_r^(m): the orbit join of the code projector on l-blocks,
     identity-padded when l*n does not divide m exactly.
 
@@ -281,13 +280,13 @@ def assemble_q(m: int, d: int, r: float, k_order: int = 0,
         raise SizeError(f"projector dimension {d}^{m} exceeds cap")
     pad = m - l * n
     code = build_code(d ** l, R, n, k_order)
-    base = code_range_basis(code)
-    join = orbit_join_basis(base, d ** l, n, tolerance, budget, seed=seed)
+    join = orbit_join_basis(code_range_basis(code), d ** l, n)
     up = UniversalProjector(m=m, d=d, r=r, l=l, n=n, R=R, k_order=k_order,
-                            join=join, pad=pad, code_size=code.size,
-                            metadata={"seed": seed, "tolerance": tolerance,
-                                      "budget": budget, "samples": join.samples,
-                                      "verify_deviation": join.verify_deviation})
+                            join=join, pad=pad, code=code,
+                            metadata={"rank_rtol": JOIN_RTOL,
+                                      "invariance_residual": join.invariance_residual,
+                                      "class_ranks": [[list(t), k] for t, k
+                                                      in join.class_ranks.items()]})
     up.metadata["rate_lower_ok"] = bool(up.trace_log_rate >= r - 1e-12)
     up.metadata["sym_trace_bound_ok"] = bool(
         join.rank <= symmetric_subspace_trace_bound(d ** l, n, code.size))

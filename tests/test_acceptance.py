@@ -44,8 +44,7 @@ def projectors():
     """Orbit-join projectors for the l = 1 regime shared by criteria 6-8."""
     out = {}
     for n in N_RANGE:
-        out[n] = assemble_q(n, 2, R_TARGET, override=(1, n, R_TARGET),
-                            seed=1000 + n)
+        out[n] = assemble_q(n, 2, R_TARGET, override=(1, n, R_TARGET))
     return out
 
 
@@ -201,7 +200,7 @@ def test_criterion_07_converse(projectors):
 def test_criterion_08_orbit_join(projectors):
     p = np.zeros((4, 1), dtype=complex)
     p[0, 0] = 1.0
-    res = orbit_join_basis(p, 2, 2, seed=88)
+    res = orbit_join_basis(p, 2, 2)
     w = res.matrix()
     basis = [np.array([1, 0, 0, 0.0]),
              np.array([0, 1, 1, 0.0]) / np.sqrt(2),
@@ -256,9 +255,8 @@ def test_criterion_10_classical_universality():
 def test_criterion_11_superblock_monotonicity():
     from quclab.codes import superblock_code
     c = build_code(2, 0.5, 4, 1)
-    w1 = orbit_join_basis(code_range_basis(c), 2, 4, seed=111).matrix()
-    w2 = orbit_join_basis(code_range_basis(superblock_code(c, 2)), 4, 2,
-                          seed=112).matrix()
+    w1 = orbit_join_basis(code_range_basis(c), 2, 4).matrix()
+    w2 = orbit_join_basis(code_range_basis(superblock_code(c, 2)), 4, 2).matrix()
     ok = projector_leq(w1, w2, tol=1e-6)
     if not ok:
         gap = (np.eye(16) - w2) @ w1

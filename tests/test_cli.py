@@ -52,6 +52,16 @@ def test_build_and_compress(tmp_path, capsys):
                  "--source", BERN]) == 0
 
 
+def test_build_projector_ignores_seed(tmp_path, capsys):
+    grids = []
+    for seed in ("1", "2"):
+        out = str(tmp_path / f"q{seed}")
+        assert main(["build-projector", "--l", "1", "--n", "5", "--R", "0.5",
+                     "--seed", seed, "--out", out]) == 0
+        grids.append((tmp_path / f"q{seed}.real.csv").read_bytes())
+    assert grids[0] == grids[1]
+
+
 def test_experiment_run_and_reproducibility(tmp_path):
     cfg = {"sources": [{"id": "b", "kind": "iid", "probs": [0.9, 0.1]}],
            "r": 0.7, "n_range": [4, 6], "seed": 9,

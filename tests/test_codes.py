@@ -217,3 +217,32 @@ def test_code_measure_markov():
     c = build_code(2, 0.7, 8, 1)
     mu = mk.marginal(8).probs
     assert abs(code_measure(mk, c) - mu[c.members].sum()) < 1e-15
+
+
+def exact_order_key(seq, L, k):
+    """Exact stand-in for the k-th-order score: n * score = log2 of
+    prod (ctx / c)^c over the cyclic (k+1)-grams, so the product orders
+    sequences exactly as the score does, with exact ties."""
+    n = len(seq)
+    counts = {}
+    for i in range(n):
+        gram = tuple(seq[(i + j) % n] for j in range(k + 1))
+        counts[gram] = counts.get(gram, 0) + 1
+    ctx = {}
+    for gram, c in counts.items():
+        ctx[gram[:-1]] = ctx.get(gram[:-1], 0) + c
+    key = Fraction(1)
+    for gram, c in counts.items():
+        key *= Fraction(ctx[gram[:-1]], c) ** c
+    return key
+
+
+@pytest.mark.parametrize("L, n, k, R", [(2, 10, 1, 0.8), (2, 8, 1, 0.7), (2, 12, 1, 0.6),
+                                        (3, 6, 1, 1.2), (2, 10, 2, 0.7)])
+def test_build_code_exact_ties(L, n, k, R):
+    # a k >= 1 sequence and its complement tie exactly; the lexicographic
+    # tie-break must decide between them, not rounding in the score
+    size = 2 ** math.floor(n * Fraction(str(R)))
+    seqs = list(itertools.product(range(L), repeat=n))
+    order = sorted(range(L ** n), key=lambda i: (exact_order_key(seqs[i], L, k), i))
+    assert sorted(build_code(L, R, n, k).members.tolist()) == sorted(order[:size])

@@ -168,6 +168,11 @@ def test_output_files(tmp_path):
     assert mirror["config"]["seed"] == 4
     assert len(mirror["rows"]) == 1
     assert len(mirror["wall_ms_measured"]) == 1
+    assert mirror["tolerances"] == {"join_rank_rtol": 1e-10}
+    row = mirror["rows"][0]
+    assert row["join_rank"] == 11
+    assert abs(2 ** (4 * row["achieved_rate"]) - 11) < 1e-9
+    assert row["invariance_residual"] <= 1e-10
 
 
 def test_code_mode_rate():
@@ -185,3 +190,64 @@ def test_c2_scheme_reports_fidelity():
     row = run_experiment(cfg)[0]
     assert row.error == ""
     assert 0 <= row.entanglement_fidelity <= 1 + 1e-9
+
+
+MIXED_D = [{"id": "d2", "kind": "iid", "probs": [0.9, 0.1]},
+           {"id": "d3", "kind": "iid", "probs": [0.8, 0.1, 0.1]}]
+
+
+def _rows(sources, **fields):
+    return run_experiment(ExperimentConfig.from_dict(
+        {"sources": sources, "r": 0.5, "n_range": [4], **fields}))
+
+
+def test_projector_cache_keyed_on_site_dimension():
+    mixed = _rows(MIXED_D)
+    alone = _rows(MIXED_D[1:])
+    assert mixed[1].error == "" and abs(mixed[1].achieved_rate - 1.2267) < 1e-4
+    assert mixed[1].achieved_rate == alone[0].achieved_rate
+    assert mixed[0].achieved_rate != mixed[1].achieved_rate
+
+
+def test_mixed_dimension_dense_sources():
+    d2 = {"id": "d2", "kind": "iid", "rho_re": [[0.7, 0.2], [0.2, 0.3]]}
+    d3 = {"id": "d3", "kind": "iid",
+          "rho_re": [[0.6, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.1]]}
+    mixed = _rows([d2, d3])
+    assert [r.error for r in mixed] == ["", ""]
+    alone = _rows([d3])[0]
+    assert mixed[1].accept_prob == alone.accept_prob
+    assert mixed[1].entanglement_fidelity == alone.entanglement_fidelity
+
+
+def test_c2_diagonal_row_reports_squared_fidelity():
+    from quclab.codes import build_code
+    from quclab.info import fidelity
+    from quclab.projectors import code_projector
+    from quclab.sources import IIDSource
+    row = _rows(MIXED_D[:1], scheme="c2")[0]
+    assert abs(row.accept_prob - 0.802) < 1e-12
+    # F(rho, P rho P / tr(P rho))^2 = tr(P rho), here for the code projector
+    rho = IIDSource(np.diag([0.9, 0.1])).marginal(4)
+    dense = fidelity(rho, compress_c2(code_projector(build_code(2, 0.5, 4)), rho)) ** 2
+    assert abs(row.entanglement_fidelity - 0.802) < 1e-12
+    assert abs(dense - row.entanglement_fidelity) < 1e-8
+
+
+def test_one_code_build_per_block_code(monkeypatch):
+    from quclab import codes, harness, projectors
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return codes.build_code(*args, **kwargs)
+    monkeypatch.setattr(harness, "build_code", counting)
+    monkeypatch.setattr(projectors, "build_code", counting)
+    sources = [{"kind": "iid", "probs": [0.9, 0.1]},
+               {"kind": "classical", "process": {"kind": "markov",
+                                                 "transition": [[0.9, 0.1], [0.2, 0.8]]}}]
+    for mode in ("code", "orbit"):
+        calls.clear()
+        run_experiment(ExperimentConfig.from_dict(
+            {"sources": sources, "r": 0.7, "n_range": [4, 6], "projector_mode": mode}))
+        assert len(calls) == 2, mode
