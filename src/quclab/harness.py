@@ -18,7 +18,7 @@ import numpy as np
 from .channels import channel_from_spec
 from .codes import BlockCode, build_code, code_measure
 from .errors import ConfigError, QuclabError, ValidationError
-from .operators import range_basis
+from .operators import range_basis, range_flag, range_trace
 from .processes import (ClassicalProcess, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess)
 from .projectors import JOIN_RTOL, UniversalProjector, assemble_q
@@ -29,12 +29,21 @@ CSV_HEADER = ["source", "n", "r", "accept_prob", "entanglement_fidelity",
               "achieved_rate", "wall_ms", "error"]
 
 
+def _c1_fidelity(accept: float, rho: np.ndarray, f: np.ndarray, project) -> float:
+    """Scheme 1's entanglement fidelity tr(q rho)^2 + ||(1 - q) rho f||^2 for a
+    flag f in range(q), where `project` applies q.  The second term is
+    sum_i |<i|rho|f>|^2 over an orthonormal basis of the orthocomplement."""
+    if np.linalg.norm(project(f) - f) > 1e-8:
+        raise ConfigError("flag vector lies outside the projector range")
+    rho_f = rho @ f
+    return float(accept ** 2 + np.linalg.norm(rho_f - project(rho_f)) ** 2)
+
+
 def compress_c1(p: np.ndarray, rho: np.ndarray, flag_vector: np.ndarray | None = None):
     """Measure-and-flag scheme.  Returns (output state, entanglement fidelity).
 
     Kraus set: the projector itself plus |flag><i| over an orthonormal basis
-    of the orthocomplement; F_e comes from the intrinsic formula, using
-    sum_i |<i|rho|flag>|^2 = ||(1-p) rho flag||^2.
+    of the orthocomplement; F_e comes from the intrinsic formula.
     """
     p = np.asarray(p, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -43,12 +52,10 @@ def compress_c1(p: np.ndarray, rho: np.ndarray, flag_vector: np.ndarray | None =
     if flag_vector is None:
         flag_vector = range_basis(p)[:, 0]
     f = np.asarray(flag_vector, dtype=complex)
-    if np.linalg.norm(p @ f - f) > 1e-8:
-        raise ConfigError("flag vector lies outside the projector range")
+    fe = _c1_fidelity(abs(np.trace(p @ rho)), rho, f, lambda v: p @ v)
     rejected = float(np.trace(rho - p @ rho @ p).real)
     out = p @ rho @ p + rejected * np.outer(f, f.conj())
-    fe = abs(np.trace(p @ rho)) ** 2 + float(np.linalg.norm((rho @ f) - p @ (rho @ f)) ** 2)
-    return out, float(fe)
+    return out, fe
 
 
 def compress_c2(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -154,7 +161,9 @@ class ReportRow:
     achieved_rate: float | None = None
     wall_ms: float = 0.0
     error: str = ""
-    # orbit-mode join evidence; in the JSON mirror only, not in the CSV
+    # in the JSON mirror only, not in the CSV: the path that computed the row
+    # ("diagonal", "dense" or "code") and the orbit-mode join evidence
+    path: str | None = None
     join_rank: int | None = None
     invariance_residual: float | None = None
 
@@ -178,6 +187,18 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     proc_l = process.block(l) if l > 1 else process
     accept = code_measure(proc_l, code)
     return accept, (accept ** 2 if scheme == "c1" else accept)
+
+
+def _basis_row(b: np.ndarray, rho: np.ndarray, scheme: str) -> tuple[float, float]:
+    """Non-diagonal path, from the orthonormal basis b of range(q) alone:
+    accept = tr(b^dagger rho b); scheme 1's F_e with the flag range_flag(b),
+    the one compress_c1 picks from q; scheme 2's squared fidelity equals
+    accept, as in _diag_row."""
+    accept = range_trace(b, rho)
+    if scheme == "c2":
+        return accept, accept
+    return accept, _c1_fidelity(accept, rho, range_flag(b),
+                                lambda v: b @ (b.conj().T @ v))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -210,26 +231,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                     row.join_rank = up.join.rank
                     row.invariance_residual = up.join.invariance_residual
                     if diag_ok:
+                        row.path = "diagonal"
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
                             source, up.code, l, cfg.scheme)
                     else:
-                        rho = source.marginal(n)
-                        b = up.extended_basis()
-                        accept = float(np.einsum("ik,ij,jk->", b.conj(), rho, b,
-                                                 optimize=True).real)
-                        row.accept_prob = accept
-                        if cfg.scheme == "c1":
-                            _, fe = compress_c1(up.matrix(), rho)
-                            row.entanglement_fidelity = fe
-                        else:
-                            # the renormalized scheme is nonlinear, so report the
-                            # squared input/output fidelity instead of F_e
-                            from .info import fidelity
-                            out = compress_c2(up.matrix(), rho)
-                            row.entanglement_fidelity = fidelity(rho, out) ** 2
+                        row.path = "dense"
+                        row.accept_prob, row.entanglement_fidelity = _basis_row(
+                            up.extended_basis(), source.marginal(n), cfg.scheme)
                 else:
                     if not diag_ok:
                         raise ConfigError("projector_mode=code needs a diagonal source")
+                    row.path = "code"
                     key = (d ** l, R, n_blocks, cfg.k_order)
                     if key not in codes:
                         codes[key] = build_code(*key)

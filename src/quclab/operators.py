@@ -176,6 +176,24 @@ def range_basis(p, tol: float = 0.5) -> np.ndarray:
     return v[:, w > tol]
 
 
+def range_flag(basis: np.ndarray) -> np.ndarray:
+    """The column range_basis(basis basis^dagger)[:, 0] picks, from the
+    orthonormal `basis` alone: the first computational basis vector with
+    weight above 1e-6 in the range, projected, normalised and phase-fixed,
+    as the degenerate-cluster canonicalisation of hermitian_eig makes it."""
+    norms = np.linalg.norm(basis, axis=1)
+    rows = np.flatnonzero(norms > 1e-6)
+    if rows.size == 0:
+        raise ValidationError("projector range is empty")
+    j = rows[0]
+    return _phase_fix(basis @ basis[j].conj() / norms[j])
+
+
+def range_trace(basis: np.ndarray, a: np.ndarray) -> float:
+    """tr(P a) for the projector P = basis basis^dagger, as tr(basis^dagger a basis)."""
+    return float(np.einsum("ik,ij,jk->", basis.conj(), a, basis, optimize=True).real)
+
+
 def span_basis(columns: np.ndarray, rtol: float = RANK_SVAL_RTOL) -> np.ndarray:
     """Orthonormal basis of the column span, rank cut at rtol * s_max."""
     if columns.size == 0:

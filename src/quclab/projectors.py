@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
 from .errors import ConfigError, SizeError, ValidationError
-from .operators import DEFAULT_DIM_CAP, range_basis, span_basis
+from .operators import DEFAULT_DIM_CAP, range_basis, range_trace, span_basis
 from .processes import index_sequence
 from .sources import QuantumSource
 
@@ -200,9 +200,10 @@ def orbit_join(p: np.ndarray, n: int) -> np.ndarray:
     return orbit_join_basis(range_basis(p), block_dim, n).matrix()
 
 
-def symmetric_subspace_trace_bound(block_dim: int, n: int, base_trace: int) -> float:
-    """(n+1)^(D^2) * tr(p) * D for block dimension D."""
-    return float((n + 1) ** (block_dim ** 2) * base_trace * block_dim)
+def symmetric_subspace_trace_bound(block_dim: int, n: int, base_trace: int) -> int:
+    """(n+1)^(D^2) * tr(p) * D for block dimension D, as an exact integer
+    (it leaves the float range from D = 32 on)."""
+    return (n + 1) ** (block_dim ** 2) * base_trace * block_dim
 
 
 def rate_upper_bound(d: int, l: int, n: int | None = None) -> float:
@@ -301,9 +302,7 @@ def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:
     diag = s.diagonal_marginal(q.m)
     if diag is not None:
         return float(np.dot(q.diagonal(), diag))
-    rho = s.marginal(q.m)
-    b = q.extended_basis()
-    return float(np.einsum("ik,ij,jk->", b.conj(), rho, b, optimize=True).real)
+    return range_trace(q.extended_basis(), s.marginal(q.m))
 
 
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:

@@ -173,6 +173,8 @@ def test_output_files(tmp_path):
     assert row["join_rank"] == 11
     assert abs(2 ** (4 * row["achieved_rate"]) - 11) < 1e-9
     assert row["invariance_residual"] <= 1e-10
+    assert row["path"] == "diagonal"
+    assert "path" not in csv_text
 
 
 def test_code_mode_rate():
@@ -181,6 +183,7 @@ def test_code_mode_rate():
         "r": 0.7, "n_range": [6], "seed": 5, "projector_mode": "code"})
     row = run_experiment(cfg)[0]
     assert abs(row.achieved_rate - np.floor(6 * 0.7 + 1e-9) / 6) < 1e-12
+    assert row.path == "code"
 
 
 def test_c2_scheme_reports_fidelity():
@@ -251,3 +254,86 @@ def test_one_code_build_per_block_code(monkeypatch):
         run_experiment(ExperimentConfig.from_dict(
             {"sources": sources, "r": 0.7, "n_range": [4, 6], "projector_mode": mode}))
         assert len(calls) == 2, mode
+
+
+def test_block_dimension_32_row_is_recorded():
+    # l = 5 gives block dimension 32, where the symmetric-subspace trace
+    # bound (n+1)^(D^2) tr(p) D no longer fits in a float
+    row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], n_range=[10],
+                override_schedule={"l": 5})[0]
+    assert row.error == ""
+    assert 0 < row.accept_prob <= 1
+
+
+# basis-native scheme rows: non-diagonal orbit rows come from the join basis
+
+DENSE_SOURCES = [
+    {"id": "depolarized-markov", "kind": "channel-transformed",
+     "inner": {"kind": "classical",
+               "process": {"kind": "markov", "transition": [[0.88, 0.12], [0.4, 0.6]]},
+               "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}},
+     "channel": {"name": "depolarizing", "p": 0.2}},
+    {"id": "damped-iid", "kind": "channel-transformed",
+     "inner": {"kind": "iid", "rho_re": [[0.75, 0.2], [0.2, 0.25]],
+               "rho_im": [[0.0, -0.15], [0.15, 0.0]]},
+     "channel": {"name": "amplitude-damping", "gamma": 0.3}},
+]
+
+
+def _flag_reference(b):
+    from quclab.operators import range_basis
+    return range_basis(b @ b.conj().T)[:, 0]
+
+
+def test_range_flag_matches_range_basis():
+    from quclab.operators import range_flag
+    from quclab.projectors import assemble_q
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    # zero leading rows: the flag comes from row 3, and the phase fix matters
+    random_basis = np.vstack([np.zeros((3, 3)), np.linalg.qr(g)[0]])
+    bases = [assemble_q(6, 2, 0.5, override=(1, 6, 0.5)).extended_basis(),
+             assemble_q(7, 2, 0.5, override=(1, 6, 0.6)).extended_basis(),
+             random_basis]
+    for b in bases:
+        assert np.max(np.abs(range_flag(b) - _flag_reference(b))) < 1e-12
+
+
+def test_basis_row_matches_dense_c1():
+    from quclab.projectors import assemble_q
+    up = assemble_q(6, 2, 0.5, override=(1, 6, 0.5))
+    rows = _rows(DENSE_SOURCES, n_range=[6])
+    for spec, row in zip(DENSE_SOURCES, rows):
+        assert row.error == "" and row.path == "dense"
+        rho = build_source(spec).marginal(6)
+        _, fe = compress_c1(up.matrix(), rho)
+        assert abs(row.entanglement_fidelity - fe) < 1e-12
+        assert abs(row.accept_prob - np.trace(up.matrix() @ rho).real) < 1e-12
+
+
+def test_dense_c2_row_reports_acceptance():
+    from quclab.info import fidelity
+    from quclab.projectors import assemble_q
+    up = assemble_q(6, 2, 0.5, override=(1, 6, 0.5))
+    for spec, row in zip(DENSE_SOURCES, _rows(DENSE_SOURCES, n_range=[6], scheme="c2")):
+        assert row.error == ""
+        assert row.entanglement_fidelity == row.accept_prob
+        rho = build_source(spec).marginal(6)
+        dense = fidelity(rho, compress_c2(up.matrix(), rho)) ** 2
+        assert abs(row.entanglement_fidelity - dense) < 1e-6
+
+
+def test_dense_rows_build_no_dense_projector(monkeypatch):
+    from quclab import operators
+    from quclab.projectors import UniversalProjector
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense projector or eigendecomposition built")
+    monkeypatch.setattr(UniversalProjector, "matrix", forbidden)
+    monkeypatch.setattr(operators, "hermitian_eig", forbidden)
+    for scheme in ("c1", "c2"):
+        # l = 2: n = 7 is three blocks and one padded site
+        rows = _rows(DENSE_SOURCES, n_range=[6, 7], scheme=scheme,
+                     override_schedule={"l": 2})
+        assert [r.error for r in rows] == [""] * 4
+        assert {r.path for r in rows} == {"dense"}

@@ -155,6 +155,8 @@ def test_orbit_join_rotated_code_same_join():
 
 def test_symmetric_trace_bound():
     assert symmetric_subspace_trace_bound(2, 2, 1) == 3 ** 4 * 2
+    # 3^1024 is past the float range; the bound stays an exact integer
+    assert symmetric_subspace_trace_bound(32, 2, 4) == 3 ** 1024 * 4 * 32
 
 
 def test_rate_upper_bound_paper_schedule():
