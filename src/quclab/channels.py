@@ -1,11 +1,14 @@
 """Kraus-form trace-preserving completely positive maps and tensor powers.
 
-Tensor-power application is site-sequential (one single-site map at a time),
-which is algebraically identical to the multi-index operator sum but costs
-m * |kraus| matrix products instead of |kraus|^m.
+Tensor powers go through one per-site superoperator kernel (`apply_per_site`):
+the d^2 x d^2 superoperator is contracted into each site in turn, which is
+algebraically identical to the multi-index operator sum but costs m tensor
+contractions instead of |kraus|^m terms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,6 +51,10 @@ class KrausChannel:
             out += a.conj().T @ obs @ a
         return out
 
+    def superoperator(self) -> np.ndarray:
+        """sum_i A_i kron conj(A_i), the map on the row-major vec."""
+        return sum(np.kron(a, a.conj()) for a in self.kraus)
+
 
 def validate_channel(c: KrausChannel) -> dict:
     """Report-style check: completeness deviation and minimum Choi eigenvalue."""
@@ -62,57 +69,38 @@ def validate_channel(c: KrausChannel) -> dict:
     return {"completeness_deviation": dev, "min_choi_eigenvalue": min_eig}
 
 
-def _apply_site(op: np.ndarray, site: int, m: int, d: int,
-                single_site_map) -> np.ndarray:
-    """Apply a single-site superoperator (given as a map on (d x d) blocks) to
-    one site of a d^m-dimensional operator, via tensor reshaping."""
-    dl = d ** site
-    dr = d ** (m - site - 1)
-    t = op.reshape(dl, d, dr, dl, d, dr)
-    out = single_site_map(t)
-    return out.reshape(d ** m, d ** m)
+def apply_per_site(S, op, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """Apply the single-site superoperator S (d^2 x d^2) at every site of a
+    d^m x d^m operator.
+
+    S acts on the row-major vec, vec(A X B) = (A kron B^T) vec(X), so the map
+    X -> sum_i A_i X A_i^dagger has S = sum_i A_i kron conj(A_i).
+    """
+    S = np.asarray(S, dtype=complex)
+    op = np.asarray(op, dtype=complex)
+    d = math.isqrt(S.shape[0])
+    if op.shape[0] != d ** m:
+        raise ValidationError(f"operator dimension {op.shape[0]} != {d}^{m}")
+    if d ** m > dim_cap:
+        raise SizeError("dimension cap exceeded")
+    s4 = S.reshape(d, d, d, d)
+    t = op.reshape((d,) * (2 * m))
+    for site in range(m):
+        # contract the site's row and column legs, then put the output legs back
+        t = np.moveaxis(np.tensordot(s4, t, axes=([2, 3], [site, m + site])),
+                        (0, 1), (site, m + site))
+    return t.reshape(op.shape)
 
 
 def apply_tensor_power(c: KrausChannel, rho, m: int,
                        dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    d = c.d
-    if rho.shape[0] != d ** m:
-        raise ValidationError(f"operator dimension {rho.shape[0]} != {d}^{m}")
-    if d ** m > dim_cap:
-        raise SizeError("dimension cap exceeded")
-    out = rho
-    for site in range(m):
-        def site_map(t):
-            acc = np.zeros_like(t)
-            for a in c.kraus:
-                # a on the row index, a^dagger on the column index
-                s = np.einsum("ab,LbRmcS->LaRmcS", a, t, optimize=True)
-                acc += np.einsum("LaRmcS,dc->LaRmdS", s, a.conj(), optimize=True)
-            return acc
-        out = _apply_site(out, site, m, d, site_map)
-    return out
+    return apply_per_site(c.superoperator(), rho, m, dim_cap)
 
 
 def heisenberg_dual(c: KrausChannel, obs, m: int,
                     dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Observable dual: tr(E^{x m}(rho) a) = tr(rho dual(a)) for all rho."""
-    obs = np.asarray(obs, dtype=complex)
-    d = c.d
-    if obs.shape[0] != d ** m:
-        raise ValidationError(f"operator dimension {obs.shape[0]} != {d}^{m}")
-    if d ** m > dim_cap:
-        raise SizeError("dimension cap exceeded")
-    out = obs
-    for site in range(m):
-        def site_map(t):
-            acc = np.zeros_like(t)
-            for a in c.kraus:
-                s = np.einsum("ab,LbRmcS->LaRmcS", a.conj().T, t, optimize=True)
-                acc += np.einsum("LaRmcS,dc->LaRmdS", s, a.T, optimize=True)
-            return acc
-        out = _apply_site(out, site, m, d, site_map)
-    return out
+    return apply_per_site(c.superoperator().conj().T, obs, m, dim_cap)
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

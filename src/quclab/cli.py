@@ -15,7 +15,7 @@ import numpy as np
 from .errors import QuclabError
 from .harness import (ExperimentConfig, build_source, compress_c1, compress_c2,
                       report_csv, run_experiment)
-from .info import fidelity, mean_entropy
+from .info import mean_entropy
 from .projectors import assemble_q, export_projector, load_projector_matrix
 from .sources import ergodicity_gap, ChannelTransformedSource
 from .channels import channel_from_spec
@@ -78,12 +78,15 @@ def _cmd_compress(args) -> int:
     rho = source.marginal(int(n))
     if args.scheme == "c1":
         out, fe = compress_c1(p, rho)
-        print(f"accept_prob = {float(np.trace(p @ rho).real):.10f}")
-        print(f"entanglement_fidelity = {fe:.10f}")
     else:
         out = compress_c2(p, rho)
-        print(f"accept_prob = {float(np.trace(p @ rho).real):.10f}")
-        print(f"fidelity^2 = {fidelity(rho, out) ** 2:.10f}")
+    accept = float(np.einsum("ij,ji->", p, rho).real)
+    print(f"accept_prob = {accept:.10f}")
+    if args.scheme == "c1":
+        print(f"entanglement_fidelity = {fe:.10f}")
+    else:
+        # F(rho, p rho p / tr(p rho))^2 = tr(p rho) for every projector p
+        print(f"fidelity^2 = {accept:.10f}")
     print(f"output_trace = {float(np.trace(out).real):.10f}")
     return 0
 

@@ -166,10 +166,6 @@ def validate_projector(p, tol: float = IDEMPOTENT_TOL) -> dict:
     return {"hermiticity": herm, "idempotency": idem, "rank": rank}
 
 
-def projector_rank(p) -> int:
-    return validate_projector(p)["rank"]
-
-
 def range_basis(p, tol: float = 0.5) -> np.ndarray:
     """Orthonormal basis of the range of a projector (columns)."""
     w, v = hermitian_eig(p)

@@ -59,10 +59,6 @@ class Distribution:
         return Distribution(self.L, self.n - i, p)
 
 
-def shannon_entropy(d: Distribution) -> float:
-    return d.entropy()
-
-
 def sequence_index(seq, L: int) -> int:
     idx = 0
     for s in seq:
@@ -88,13 +84,7 @@ class ClassicalProcess:
         raise NotImplementedError
 
     def marginal(self, n: int) -> Distribution:
-        if n < 1:
-            raise ValidationError("block length must be >= 1")
-        if self.L ** n > DENSE_CAP:
-            raise SizeError(f"dense marginal with {self.L}^{n} entries exceeds cap")
-        probs = np.array([self.prob(index_sequence(i, self.L, n))
-                          for i in range(self.L ** n)])
-        return Distribution(self.L, n, probs)
+        raise NotImplementedError
 
     def entropy_rate(self) -> float:
         raise NotImplementedError
@@ -304,6 +294,17 @@ class PeriodicProcess(ClassicalProcess):
         hits = sum(1 for ph in self.phases if self._matches(seq, ph))
         return hits / len(self.phases)
 
+    def marginal(self, n: int) -> Distribution:
+        """Each phase puts mass 1/|phases| on its length-n window."""
+        if n < 1:
+            raise ValidationError("block length must be >= 1")
+        if self.L ** n > DENSE_CAP:
+            raise SizeError(f"dense marginal with {self.L}^{n} entries exceeds cap")
+        windows = [sequence_index([self.cycle[(ph + t) % self.c] for t in range(n)], self.L)
+                   for ph in self.phases]
+        probs = np.bincount(windows, minlength=self.L ** n) / len(self.phases)
+        return Distribution(self.L, n, probs)
+
     def entropy_rate(self) -> float:
         return 0.0
 
@@ -389,20 +390,6 @@ class EvaluatorProcess(ClassicalProcess):
     def prob(self, seq) -> float:
         seq = tuple(int(s) for s in seq)
         return float(self.marginal(len(seq)).probs[sequence_index(seq, self.L)])
-
-
-def marginal(p: ClassicalProcess, n: int) -> Distribution:
-    return p.marginal(n)
-
-
-def entropy_rate(p: ClassicalProcess) -> float:
-    return p.entropy_rate()
-
-
-def block_process(p: ClassicalProcess, l: int) -> ClassicalProcess:
-    if l < 1:
-        raise ValidationError("block length must be >= 1")
-    return p.block(l)
 
 
 @dataclass

@@ -6,12 +6,12 @@ classical processes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_tensor_power, heisenberg_dual
+from .channels import (KrausChannel, apply_per_site, apply_tensor_power,
+                       heisenberg_dual)
 from .errors import SizeError, ValidationError
 from .operators import (DEFAULT_DIM_CAP, check_hermitian, hermitian_eig,
                         partial_trace, random_hermitian, validate_density)
@@ -48,13 +48,12 @@ class QuantumAlphabet:
 
 
 class QuantumSource:
-    """Base class; marginals are cached (readers never block readers)."""
+    """Base class; marginals are cached per block length."""
 
     d: int
 
     def __init__(self):
         self._cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def marginal(self, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
         if self.d ** n > dim_cap:
@@ -62,8 +61,7 @@ class QuantumSource:
         rho = self._cache.get(n)
         if rho is None:
             rho = self._compute_marginal(n)
-            with self._lock:
-                self._cache[n] = rho
+            self._cache[n] = rho
         return rho
 
     def _compute_marginal(self, n: int) -> np.ndarray:
@@ -150,41 +148,35 @@ class ChannelTransformedSource(QuantumSource):
         return apply_tensor_power(self.channel, self.inner.marginal(n), n)
 
 
-def source_marginal(s: QuantumSource, n: int) -> np.ndarray:
-    return s.marginal(n)
-
-
 def _observable_batch(dim, trials, rng, observables=None):
     if observables is not None:
         return [np.asarray(a, complex) for a in observables]
     return [random_hermitian(dim, rng) for _ in range(trials)]
 
 
-def check_consistency(s: QuantumSource, m: int, i: int, trials: int = 8,
-                      rng=None, observables=None) -> float:
-    """Max normalized deviation of tr(rho_m a) from tr(rho_{m+i} (a x I^i))."""
+def _reduction_deviation(s: QuantumSource, m: int, i: int, traced, trials,
+                         rng, observables) -> float:
+    """Max normalized deviation of tr(rho_m a) from tr(rho_{m+i} a') where a'
+    is a with the identity on the `traced` sites of the m + i."""
     rng = rng or np.random.default_rng(0)
-    rho_m = s.marginal(m)
-    reduced = partial_trace(s.marginal(m + i), [s.d] * (m + i),
-                            range(m, m + i))
-    diff = rho_m - reduced
+    reduced = partial_trace(s.marginal(m + i), [s.d] * (m + i), traced)
+    diff = s.marginal(m) - reduced
     dev = 0.0
     for a in _observable_batch(s.d ** m, trials, rng, observables):
         dev = max(dev, abs(np.trace(diff @ a)) / max(np.linalg.norm(a, 2), 1e-300))
     return float(dev)
+
+
+def check_consistency(s: QuantumSource, m: int, i: int, trials: int = 8,
+                      rng=None, observables=None) -> float:
+    """Max normalized deviation of tr(rho_m a) from tr(rho_{m+i} (a x I^i))."""
+    return _reduction_deviation(s, m, i, range(m, m + i), trials, rng, observables)
 
 
 def check_stationarity(s: QuantumSource, m: int, i: int, trials: int = 8,
                        rng=None, observables=None) -> float:
     """Same as check_consistency but with the observable at the lattice tail."""
-    rng = rng or np.random.default_rng(0)
-    rho_m = s.marginal(m)
-    reduced = partial_trace(s.marginal(m + i), [s.d] * (m + i), range(i))
-    diff = rho_m - reduced
-    dev = 0.0
-    for a in _observable_batch(s.d ** m, trials, rng, observables):
-        dev = max(dev, abs(np.trace(diff @ a)) / max(np.linalg.norm(a, 2), 1e-300))
-    return float(dev)
+    return _reduction_deviation(s, m, i, range(i), trials, rng, observables)
 
 
 @dataclass
@@ -227,9 +219,7 @@ def ergodicity_gap(s: QuantumSource, a, b, m: int, N: int,
         ta = float(np.trace(rho_m @ a).real)
         tb = float(np.trace(rho_m @ b).real)
         product = ta * tb
-        terms = np.full(N - m + 1, product)
-        cesaro = product
-        return ErgodicityReport(m=m, N=N, cesaro=cesaro, product=product,
+        return ErgodicityReport(m=m, N=N, cesaro=product, product=product,
                                 weak_mixing_avg=0.0, strong_tail=0.0)
     view = s.classical_view()
     if view is not None and _is_diag(a) and _is_diag(b):
@@ -296,20 +286,6 @@ def conditional_expectation(a, basis) -> np.ndarray:
     return (basis * diag) @ basis.conj().T
 
 
-def _basis_transform_power(rho: np.ndarray, B: np.ndarray, k: int) -> np.ndarray:
-    """Conjugate a k-site operator by B^{x k} (B a single-site unitary)."""
-    D = B.shape[0]
-    out = rho
-    for site in range(k):
-        dl = D ** site
-        dr = D ** (k - site - 1)
-        t = out.reshape(dl, D, dr, dl, D, dr)
-        t = np.einsum("ab,LbRmcS->LaRmcS", B.conj().T, t, optimize=True)
-        t = np.einsum("LaRmcS,cd->LaRmdS", t, B, optimize=True)
-        out = t.reshape(D ** k, D ** k)
-    return out
-
-
 def abelian_restriction(s: QuantumSource, l: int,
                         dim_cap: int = DEFAULT_DIM_CAP):
     """Restrict the source to the maximal abelian algebra generated by the
@@ -322,15 +298,12 @@ def abelian_restriction(s: QuantumSource, l: int,
     rho_l = s.marginal(l, dim_cap)
     _, B = hermitian_eig(rho_l)
     D = s.d ** l
+    conjugate = np.kron(B.conj().T, B.T)  # X -> B^dagger X B on one block
 
     def marginal_fn(k: int):
         rho = s.marginal(l * k, dim_cap)
-        transformed = _basis_transform_power(rho, B, k)
+        transformed = apply_per_site(conjugate, rho, k, dim_cap)
         diag = np.diag(transformed).real
         return np.clip(diag, 0.0, None) / np.clip(diag, 0.0, None).sum()
 
     return EvaluatorProcess(D, marginal_fn), B
-
-
-def random_source_observables(dim: int, trials: int, rng) -> list:
-    return [random_hermitian(dim, rng) for _ in range(trials)]

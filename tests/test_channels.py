@@ -1,16 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from quclab.channels import (KrausChannel, amplitude_damping, apply_tensor_power,
-                             channel_from_spec, dephasing, depolarizing,
-                             heisenberg_dual, identity_channel, validate_channel)
-from quclab.errors import ValidationError
-from quclab.operators import random_density, random_hermitian
+from quclab.channels import (KrausChannel, amplitude_damping, apply_per_site,
+                             apply_tensor_power, channel_from_spec, dephasing,
+                             depolarizing, heisenberg_dual, identity_channel,
+                             validate_channel)
+from quclab.errors import SizeError, ValidationError
+from quclab.operators import haar_unitary, random_density, random_hermitian
 
 
 def random_channel(d, n_kraus, rng):
     """Random Kraus family from a Haar isometry (columns of a unitary slice)."""
-    from quclab.operators import haar_unitary
     u = haar_unitary(d * n_kraus, rng)
     iso = u[:, :d]  # (d*n_kraus, d) isometry
     return KrausChannel([iso[i * d:(i + 1) * d, :] for i in range(n_kraus)])
@@ -76,6 +78,56 @@ def test_apply_matches_multiindex_sum():
     assert np.max(np.abs(apply_tensor_power(c, rho, 2) - direct)) < 1e-12
 
 
+def kron_all(ops):
+    out = np.eye(1)
+    for a in ops:
+        out = np.kron(out, a)
+    return out
+
+
+@pytest.mark.parametrize("d, n_kraus", [(2, 3), (3, 2)])
+def test_per_site_kernel_matches_multiindex_sum(d, n_kraus):
+    # the literal three-site operator sum over every Kraus triple
+    rng = np.random.default_rng(10 + d)
+    c = random_channel(d, n_kraus, rng)
+    rho = random_density(d ** 3, rng)
+    direct = np.zeros_like(rho)
+    for ks in itertools.product(c.kraus, repeat=3):
+        k = kron_all(ks)
+        direct += k @ rho @ k.conj().T
+    assert np.max(np.abs(apply_per_site(c.superoperator(), rho, 3) - direct)) < 1e-12
+    assert np.max(np.abs(apply_tensor_power(c, rho, 3) - direct)) < 1e-12
+
+
+def test_duality_three_qutrit_sites():
+    rng = np.random.default_rng(11)
+    c = random_channel(3, 2, rng)
+    for _ in range(3):
+        rho = random_density(27, rng)
+        a = random_hermitian(27, rng)
+        lhs = np.trace(apply_tensor_power(c, rho, 3) @ a)
+        rhs = np.trace(rho @ heisenberg_dual(c, a, 3))
+        assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_per_site_kernel_basis_change(d):
+    rng = np.random.default_rng(12)
+    u = haar_unitary(d, rng)
+    rho = random_density(d ** 3, rng)
+    u3 = kron_all([u] * 3)
+    out = apply_per_site(np.kron(u.conj().T, u.T), rho, 3)
+    assert np.max(np.abs(out - u3.conj().T @ rho @ u3)) < 1e-12
+
+
+def test_per_site_kernel_guards():
+    s = depolarizing(0.2).superoperator()
+    with pytest.raises(ValidationError):
+        apply_per_site(s, np.eye(8), 2)
+    with pytest.raises(SizeError):
+        apply_per_site(s, np.eye(8), 3, dim_cap=4)
+
+
 def test_trace_preserved():
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -128,17 +180,12 @@ def test_site_order_irrelevant():
     c = amplitude_damping(0.4)
     rho = random_density(4, rng)
     out = apply_tensor_power(c, rho, 2)
-    # apply manually in reversed site order
-    from quclab.channels import _apply_site
-    def site_map(t):
-        acc = np.zeros_like(t)
-        for a in c.kraus:
-            s = np.einsum("ab,LbRmcS->LaRmcS", a, t, optimize=True)
-            acc += np.einsum("LaRmcS,dc->LaRmdS", s, a.conj(), optimize=True)
-        return acc
-    rev = rho
-    for site in (1, 0):
-        rev = _apply_site(rev, site, 2, 2, site_map)
+
+    def swap_sites(op):
+        # exchange the two site legs on both the row and the column side
+        return op.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+    rev = swap_sites(apply_tensor_power(c, swap_sites(rho), 2))
     assert np.max(np.abs(out - rev)) < 1e-10
 
 

@@ -52,6 +52,26 @@ def test_build_and_compress(tmp_path, capsys):
                  "--source", BERN]) == 0
 
 
+def test_compress_c2_prints_acceptance_as_squared_fidelity(tmp_path, capsys):
+    # amplitude-damped i.i.d. qubit: the dense squared fidelity of the c2
+    # output used to print 0.8294809020 next to accept_prob 0.8294808041
+    out = str(tmp_path / "q")
+    assert main(["build-projector", "--d", "2", "--l", "1", "--n", "8",
+                 "--R", "0.5", "--out", out]) == 0
+    src = json.dumps({"kind": "channel-transformed",
+                      "inner": {"kind": "iid",
+                                "rho_re": [[0.75, 0.2], [0.2, 0.25]],
+                                "rho_im": [[0, -0.15], [0.15, 0]]},
+                      "channel": {"name": "amplitude-damping", "gamma": 0.3}})
+    capsys.readouterr()
+    assert main(["compress", "--scheme", "c2", "--projector", out,
+                 "--source", src]) == 0
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert values["accept_prob"] == "0.8294808041"
+    assert values["fidelity^2"] == values["accept_prob"]
+    assert values["output_trace"] == "1.0000000000"
+
+
 def test_build_projector_ignores_seed(tmp_path, capsys):
     grids = []
     for seed in ("1", "2"):

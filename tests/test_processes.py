@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from quclab.errors import ValidationError
+from quclab.errors import SizeError, ValidationError
 from quclab.processes import (Distribution, IIDProcess, MarkovProcess,
                               MixtureProcess, PeriodicProcess, entropy_bits,
                               ergodic_decomposition_l, high_entropy_components,
-                              sequence_index)
+                              index_sequence, sequence_index)
 
 H01 = entropy_bits([0.9, 0.1])
 H02 = entropy_bits([0.8, 0.2])
@@ -30,6 +30,29 @@ def test_periodic_marginals():
     assert mu[sequence_index([0, 1], 2)] == 0.5
     assert mu[sequence_index([1, 0], 2)] == 0.5
     assert mu[sequence_index([0, 0], 2)] == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cycle": [0, 2, 2, 1, 0]},
+    {"cycle": [0, 2, 2, 1, 0], "phases": [1, 3, 4]},
+    {"cycle": [1, 0, 1], "phases": [0, 2], "L": 4},
+])
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_periodic_marginal_matches_prob_enumeration(kwargs, n):
+    # n = 1, 3 are shorter than every cycle here and n = 7 is longer
+    p = PeriodicProcess(**kwargs)
+    mu = p.marginal(n).probs
+    brute = [p.prob(index_sequence(i, p.L, n)) for i in range(p.L ** n)]
+    assert mu.shape == (p.L ** n,)
+    assert np.array_equal(mu, brute)
+
+
+def test_periodic_marginal_guards():
+    p = PeriodicProcess([0, 1])
+    with pytest.raises(ValidationError):
+        p.marginal(0)
+    with pytest.raises(SizeError):
+        p.marginal(21)
 
 
 @pytest.mark.parametrize("proc", [

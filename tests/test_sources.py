@@ -192,6 +192,21 @@ def test_abelian_restriction_nondiagonal():
         assert abs(von_neumann_entropy(s.marginal(l)) - pr.marginal(1).entropy()) < 1e-10
 
 
+@pytest.mark.parametrize("l, k", [(1, 3), (2, 2)])
+def test_abelian_restriction_complex_source(l, k):
+    # block marginals are the diagonal of (B^{x k})^dagger rho_{lk} B^{x k}
+    v = np.array([[1.0, 0.6], [0.0, 0.8j]])
+    s = ChannelTransformedSource(
+        ClassicallyCorrelatedSource(MarkovProcess(MARKOV_P), QuantumAlphabet(v)),
+        depolarizing(0.2))
+    proc, basis = abelian_restriction(s, l)
+    bk = np.eye(1)
+    for _ in range(k):
+        bk = np.kron(bk, basis)
+    expected = np.diag(bk.conj().T @ s.marginal(l * k) @ bk).real
+    assert np.max(np.abs(proc.marginal(k).probs - expected)) < 1e-12
+
+
 def test_verify_invariance_identity():
     rep = verify_invariance(IIDSource(np.diag([0.9, 0.1])), identity_channel(2),
                             m_max=4, N=50)
