@@ -18,7 +18,7 @@ import numpy as np
 from .channels import channel_from_spec
 from .codes import BlockCode, build_code, code_measure
 from .errors import ConfigError, QuclabError, ValidationError
-from .operators import range_basis, range_flag, range_trace
+from .operators import range_basis, range_flag
 from .processes import (ClassicalProcess, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess)
 from .projectors import JOIN_RTOL, UniversalProjector, assemble_q
@@ -29,13 +29,12 @@ CSV_HEADER = ["source", "n", "r", "accept_prob", "entanglement_fidelity",
               "achieved_rate", "wall_ms", "error"]
 
 
-def _c1_fidelity(accept: float, rho: np.ndarray, f: np.ndarray, project) -> float:
+def _c1_fidelity(accept: float, rho_f: np.ndarray, f: np.ndarray, project) -> float:
     """Scheme 1's entanglement fidelity tr(q rho)^2 + ||(1 - q) rho f||^2 for a
-    flag f in range(q), where `project` applies q.  The second term is
-    sum_i |<i|rho|f>|^2 over an orthonormal basis of the orthocomplement."""
+    flag f in range(q), given rho f, where `project` applies q.  The second
+    term is sum_i |<i|rho|f>|^2 over an orthonormal basis of the orthocomplement."""
     if np.linalg.norm(project(f) - f) > 1e-8:
         raise ConfigError("flag vector lies outside the projector range")
-    rho_f = rho @ f
     return float(accept ** 2 + np.linalg.norm(rho_f - project(rho_f)) ** 2)
 
 
@@ -52,7 +51,7 @@ def compress_c1(p: np.ndarray, rho: np.ndarray, flag_vector: np.ndarray | None =
     if flag_vector is None:
         flag_vector = range_basis(p)[:, 0]
     f = np.asarray(flag_vector, dtype=complex)
-    fe = _c1_fidelity(abs(np.trace(p @ rho)), rho, f, lambda v: p @ v)
+    fe = _c1_fidelity(abs(np.trace(p @ rho)), rho @ f, f, lambda v: p @ v)
     rejected = float(np.trace(rho - p @ rho @ p).real)
     out = p @ rho @ p + rejected * np.outer(f, f.conj())
     return out, fe
@@ -71,47 +70,66 @@ def compress_c2(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return proj / tr
 
 
+_REQUIRED = object()
+
+
+def _field(spec: dict, key: str, convert=lambda v: np.asarray(v, dtype=float),
+           default=_REQUIRED):
+    """spec[key] through `convert`; a missing or malformed field is a
+    ConfigError that names it."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ConfigError(f"spec field {key!r} is missing")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spec field {key!r} is malformed: {exc}") from None
+
+
+def _complex(spec: dict, re_key: str, im_key: str) -> np.ndarray:
+    return _field(spec, re_key) + 1j * _field(spec, im_key, default=0.0)
+
+
 def build_process(spec: dict) -> ClassicalProcess:
     kind = spec.get("kind")
     if kind == "iid":
-        return IIDProcess(spec["probs"])
+        return IIDProcess(_field(spec, "probs"))
     if kind == "markov":
-        return MarkovProcess(spec["transition"], initial=spec.get("initial"))
+        return MarkovProcess(_field(spec, "transition"),
+                             initial=_field(spec, "initial", default=None))
     if kind == "periodic":
-        return PeriodicProcess(spec["cycle"], L=spec.get("alphabet_size"))
+        return PeriodicProcess(_field(spec, "cycle", lambda v: [int(c) for c in v]),
+                               L=_field(spec, "alphabet_size", int, None))
     if kind == "mixture":
-        return MixtureProcess(spec["weights"],
-                              [build_process(c) for c in spec["components"]])
+        components = _field(spec, "components", lambda v: [build_process(dict(c)) for c in v])
+        return MixtureProcess(_field(spec, "weights"), components)
     raise ConfigError(f"unknown process kind {kind!r}")
 
 
 def build_source(spec: dict) -> QuantumSource:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"source spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "iid":
         if "probs" in spec:
-            rho = np.diag(np.asarray(spec["probs"], dtype=complex))
-        else:
-            rho = np.asarray(spec["rho_re"], dtype=complex)
-            if "rho_im" in spec:
-                rho = rho + 1j * np.asarray(spec["rho_im"])
-        src: QuantumSource = IIDSource(rho)
-    elif kind == "classical":
-        process = build_process(spec["process"])
+            return IIDSource(np.diag(_field(spec, "probs")))
+        return IIDSource(_complex(spec, "rho_re", "rho_im"))
+    if kind == "classical":
+        process = build_process(_field(spec, "process", dict))
         alph = spec.get("alphabet", "computational")
         if alph == "computational":
-            alphabet = QuantumAlphabet.computational(process.L)
-        else:
-            v = np.asarray(alph["re"], dtype=complex)
-            if "im" in alph:
-                v = v + 1j * np.asarray(alph["im"])
-            alphabet = QuantumAlphabet(v)
-        src = ClassicallyCorrelatedSource(process, alphabet)
-    elif kind == "channel-transformed":
-        src = ChannelTransformedSource(build_source(spec["inner"]),
-                                       channel_from_spec(spec["channel"]))
-    else:
-        raise ConfigError(f"unknown source kind {kind!r}")
-    return src
+            return ClassicallyCorrelatedSource(process, QuantumAlphabet.computational(process.L))
+        return ClassicallyCorrelatedSource(process, QuantumAlphabet(
+            _complex(_field(spec, "alphabet", dict), "re", "im")))
+    if kind == "channel-transformed":
+        inner = build_source(_field(spec, "inner", dict))
+        try:
+            channel = channel_from_spec(_field(spec, "channel", dict))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed channel spec: {exc!r}") from None
+        return ChannelTransformedSource(inner, channel)
+    raise ConfigError(f"unknown source kind {kind!r}")
 
 
 @dataclass
@@ -189,15 +207,17 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     return accept, (accept ** 2 if scheme == "c1" else accept)
 
 
-def _basis_row(b: np.ndarray, rho: np.ndarray, scheme: str) -> tuple[float, float]:
-    """Non-diagonal path, from the orthonormal basis b of range(q) alone:
-    accept = tr(b^dagger rho b); scheme 1's F_e with the flag range_flag(b),
-    the one compress_c1 picks from q; scheme 2's squared fidelity equals
-    accept, as in _diag_row."""
-    accept = range_trace(b, rho)
+def _basis_row(b: np.ndarray, source: QuantumSource, n: int,
+               scheme: str) -> tuple[float, float]:
+    """Non-diagonal path, from the orthonormal basis b of range(q) and the
+    source's matrix-free products rho_n V: accept = Re sum conj(b) (rho b);
+    scheme 1's F_e with the flag range_flag(b), the one compress_c1 picks
+    from q; scheme 2's squared fidelity equals accept, as in _diag_row."""
+    accept = float(np.vdot(b, source.apply(n, b)).real)
     if scheme == "c2":
         return accept, accept
-    return accept, _c1_fidelity(accept, rho, range_flag(b),
+    f = range_flag(b)
+    return accept, _c1_fidelity(accept, source.apply(n, f), f,
                                 lambda v: b @ (b.conj().T @ v))
 
 
@@ -209,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     codes: dict[tuple, BlockCode] = {}
     wall_times: list[float] = []
     for s_idx, spec in enumerate(cfg.sources):
-        sid = spec.get("id", f"source{s_idx}")
+        sid = spec.get("id", f"source{s_idx}") if isinstance(spec, dict) else f"source{s_idx}"
         for n in cfg.n_range:
             t0 = time.perf_counter()
             row = ReportRow(source=sid, n=n, r=cfg.r)
@@ -237,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                     else:
                         row.path = "dense"
                         row.accept_prob, row.entanglement_fidelity = _basis_row(
-                            up.extended_basis(), source.marginal(n), cfg.scheme)
+                            up.extended_basis(), source, n, cfg.scheme)
                 else:
                     if not diag_ok:
                         raise ConfigError("projector_mode=code needs a diagonal source")

@@ -185,11 +185,6 @@ def range_flag(basis: np.ndarray) -> np.ndarray:
     return _phase_fix(basis @ basis[j].conj() / norms[j])
 
 
-def range_trace(basis: np.ndarray, a: np.ndarray) -> float:
-    """tr(P a) for the projector P = basis basis^dagger, as tr(basis^dagger a basis)."""
-    return float(np.einsum("ik,ij,jk->", basis.conj(), a, basis, optimize=True).real)
-
-
 def span_basis(columns: np.ndarray, rtol: float = RANK_SVAL_RTOL) -> np.ndarray:
     """Orthonormal basis of the column span, rank cut at rtol * s_max."""
     if columns.size == 0:

@@ -3,8 +3,10 @@
 Four concrete kinds: i.i.d., finite Markov chains (initialized at their
 stationary distribution unless a custom initial vector is requested),
 deterministic cycles with a uniform random phase, and convex mixtures
-(provided to exercise non-ergodic behavior).  A fifth, evaluator-backed kind
-carries processes induced by pinching a quantum source.
+(provided to exercise non-ergodic behavior).  Each of the four has a
+hidden-Markov transfer form, from which quantum sources are built.  A fifth,
+evaluator-backed kind carries processes induced by pinching a quantum source;
+it has no transfer form.
 """
 
 from __future__ import annotations
@@ -92,15 +94,11 @@ class ClassicalProcess:
     def block(self, l: int) -> "ClassicalProcess":
         raise NotImplementedError(f"block regrouping not implemented for {type(self).__name__}")
 
-    def lagged_pair_expectations(self, f, g, m: int, lags) -> np.ndarray:
-        """E[f(X_1..X_m) g(X_{j+1}..X_{j+m})] for each lag j >= m in `lags`.
-
-        f and g are dense vectors over L^m indexed like Distribution.
-        """
-        raise NotImplementedError
-
-    def mean_observable(self, f, m: int) -> float:
-        return float(np.dot(np.asarray(f, float), self.marginal(m).probs))
+    def transfer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden-Markov form (initial, T): P(x_1..x_n) is the sum over hidden
+        states i_0..i_n of initial[i_0] T[i_0, i_1, x_1] ... T[i_{n-1}, i_n, x_n].
+        Every T[i] sums to 1, so the last hidden state sums out."""
+        raise ValidationError(f"{type(self).__name__} has no transfer form")
 
 
 def _check_prob_vector(p, name: str) -> np.ndarray:
@@ -141,11 +139,8 @@ class IIDProcess(ClassicalProcess):
             return self
         return IIDProcess(self.marginal(l).probs)
 
-    def lagged_pair_expectations(self, f, g, m, lags):
-        mu = self.marginal(m).probs
-        ef = float(np.dot(f, mu))
-        eg = float(np.dot(g, mu))
-        return np.full(len(list(lags)), ef * eg)
+    def transfer(self):
+        return np.ones(1), self.p.reshape(1, 1, self.L)
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -174,6 +169,8 @@ class MarkovProcess(ClassicalProcess):
             self.stationary = True
         else:
             self.pi = _check_prob_vector(initial, "initial distribution")
+            if self.pi.shape != (self.L,):
+                raise ValidationError(f"initial distribution must have {self.L} entries")
             self.stationary = bool(np.max(np.abs(self.pi - self.pi_stationary)) <= 1e-12)
 
     def prob(self, seq) -> float:
@@ -193,6 +190,12 @@ class MarkovProcess(ClassicalProcess):
             last = np.arange(len(probs)) % self.L
             probs = (probs[:, None] * self.P[last, :]).ravel()
         return Distribution(self.L, n, probs)
+
+    def transfer(self):
+        # the hidden state is the next symbol: emit it, then step the chain
+        T = np.zeros((self.L, self.L, self.L))
+        T[np.arange(self.L), :, np.arange(self.L)] = self.P
+        return self.pi.copy(), T
 
     def entropy_rate(self) -> float:
         if not self.stationary:
@@ -241,33 +244,6 @@ class MarkovProcess(ClassicalProcess):
             g = math.gcd(g, level[u] + 1 - level[v])
         return max(g, 1)
 
-    def lagged_pair_expectations(self, f, g, m, lags):
-        f = np.asarray(f, float)
-        g = np.asarray(g, float)
-        mu = self.marginal(m).probs
-        # u[s]: measure of first m symbols weighted by f, ending in state s
-        u = (mu * f).reshape(self.L ** (m - 1), self.L).sum(axis=0) if m > 1 else mu * f
-        # w[s]: expected g over the m symbols following state s
-        w = np.zeros(self.L)
-        for s in range(self.L):
-            probs = self.P[s].copy()
-            for _ in range(m - 1):
-                last = np.arange(len(probs)) % self.L
-                probs = (probs[:, None] * self.P[last, :]).ravel()
-            w[s] = float(np.dot(g, probs))
-        lags = list(lags)
-        out = np.empty(len(lags))
-        vec = u.copy()
-        cur = m  # vec currently advanced to lag m (gap 0)
-        for idx, j in enumerate(lags):
-            if j < m:
-                raise ValidationError("lag must be >= m")
-            while cur < j:
-                vec = vec @ self.P
-                cur += 1
-            out[idx] = float(np.dot(vec, w))
-        return out
-
 
 class PeriodicProcess(ClassicalProcess):
     """Deterministic cycle observed from a uniformly random phase.
@@ -281,6 +257,8 @@ class PeriodicProcess(ClassicalProcess):
         if not self.cycle:
             raise ValidationError("cycle must be nonempty")
         self.L = int(L) if L is not None else max(self.cycle) + 1
+        if min(self.cycle) < 0 or max(self.cycle) >= self.L:
+            raise ValidationError(f"cycle symbols must lie in 0..{self.L - 1}")
         self.c = len(self.cycle)
         self.phases = sorted(set(range(self.c) if phases is None else (int(p) % self.c for p in phases)))
         if not self.phases:
@@ -305,6 +283,14 @@ class PeriodicProcess(ClassicalProcess):
         probs = np.bincount(windows, minlength=self.L ** n) / len(self.phases)
         return Distribution(self.L, n, probs)
 
+    def transfer(self):
+        # the hidden state is the position in the cycle
+        initial = np.zeros(self.c)
+        initial[self.phases] = 1.0 / len(self.phases)
+        T = np.zeros((self.c, self.c, self.L))
+        T[np.arange(self.c), (np.arange(self.c) + 1) % self.c, self.cycle] = 1.0
+        return initial, T
+
     def entropy_rate(self) -> float:
         return 0.0
 
@@ -325,18 +311,6 @@ class PeriodicProcess(ClassicalProcess):
         if len(comps) == 1:
             return comps[0]
         return MixtureProcess([1.0 / len(comps)] * len(comps), comps)
-
-    def lagged_pair_expectations(self, f, g, m, lags):
-        f = np.asarray(f, float)
-        g = np.asarray(g, float)
-        lags = list(lags)
-        out = np.zeros(len(lags))
-        for ph in self.phases:
-            fa = f[sequence_index([self.cycle[(ph + t) % self.c] for t in range(m)], self.L)]
-            for idx, j in enumerate(lags):
-                gb = g[sequence_index([self.cycle[(ph + j + t) % self.c] for t in range(m)], self.L)]
-                out[idx] += fa * gb
-        return out / len(self.phases)
 
 
 class MixtureProcess(ClassicalProcess):
@@ -366,9 +340,17 @@ class MixtureProcess(ClassicalProcess):
                       "average of component entropy rates", stacklevel=2)
         return float(sum(w * c.entropy_rate() for w, c in zip(self.w, self.components)))
 
-    def lagged_pair_expectations(self, f, g, m, lags):
-        return sum(w * c.lagged_pair_expectations(f, g, m, lags)
-                   for w, c in zip(self.w, self.components))
+    def transfer(self):
+        # block sum of the components' hidden states
+        parts = [c.transfer() for c in self.components]
+        initial = np.concatenate([w * init for w, (init, _) in zip(self.w, parts)])
+        T = np.zeros((len(initial), len(initial), self.L))
+        start = 0
+        for _, t in parts:
+            stop = start + t.shape[0]
+            T[start:stop, start:stop] = t
+            start = stop
+        return initial, T
 
 
 class EvaluatorProcess(ClassicalProcess):

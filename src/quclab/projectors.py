@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
 from .errors import ConfigError, SizeError, ValidationError
-from .operators import DEFAULT_DIM_CAP, range_basis, range_trace, span_basis
+from .operators import DEFAULT_DIM_CAP, range_basis, span_basis
 from .processes import index_sequence
 from .sources import QuantumSource
 
@@ -295,14 +295,16 @@ def assemble_q(m: int, d: int, r: float, k_order: int = 0,
 
 
 def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:
-    """tr(q rho_m), via the diagonal fast path when the source marginal is
-    diagonal in the computational basis."""
+    """tr(q rho_m): diag(q) against the classical marginal when the source is
+    diagonal in the computational basis, otherwise Re sum conj(b) (rho_m b)
+    over the basis b of range(q), with rho_m b from the source's sweep."""
     if s.d != q.d:
         raise ValidationError("source dimension != projector site dimension")
-    diag = s.diagonal_marginal(q.m)
-    if diag is not None:
-        return float(np.dot(q.diagonal(), diag))
-    return range_trace(q.extended_basis(), s.marginal(q.m))
+    view = s.classical_view()
+    if view is not None:
+        return float(np.dot(q.diagonal(), view.marginal(q.m).probs))
+    b = q.extended_basis()
+    return float(np.vdot(b, s.apply(q.m, b)).real)
 
 
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:

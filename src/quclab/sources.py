@@ -1,7 +1,7 @@
-"""Consistent marginal families for i.i.d., classically-correlated and
-channel-transformed quantum sources, plus the operator-form consistency /
-stationarity / ergodicity diagnostics and the abelian (pinching) bridge to
-classical processes.
+"""i.i.d., classically-correlated and channel-transformed quantum sources,
+all in one finitely correlated (transfer) form, plus the operator-form
+consistency / stationarity / ergodicity diagnostics and the abelian
+(pinching) bridge to classical processes.
 """
 
 from __future__ import annotations
@@ -48,29 +48,73 @@ class QuantumAlphabet:
 
 
 class QuantumSource:
-    """Base class; marginals are cached per block length."""
+    """A finitely correlated source (Fannes, Nachtergaele & Werner, CMP 144,
+    1992): a left vector l over a bond of dimension chi and one d x d site
+    operator M[i, j] per bond edge, with
 
-    d: int
+        rho_n = sum over i_0..i_n of l[i_0] M[i_0, i_1] (x) ... (x) M[i_{n-1}, i_n].
 
-    def __init__(self):
+    The transfer matrix tr M[i, j] is row-stochastic, so the last bond sums
+    out (the right boundary is all-ones) and the marginals are consistent.
+    The kinds below only fill (l, M); marginals are cached per block length.
+    """
+
+    def __init__(self, left, sites):
+        self.left = np.asarray(left)
+        self.sites = np.asarray(sites, dtype=complex)
+        chi = len(self.left)
+        if self.sites.ndim != 4 or self.sites.shape[:2] != (chi, chi) \
+                or self.sites.shape[2] != self.sites.shape[3]:
+            raise ValidationError("site tensor must be chi x chi x d x d")
+        if (abs(self.left.sum() - 1.0) > 1e-8
+                or np.max(np.abs(self.transfer_matrix().sum(axis=1) - 1.0)) > 1e-8):
+            raise ValidationError("left vector and transfer-matrix rows must sum to 1")
+        self.d = self.sites.shape[2]
         self._cache: dict[int, np.ndarray] = {}
 
+    def transfer_matrix(self) -> np.ndarray:
+        return np.trace(self.sites, axis1=2, axis2=3)
+
+    def _strings(self, left, n: int, close: bool) -> np.ndarray:
+        """sum over i_0..i_{n-1} of left[p, i_0] M[i_0, i_1] (x) ... (x)
+        M[i_{n-1}, i_n], as a (p, chi, d^n, d^n) array indexed by the left row
+        and i_n; with `close` the last bond is summed first (chi = 1)."""
+        x = np.asarray(left, dtype=complex)[:, :, None, None]
+        closed = self.sites.sum(axis=1, keepdims=True)
+        for site in range(n):
+            m = closed if close and site == n - 1 else self.sites
+            p, _, D, _ = x.shape
+            x = np.einsum("piab,ijce->pjacbe", x, m).reshape(
+                p, m.shape[1], D * self.d, D * self.d)
+        return x
+
     def marginal(self, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+        if n < 1:
+            raise ValidationError("block length must be >= 1")
         if self.d ** n > dim_cap:
             raise SizeError(f"marginal dimension {self.d}^{n} exceeds cap {dim_cap}")
         rho = self._cache.get(n)
         if rho is None:
-            rho = self._compute_marginal(n)
+            rho = self._strings(self.left[None], n, close=True)[0, 0]
             self._cache[n] = rho
         return rho
 
-    def _compute_marginal(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def diagonal_marginal(self, n: int):
-        """Diagonal of the n-site marginal in the computational basis, when the
-        marginal is exactly diagonal there; otherwise None."""
-        return None
+    def apply(self, n: int, v) -> np.ndarray:
+        """rho_n v for a d^n vector or d^n x k matrix v, by sweeping v through
+        the n sites one at a time; no d^n x d^n array is formed."""
+        v = np.asarray(v)
+        if n < 1 or v.shape[0] != self.d ** n:
+            raise ValidationError(f"operand has {v.shape[0]} rows, not {self.d}^{n}")
+        d = self.d
+        closed = self.sites.sum(axis=1, keepdims=True)
+        # legs (bond, inputs b_t..b_n, columns, outputs a_1..a_{t-1}): each
+        # site turns its input leg into its output leg at the back
+        t = np.multiply.outer(self.left, v.reshape(d ** n, -1))
+        for site in range(n):
+            m = closed if site == n - 1 else self.sites
+            t = np.tensordot(m, t.reshape(t.shape[0], d, -1), axes=([0, 3], [0, 1]))
+            t = np.moveaxis(t, 1, -1)
+        return t.reshape(-1, d ** n).T.reshape(v.shape)
 
     def classical_view(self):
         """Driving classical process for diagonal observables, when available."""
@@ -79,73 +123,46 @@ class QuantumSource:
 
 class IIDSource(QuantumSource):
     def __init__(self, rho1):
-        super().__init__()
         rho1 = np.asarray(rho1, dtype=complex)
         validate_density(rho1)
+        super().__init__(np.ones(1), rho1[None, None])
         self.rho1 = rho1
-        self.d = rho1.shape[0]
         off = rho1 - np.diag(np.diag(rho1))
         self._diag = np.diag(rho1).real.copy() if np.max(np.abs(off)) <= DIAG_TOL else None
-
-    def _compute_marginal(self, n: int) -> np.ndarray:
-        out = self.rho1
-        for _ in range(n - 1):
-            out = np.kron(out, self.rho1)
-        return out
-
-    def diagonal_marginal(self, n: int):
-        if self._diag is None:
-            return None
-        out = self._diag
-        for _ in range(n - 1):
-            out = np.outer(out, self._diag).ravel()
-        return out
 
     def classical_view(self):
         return IIDProcess(self._diag) if self._diag is not None else None
 
 
 class ClassicallyCorrelatedSource(QuantumSource):
-    """Alphabet vectors placed along the lattice by a classical process."""
+    """Alphabet vectors placed along the lattice by a classical process: its
+    hidden-Markov form (initial, T) gives M[i, j] = sum_s T[i, j, s] |psi_s><psi_s|."""
 
     def __init__(self, process: ClassicalProcess, alphabet: QuantumAlphabet):
-        super().__init__()
         if process.L != alphabet.count:
             raise ValidationError("process alphabet size != quantum alphabet size")
+        initial, T = process.transfer()
+        v = alphabet.vectors
+        states = np.einsum("as,bs->sab", v, v.conj())
+        super().__init__(initial, np.tensordot(T, states, axes=1))
         self.process = process
         self.alphabet = alphabet
-        self.d = alphabet.d
-
-    def _compute_marginal(self, n: int) -> np.ndarray:
-        mu = self.process.marginal(n).probs
-        if self.alphabet.is_computational:
-            return np.diag(mu.astype(complex))
-        # columns of W enumerate the product vectors for all L^n sequences
-        W = self.alphabet.vectors
-        for _ in range(n - 1):
-            W = np.kron(W, self.alphabet.vectors)
-        return (W * mu) @ W.conj().T
-
-    def diagonal_marginal(self, n: int):
-        if not self.alphabet.is_computational:
-            return None
-        return self.process.marginal(n).probs
 
     def classical_view(self):
         return self.process if self.alphabet.is_computational else None
 
 
 class ChannelTransformedSource(QuantumSource):
+    """The inner source with the channel applied to every site operator."""
+
     def __init__(self, inner: QuantumSource, channel: KrausChannel):
-        super().__init__()
         if inner.d != channel.d:
             raise ValidationError("channel dimension != source site dimension")
+        shape = inner.sites.shape
+        super().__init__(inner.left, (inner.sites.reshape(-1, shape[2] * shape[3])
+                                      @ channel.superoperator().T).reshape(shape))
         self.inner = inner
         self.channel = channel
-        self.d = inner.d
-
-    def _compute_marginal(self, n: int) -> np.ndarray:
-        return apply_tensor_power(self.channel, self.inner.marginal(n), n)
 
 
 def _observable_batch(dim, trials, rng, observables=None):
@@ -200,49 +217,30 @@ class ErgodicityReport:
         return abs(self.cesaro - self.product)
 
 
-def _is_diag(a) -> bool:
-    return float(np.max(np.abs(a - np.diag(np.diag(a))))) <= DIAG_TOL
-
-
-def ergodicity_gap(s: QuantumSource, a, b, m: int, N: int,
-                   dim_cap: int = DEFAULT_DIM_CAP) -> ErgodicityReport:
+def ergodicity_gap(s: QuantumSource, a, b, m: int, N: int) -> ErgodicityReport:
+    """Lag-j terms tr(rho_{m+j} (a (x) 1^{j-m} (x) b)) for j = m..N, from the
+    transfer form: term_j = l A_a T^{j-m} A_b 1, where A_x[i, k] is x's trace
+    against the m-site operator strings from bond i to bond k."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     check_hermitian(a)
     check_hermitian(b)
-    if isinstance(s, ChannelTransformedSource):
-        return ergodicity_gap(s.inner, heisenberg_dual(s.channel, a, m),
-                              heisenberg_dual(s.channel, b, m), m, N, dim_cap)
-    if isinstance(s, IIDSource):
-        # product states factorize term by term at every lag
-        rho_m = s.marginal(m)
-        ta = float(np.trace(rho_m @ a).real)
-        tb = float(np.trace(rho_m @ b).real)
-        product = ta * tb
-        return ErgodicityReport(m=m, N=N, cesaro=product, product=product,
-                                weak_mixing_avg=0.0, strong_tail=0.0)
-    view = s.classical_view()
-    if view is not None and _is_diag(a) and _is_diag(b):
-        f = np.diag(a).real.copy()
-        g = np.diag(b).real.copy()
-        terms = view.lagged_pair_expectations(f, g, m, range(m, N + 1))
-        product = view.mean_observable(f, m) * view.mean_observable(g, m)
-    else:
-        if s.d ** (m + N) > dim_cap:
-            raise SizeError(
-                "ergodicity scan needs rho up to {}^{}; use diagonal observables "
-                "for the classical fast path".format(s.d, m + N))
-        rho_m = s.marginal(m)
-        product = float((np.trace(rho_m @ a) * np.trace(rho_m @ b)).real)
-        terms = []
-        for i in range(m, N + 1):
-            mid = np.eye(s.d ** (i - m))
-            obs = np.kron(np.kron(a, mid), b)
-            terms.append(float(np.trace(s.marginal(m + i) @ obs).real))
-        terms = np.asarray(terms)
+    if not 1 <= m <= N:
+        raise ValidationError(f"ergodicity scan needs 1 <= m <= N, got m = {m}, N = {N}")
+    strings = s._strings(np.eye(len(s.left)), m, close=False)
+    A = np.einsum("ikxy,yx->ik", strings, a)
+    B = np.einsum("ikxy,yx->ik", strings, b)
+    T = s.transfer_matrix()
+    ones = np.ones(len(s.left))
+    product = float(((s.left @ A @ ones) * (s.left @ B @ ones)).real)
+    u, w = s.left @ A, B @ ones
+    terms = np.empty(N - m + 1)
+    for k in range(len(terms)):
+        terms[k] = (u @ w).real
+        u = u @ T
     cesaro = float(np.mean(terms))
     return ErgodicityReport(
-        m=m, N=N, cesaro=cesaro, product=float(product),
+        m=m, N=N, cesaro=cesaro, product=product,
         weak_mixing_avg=float(np.mean(np.abs(terms - product))),
         strong_tail=float(terms[-1] - product))
 

@@ -36,6 +36,47 @@ def test_check_ergodic_with_channel(capsys):
     assert main(["check-ergodic", src, "--channel", chan, "--N", "200"]) == 0
 
 
+NONORTHOGONAL_MARKOV = {"kind": "classical",
+                        "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]},
+                        "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}}
+DEPOLARIZING = {"name": "depolarizing", "p": 0.25}
+
+
+def _dense_marginal(n, kraus):
+    """W diag(mu) W^dagger over the product alphabet vectors, then the
+    channel's Kraus operators applied site by site."""
+    from quclab.processes import MarkovProcess
+    v = np.array(NONORTHOGONAL_MARKOV["alphabet"]["re"])
+    w = np.ones((1, 1))
+    for _ in range(n):
+        w = np.kron(w, v)
+    rho = (w * MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).marginal(n).probs) @ w.T
+    for i in range(n):
+        ops = [np.kron(np.kron(np.eye(2 ** i), k), np.eye(2 ** (n - i - 1))) for k in kraus]
+        rho = sum(a @ rho @ a.conj().T for a in ops)
+    return rho
+
+
+@pytest.mark.parametrize("channel", [None, DEPOLARIZING])
+def test_check_ergodic_nonorthogonal_alphabet(channel, capsys):
+    from quclab.channels import channel_from_spec
+    extra = ["--channel", json.dumps(channel)] if channel else []
+    src = json.dumps(NONORTHOGONAL_MARKOV)
+    assert main(["check-ergodic", src] + extra) == 0  # the default N = 200
+    N = 6
+    assert main(["check-ergodic", src, "--N", str(N)] + extra) == 0
+    out = capsys.readouterr().out.split("m=1 N=6")[1]
+    printed = dict(line.split(":") for line in out.strip().splitlines())
+    kraus = channel_from_spec(channel).kraus if channel else [np.eye(2)]
+    a = np.diag([1.0, 0.0])
+    terms = [np.trace(_dense_marginal(1 + j, kraus)
+                      @ np.kron(np.kron(a, np.eye(2 ** (j - 1))), a)).real
+             for j in range(1, N + 1)]
+    rho1 = _dense_marginal(1, kraus)
+    assert abs(float(printed["cesaro average"]) - np.mean(terms)) < 1e-9
+    assert abs(float(printed["product target"]) - np.trace(rho1 @ a).real ** 2) < 1e-9
+
+
 def test_build_and_compress(tmp_path, capsys):
     out = str(tmp_path / "q")
     assert main(["build-projector", "--l", "1", "--n", "4", "--R", "0.7",

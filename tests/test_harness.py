@@ -156,6 +156,31 @@ def test_per_row_error_recorded():
     assert rows[1].error == ""
 
 
+@pytest.mark.parametrize("bad, named", [
+    ({"kind": "iid"}, "'rho_re'"),
+    ({"kind": "classical", "process": {"kind": "markov"}}, "'transition'"),
+    ({"kind": "iid", "rho_re": [[0.5, 0.0], [0.5]]}, "'rho_re'"),
+    ({"kind": "channel-transformed", "inner": {"kind": "iid", "probs": [0.5, 0.5]},
+      "channel": {"name": "depolarizing"}}, "'p'"),
+    ({"kind": "classical", "process": {"kind": "mixture", "weights": [1.0],
+                                       "components": ["markov"]}}, "'components'"),
+    ("markov", "JSON object"),
+])
+def test_malformed_source_spec_is_a_row_error(bad, named):
+    good = {"id": "good", "kind": "classical",
+            "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]},
+            "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}}
+    cfg = {"r": 0.5, "n_range": [4, 5], "seed": 3}
+    rows = run_experiment(ExperimentConfig.from_dict({"sources": [bad, good], **cfg}))
+    alone = run_experiment(ExperimentConfig.from_dict({"sources": [good], **cfg}))
+    for row in rows[:2]:
+        assert row.source == "source0"
+        assert row.error.startswith("ConfigError") and named in row.error
+        assert row.accept_prob is None
+    assert report_csv(rows[2:]) == report_csv(alone)
+    assert all(r.error == "" for r in alone)
+
+
 def test_output_files(tmp_path):
     out = str(tmp_path / "rep")
     cfg = ExperimentConfig.from_dict({
@@ -337,3 +362,21 @@ def test_dense_rows_build_no_dense_projector(monkeypatch):
                      override_schedule={"l": 2})
         assert [r.error for r in rows] == [""] * 4
         assert {r.path for r in rows} == {"dense"}
+
+
+def test_dense_rows_form_no_dense_state(monkeypatch):
+    from quclab.projectors import acceptance_probability, assemble_q
+    from quclab.sources import QuantumSource
+    q = assemble_q(5, 2, 0.5, override=(1, 5, 0.5))
+    dense = float(np.trace(q.matrix() @ build_source(DENSE_SOURCES[0]).marginal(5)).real)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense source marginal formed")
+    monkeypatch.setattr(QuantumSource, "marginal", forbidden)
+    for scheme in ("c1", "c2"):
+        # l = 2: n = 7 is three blocks and one padded site
+        rows = _rows(DENSE_SOURCES, n_range=[6, 7], scheme=scheme,
+                     override_schedule={"l": 2})
+        assert [r.error for r in rows] == [""] * 4
+        assert {r.path for r in rows} == {"dense"}
+    assert abs(acceptance_probability(q, build_source(DENSE_SOURCES[0])) - dense) < 1e-12

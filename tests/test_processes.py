@@ -6,6 +6,8 @@ from quclab.processes import (Distribution, IIDProcess, MarkovProcess,
                               MixtureProcess, PeriodicProcess, entropy_bits,
                               ergodic_decomposition_l, high_entropy_components,
                               index_sequence, sequence_index)
+from quclab.sources import (ClassicallyCorrelatedSource, QuantumAlphabet,
+                            ergodicity_gap)
 
 H01 = entropy_bits([0.9, 0.1])
 H02 = entropy_bits([0.8, 0.2])
@@ -179,12 +181,24 @@ def test_mixture_entropy_rate_warns():
     assert abs(h - 0.5 * (H01 + 1.0)) < 1e-12
 
 
+def _lag_terms(process, f, g, m, lags):
+    """E[f(X_1..X_m) g(X_{j+1}..X_{j+m})] per lag j, read from ergodicity_gap
+    on the computational-alphabet source: strong_tail + product is the lag-N
+    term."""
+    s = ClassicallyCorrelatedSource(process, QuantumAlphabet.computational(process.L))
+    out = []
+    for j in lags:
+        rep = ergodicity_gap(s, np.diag(f), np.diag(g), m, j)
+        out.append(rep.strong_tail + rep.product)
+    return out
+
+
 def test_markov_lagged_pairs_match_bruteforce():
     mk = MarkovProcess(MARKOV_P)
     f = np.array([1.0, 0.0])
     g = np.array([0.3, -0.7])
     lags = range(1, 6)
-    fast = mk.lagged_pair_expectations(f, g, 1, lags)
+    fast = _lag_terms(mk, f, g, 1, lags)
     for j, val in zip(lags, fast):
         mu = mk.marginal(j + 1).probs.reshape(2, 2 ** (j - 1), 2)
         brute = np.einsum("a,abc,c->", f, mu, g)
@@ -196,7 +210,7 @@ def test_markov_lagged_pairs_m2():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(4)
     g = rng.standard_normal(4)
-    fast = mk.lagged_pair_expectations(f, g, 2, [2, 3, 4])
+    fast = _lag_terms(mk, f, g, 2, [2, 3, 4])
     for j, val in zip([2, 3, 4], fast):
         mu = mk.marginal(j + 2).probs.reshape(4, 2 ** (j - 2), 4)
         brute = np.einsum("a,abc,c->", f, mu, g)
@@ -206,8 +220,18 @@ def test_markov_lagged_pairs_m2():
 def test_periodic_lagged_pairs():
     p = PeriodicProcess([0, 1])
     f = np.array([1.0, 0.0])
-    vals = p.lagged_pair_expectations(f, f, 1, [1, 2, 3])
+    vals = _lag_terms(p, f, f, 1, [1, 2, 3])
     assert np.allclose(vals, [0.0, 0.5, 0.0])
+
+
+def test_invalid_symbols_and_initial_length():
+    # each would index past the hidden-Markov transfer form
+    with pytest.raises(ValidationError):
+        PeriodicProcess([0, 3], L=2)
+    with pytest.raises(ValidationError):
+        PeriodicProcess([0, -1])
+    with pytest.raises(ValidationError):
+        MarkovProcess(MARKOV_P, initial=[1.0])
 
 
 def test_invalid_probability_vectors():

@@ -37,7 +37,7 @@ def test_classically_correlated_diagonal():
     s = markov_source()
     mu = s.process.marginal(3).probs
     assert np.max(np.abs(s.marginal(3) - np.diag(mu))) < 1e-15
-    assert np.max(np.abs(s.diagonal_marginal(3) - mu)) < 1e-15
+    assert np.max(np.abs(s.classical_view().marginal(3).probs - mu)) < 1e-15
 
 
 def test_classically_correlated_nonorthogonal():
@@ -45,7 +45,7 @@ def test_classically_correlated_nonorthogonal():
     alph = QuantumAlphabet(np.column_stack([np.array([1.0, 0.0]), plus]))
     s = ClassicallyCorrelatedSource(IIDProcess([0.5, 0.5]), alph)
     assert np.max(np.abs(s.marginal(1) - np.array([[0.75, 0.25], [0.25, 0.25]]))) < 1e-12
-    assert s.diagonal_marginal(1) is None
+    assert s.classical_view() is None
 
 
 def test_consistency_all_kinds():
@@ -57,8 +57,8 @@ def test_consistency_all_kinds():
 
 def test_consistency_catches_corruption():
     class Broken(IIDSource):
-        def _compute_marginal(self, n):
-            rho = super()._compute_marginal(n)
+        def marginal(self, n, dim_cap=2 ** 14):
+            rho = super().marginal(n, dim_cap)
             if n == 4:
                 rho = np.diag(np.full(2 ** n, 1.0 / 2 ** n))
             return rho
@@ -110,24 +110,31 @@ def test_ergodicity_mixture_gap():
     assert abs(rep.gap - 0.25 * (0.9 - 0.5) ** 2) < 1e-12
 
 
+def _dense_lag_terms(s, a, b, m, N):
+    """tr(rho_{m+j} (a x 1^{j-m} x b)) for j = m..N from dense marginals."""
+    obs = [np.kron(np.kron(a, np.eye(s.d ** (j - m))), b) for j in range(m, N + 1)]
+    return np.array([np.trace(s.marginal(m + j) @ o).real for j, o in zip(range(m, N + 1), obs)])
+
+
 def test_ergodicity_fast_path_matches_dense():
     s = markov_source()
     a = np.diag([1.0, 0.0])
     fast = ergodicity_gap(s, a, a, 1, 8)
-    # forcing the dense route by hiding the classical view
-    class Opaque(ClassicallyCorrelatedSource):
-        def classical_view(self):
-            return None
-    dense = ergodicity_gap(Opaque(s.process, s.alphabet), a, a, 1, 8)
-    assert abs(fast.cesaro - dense.cesaro) < 1e-12
-    assert abs(fast.product - dense.product) < 1e-12
+    terms = _dense_lag_terms(s, a, a, 1, 8)
+    rho1 = s.marginal(1)
+    assert abs(fast.cesaro - np.mean(terms)) < 1e-12
+    assert abs(fast.product - np.trace(rho1 @ a).real ** 2) < 1e-12
 
 
-def test_ergodicity_dense_cap_error():
+def test_ergodicity_sigma_x_markov():
+    # off-diagonal observables on a diagonal source: every term is 0, at the
+    # default N of check-ergodic too
     s = markov_source()
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    with pytest.raises(SizeError):
-        ergodicity_gap(s, x, x, 1, 200)
+    rep = ergodicity_gap(s, x, x, 1, 200)
+    assert rep.cesaro == 0.0 and rep.product == 0.0
+    assert rep.weak_mixing_avg == 0.0 and rep.strong_tail == 0.0
+    assert np.max(np.abs(_dense_lag_terms(s, x, x, 1, 6))) == 0.0
 
 
 def test_ergodicity_matches_driving_process():
@@ -136,7 +143,8 @@ def test_ergodicity_matches_driving_process():
     a = np.diag([0.3, -0.5])
     rep = ergodicity_gap(s, a, a, 1, 100)
     f = np.array([0.3, -0.5])
-    terms = s.process.lagged_pair_expectations(f, f, 1, range(1, 101))
+    pi, P = s.process.pi, np.array(MARKOV_P)
+    terms = [(pi * f) @ np.linalg.matrix_power(P, j) @ f for j in range(1, 101)]
     assert abs(rep.cesaro - np.mean(terms)) < 1e-12
 
 
