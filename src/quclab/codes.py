@@ -154,7 +154,8 @@ def build_code(L: int, R: float, n: int, k: int = 0,
         return BlockCode(L, n, R, k, members=order[:size])
     if L == 2 and k == 0 and n <= 64:
         return _build_binary_typeclass(R, n, size)
-    raise NotImplementedError("predicate mode supports only binary alphabets with k = 0")
+    raise SizeError(f"code over {L}^{n} sequences exceeds the dense cap; the type-class "
+                    "mode needs a binary alphabet and k = 0")
 
 
 def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
@@ -182,7 +183,8 @@ def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
         mu = p.marginal(c.n).probs
         return float(mu[c.members].sum())
     if not isinstance(p, IIDProcess):
-        raise NotImplementedError("type-class code measure needs an i.i.d. process")
+        raise SizeError(f"measure over {c.L}^{c.n} sequences exceeds the dense cap; the "
+                        "type-class measure needs an i.i.d. process")
     p0, p1 = float(p.p[0]), float(p.p[1])
     total = 0.0
     for j in c.full_ones_counts:

@@ -201,9 +201,7 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     vanish); scheme 2's F(rho, P rho P / tr(P rho))^2 equals tr(P rho) =
     accept for every projector P.  Padded trailing sites are accepted
     unconditionally, so they drop out."""
-    process = source.classical_view()
-    proc_l = process.block(l) if l > 1 else process
-    accept = code_measure(proc_l, code)
+    accept = code_measure(source.classical_view().block(l), code)
     return accept, (accept ** 2 if scheme == "c1" else accept)
 
 

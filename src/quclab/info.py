@@ -38,10 +38,8 @@ def mean_entropy(s: QuantumSource, n_list) -> EntropyRateEstimate:
     if isinstance(s, IIDSource):
         analytic = von_neumann_entropy(s.rho1)
     elif isinstance(s, ClassicallyCorrelatedSource) and s.alphabet.is_computational:
-        try:
-            analytic = s.process.entropy_rate()
-        except NotImplementedError:
-            analytic = None
+        rate = getattr(s.process, "entropy_rate", None)
+        analytic = rate() if rate else None
     return EntropyRateEstimate(values=values, extrapolated=values[-1][1],
                                analytic=analytic)
 

@@ -1,12 +1,12 @@
 """Finite-alphabet stationary processes with exact marginal evaluation.
 
-Four concrete kinds: i.i.d., finite Markov chains (initialized at their
+Every process is one hidden-Markov form (initial, T), which gives its
+marginals, its block regrouping and the quantum sources built on it.  Four
+kinds fill that form: i.i.d., finite Markov chains (initialized at their
 stationary distribution unless a custom initial vector is requested),
 deterministic cycles with a uniform random phase, and convex mixtures
-(provided to exercise non-ergodic behavior).  Each of the four has a
-hidden-Markov transfer form, from which quantum sources are built.  A fifth,
-evaluator-backed kind carries processes induced by pinching a quantum source;
-it has no transfer form.
+(provided to exercise non-ergodic behavior).  Block regroupings and the
+abelian restriction of a quantum source are plain (initial, T) processes.
 """
 
 from __future__ import annotations
@@ -77,28 +77,55 @@ def index_sequence(idx: int, L: int, n: int) -> tuple:
 
 
 class ClassicalProcess:
-    """Base class; concrete kinds override prob / marginal / entropy_rate."""
+    """A hidden-Markov process: P(x_1..x_n) is the sum over hidden states
+    i_0..i_n of initial[i_0] T[i_0, i_1, x_1] ... T[i_{n-1}, i_n, x_n].
 
-    L: int
-    ergodic: bool = True
+    Every row T[i] sums to 1, so the last hidden state sums out and the
+    marginals are consistent.  The kinds below only fill (initial, T) and add
+    their own `prob` and entropy rate; `ergodic` is the kind's a-priori flag,
+    None where it is not known (block regroupings, abelian restrictions).
+    """
 
-    def prob(self, seq) -> float:
-        raise NotImplementedError
+    ergodic: bool | None = None
+
+    def __init__(self, initial, T):
+        self.initial = np.asarray(initial, dtype=float)
+        self.T = np.asarray(T, dtype=float)
+        chi = len(self.initial)
+        if self.initial.ndim != 1 or self.T.ndim != 3 or self.T.shape[:2] != (chi, chi):
+            raise ValidationError("transfer tensor must be chi x chi x L")
+        if (abs(self.initial.sum() - 1.0) > 1e-8
+                or np.max(np.abs(self.T.sum(axis=(1, 2)) - 1.0)) > 1e-8):
+            raise ValidationError("initial vector and transfer rows must sum to 1")
+        self.L = self.T.shape[2]
 
     def marginal(self, n: int) -> Distribution:
-        raise NotImplementedError
-
-    def entropy_rate(self) -> float:
-        raise NotImplementedError
+        """One left-to-right contraction: x holds (sequence so far, hidden
+        state), each site appends its symbol; the last site sums out the
+        hidden state."""
+        if n < 1:
+            raise ValidationError("block length must be >= 1")
+        if self.L ** n > DENSE_CAP:
+            raise SizeError(f"dense marginal with {self.L}^{n} entries exceeds cap")
+        chi = len(self.initial)
+        step = self.T.transpose(0, 2, 1).reshape(chi, self.L * chi)
+        x = self.initial[None]
+        for _ in range(n - 1):
+            x = (x @ step).reshape(-1, chi)
+        return Distribution(self.L, n, (x @ self.T.sum(axis=1)).ravel())
 
     def block(self, l: int) -> "ClassicalProcess":
-        raise NotImplementedError(f"block regrouping not implemented for {type(self).__name__}")
-
-    def transfer(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hidden-Markov form (initial, T): P(x_1..x_n) is the sum over hidden
-        states i_0..i_n of initial[i_0] T[i_0, i_1, x_1] ... T[i_{n-1}, i_n, x_n].
-        Every T[i] sums to 1, so the last hidden state sums out."""
-        raise ValidationError(f"{type(self).__name__} has no transfer form")
+        """The process over l-blocks: l site tensors contracted into
+        T_l[i, j, (x_1..x_l)], with the same hidden states."""
+        if l == 1:
+            return self
+        if self.L ** l > DENSE_CAP:
+            raise SizeError("block alphabet exceeds cap")
+        chi = len(self.initial)
+        T = self.T
+        for _ in range(l - 1):
+            T = np.einsum("ijs,jkx->iksx", T, self.T).reshape(chi, chi, -1)
+        return ClassicalProcess(self.initial, T)
 
 
 def _check_prob_vector(p, name: str) -> np.ndarray:
@@ -111,9 +138,11 @@ def _check_prob_vector(p, name: str) -> np.ndarray:
 
 
 class IIDProcess(ClassicalProcess):
+    ergodic = True
+
     def __init__(self, probs):
         self.p = _check_prob_vector(probs, "probability vector")
-        self.L = len(self.p)
+        super().__init__(np.ones(1), self.p.reshape(1, 1, -1))
 
     def prob(self, seq) -> float:
         out = 1.0
@@ -121,26 +150,8 @@ class IIDProcess(ClassicalProcess):
             out *= self.p[int(s)]
         return float(out)
 
-    def marginal(self, n: int) -> Distribution:
-        if n < 1:
-            raise ValidationError("block length must be >= 1")
-        if self.L ** n > DENSE_CAP:
-            raise SizeError("dense marginal exceeds cap")
-        probs = self.p.copy()
-        for _ in range(n - 1):
-            probs = np.outer(probs, self.p).ravel()
-        return Distribution(self.L, n, probs)
-
     def entropy_rate(self) -> float:
         return entropy_bits(self.p)
-
-    def block(self, l: int) -> "IIDProcess":
-        if l == 1:
-            return self
-        return IIDProcess(self.marginal(l).probs)
-
-    def transfer(self):
-        return np.ones(1), self.p.reshape(1, 1, self.L)
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -155,6 +166,8 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 class MarkovProcess(ClassicalProcess):
+    ergodic = True
+
     def __init__(self, transition, initial=None):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -172,6 +185,10 @@ class MarkovProcess(ClassicalProcess):
             if self.pi.shape != (self.L,):
                 raise ValidationError(f"initial distribution must have {self.L} entries")
             self.stationary = bool(np.max(np.abs(self.pi - self.pi_stationary)) <= 1e-12)
+        # the hidden state is the next symbol: emit it, then step the chain
+        T = np.zeros((self.L, self.L, self.L))
+        T[np.arange(self.L), :, np.arange(self.L)] = P
+        super().__init__(self.pi, T)
 
     def prob(self, seq) -> float:
         seq = [int(s) for s in seq]
@@ -180,45 +197,10 @@ class MarkovProcess(ClassicalProcess):
             out *= self.P[a, b]
         return float(out)
 
-    def marginal(self, n: int) -> Distribution:
-        if n < 1:
-            raise ValidationError("block length must be >= 1")
-        if self.L ** n > DENSE_CAP:
-            raise SizeError("dense marginal exceeds cap")
-        probs = self.pi.copy()
-        for _ in range(n - 1):
-            last = np.arange(len(probs)) % self.L
-            probs = (probs[:, None] * self.P[last, :]).ravel()
-        return Distribution(self.L, n, probs)
-
-    def transfer(self):
-        # the hidden state is the next symbol: emit it, then step the chain
-        T = np.zeros((self.L, self.L, self.L))
-        T[np.arange(self.L), :, np.arange(self.L)] = self.P
-        return self.pi.copy(), T
-
     def entropy_rate(self) -> float:
         if not self.stationary:
             raise ValidationError("entropy rate requires stationary initialization")
         return float(sum(self.pi[i] * entropy_bits(self.P[i]) for i in range(self.L)))
-
-    def block(self, l: int) -> "MarkovProcess":
-        if l == 1:
-            return self
-        if self.L ** l > DENSE_CAP:
-            raise SizeError("block alphabet exceeds cap")
-        Ll = self.L ** l
-        init = self.marginal(l).probs
-        T = np.zeros((Ll, Ll))
-        for u in range(Ll):
-            last = index_sequence(u, self.L, l)[-1]
-            for v in range(Ll):
-                vs = index_sequence(v, self.L, l)
-                w = self.P[last, vs[0]]
-                for a, b in zip(vs, vs[1:]):
-                    w *= self.P[a, b]
-                T[u, v] = w
-        return MarkovProcess(T, initial=init)
 
     def irreducible(self) -> bool:
         reach = (self.P > 0).astype(int)
@@ -264,6 +246,12 @@ class PeriodicProcess(ClassicalProcess):
         if not self.phases:
             raise ValidationError("phase set must be nonempty")
         self.ergodic = len(self.phases) == self.c or len(self.phases) == 1
+        # the hidden state is the position in the cycle
+        initial = np.zeros(self.c)
+        initial[self.phases] = 1.0 / len(self.phases)
+        T = np.zeros((self.c, self.c, self.L))
+        T[np.arange(self.c), (np.arange(self.c) + 1) % self.c, self.cycle] = 1.0
+        super().__init__(initial, T)
 
     def _matches(self, seq, ph: int) -> bool:
         return all(int(s) == self.cycle[(ph + t) % self.c] for t, s in enumerate(seq))
@@ -272,45 +260,11 @@ class PeriodicProcess(ClassicalProcess):
         hits = sum(1 for ph in self.phases if self._matches(seq, ph))
         return hits / len(self.phases)
 
-    def marginal(self, n: int) -> Distribution:
-        """Each phase puts mass 1/|phases| on its length-n window."""
-        if n < 1:
-            raise ValidationError("block length must be >= 1")
-        if self.L ** n > DENSE_CAP:
-            raise SizeError(f"dense marginal with {self.L}^{n} entries exceeds cap")
-        windows = [sequence_index([self.cycle[(ph + t) % self.c] for t in range(n)], self.L)
-                   for ph in self.phases]
-        probs = np.bincount(windows, minlength=self.L ** n) / len(self.phases)
-        return Distribution(self.L, n, probs)
-
-    def transfer(self):
-        # the hidden state is the position in the cycle
-        initial = np.zeros(self.c)
-        initial[self.phases] = 1.0 / len(self.phases)
-        T = np.zeros((self.c, self.c, self.L))
-        T[np.arange(self.c), (np.arange(self.c) + 1) % self.c, self.cycle] = 1.0
-        return initial, T
-
     def entropy_rate(self) -> float:
         return 0.0
 
     def shifted(self, x: int) -> "PeriodicProcess":
         return PeriodicProcess(self.cycle, phases=[(p + x) % self.c for p in self.phases], L=self.L)
-
-    def block(self, l: int) -> "ClassicalProcess":
-        if l == 1:
-            return self
-        if self.L ** l > DENSE_CAP:
-            raise SizeError("block alphabet exceeds cap")
-        comps = []
-        for ph in self.phases:
-            period = self.c // math.gcd(self.c, l)
-            sup = [sequence_index([self.cycle[(ph + t * l + j) % self.c] for j in range(l)], self.L)
-                   for t in range(period)]
-            comps.append(PeriodicProcess(sup, phases=[0], L=self.L ** l))
-        if len(comps) == 1:
-            return comps[0]
-        return MixtureProcess([1.0 / len(comps)] * len(comps), comps)
 
 
 class MixtureProcess(ClassicalProcess):
@@ -326,52 +280,23 @@ class MixtureProcess(ClassicalProcess):
         Ls = {c.L for c in self.components}
         if len(Ls) != 1:
             raise ValidationError("mixture components must share the alphabet")
-        self.L = Ls.pop()
+        # block sum of the components' hidden states
+        initial = np.concatenate([w * c.initial for w, c in zip(self.w, self.components)])
+        T = np.zeros((len(initial), len(initial), Ls.pop()))
+        start = 0
+        for c in self.components:
+            stop = start + len(c.initial)
+            T[start:stop, start:stop] = c.T
+            start = stop
+        super().__init__(initial, T)
 
     def prob(self, seq) -> float:
         return float(sum(w * c.prob(seq) for w, c in zip(self.w, self.components)))
-
-    def marginal(self, n: int) -> Distribution:
-        probs = sum(w * c.marginal(n).probs for w, c in zip(self.w, self.components))
-        return Distribution(self.L, n, probs)
 
     def entropy_rate(self) -> float:
         warnings.warn("mixture process is non-ergodic; returning the weighted "
                       "average of component entropy rates", stacklevel=2)
         return float(sum(w * c.entropy_rate() for w, c in zip(self.w, self.components)))
-
-    def transfer(self):
-        # block sum of the components' hidden states
-        parts = [c.transfer() for c in self.components]
-        initial = np.concatenate([w * init for w, (init, _) in zip(self.w, parts)])
-        T = np.zeros((len(initial), len(initial), self.L))
-        start = 0
-        for _, t in parts:
-            stop = start + t.shape[0]
-            T[start:stop, start:stop] = t
-            start = stop
-        return initial, T
-
-
-class EvaluatorProcess(ClassicalProcess):
-    """Process defined by a dense-marginal evaluator (n -> flat probability array)."""
-
-    def __init__(self, L, marginal_fn, ergodic=True):
-        self.L = int(L)
-        self._fn = marginal_fn
-        self.ergodic = ergodic
-        self._cache: dict[int, Distribution] = {}
-
-    def marginal(self, n: int) -> Distribution:
-        if n not in self._cache:
-            if self.L ** n > DENSE_CAP:
-                raise SizeError("dense marginal exceeds cap")
-            self._cache[n] = Distribution(self.L, n, np.asarray(self._fn(n), float))
-        return self._cache[n]
-
-    def prob(self, seq) -> float:
-        seq = tuple(int(s) for s in seq)
-        return float(self.marginal(len(seq)).probs[sequence_index(seq, self.L)])
 
 
 @dataclass

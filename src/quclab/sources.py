@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (KrausChannel, apply_per_site, apply_tensor_power,
-                       heisenberg_dual)
+from .channels import KrausChannel, apply_tensor_power, heisenberg_dual
 from .errors import SizeError, ValidationError
 from .operators import (DEFAULT_DIM_CAP, check_hermitian, hermitian_eig,
                         partial_trace, random_hermitian, validate_density)
-from .processes import ClassicalProcess, EvaluatorProcess, IIDProcess
+from .processes import ClassicalProcess, IIDProcess
 
 GRAM_CONDITION_CAP = 1e8
 DIAG_TOL = 1e-12
@@ -141,10 +140,9 @@ class ClassicallyCorrelatedSource(QuantumSource):
     def __init__(self, process: ClassicalProcess, alphabet: QuantumAlphabet):
         if process.L != alphabet.count:
             raise ValidationError("process alphabet size != quantum alphabet size")
-        initial, T = process.transfer()
         v = alphabet.vectors
         states = np.einsum("as,bs->sab", v, v.conj())
-        super().__init__(initial, np.tensordot(T, states, axes=1))
+        super().__init__(process.initial, np.tensordot(process.T, states, axes=1))
         self.process = process
         self.alphabet = alphabet
 
@@ -284,24 +282,18 @@ def conditional_expectation(a, basis) -> np.ndarray:
     return (basis * diag) @ basis.conj().T
 
 
-def abelian_restriction(s: QuantumSource, l: int,
-                        dim_cap: int = DEFAULT_DIM_CAP):
+def abelian_restriction(s: QuantumSource, l: int):
     """Restrict the source to the maximal abelian algebra generated by the
-    deterministic eigenbasis of its l-site marginal.
+    deterministic eigenbasis B of its l-site marginal.
 
     Returns (classical process over alphabet d^l, eigenbasis columns).  The
-    process evaluates exact block marginals by pinching rho_{l k} into the
-    product eigenbasis.
+    process is the source's transfer form regrouped into l-site blocks, with
+    the scalar emissions T[i, j, x] = Re <b_x| M_l[i, j] |b_x>, so its
+    k-block marginal is the diagonal of (B^{(x)k})^dagger rho_{lk} B^{(x)k};
+    no dense rho_{lk} is formed.
     """
-    rho_l = s.marginal(l, dim_cap)
-    _, B = hermitian_eig(rho_l)
-    D = s.d ** l
-    conjugate = np.kron(B.conj().T, B.T)  # X -> B^dagger X B on one block
-
-    def marginal_fn(k: int):
-        rho = s.marginal(l * k, dim_cap)
-        transformed = apply_per_site(conjugate, rho, k, dim_cap)
-        diag = np.diag(transformed).real
-        return np.clip(diag, 0.0, None) / np.clip(diag, 0.0, None).sum()
-
-    return EvaluatorProcess(D, marginal_fn), B
+    _, B = hermitian_eig(s.marginal(l))
+    strings = s._strings(np.eye(len(s.left)), l, close=False)
+    T = np.sum(B.conj() * (strings @ B), axis=2).real
+    # every M_l[i, j] built here is positive, so the clip removes rounding only
+    return ClassicalProcess(s.left, np.clip(T, 0.0, None)), B

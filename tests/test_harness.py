@@ -380,3 +380,46 @@ def test_dense_rows_form_no_dense_state(monkeypatch):
         assert [r.error for r in rows] == [""] * 4
         assert {r.path for r in rows} == {"dense"}
     assert abs(acceptance_probability(q, build_source(DENSE_SOURCES[0])) - dense) < 1e-12
+
+
+# block regrouping serves every process kind, and size limits are row errors
+
+GOOD_IID = {"id": "good", "kind": "iid", "probs": [0.8, 0.2]}
+
+
+@pytest.mark.parametrize("mode", ["orbit", "code"])
+def test_mixture_rows_at_block_length_two(mode):
+    from quclab.codes import build_code, code_measure
+    from quclab.processes import IIDProcess
+    mixture = {"id": "mixture", "kind": "classical",
+               "process": {"kind": "mixture", "weights": [0.5, 0.5],
+                           "components": [{"kind": "periodic", "cycle": [0, 1, 1]},
+                                          {"kind": "iid", "probs": [0.9, 0.1]}]}}
+    fields = {"n_range": [6], "override_schedule": {"l": 2}, "projector_mode": mode}
+    rows = _rows([GOOD_IID, mixture], **fields)
+    assert [r.error for r in rows] == ["", ""]
+    # l = 2, R = 2r = 1: a code of 8 of the 64 block sequences of length 3
+    code = build_code(4, 1.0, 3)
+    expected = (0.5 * code_measure(PeriodicProcess([0, 1, 1]).block(2), code)
+                + 0.5 * code_measure(IIDProcess([0.9, 0.1]).block(2), code))
+    assert abs(expected - 0.358304) < 1e-12
+    assert abs(rows[1].accept_prob - expected) < 1e-12
+    assert abs(rows[1].entanglement_fidelity - expected ** 2) < 1e-12
+    assert report_csv(rows[:1]) == report_csv(_rows([GOOD_IID], **fields))
+
+
+def test_dense_cap_limits_of_code_mode_are_row_errors():
+    markov = {"id": "markov", "kind": "classical",
+              "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
+    # n = 21 is past the dense cap: k = 0 has a type-class code, measured only
+    # for i.i.d. processes; k = 1 has no code at all
+    rows = _rows([GOOD_IID, markov], n_range=[21], projector_mode="code")
+    assert rows[0].error == "" and rows[0].accept_prob > 0
+    assert rows[1].error.startswith("SizeError") and rows[1].accept_prob is None
+    assert report_csv(rows[:1]) == report_csv(
+        _rows([GOOD_IID], n_range=[21], projector_mode="code"))
+    fields = {"n_range": [4, 21], "projector_mode": "code", "k_order": 1}
+    rows = _rows([GOOD_IID, markov], **fields)
+    assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
+    assert report_csv(rows[::2]) == report_csv(
+        _rows([GOOD_IID, markov], **{**fields, "n_range": [4]}))

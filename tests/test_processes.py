@@ -34,6 +34,10 @@ def test_periodic_marginals():
     assert mu[sequence_index([0, 0], 2)] == 0.0
 
 
+def _brute(p, n):
+    return np.array([p.prob(index_sequence(i, p.L, n)) for i in range(p.L ** n)])
+
+
 @pytest.mark.parametrize("kwargs", [
     {"cycle": [0, 2, 2, 1, 0]},
     {"cycle": [0, 2, 2, 1, 0], "phases": [1, 3, 4]},
@@ -44,9 +48,29 @@ def test_periodic_marginal_matches_prob_enumeration(kwargs, n):
     # n = 1, 3 are shorter than every cycle here and n = 7 is longer
     p = PeriodicProcess(**kwargs)
     mu = p.marginal(n).probs
-    brute = [p.prob(index_sequence(i, p.L, n)) for i in range(p.L ** n)]
     assert mu.shape == (p.L ** n,)
-    assert np.array_equal(mu, brute)
+    assert np.array_equal(mu, _brute(p, n))
+
+
+# the other kinds, to rounding: their products and sums of probabilities
+# round differently in `prob`; custom initial vectors make a chain
+# non-stationary
+ENUMERATED = {
+    "iid": IIDProcess([0.6, 0.3, 0.1]),
+    "markov": MarkovProcess([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.05, 0.15, 0.8]]),
+    "markov-initial": MarkovProcess(MARKOV_P, initial=[0.15, 0.85]),
+    "mixture": MixtureProcess([0.3, 0.7], [PeriodicProcess([0, 1, 1]),
+                                           MarkovProcess(MARKOV_P, initial=[0.4, 0.6])]),
+}
+
+
+@pytest.mark.parametrize("kind", ENUMERATED)
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_marginal_matches_prob_enumeration(kind, n):
+    p = ENUMERATED[kind]
+    mu = p.marginal(n).probs
+    assert mu.shape == (p.L ** n,)
+    assert np.max(np.abs(mu - _brute(p, n))) < 1e-15
 
 
 def test_periodic_marginal_guards():
@@ -106,15 +130,33 @@ def test_entropy_rate_is_inf_of_block_entropies():
 
 def test_block_process_iid():
     b = IIDProcess([0.9, 0.1]).block(2)
-    assert np.allclose(b.p, [0.81, 0.09, 0.09, 0.01], atol=1e-15)
+    assert np.allclose(b.marginal(1).probs, [0.81, 0.09, 0.09, 0.01], atol=1e-15)
 
 
 def test_block_process_markov():
     mk = MarkovProcess(MARKOV_P)
     b = mk.block(2)
-    assert abs(b.entropy_rate() - 2 * mk.entropy_rate()) < 1e-10
+    # the block chain of a stationary Markov chain is Markov, so its entropy
+    # rate H(mu_2) - H(mu_1) is twice the chain's
+    assert abs(b.marginal(2).entropy() - b.marginal(1).entropy()
+               - 2 * mk.entropy_rate()) < 1e-10
     for j in (1, 2):
         assert np.max(np.abs(b.marginal(j).probs - mk.marginal(2 * j).probs)) < 1e-12
+
+
+BLOCKED = {**ENUMERATED,
+           "periodic": PeriodicProcess([0, 2, 2, 1, 0]),
+           "periodic-phase-subset": PeriodicProcess([1, 0, 1, 1], phases=[0, 1], L=3)}
+
+
+@pytest.mark.parametrize("kind", BLOCKED)
+@pytest.mark.parametrize("l", [2, 3])
+def test_block_marginals_match_long_marginals(kind, l):
+    p = BLOCKED[kind]
+    b = p.block(l)
+    assert b.L == p.L ** l and len(b.initial) == len(p.initial)
+    for j in (1, 2, 3):
+        assert np.max(np.abs(b.marginal(j).probs - p.marginal(l * j).probs)) < 1e-12
 
 
 def test_block_process_periodic():

@@ -4,12 +4,13 @@ import pytest
 from quclab.channels import dephasing, depolarizing, identity_channel
 from quclab.errors import SizeError, ValidationError
 from quclab.operators import random_hermitian
-from quclab.processes import IIDProcess, MarkovProcess, MixtureProcess, entropy_bits
+from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
+                              PeriodicProcess, entropy_bits)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
-                            IIDSource, QuantumAlphabet, abelian_restriction,
-                            check_consistency, check_stationarity,
-                            conditional_expectation, ergodicity_gap,
-                            verify_invariance)
+                            IIDSource, QuantumAlphabet, QuantumSource,
+                            abelian_restriction, check_consistency,
+                            check_stationarity, conditional_expectation,
+                            ergodicity_gap, verify_invariance)
 
 MARKOV_P = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -200,19 +201,41 @@ def test_abelian_restriction_nondiagonal():
         assert abs(von_neumann_entropy(s.marginal(l)) - pr.marginal(1).entropy()) < 1e-10
 
 
-@pytest.mark.parametrize("l, k", [(1, 3), (2, 2)])
-def test_abelian_restriction_complex_source(l, k):
-    # block marginals are the diagonal of (B^{x k})^dagger rho_{lk} B^{x k}
-    v = np.array([[1.0, 0.6], [0.0, 0.8j]])
-    s = ChannelTransformedSource(
-        ClassicallyCorrelatedSource(MarkovProcess(MARKOV_P), QuantumAlphabet(v)),
-        depolarizing(0.2))
-    proc, basis = abelian_restriction(s, l)
-    bk = np.eye(1)
-    for _ in range(k):
-        bk = np.kron(bk, basis)
-    expected = np.diag(bk.conj().T @ s.marginal(l * k) @ bk).real
-    assert np.max(np.abs(proc.marginal(k).probs - expected)) < 1e-12
+COMPLEX_ALPHABET = QuantumAlphabet(np.array([[1.0, 0.6], [0.0, 0.8j]]))
+ABELIAN_SOURCES = {
+    "depolarized-markov": lambda: ChannelTransformedSource(
+        ClassicallyCorrelatedSource(MarkovProcess(MARKOV_P), COMPLEX_ALPHABET),
+        depolarizing(0.2)),
+    "iid": lambda: IIDSource(np.array([[0.75, 0.2 - 0.15j], [0.2 + 0.15j, 0.25]])),
+    "periodic": lambda: ClassicallyCorrelatedSource(PeriodicProcess([0, 1, 1]),
+                                                    COMPLEX_ALPHABET),
+    "dephased-mixture": lambda: ChannelTransformedSource(ClassicallyCorrelatedSource(
+        MixtureProcess([0.4, 0.6], [PeriodicProcess([0, 1, 1]), MarkovProcess(MARKOV_P)]),
+        COMPLEX_ALPHABET), dephasing(0.3)),
+}
+
+
+@pytest.mark.parametrize("l, k", [(1, 3), (1, 5), (2, 2)])
+def test_abelian_restriction_complex_source(l, k, monkeypatch):
+    # block marginals are the diagonal of (B^{x k})^dagger rho_{lk} B^{x k},
+    # computed with rho_l as the only dense marginal
+    sources = {kind: make() for kind, make in ABELIAN_SOURCES.items()}
+    rhos = {kind: s.marginal(l * k) for kind, s in sources.items()}
+    marginal = QuantumSource.marginal
+
+    def only_l(self, n, *args):
+        if n != l:
+            raise AssertionError(f"dense marginal at n = {n} formed")
+        return marginal(self, n, *args)
+    monkeypatch.setattr(QuantumSource, "marginal", only_l)
+    for kind, s in sources.items():
+        proc, basis = abelian_restriction(s, l)
+        probs = proc.marginal(k).probs
+        bk = np.eye(1)
+        for _ in range(k):
+            bk = np.kron(bk, basis)
+        expected = np.diag(bk.conj().T @ rhos[kind] @ bk).real
+        assert np.max(np.abs(probs - expected)) < 1e-12, kind
 
 
 def test_verify_invariance_identity():

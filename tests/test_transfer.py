@@ -1,6 +1,7 @@
 """Every source kind in one transfer form: marginals, matrix-free products
-and the ergodicity scan against references built here from the classical
-marginals, the alphabet vectors and the Kraus operators."""
+and the ergodicity scan against references built here from each process's
+own sequence probabilities `prob`, the alphabet vectors and the Kraus
+operators."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from quclab.channels import KrausChannel
 from quclab.errors import ValidationError
 from quclab.operators import haar_unitary, random_density, random_hermitian
-from quclab.processes import (EvaluatorProcess, IIDProcess, MarkovProcess,
-                              MixtureProcess, PeriodicProcess)
+from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
+                              PeriodicProcess, index_sequence)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
                             IIDSource, QuantumAlphabet, ergodicity_gap)
 
@@ -31,12 +32,19 @@ def _random_stochastic(L, rng):
     return P / P.sum(axis=1, keepdims=True)
 
 
+def _probs(process, n):
+    """mu(x) for every x of length n, from the kind's own `prob`, which does
+    not use the transfer form."""
+    return np.array([process.prob(index_sequence(i, process.L, n))
+                     for i in range(process.L ** n)])
+
+
 def _enumerated(process, vectors, n):
     """sum over all L^n sequences x of mu(x) |psi_x><psi_x|."""
     w = np.ones((1, 1))
     for _ in range(n):
         w = np.kron(w, vectors)
-    return (w * process.marginal(n).probs) @ w.conj().T
+    return (w * _probs(process, n)) @ w.conj().T
 
 
 def _kraus_by_site(rho, kraus, n):
@@ -135,12 +143,6 @@ def test_marginal_and_ergodicity_match_references(d, kind, flag):
             refs = {n: _kraus_by_site(ref, c.kraus, n) for n, ref in refs.items()}
 
 
-def test_evaluator_process_has_no_transfer_form():
-    process = EvaluatorProcess(2, lambda n: np.full(2 ** n, 0.5 ** n))
-    with pytest.raises(ValidationError):
-        ClassicallyCorrelatedSource(process, QuantumAlphabet.computational(2))
-
-
 def test_bad_arguments_are_validation_errors():
     s = IIDSource(np.diag([0.9, 0.1]))
     with pytest.raises(ValidationError):
@@ -187,8 +189,10 @@ def test_random_chain_matches_enumeration_and_kraus_sum(chain):
     assert np.max(np.abs(source.apply(n, v) - rho @ v)) < 1e-12
     assert np.max(np.abs(source.apply(n, v[:, 0]) - rho @ v[:, 0])) < 1e-12
     # scalar emissions: the hidden-Markov form alone gives the classical marginal
-    initial, T = process.transfer()
-    x = initial[:, None]
+    probs = _probs(process, n)
+    T = process.T
+    x = process.initial[:, None]
     for _ in range(n):
         x = np.einsum("ia,ijs->jas", x, T).reshape(T.shape[1], -1)
-    assert np.max(np.abs(x.sum(axis=0) - process.marginal(n).probs)) < 1e-12
+    assert np.max(np.abs(x.sum(axis=0) - probs)) < 1e-12
+    assert np.max(np.abs(process.marginal(n).probs - probs)) < 1e-12
