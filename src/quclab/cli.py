@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from .errors import QuclabError
-from .harness import (ExperimentConfig, build_source, compress_c1, compress_c2,
-                      report_csv, run_experiment)
+from .errors import QuclabError, ValidationError
+from .harness import (ExperimentConfig, build_source, compress_c1, report_csv,
+                      run_experiment)
 from .info import mean_entropy
 from .projectors import assemble_q, export_projector, load_projector_matrix
 from .sources import ergodicity_gap, ChannelTransformedSource
@@ -78,8 +78,9 @@ def _cmd_compress(args) -> int:
     rho = source.marginal(int(n))
     if args.scheme == "c1":
         out, fe = compress_c1(p, rho)
+        out_trace = float(np.trace(out).real)
     else:
-        out = compress_c2(p, rho)
+        out_trace = _c2_output_trace(p, rho)
     accept = float(np.einsum("ij,ji->", p, rho).real)
     print(f"accept_prob = {accept:.10f}")
     if args.scheme == "c1":
@@ -87,8 +88,23 @@ def _cmd_compress(args) -> int:
     else:
         # F(rho, p rho p / tr(p rho))^2 = tr(p rho) for every projector p
         print(f"fidelity^2 = {accept:.10f}")
-    print(f"output_trace = {float(np.trace(out).real):.10f}")
+    print(f"output_trace = {out_trace:.10f}")
     return 0
+
+
+def _c2_output_trace(p: np.ndarray, rho: np.ndarray) -> float:
+    """The trace of compress_c2's output p rho p / tr(p rho), from the one
+    product p rho: the diagonal of p rho p is sum_j (p rho)_ij p_ji, so the
+    D^n x D^n output is never formed."""
+    p = np.asarray(p, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    if p.shape != rho.shape:
+        raise ValidationError("projector / state dimension mismatch")
+    diag = np.einsum("ij,ji->i", p @ rho, p).real
+    tr = float(diag.sum())
+    if tr <= 1e-12:
+        raise ValidationError("state has (numerically) zero overlap with the projector")
+    return float((diag / tr).sum())
 
 
 def _cmd_experiment(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -166,7 +167,24 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be c1 or c2, got {cfg.scheme!r}")
         if cfg.projector_mode not in ("orbit", "code"):
             raise ConfigError(f"projector_mode must be orbit or code")
+        _check_override(cfg.override_schedule)
         return cfg
+
+
+def _check_override(sched) -> None:
+    """override_schedule is {"l": integer >= 1, "R": finite number}, both
+    optional; anything else would fail inside every row."""
+    if not isinstance(sched, dict):
+        raise ConfigError(f"override_schedule must be an object, got {sched!r}")
+    unknown = set(sched) - {"l", "R"}
+    if unknown:
+        raise ConfigError(f"unknown override_schedule fields: {sorted(unknown)}")
+    l = sched.get("l", 1)
+    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+        raise ConfigError(f"override_schedule l must be an integer >= 1, got {l!r}")
+    R = sched.get("R", 0.0)
+    if isinstance(R, bool) or not isinstance(R, (int, float)) or not math.isfinite(R):
+        raise ConfigError(f"override_schedule R must be a finite number, got {R!r}")
 
 
 @dataclass
@@ -234,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
             try:
                 source = build_source(spec)
                 d = source.d
-                l = int(cfg.override_schedule.get("l", 1))
+                l = cfg.override_schedule.get("l", 1)
                 R = float(cfg.override_schedule.get("R", l * cfg.r))
                 n_blocks = n // l
                 pad = n - l * n_blocks

@@ -37,7 +37,9 @@ def mean_entropy(s: QuantumSource, n_list) -> EntropyRateEstimate:
     analytic = None
     if isinstance(s, IIDSource):
         analytic = von_neumann_entropy(s.rho1)
-    elif isinstance(s, ClassicallyCorrelatedSource) and s.alphabet.is_computational:
+    elif (isinstance(s, ClassicallyCorrelatedSource) and s.alphabet.is_computational
+          and getattr(s.process, "stationary", True)):
+        # a chain started off its stationary law has no entropy rate to report
         rate = getattr(s.process, "entropy_rate", None)
         analytic = rate() if rate else None
     return EntropyRateEstimate(values=values, extrapolated=values[-1][1],

@@ -27,7 +27,8 @@ def entropy_bits(p: np.ndarray) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
     nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    # 0.0 - x, not -x: a point mass has entropy +0.0, not -0.0
+    return float(0.0 - np.sum(nz * np.log2(nz)))
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,7 @@ class MixtureProcess(ClassicalProcess):
         Ls = {c.L for c in self.components}
         if len(Ls) != 1:
             raise ValidationError("mixture components must share the alphabet")
+        self.stationary = all(getattr(c, "stationary", True) for c in self.components)
         # block sum of the components' hidden states
         initial = np.concatenate([w * c.initial for w, c in zip(self.w, self.components)])
         T = np.zeros((len(initial), len(initial), Ls.pop()))

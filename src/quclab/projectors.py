@@ -307,11 +307,35 @@ def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:
     return float(np.vdot(b, s.apply(q.m, b)).real)
 
 
+# Cells per row block of the grid writer: bounds its working arrays.
+_GRID_BLOCK_CELLS = 1 << 16
+
+
+def _write_grid(path: str, a: np.ndarray) -> None:
+    """Write the real 2-D array `a` byte for byte as numpy's
+    savetxt(path, a, delimiter=",") does: '%.18e' per cell, ',' between
+    cells, one line per row.  A projector grid holds few distinct values, so
+    each distinct bit pattern (-0.0 and NaNs included) is formatted once and
+    the lines are joined from those tokens, one block of rows at a time."""
+    step = max(1, _GRID_BLOCK_CELLS // max(1, a.shape[1]))
+
+    def blocks():
+        for i in range(0, a.shape[0], step):
+            yield np.ascontiguousarray(a[i:i + step], dtype=float).view(np.int64)
+
+    bits = np.unique(np.concatenate([np.unique(b) for b in blocks()]))
+    tokens = np.array(["%.18e" % v for v in bits.view(float).tolist()], dtype=object)
+    with open(path, "w", encoding="latin1") as fh:
+        for b in blocks():
+            fh.writelines([",".join(row) + "\n"
+                           for row in tokens[np.searchsorted(bits, b)].tolist()])
+
+
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     """CSV real/imag grids plus a JSON sidecar for reproducibility."""
     mat = q.matrix()
-    np.savetxt(path_prefix + ".real.csv", mat.real, delimiter=",")
-    np.savetxt(path_prefix + ".imag.csv", mat.imag, delimiter=",")
+    _write_grid(path_prefix + ".real.csv", mat.real)
+    _write_grid(path_prefix + ".imag.csv", mat.imag)
     sidecar = {
         "m": q.m, "d": q.d, "r": q.r, "l": q.l, "n": q.n, "R": q.R,
         "k_order": q.k_order, "pad": q.pad, "trace": q.trace,

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from quclab.cli import main
+from quclab.cli import _c2_output_trace, main
+from quclab.errors import ValidationError
+from quclab.harness import build_source, compress_c2
+from quclab.projectors import load_projector_matrix
 
 BERN = '{"kind":"iid","probs":[0.9,0.1]}'
+BERN_SPEC = json.loads(BERN)
 
 
 def test_entropy_command(capsys):
@@ -13,6 +17,17 @@ def test_entropy_command(capsys):
     out = capsys.readouterr().out
     assert "0.4689955936" in out
     assert "analytic" in out
+
+
+def test_entropy_nonstationary_markov_prints_measured_values(capsys):
+    src = ('{"kind":"classical","process":{"kind":"markov",'
+           '"transition":[[0.9,0.1],[0.2,0.8]],"initial":[1,0]}}')
+    assert main(["entropy", src]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the chain starts in |0>, so rho_1 is pure; there is no analytic rate
+    assert lines[0] == "n=1  S(rho_n)/n = 0.0000000000 bits"
+    assert [line.split()[0] for line in lines[:6]] == [f"n={n}" for n in range(1, 7)]
+    assert lines[6].startswith("extrapolated:") and len(lines) == 7
 
 
 def test_entropy_from_file(tmp_path, capsys):
@@ -113,6 +128,54 @@ def test_compress_c2_prints_acceptance_as_squared_fidelity(tmp_path, capsys):
     assert values["output_trace"] == "1.0000000000"
 
 
+C2_SOURCES = {
+    "depolarized-markov": {
+        "kind": "channel-transformed",
+        "inner": {"kind": "classical",
+                  "process": {"kind": "markov", "transition": [[0.88, 0.12], [0.4, 0.6]]},
+                  "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}},
+        "channel": {"name": "depolarizing", "p": 0.2}},
+    "damped-iid": {
+        "kind": "channel-transformed",
+        "inner": {"kind": "iid", "rho_re": [[0.75, 0.2], [0.2, 0.25]],
+                  "rho_im": [[0.0, -0.15], [0.15, 0.0]]},
+        "channel": {"name": "amplitude-damping", "gamma": 0.3}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(C2_SOURCES))
+def test_compress_c2_matches_library_scheme(name, tmp_path, capsys):
+    out = str(tmp_path / "q")
+    assert main(["build-projector", "--l", "1", "--n", "8", "--R", "0.5",
+                 "--out", out]) == 0
+    spec = C2_SOURCES[name]
+    capsys.readouterr()
+    assert main(["compress", "--scheme", "c2", "--projector", out,
+                 "--source", json.dumps(spec)]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    p, _ = load_projector_matrix(out)
+    rho = build_source(spec).marginal(8)
+    accept = float(np.einsum("ij,ji->", p, rho).real)
+    assert printed == {"accept_prob": f"{accept:.10f}", "fidelity^2": f"{accept:.10f}",
+                       "output_trace": f"{float(np.trace(compress_c2(p, rho)).real):.10f}"}
+
+
+def test_compress_c2_dimension_mismatch_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "q")
+    assert main(["build-projector", "--l", "1", "--n", "3", "--R", "0.5",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["compress", "--scheme", "c2", "--projector", out,
+                 "--source", BERN, "--n", "2"]) == 1
+    assert capsys.readouterr().err == "error: projector / state dimension mismatch\n"
+
+
+def test_c2_output_trace_zero_overlap():
+    with pytest.raises(ValidationError, match="zero overlap with the projector"):
+        _c2_output_trace(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert _c2_output_trace(np.diag([1.0, 0.0]), np.diag([0.9, 0.1])) == 1.0
+
+
 def test_build_projector_ignores_seed(tmp_path, capsys):
     grids = []
     for seed in ("1", "2"):
@@ -155,3 +218,14 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_bad_source_spec_exit_code(capsys):
     assert main(["entropy", '{"kind":"nope"}']) == 1
+
+
+@pytest.mark.parametrize("schedule", [{"l": 0}, {"l": "x"}, {"l": 1.5}, {"R": "x"},
+                                      {"R": float("nan")}, {"k": 1}, [1]])
+def test_bad_override_schedule_exit_code(schedule, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sources": [BERN_SPEC], "r": 0.5, "n_range": [4],
+                                    "override_schedule": schedule}))
+    assert main(["experiment", "run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "override_schedule" in err

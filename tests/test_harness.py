@@ -90,6 +90,21 @@ def test_config_bad_scheme():
                                     "scheme": "c3"})
 
 
+@pytest.mark.parametrize("schedule", [{"l": 0}, {"l": -1}, {"l": "x"}, {"l": True},
+                                      {"R": "x"}, {"R": float("inf")}, {"l": 2, "n": 3}])
+def test_config_bad_override_schedule(schedule):
+    # l = 0 used to raise ZeroDivisionError out of run_experiment at n // l
+    with pytest.raises(ConfigError, match="override_schedule"):
+        ExperimentConfig.from_dict({"sources": [], "r": 0.7, "n_range": [4],
+                                    "override_schedule": schedule})
+
+
+def test_config_override_schedule_accepted():
+    cfg = ExperimentConfig.from_dict({"sources": [], "r": 0.7, "n_range": [4],
+                                      "override_schedule": {"l": 2, "R": 1}})
+    assert cfg.override_schedule == {"l": 2, "R": 1}
+
+
 def test_build_process_kinds():
     assert isinstance(build_process({"kind": "markov",
                                      "transition": [[0.9, 0.1], [0.2, 0.8]]}),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from quclab.info import (EntropyRateEstimate, compression_rate,
                          entanglement_fidelity, fidelity, mean_entropy,
                          purification, von_neumann_entropy)
 from quclab.operators import random_density, partial_trace
-from quclab.processes import MarkovProcess, entropy_bits
+from quclab.processes import IIDProcess, MarkovProcess, MixtureProcess, entropy_bits
 from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet)
 
@@ -51,6 +53,21 @@ def test_mean_entropy_markov_decreasing():
     # per-n values equal the classical block entropies
     for n, v in est.values:
         assert abs(v - mk.marginal(n).entropy() / n) < 1e-10
+
+
+def test_mean_entropy_nonstationary_has_no_analytic_rate():
+    # a chain started off its stationary law: the measured values still come,
+    # alone or as a mixture component
+    mk = MarkovProcess([[0.9, 0.1], [0.2, 0.8]], initial=[1.0, 0.0])
+    mix = MixtureProcess([0.5, 0.5], [mk, IIDProcess([0.5, 0.5])])
+    for process in (mk, mix):
+        s = ClassicallyCorrelatedSource(process, QuantumAlphabet.computational(2))
+        est = mean_entropy(s, [1, 2, 3])
+        assert est.analytic is None
+        for n, v in est.values:
+            assert abs(v - process.marginal(n).entropy() / n) < 1e-10
+    # the chain starts on symbol 0: S(rho_1) is +0.0, not -0.0
+    assert math.copysign(1.0, mk.marginal(1).entropy()) == 1.0
 
 
 def test_mean_entropy_pure():

@@ -10,7 +10,7 @@ from quclab.errors import ValidationError
 from quclab.operators import (haar_unitary, projector_leq, span_basis,
                               validate_projector)
 from quclab.processes import IIDProcess
-from quclab.projectors import (assemble_q, acceptance_probability,
+from quclab.projectors import (_write_grid, assemble_q, acceptance_probability,
                                code_projector, code_range_basis,
                                export_projector, load_projector_matrix,
                                orbit_join, orbit_join_basis, rate_upper_bound,
@@ -230,3 +230,42 @@ def test_export_load_roundtrip(tmp_path):
     assert sidecar["rank"] == q.join.rank == 8
     assert sidecar["metadata"]["invariance_residual"] == q.join.invariance_residual
     assert sidecar["metadata"]["invariance_residual"] <= 1e-10
+
+
+def _savetxt_bytes(path, a):
+    np.savetxt(path, a, delimiter=",")
+    return path.read_bytes()
+
+
+def test_grid_writer_matches_savetxt_on_projector(tmp_path):
+    # n = 9: 351 distinct real values, an all-zero imag grid, several row blocks
+    q = assemble_q(9, 2, 0.5, override=(1, 9, 0.5))
+    prefix = str(tmp_path / "q")
+    export_projector(q, prefix)
+    mat = q.matrix()
+    for part in ("real", "imag"):
+        expected = _savetxt_bytes(tmp_path / f"ref.{part}.csv", getattr(mat, part))
+        assert (tmp_path / f"q.{part}.csv").read_bytes() == expected, part
+
+
+def test_grid_writer_matches_savetxt_on_special_values(tmp_path):
+    a = np.array([[-0.25, -0.0, 0.0, 3.5e-300],
+                  [np.nan, -1e-120, 1.0 / 3.0, -np.inf],
+                  [0.0, np.nan, -0.0, 2.0]])
+    path = tmp_path / "grid.csv"
+    _write_grid(str(path), a)
+    text = path.read_bytes()
+    assert text == _savetxt_bytes(tmp_path / "ref.csv", a)
+    assert b"-0.000000000000000000e+00" in text and b"e-300" in text and b"nan" in text
+
+
+def test_savetxt_grid_loads_to_same_matrix(tmp_path):
+    # grids written by earlier releases (numpy's savetxt) still load
+    q = assemble_q(4, 2, 0.5, override=(1, 4, 0.5))
+    mat = q.matrix()
+    prefix = tmp_path / "old"
+    np.savetxt(f"{prefix}.real.csv", mat.real, delimiter=",")
+    np.savetxt(f"{prefix}.imag.csv", mat.imag, delimiter=",")
+    loaded, meta = load_projector_matrix(str(prefix))
+    assert meta == {}
+    assert np.array_equal(loaded, mat)
