@@ -69,7 +69,7 @@ def validate_channel(c: KrausChannel) -> dict:
     return {"completeness_deviation": dev, "min_choi_eigenvalue": min_eig}
 
 
-def apply_per_site(S, op, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def apply_per_site(S, op, m: int) -> np.ndarray:
     """Apply the single-site superoperator S (d^2 x d^2) at every site of a
     d^m x d^m operator.
 
@@ -81,7 +81,7 @@ def apply_per_site(S, op, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     d = math.isqrt(S.shape[0])
     if op.shape[0] != d ** m:
         raise ValidationError(f"operator dimension {op.shape[0]} != {d}^{m}")
-    if d ** m > dim_cap:
+    if d ** m > DEFAULT_DIM_CAP:
         raise SizeError("dimension cap exceeded")
     s4 = S.reshape(d, d, d, d)
     t = op.reshape((d,) * (2 * m))
@@ -92,15 +92,13 @@ def apply_per_site(S, op, m: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     return t.reshape(op.shape)
 
 
-def apply_tensor_power(c: KrausChannel, rho, m: int,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    return apply_per_site(c.superoperator(), rho, m, dim_cap)
+def apply_tensor_power(c: KrausChannel, rho, m: int) -> np.ndarray:
+    return apply_per_site(c.superoperator(), rho, m)
 
 
-def heisenberg_dual(c: KrausChannel, obs, m: int,
-                    dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def heisenberg_dual(c: KrausChannel, obs, m: int) -> np.ndarray:
     """Observable dual: tr(E^{x m}(rho) a) = tr(rho dual(a)) for all rho."""
-    return apply_per_site(c.superoperator().conj().T, obs, m, dim_cap)
+    return apply_per_site(c.superoperator().conj().T, obs, m)
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

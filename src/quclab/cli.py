@@ -12,10 +12,11 @@ import sys
 
 import numpy as np
 
-from .errors import QuclabError, ValidationError
-from .harness import (ExperimentConfig, build_source, compress_c1, report_csv,
+from .errors import ConfigError, QuclabError, ValidationError
+from .harness import (ExperimentConfig, _basis_row, build_source, report_csv,
                       run_experiment)
 from .info import mean_entropy
+from .operators import check_hermitian
 from .projectors import assemble_q, export_projector, load_projector_matrix
 from .sources import ergodicity_gap, ChannelTransformedSource
 from .channels import channel_from_spec
@@ -59,8 +60,7 @@ def _cmd_check_ergodic(args) -> int:
 
 
 def _cmd_build_projector(args) -> int:
-    m = args.l * args.n
-    q = assemble_q(m, args.d, args.R / args.l, k_order=args.k,
+    q = assemble_q(args.l * args.n, args.d, None, k_order=args.k,
                    override=(args.l, args.n, args.R))
     export_projector(q, args.out)
     print(f"wrote {args.out}.real.csv / .imag.csv / .json  "
@@ -73,38 +73,24 @@ def _cmd_compress(args) -> int:
     source = build_source(_load_spec(args.source))
     n = args.n if args.n is not None else meta.get("m")
     if n is None:
-        print("error: projector sidecar missing; pass --n", file=sys.stderr)
-        return 1
+        raise ConfigError("projector sidecar missing; pass --n")
     rho = source.marginal(int(n))
-    if args.scheme == "c1":
-        out, fe = compress_c1(p, rho)
-        out_trace = float(np.trace(out).real)
-    else:
-        out_trace = _c2_output_trace(p, rho)
-    accept = float(np.einsum("ij,ji->", p, rho).real)
+    if p.shape != rho.shape:
+        raise ValidationError("projector / state dimension mismatch")
+    check_hermitian(p)  # p is its own range basis (p p^dagger = p) for _basis_row
+    accept, fe = _basis_row(p, rho.__matmul__, args.scheme)
+    if args.scheme == "c2" and accept <= 1e-12:
+        raise ValidationError("state has (numerically) zero overlap with the projector")
     print(f"accept_prob = {accept:.10f}")
     if args.scheme == "c1":
         print(f"entanglement_fidelity = {fe:.10f}")
+        out_trace = float(np.trace(rho).real)  # scheme 1 is trace preserving
     else:
         # F(rho, p rho p / tr(p rho))^2 = tr(p rho) for every projector p
-        print(f"fidelity^2 = {accept:.10f}")
+        print(f"fidelity^2 = {fe:.10f}")
+        out_trace = accept / accept  # tr(p rho p) / tr(p rho p): renormalised
     print(f"output_trace = {out_trace:.10f}")
     return 0
-
-
-def _c2_output_trace(p: np.ndarray, rho: np.ndarray) -> float:
-    """The trace of compress_c2's output p rho p / tr(p rho), from the one
-    product p rho: the diagonal of p rho p is sum_j (p rho)_ij p_ji, so the
-    D^n x D^n output is never formed."""
-    p = np.asarray(p, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if p.shape != rho.shape:
-        raise ValidationError("projector / state dimension mismatch")
-    diag = np.einsum("ij,ji->i", p @ rho, p).real
-    tr = float(diag.sum())
-    if tr <= 1e-12:
-        raise ValidationError("state has (numerically) zero overlap with the projector")
-    return float((diag / tr).sum())
 
 
 def _cmd_experiment(args) -> int:

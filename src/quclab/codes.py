@@ -135,17 +135,17 @@ def _boundary_rank(seq, n: int, ones_counts) -> int:
     return rank
 
 
-def build_code(L: int, R: float, n: int, k: int = 0,
-               dense_cap: int = DENSE_CAP) -> BlockCode:
+def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
+    if L < 2 or n < 1 or k < 0:
+        raise ValidationError(f"a code needs L >= 2, n >= 1, k >= 0; got L = {L}, n = {n}, k = {k}")
     if not (0 < R <= math.log2(L) + FLOOR_GUARD):
         raise ValidationError(f"rate {R} outside (0, log2 {L}]")
     size = code_size(n, R)
     if size >= L ** n:
-        digits = all_sequences(L, n) if L ** n <= dense_cap else None
-        if digits is None:
+        if L ** n > DENSE_CAP:
             raise SizeError("degenerate code too large to enumerate")
         return BlockCode(L, n, R, k, members=np.arange(L ** n), degenerate=True)
-    if L ** n <= dense_cap:
+    if L ** n <= DENSE_CAP:
         digits = all_sequences(L, n)
         scores = empirical_entropy_scores(digits, L, k)
         values = np.sort(scores)

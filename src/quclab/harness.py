@@ -2,7 +2,10 @@
 
 Scheme 1 measures against the projector and dumps the rejected weight onto a
 flag vector (trace preserving, Kraus form).  Scheme 2 projects and
-renormalizes (state-dependent postselection, not linear).
+renormalizes (state-dependent postselection, not linear).  Experiment rows
+and `quclab compress` report through `_diag_row` (diagonal sources) or
+`_basis_row` (a range basis and rho V); `compress_c1` and `compress_c2` are
+the dense scheme maps, kept as library and test references.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .channels import channel_from_spec
 from .codes import BlockCode, build_code, code_measure
 from .errors import ConfigError, QuclabError, ValidationError
-from .operators import range_basis, range_flag
+from .operators import range_flag
 from .processes import (ClassicalProcess, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess)
 from .projectors import JOIN_RTOL, UniversalProjector, assemble_q
@@ -50,7 +53,7 @@ def compress_c1(p: np.ndarray, rho: np.ndarray, flag_vector: np.ndarray | None =
     if p.shape != rho.shape:
         raise ValidationError("projector / state dimension mismatch")
     if flag_vector is None:
-        flag_vector = range_basis(p)[:, 0]
+        flag_vector = range_flag(p)
     f = np.asarray(flag_vector, dtype=complex)
     fe = _c1_fidelity(abs(np.trace(p @ rho)), rho @ f, f, lambda v: p @ v)
     rejected = float(np.trace(rho - p @ rho @ p).real)
@@ -156,19 +159,26 @@ class ExperimentConfig:
         for key in ("sources", "r", "n_range"):
             if key not in raw:
                 raise ConfigError(f"missing config field {key!r}")
-        cfg = cls(sources=raw["sources"], r=float(raw["r"]),
-                  n_range=[int(n) for n in raw["n_range"]],
+        n_range, k_order = raw["n_range"], raw.get("k_order", 0)
+        if not (isinstance(n_range, list) and all(_is_int(n, 1) for n in n_range)):
+            raise ConfigError(f"n_range must be a list of integers >= 1, got {n_range!r}")
+        if not _is_int(k_order, 0):
+            raise ConfigError(f"k_order must be an integer >= 0, got {k_order!r}")
+        cfg = cls(sources=raw["sources"], r=float(raw["r"]), n_range=n_range,
                   scheme=raw.get("scheme", "c1"), seed=int(raw.get("seed", 0)),
                   output=raw.get("output"),
                   override_schedule=raw.get("override_schedule", {}),
-                  projector_mode=raw.get("projector_mode", "orbit"),
-                  k_order=int(raw.get("k_order", 0)))
+                  projector_mode=raw.get("projector_mode", "orbit"), k_order=k_order)
         if cfg.scheme not in ("c1", "c2"):
             raise ConfigError(f"scheme must be c1 or c2, got {cfg.scheme!r}")
         if cfg.projector_mode not in ("orbit", "code"):
             raise ConfigError(f"projector_mode must be orbit or code")
         _check_override(cfg.override_schedule)
         return cfg
+
+
+def _is_int(v, lowest: int) -> bool:  # a JSON bool is not an integer here
+    return not isinstance(v, bool) and isinstance(v, int) and v >= lowest
 
 
 def _check_override(sched) -> None:
@@ -180,7 +190,7 @@ def _check_override(sched) -> None:
     if unknown:
         raise ConfigError(f"unknown override_schedule fields: {sorted(unknown)}")
     l = sched.get("l", 1)
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+    if not _is_int(l, 1):
         raise ConfigError(f"override_schedule l must be an integer >= 1, got {l!r}")
     R = sched.get("R", 0.0)
     if isinstance(R, bool) or not isinstance(R, (int, float)) or not math.isfinite(R):
@@ -223,17 +233,16 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     return accept, (accept ** 2 if scheme == "c1" else accept)
 
 
-def _basis_row(b: np.ndarray, source: QuantumSource, n: int,
-               scheme: str) -> tuple[float, float]:
-    """Non-diagonal path, from the orthonormal basis b of range(q) and the
-    source's matrix-free products rho_n V: accept = Re sum conj(b) (rho b);
-    scheme 1's F_e with the flag range_flag(b), the one compress_c1 picks
-    from q; scheme 2's squared fidelity equals accept, as in _diag_row."""
-    accept = float(np.vdot(b, source.apply(n, b)).real)
+def _basis_row(b: np.ndarray, rho_times, scheme: str) -> tuple[float, float]:
+    """Non-diagonal path, from a basis b with b b^dagger = q (the join basis
+    in rows, q itself in `quclab compress`) and rho_times(V) = rho V:
+    accept = Re sum conj(b) (rho b) = tr(q rho); scheme 1's F_e with the flag
+    compress_c1 picks, range_flag(b); scheme 2's equals accept, as in _diag_row."""
+    accept = float(np.vdot(b, rho_times(b)).real)
     if scheme == "c2":
         return accept, accept
     f = range_flag(b)
-    return accept, _c1_fidelity(accept, source.apply(n, f), f,
+    return accept, _c1_fidelity(accept, rho_times(f), f,
                                 lambda v: b @ (b.conj().T @ v))
 
 
@@ -273,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                     else:
                         row.path = "dense"
                         row.accept_prob, row.entanglement_fidelity = _basis_row(
-                            up.extended_basis(), source, n, cfg.scheme)
+                            up.extended_basis(), lambda v: source.apply(n, v), cfg.scheme)
                 else:
                     if not diag_ok:
                         raise ConfigError("projector_mode=code needs a diagonal source")

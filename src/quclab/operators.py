@@ -38,13 +38,13 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL) -> float:
     return dev
 
 
-def tensor_product(a, b, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product with an explicit dimension cap."""
+def tensor_product(a, b) -> np.ndarray:
+    """Kronecker product, capped at DEFAULT_DIM_CAP."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > dim_cap:
-        raise SizeError(f"tensor product dimension {out_dim} exceeds cap {dim_cap}")
+    if out_dim > DEFAULT_DIM_CAP:
+        raise SizeError(f"tensor product dimension {out_dim} exceeds cap {DEFAULT_DIM_CAP}")
     return np.kron(a, b)
 
 

@@ -262,22 +262,27 @@ class UniversalProjector:
         return b
 
 
-def assemble_q(m: int, d: int, r: float, k_order: int = 0,
-               override: tuple[int, int, float] | None = None,
-               dim_cap: int = DEFAULT_DIM_CAP) -> UniversalProjector:
+def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
+               override: tuple[int, int, float] | None = None) -> UniversalProjector:
     """Build q_r^(m): the orbit join of the code projector on l-blocks,
     identity-padded when l*n does not divide m exactly.
 
-    `override` = (l, n, R) replaces the paper schedule for desk-scale runs.
+    `override` = (l, n, R) replaces the paper schedule for desk-scale runs;
+    with it, r = None stands for R / l.  build_code checks n >= 1 and k >= 0.
     """
+    if d < 2:
+        raise ValidationError(f"site dimension d = {d} must be >= 2")
     if override is not None:
         l, n, R = override
+        if l < 1:
+            raise ValidationError(f"block length l = {l} must be >= 1")
         if l * n > m:
             raise ValidationError("override blocks exceed m sites")
+        r = R / l if r is None else r
     else:
         sch = schedule(m, d, r)
         l, n, R = sch.l, sch.n, sch.R
-    if d ** m > dim_cap:
+    if d ** m > DEFAULT_DIM_CAP:
         raise SizeError(f"projector dimension {d}^{m} exceeds cap")
     pad = m - l * n
     code = build_code(d ** l, R, n, k_order)

@@ -87,11 +87,11 @@ class QuantumSource:
                 p, m.shape[1], D * self.d, D * self.d)
         return x
 
-    def marginal(self, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    def marginal(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValidationError("block length must be >= 1")
-        if self.d ** n > dim_cap:
-            raise SizeError(f"marginal dimension {self.d}^{n} exceeds cap {dim_cap}")
+        if self.d ** n > DEFAULT_DIM_CAP:
+            raise SizeError(f"marginal dimension {self.d}^{n} exceeds cap {DEFAULT_DIM_CAP}")
         rho = self._cache.get(n)
         if rho is None:
             rho = self._strings(self.left[None], n, close=True)[0, 0]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from quclab import channels
 from quclab.channels import (KrausChannel, amplitude_damping, apply_per_site,
                              apply_tensor_power, channel_from_spec, dephasing,
                              depolarizing, heisenberg_dual, identity_channel,
@@ -120,12 +121,13 @@ def test_per_site_kernel_basis_change(d):
     assert np.max(np.abs(out - u3.conj().T @ rho @ u3)) < 1e-12
 
 
-def test_per_site_kernel_guards():
+def test_per_site_kernel_guards(monkeypatch):
     s = depolarizing(0.2).superoperator()
     with pytest.raises(ValidationError):
         apply_per_site(s, np.eye(8), 2)
+    monkeypatch.setattr(channels, "DEFAULT_DIM_CAP", 4)
     with pytest.raises(SizeError):
-        apply_per_site(s, np.eye(8), 3, dim_cap=4)
+        apply_per_site(s, np.eye(8), 3)
 
 
 def test_trace_preserved():

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from quclab.cli import _c2_output_trace, main
-from quclab.errors import ValidationError
-from quclab.harness import build_source, compress_c2
+from quclab import harness, operators
+from quclab.cli import main
+from quclab.harness import (ExperimentConfig, build_source, compress_c2,
+                            run_experiment)
 from quclab.projectors import load_projector_matrix
 
 BERN = '{"kind":"iid","probs":[0.9,0.1]}'
@@ -168,12 +169,110 @@ def test_compress_c2_dimension_mismatch_exit_code(tmp_path, capsys):
     assert main(["compress", "--scheme", "c2", "--projector", out,
                  "--source", BERN, "--n", "2"]) == 1
     assert capsys.readouterr().err == "error: projector / state dimension mismatch\n"
+    (tmp_path / "q.json").unlink()
+    assert main(["compress", "--scheme", "c1", "--projector", out, "--source", BERN]) == 1
+    assert capsys.readouterr().err == "error: projector sidecar missing; pass --n\n"
 
 
-def test_c2_output_trace_zero_overlap():
-    with pytest.raises(ValidationError, match="zero overlap with the projector"):
-        _c2_output_trace(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert _c2_output_trace(np.diag([1.0, 0.0]), np.diag([0.9, 0.1])) == 1.0
+def _compress(args, capsys) -> dict:
+    capsys.readouterr()
+    assert main(["compress"] + args) == 0
+    return dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(C2_SOURCES))
+@pytest.mark.parametrize("scheme", ["c1", "c2"])
+def test_compress_matches_experiment_row(name, scheme, tmp_path, capsys):
+    # the printed numbers are the row's: one _basis_row computes both
+    out = str(tmp_path / "q")
+    assert main(["build-projector", "--l", "1", "--n", "8", "--R", "0.5",
+                 "--out", out]) == 0
+    spec = C2_SOURCES[name]
+    printed = _compress(["--scheme", scheme, "--projector", out,
+                         "--source", json.dumps(spec)], capsys)
+    row, = run_experiment(ExperimentConfig.from_dict(
+        {"sources": [spec], "r": 0.5, "n_range": [8], "scheme": scheme}))
+    assert row.path == "dense" and not row.error
+    fe = "entanglement_fidelity" if scheme == "c1" else "fidelity^2"
+    assert printed["accept_prob"] == f"{row.accept_prob:.10f}"
+    assert printed[fe] == f"{row.entanglement_fidelity:.10f}"
+    assert printed["output_trace"] == "1.0000000000"
+
+
+def test_compress_needs_no_eigendecomposition_or_dense_scheme(tmp_path, capsys,
+                                                             monkeypatch):
+    out = str(tmp_path / "q")
+    assert main(["build-projector", "--l", "1", "--n", "6", "--R", "0.5",
+                 "--out", out]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compress must not call this")
+
+    monkeypatch.setattr(operators, "hermitian_eig", forbidden)
+    monkeypatch.setattr(harness, "compress_c1", forbidden)
+    monkeypatch.setattr(harness, "compress_c2", forbidden)
+    spec = json.dumps(C2_SOURCES["depolarized-markov"])
+    for scheme in ("c1", "c2"):
+        printed = _compress(["--scheme", scheme, "--projector", out, "--source", spec],
+                            capsys)
+        assert printed["output_trace"] == "1.0000000000"
+
+
+def test_compress_c2_zero_overlap_exit_code(tmp_path, capsys):
+    # a hand-written one-site projector |0><0| against the state |1><1|
+    out = tmp_path / "q"
+    (tmp_path / "q.real.csv").write_text("1,0\n0,0\n")
+    (tmp_path / "q.imag.csv").write_text("0,0\n0,0\n")
+    (tmp_path / "q.json").write_text(json.dumps({"m": 1}))
+    src = '{"kind":"iid","probs":[0,1]}'
+    assert main(["compress", "--scheme", "c2", "--projector", str(out),
+                 "--source", src]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state has (numerically) zero overlap with the projector\n"
+    printed = _compress(["--scheme", "c1", "--projector", str(out), "--source", src],
+                        capsys)
+    assert printed == {"accept_prob": "0.0000000000",
+                       "entanglement_fidelity": "0.0000000000",
+                       "output_trace": "1.0000000000"}
+
+
+@pytest.mark.parametrize("args, match", [
+    (["--l", "0", "--n", "4"], "l = 0"), (["--l", "-1", "--n", "4"], "l = -1"),
+    (["--l", "1", "--n", "0"], "n = 0"), (["--l", "1", "--n", "4", "--k", "-1"], "k = -1"),
+    (["--l", "1", "--n", "4", "--d", "0"], "d = 0"),
+    (["--l", "1", "--n", "4", "--d", "1"], "d = 1")])
+def test_build_projector_bad_blocks_exit_code(args, match, tmp_path, capsys):
+    # these used to print tracebacks, and --d 0 "math domain error"
+    out = str(tmp_path / "q")
+    assert main(["build-projector", "--R", "0.5", "--out", out] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fields", [{"n_range": [0, 4]}, {"n_range": [4.7]},
+                                    {"k_order": -1}])
+def test_experiment_bad_block_lengths_exit_code(fields, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sources": [BERN_SPEC], "r": 0.5, "n_range": [4],
+                                    **fields}))
+    assert main(["experiment", "run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(fields)) in err
+
+
+@pytest.mark.parametrize("real, err", [("1,1\n0,0\n", "not Hermitian"),
+                                       ("1,nan\nnan,0\n", "non-finite entries")])
+def test_compress_rejects_a_grid_that_is_not_hermitian(real, err, tmp_path, capsys):
+    # _basis_row reads p as its own basis, which needs p = p^dagger
+    (tmp_path / "q.real.csv").write_text(real)
+    (tmp_path / "q.imag.csv").write_text("0,0\n0,0\n")
+    for scheme in ("c1", "c2"):
+        assert main(["compress", "--scheme", scheme, "--projector", str(tmp_path / "q"),
+                     "--source", BERN, "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and err in captured.err
 
 
 def test_build_projector_ignores_seed(tmp_path, capsys):

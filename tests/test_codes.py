@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quclab import codes
 from quclab.codes import (all_sequences, build_code, code_measure, code_size,
                           empirical_entropy_scores, superblock_code)
 from quclab.errors import ValidationError
@@ -127,12 +128,14 @@ def _typeclass_measure_oracle(n, R, p0f, p1f):
     return float(total)
 
 
-def test_typeclass_mode_matches_dense():
+def test_typeclass_mode_matches_dense(monkeypatch):
     # same parameters evaluated in dense mode and in predicate mode
     proc = IIDProcess([0.85, 0.15])
     for n in (8, 12, 16):
         dense = build_code(2, 0.6, n, 0)
-        pred = build_code(2, 0.6, n, 0, dense_cap=1)
+        with monkeypatch.context() as m:
+            m.setattr(codes, "DENSE_CAP", 1)
+            pred = build_code(2, 0.6, n, 0)
         assert not pred.dense
         assert pred.size == dense.size
         assert abs(code_measure(proc, pred) - code_measure(proc, dense)) < 1e-12
@@ -246,3 +249,22 @@ def test_build_code_exact_ties(L, n, k, R):
     seqs = list(itertools.product(range(L), repeat=n))
     order = sorted(range(L ** n), key=lambda i: (exact_order_key(seqs[i], L, k), i))
     assert sorted(build_code(L, R, n, k).members.tolist()) == sorted(order[:size])
+
+
+@pytest.mark.parametrize("L, n, k", [(1, 3, 0), (0, 3, 0), (2, 0, 0), (2, -1, 0),
+                                     (2, 3, -1)])
+def test_build_code_rejects_bad_parameters(L, n, k):
+    with pytest.raises(ValidationError, match="a code needs"):
+        build_code(L, 0.5, n, k)
+
+
+def test_degenerate_code_enumerates_nothing(monkeypatch):
+    # the full-rate code at the dense cap is every index; the digit matrix of
+    # all 2^20 sequences used to be built only to be thrown away
+    def forbidden(*args):
+        raise AssertionError("all_sequences called")
+
+    monkeypatch.setattr(codes, "all_sequences", forbidden)
+    c = build_code(2, 1.0, 20, 0)
+    assert c.degenerate and c.size == 2 ** 20
+    assert np.array_equal(c.members, np.arange(2 ** 20))

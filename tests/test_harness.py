@@ -99,6 +99,30 @@ def test_config_bad_override_schedule(schedule):
                                     "override_schedule": schedule})
 
 
+@pytest.mark.parametrize("fields", [{"n_range": [0]}, {"n_range": [-1]}, {"n_range": [4.7]},
+                                    {"n_range": [4, True]}, {"n_range": ["4"]},
+                                    {"n_range": 4}, {"k_order": -1}, {"k_order": 1.9},
+                                    {"k_order": "1"}, {"k_order": False}])
+def test_config_bad_block_lengths_and_order(fields):
+    # n_range [0] used to raise ZeroDivisionError out of run_experiment, -1 a
+    # TypeError, and 4.7 and 1.9 were truncated
+    raw = {"sources": [], "r": 0.7, "n_range": [4], **fields}
+    with pytest.raises(ConfigError, match=next(iter(fields))):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("mode", ["orbit", "code"])
+def test_fewer_than_one_block_is_a_row_error(mode):
+    # l = 5 at n = 4 leaves no block; the row used to report achieved_rate
+    # 1.0 from a zero-block projector
+    rows = run_experiment(ExperimentConfig.from_dict(
+        {"sources": [{"kind": "iid", "probs": [0.9, 0.1]}], "r": 0.5, "n_range": [4, 5],
+         "override_schedule": {"l": 5}, "projector_mode": mode}))
+    assert rows[0].error.startswith("ValidationError") and "n = 0" in rows[0].error
+    assert rows[0].achieved_rate is None and rows[0].accept_prob is None
+    assert not rows[1].error and rows[1].achieved_rate is not None
+
+
 def test_config_override_schedule_accepted():
     cfg = ExperimentConfig.from_dict({"sources": [], "r": 0.7, "n_range": [4],
                                       "override_schedule": {"l": 2, "R": 1}})

@@ -174,6 +174,23 @@ def test_assemble_q_exact_blocks():
     validate_projector(q.matrix())
 
 
+@pytest.mark.parametrize("d, override, k, match", [
+    (1, (1, 4, 0.5), 0, "d = 1"), (0, (1, 4, 0.5), 0, "d = 0"), (0, None, 0, "d = 0"),
+    (2, (0, 4, 0.5), 0, "l = 0"), (2, (-1, 4, 0.5), 0, "l = -1"),
+    (2, (1, 0, 0.5), 0, "n = 0"), (2, (5, 0, 0.5), 0, "n = 0"),
+    (2, (1, 4, 0.5), -1, "k = -1")])
+def test_assemble_q_rejects_bad_blocks(d, override, k, match):
+    # d = 0 without an override used to loop forever in the schedule search
+    with pytest.raises(ValidationError, match=match):
+        assemble_q(4, d, 0.5, k_order=k, override=override)
+
+
+def test_assemble_q_rate_defaults_to_override():
+    q = assemble_q(6, 2, None, override=(2, 3, 0.9))
+    assert q.r == 0.9 / 2
+    assert q.metadata == assemble_q(6, 2, 0.45, override=(2, 3, 0.9)).metadata
+
+
 def test_assemble_q_padding():
     q = assemble_q(5, 2, 0.7, override=(1, 4, 0.7))
     assert q.pad == 1

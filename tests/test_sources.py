@@ -58,8 +58,8 @@ def test_consistency_all_kinds():
 
 def test_consistency_catches_corruption():
     class Broken(IIDSource):
-        def marginal(self, n, dim_cap=2 ** 14):
-            rho = super().marginal(n, dim_cap)
+        def marginal(self, n):
+            rho = super().marginal(n)
             if n == 4:
                 rho = np.diag(np.full(2 ** n, 1.0 / 2 ** n))
             return rho
