@@ -16,7 +16,7 @@ from .errors import ConfigError, QuclabError, ValidationError
 from .harness import (ExperimentConfig, _basis_row, build_source, report_csv,
                       run_experiment)
 from .info import mean_entropy
-from .operators import check_hermitian
+from .operators import validate_projector
 from .projectors import assemble_q, export_projector, load_projector_matrix
 from .sources import ergodicity_gap, ChannelTransformedSource
 from .channels import channel_from_spec
@@ -77,7 +77,7 @@ def _cmd_compress(args) -> int:
     rho = source.marginal(int(n))
     if p.shape != rho.shape:
         raise ValidationError("projector / state dimension mismatch")
-    check_hermitian(p)  # p is its own range basis (p p^dagger = p) for _basis_row
+    validate_projector(p)  # p is its own range basis (p p^dagger = p) for _basis_row
     accept, fe = _basis_row(p, rho.__matmul__, args.scheme)
     if args.scheme == "c2" and accept <= 1e-12:
         raise ValidationError("state has (numerically) zero overlap with the projector")

@@ -3,9 +3,11 @@
 A code over alphabet L with block length n and rate R is the set of the
 first 2^floor(nR) sequences under the total order (cyclic k-th-order
 empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
-equal, then lexicographic).  Dense mode
-enumerates all L^n sequences; for binary alphabets with k = 0 a type-class
-representation handles block lengths up to 64.
+equal, then lexicographic).  Every order k uses one formula, from one count
+of the cyclic (k+1)-grams of each sequence; that count has L^n * L^(k+1)
+entries and is refused past COUNT_CAP.  Dense mode enumerates all L^n
+sequences; for binary alphabets with k = 0 a type-class representation
+handles block lengths up to 64.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from .processes import (DENSE_CAP, ClassicalProcess, IIDProcess,
 
 # guard against float-floor artifacts like 0.7 * 10 -> 6.999...
 FLOOR_GUARD = 1e-9
-# Scores closer than this are equal: k >= 1 scores that tie in exact
-# arithmetic (a sequence and its complement) can differ in the last bits.
+# Scores closer than this are equal: scores that tie in exact arithmetic (a
+# sequence and its complement, or permuted type classes) can differ in the
+# last bits.
 SCORE_TIE_TOL = 1e-9
+# Entries of the per-sequence (k+1)-gram count: 2^26 is about 2 GB with its
+# float copies, and keeps L = 2, n = 20 buildable up to k = 5.
+COUNT_CAP = 2 ** 26
 
 
 def code_size(n: int, R: float) -> int:
@@ -33,31 +39,29 @@ def code_size(n: int, R: float) -> int:
 def empirical_entropy_scores(digits: np.ndarray, L: int, k: int) -> np.ndarray:
     """Cyclic k-th-order empirical conditional entropy per row, in bits.
 
-    Wrap-around (k+1)-grams make the score rotation-invariant, so all phases
-    of a periodic sequence receive the same score.  For k = 0 the score is
-    computed from the descending-sorted symbol counts, which makes permuted
-    type classes tie bit-exactly.
+    One formula for every k (k = 0 has the empty context): the sum over the
+    row's wrap-around (k+1)-grams of c * log2(context count / c), over n.
+    Wrap-around grams make the score rotation-invariant, so all phases of a
+    periodic sequence receive the same score.  Scores that tie in exact
+    arithmetic may differ in the last bits; build_code counts scores within
+    SCORE_TIE_TOL as equal.  A count past COUNT_CAP entries raises SizeError
+    before it is allocated.
     """
     N, n = digits.shape
-    if k == 0:
-        counts = np.stack([(digits == s).sum(axis=1) for s in range(L)], axis=1)
-        counts = np.sort(counts, axis=1)[:, ::-1].astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(counts > 0, counts * np.log2(counts / n), 0.0)
-        return -t.sum(axis=1) / n
-    # gram code at position i: x_i ... x_{i+k}, most significant first
+    G = L ** (k + 1)
+    if N * G > COUNT_CAP:
+        raise SizeError(f"(k+1)-gram count of {N} x {G} entries exceeds the cap {COUNT_CAP}")
+    # gram code at position i: x_i ... x_{i+k}, most significant first,
+    # offset by the row so that one bincount counts every row
     gram = np.zeros((N, n), dtype=np.int64)
     for j in range(k + 1):
         gram = gram * L + digits[:, (np.arange(n) + j) % n]
-    counts = np.zeros((N, L ** (k + 1)), dtype=np.int64)
-    for i in range(n):
-        np.add.at(counts, (np.arange(N), gram[:, i]), 1)
-    ctx = counts.reshape(N, L ** k, L).sum(axis=2)
-    ctx_rep = np.repeat(ctx, L, axis=1).astype(float)
-    cf = counts.astype(float)
+    gram += np.arange(N)[:, None] * G
+    counts = np.bincount(gram.ravel(), minlength=N * G).reshape(N, L ** k, L).astype(float)
+    ctx = counts.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(cf > 0, cf * np.log2(ctx_rep / cf), 0.0)
-    return t.sum(axis=1) / n
+        t = np.where(counts > 0, counts * np.log2(ctx / counts), 0.0)
+    return t.reshape(N, G).sum(axis=1) / n
 
 
 def all_sequences(L: int, n: int) -> np.ndarray:
@@ -150,7 +154,7 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
         scores = empirical_entropy_scores(digits, L, k)
         values = np.sort(scores)
         cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
-        order = np.lexsort((np.arange(L ** n), cluster[np.searchsorted(values, scores)]))
+        order = np.argsort(cluster[np.searchsorted(values, scores)], kind="stable")
         return BlockCode(L, n, R, k, members=order[:size])
     if L == 2 and k == 0 and n <= 64:
         return _build_binary_typeclass(R, n, size)
@@ -196,30 +200,22 @@ def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
 
 def _boundary_measure(n: int, ones_counts, take: int, p0: float, p1: float) -> float:
     """Measure of the `take` lexicographically-first sequences in a union of
-    binary type classes, via a positional walk (no enumeration)."""
+    binary type classes, via the unranking walk (no enumeration): where the
+    rows still to take cover every completion with a 0 at position t, that
+    whole 0-subtree is taken and the walk puts a 1; otherwise it puts a 0."""
     measure = 0.0
     o = 0
-    t = 0
     remaining = take
-    while remaining > 0 and t < n:
-        for s in (0, 1):
-            cnt = sum(math.comb(n - t - 1, j - o - s)
-                      for j in ones_counts if j - o - s >= 0)
-            if cnt <= remaining:
-                for j in ones_counts:
-                    if j - o - s >= 0:
-                        measure += math.comb(n - t - 1, j - o - s) * p1 ** j * p0 ** (n - j)
-                remaining -= cnt
-                if s == 1:
-                    # both branches consumed; nothing deeper on this level
-                    o += 1
-                    t += 1
-            else:
-                o += s
-                t += 1
-                break
-        else:
+    for t in range(n):
+        if remaining == 0:
             break
+        zeros = sum(math.comb(n - t - 1, j - o) for j in ones_counts if j >= o)
+        if zeros <= remaining:
+            for j in ones_counts:
+                if j >= o:
+                    measure += math.comb(n - t - 1, j - o) * p1 ** j * p0 ** (n - j)
+            remaining -= zeros
+            o += 1
     return measure
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -153,32 +154,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         unknown = set(raw) - cls.ALLOWED
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for key in ("sources", "r", "n_range"):
             if key not in raw:
                 raise ConfigError(f"missing config field {key!r}")
-        n_range, k_order = raw["n_range"], raw.get("k_order", 0)
-        if not (isinstance(n_range, list) and all(_is_int(n, 1) for n in n_range)):
-            raise ConfigError(f"n_range must be a list of integers >= 1, got {n_range!r}")
-        if not _is_int(k_order, 0):
-            raise ConfigError(f"k_order must be an integer >= 0, got {k_order!r}")
-        cfg = cls(sources=raw["sources"], r=float(raw["r"]), n_range=n_range,
-                  scheme=raw.get("scheme", "c1"), seed=int(raw.get("seed", 0)),
-                  output=raw.get("output"),
-                  override_schedule=raw.get("override_schedule", {}),
-                  projector_mode=raw.get("projector_mode", "orbit"), k_order=k_order)
-        if cfg.scheme not in ("c1", "c2"):
-            raise ConfigError(f"scheme must be c1 or c2, got {cfg.scheme!r}")
-        if cfg.projector_mode not in ("orbit", "code"):
-            raise ConfigError(f"projector_mode must be orbit or code")
+        cfg = cls(**raw)
+        for key, ok, what in (
+                ("sources", isinstance(cfg.sources, list), "a list"),
+                ("r", _is_int(cfg.r, kind=(int, float)), "a finite number"),
+                ("n_range", isinstance(cfg.n_range, list)
+                 and all(_is_int(n, 1) for n in cfg.n_range), "a list of integers >= 1"),
+                ("k_order", _is_int(cfg.k_order, 0), "an integer >= 0"),
+                ("seed", _is_int(cfg.seed), "an integer"),
+                ("output", cfg.output is None or isinstance(cfg.output, str), "a string or null"),
+                ("scheme", cfg.scheme in ("c1", "c2"), "c1 or c2"),
+                ("projector_mode", cfg.projector_mode in ("orbit", "code"), "orbit or code")):
+            if not ok:
+                raise ConfigError(f"{key} must be {what}, got {getattr(cfg, key)!r}")
+        cfg.r = float(cfg.r)
         _check_override(cfg.override_schedule)
         return cfg
 
 
-def _is_int(v, lowest: int) -> bool:  # a JSON bool is not an integer here
-    return not isinstance(v, bool) and isinstance(v, int) and v >= lowest
+def _is_int(v, lowest: float = -math.inf, kind=int) -> bool:
+    """v is of `kind` (int by default; a JSON bool is neither an integer nor
+    a number here), at least `lowest` and finite as a float."""
+    return (not isinstance(v, bool) and isinstance(v, kind)
+            and lowest <= v <= sys.float_info.max)
 
 
 def _check_override(sched) -> None:
@@ -193,7 +199,7 @@ def _check_override(sched) -> None:
     if not _is_int(l, 1):
         raise ConfigError(f"override_schedule l must be an integer >= 1, got {l!r}")
     R = sched.get("R", 0.0)
-    if isinstance(R, bool) or not isinstance(R, (int, float)) or not math.isfinite(R):
+    if not _is_int(R, kind=(int, float)):
         raise ConfigError(f"override_schedule R must be a finite number, got {R!r}")
 
 
@@ -265,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                 R = float(cfg.override_schedule.get("R", l * cfg.r))
                 n_blocks = n // l
                 pad = n - l * n_blocks
-                diag_ok = source.classical_view() is not None and d ** l <= 2 ** 10
+                diagonal = source.classical_view() is not None
                 if cfg.projector_mode == "orbit":
                     key = (n, d, l, n_blocks, R, cfg.k_order)
                     if key not in projectors:
@@ -275,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                     row.achieved_rate = up.trace_log_rate
                     row.join_rank = up.join.rank
                     row.invariance_residual = up.join.invariance_residual
-                    if diag_ok:
+                    if diagonal and d ** l <= 2 ** 10:
                         row.path = "diagonal"
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
                             source, up.code, l, cfg.scheme)
@@ -284,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                         row.accept_prob, row.entanglement_fidelity = _basis_row(
                             up.extended_basis(), lambda v: source.apply(n, v), cfg.scheme)
                 else:
-                    if not diag_ok:
+                    if not diagonal:
                         raise ConfigError("projector_mode=code needs a diagonal source")
                     row.path = "code"
                     key = (d ** l, R, n_blocks, cfg.k_order)

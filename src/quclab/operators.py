@@ -30,10 +30,10 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL) -> float:
+def check_hermitian(a) -> float:
     a = _as_matrix(a)
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return dev
 
@@ -60,7 +60,9 @@ def _canonical_degenerate_basis(block: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the column span of `block`.
 
     Gram-Schmidt over the projections of the computational basis vectors,
-    taken in index order.
+    taken in index order.  These projections span the whole column span, so
+    k of them are always kept: a unit vector of the span orthogonal to the
+    kept ones would have every entry below 1e-6 in modulus.
     """
     d, k = block.shape
     proj = block @ block.conj().T
@@ -74,21 +76,10 @@ def _canonical_degenerate_basis(block: np.ndarray) -> np.ndarray:
             cols.append(w / nrm)
         if len(cols) == k:
             break
-    if len(cols) < k:
-        # fall back to the raw eigenvectors for the remainder
-        for j in range(k):
-            w = block[:, j].copy()
-            for c in cols:
-                w -= c * (c.conj() @ w)
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-8:
-                cols.append(w / nrm)
-            if len(cols) == k:
-                break
     return np.column_stack(cols)
 
 
-def hermitian_eig(a, tol: float = HERMITIAN_TOL):
+def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
     Eigenvalues come out descending.  Inside degenerate clusters (gap below
@@ -97,7 +88,7 @@ def hermitian_eig(a, tol: float = HERMITIAN_TOL):
     positive.  Returns (eigenvalues, eigenvector columns).
     """
     a = _as_matrix(a)
-    check_hermitian(a, tol)
+    check_hermitian(a)
     w, v = np.linalg.eigh(a)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -135,11 +126,11 @@ def partial_trace(a, site_dims, traced_sites) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
-def validate_density(rho, tol: float = HERMITIAN_TOL) -> dict:
+def validate_density(rho) -> dict:
     """Check Hermiticity, positivity and unit trace; returns the deviations."""
     rho = _as_matrix(rho)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > tol:
+    if herm > HERMITIAN_TOL:
         raise ValidationError(f"density operator not Hermitian (deviation {herm:.3e})")
     evals = np.linalg.eigvalsh(rho)
     min_eig = float(evals[0])
@@ -151,13 +142,13 @@ def validate_density(rho, tol: float = HERMITIAN_TOL) -> dict:
     return {"hermiticity": herm, "min_eigenvalue": min_eig, "trace": tr}
 
 
-def validate_projector(p, tol: float = IDEMPOTENT_TOL) -> dict:
+def validate_projector(p) -> dict:
     p = _as_matrix(p)
     herm = float(np.max(np.abs(p - p.conj().T)))
     if herm > HERMITIAN_TOL:
         raise ValidationError(f"projector not Hermitian (deviation {herm:.3e})")
     idem = float(np.max(np.abs(p @ p - p)))
-    if idem > tol:
+    if idem > IDEMPOTENT_TOL:
         raise ValidationError(f"projector not idempotent (deviation {idem:.3e})")
     tr = float(np.trace(p).real)
     rank = round(tr)
@@ -166,10 +157,11 @@ def validate_projector(p, tol: float = IDEMPOTENT_TOL) -> dict:
     return {"hermiticity": herm, "idempotency": idem, "rank": rank}
 
 
-def range_basis(p, tol: float = 0.5) -> np.ndarray:
-    """Orthonormal basis of the range of a projector (columns)."""
+def range_basis(p) -> np.ndarray:
+    """Orthonormal basis of the range of a projector (columns): the
+    eigenvectors with eigenvalue above 1/2."""
     w, v = hermitian_eig(p)
-    return v[:, w > tol]
+    return v[:, w > 0.5]
 
 
 def range_flag(basis: np.ndarray) -> np.ndarray:

@@ -37,6 +37,8 @@ class Schedule:
 def schedule(m: int, d: int, r: float) -> Schedule:
     """Block-length schedule: the unique i with
     2^i d^(3 2^i) <= m < 2^(i+1) d^(3 2^(i+1))."""
+    if d < 2:  # for d = 0 the bound is 0 for every i and the search never ends
+        raise ValidationError(f"site dimension d = {d} must be >= 2")
     if m < d ** 3:
         raise ValidationError(f"m = {m} below the admissible minimum {d ** 3}")
     i = 0

@@ -275,6 +275,35 @@ def test_compress_rejects_a_grid_that_is_not_hermitian(real, err, tmp_path, caps
         assert captured.out == "" and err in captured.err
 
 
+def test_compress_rejects_a_grid_that_is_not_a_projector(tmp_path, capsys):
+    # diag(0.5, 0.5) is Hermitian but not idempotent: c2 used to print
+    # accept_prob 0.25 and exit 0, c1 to blame the flag vector
+    (tmp_path / "q.real.csv").write_text("0.5,0\n0,0.5\n")
+    (tmp_path / "q.imag.csv").write_text("0,0\n0,0\n")
+    (tmp_path / "q.json").write_text(json.dumps({"m": 1}))
+    for scheme in ("c1", "c2"):
+        assert main(["compress", "--scheme", scheme, "--projector", str(tmp_path / "q"),
+                     "--source", BERN]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not idempotent" in captured.err
+
+
+@pytest.mark.parametrize("raw, named", [([1, 2], "config must be a JSON object"),
+                                        ({"r": None}, "r must be"),
+                                        ({"seed": None}, "seed must be"),
+                                        ({"output": 5}, "output must be"),
+                                        ({"sources": "ab"}, "sources must be")])
+def test_experiment_bad_config_exit_code(raw, named, tmp_path, capsys):
+    if isinstance(raw, dict):
+        raw = {"sources": [BERN_SPEC], "r": 0.5, "n_range": [4], **raw}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["experiment", "run", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {named}")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_build_projector_ignores_seed(tmp_path, capsys):
     grids = []
     for seed in ("1", "2"):

@@ -8,7 +8,7 @@ import pytest
 from quclab import codes
 from quclab.codes import (all_sequences, build_code, code_measure, code_size,
                           empirical_entropy_scores, superblock_code)
-from quclab.errors import ValidationError
+from quclab.errors import SizeError, ValidationError
 from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
 
 
@@ -146,11 +146,29 @@ def test_typeclass_mode_matches_dense(monkeypatch):
             assert pred.contains(seqs[i]) == (i in member)
 
 
-def test_typeclass_measure_oracle_large_n():
+def test_typeclass_measure_oracle_large_n(monkeypatch):
     proc = IIDProcess([0.9, 0.1])
     for n in (20, 40, 60):
         c = build_code(2, 0.8, n, 0)
         assert abs(code_measure(proc, c) - _typeclass_measure_oracle(n, 0.8, 0.9, 0.1)) < 1e-12
+    # every boundary for n = 2..14 against direct enumeration: the first
+    # 2^floor(nR) indices by (min(ones, zeros), index), summed exactly
+    monkeypatch.setattr(codes, "DENSE_CAP", 1)
+    p0, p1 = Fraction(9, 10), Fraction(1, 10)
+    boundaries = 0
+    for n in range(2, 15):
+        ones = np.array([bin(i).count("1") for i in range(2 ** n)])
+        ordered = np.lexsort((np.arange(2 ** n), np.minimum(ones, n - ones)))
+        for R in [x / 100 for x in range(5, 96, 5)]:
+            c = build_code(2, R, n, 0)
+            if c.degenerate:
+                continue
+            assert not c.dense
+            boundaries += c.boundary_take > 0
+            taken = np.bincount(ones[ordered[:c.size]], minlength=n + 1)
+            exact = sum(int(taken[j]) * p1 ** j * p0 ** (n - j) for j in range(n + 1))
+            assert abs(code_measure(proc, c) - float(exact)) < 1e-12
+    assert boundaries > 100
 
 
 def test_universality_curve():
@@ -241,10 +259,14 @@ def exact_order_key(seq, L, k):
 
 
 @pytest.mark.parametrize("L, n, k, R", [(2, 10, 1, 0.8), (2, 8, 1, 0.7), (2, 12, 1, 0.6),
-                                        (3, 6, 1, 1.2), (2, 10, 2, 0.7)])
+                                        (3, 6, 1, 1.2), (2, 10, 2, 0.7), (3, 6, 0, 1.2),
+                                        (4, 4, 0, 1.5), (3, 7, 0, 0.9), (3, 5, 0, 1.4),
+                                        (4, 5, 0, 1.6)])
 def test_build_code_exact_ties(L, n, k, R):
-    # a k >= 1 sequence and its complement tie exactly; the lexicographic
-    # tie-break must decide between them, not rounding in the score
+    # a k >= 1 sequence and its complement tie exactly, and so do permuted
+    # type classes at k = 0; the lexicographic tie-break must decide between
+    # them, not rounding in the score (the last two k = 0 cases need the
+    # SCORE_TIE_TOL clustering: their tied scores differ in the last bits)
     size = 2 ** math.floor(n * Fraction(str(R)))
     seqs = list(itertools.product(range(L), repeat=n))
     order = sorted(range(L ** n), key=lambda i: (exact_order_key(seqs[i], L, k), i))
@@ -268,3 +290,23 @@ def test_degenerate_code_enumerates_nothing(monkeypatch):
     c = build_code(2, 1.0, 20, 0)
     assert c.degenerate and c.size == 2 ** 20
     assert np.array_equal(c.members, np.arange(2 ** 20))
+
+
+def test_gram_count_past_the_cap_is_refused_before_allocation(monkeypatch):
+    # k = 12 at n = 16 needs 2^16 x 2^13 counts (4 GiB as int64); the check
+    # comes before the count exists
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.bincount called")
+
+    monkeypatch.setattr(np, "bincount", forbidden)
+    with pytest.raises(SizeError, match="exceeds the cap"):
+        build_code(2, 0.5, 16, 12)
+
+
+def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
+    # L = 2, n = 20 stays buildable up to k = 5: 2^20 * 2^6 entries is the cap
+    assert 2 ** 20 * 2 ** 6 == codes.COUNT_CAP
+    monkeypatch.setattr(codes, "COUNT_CAP", 2 ** 6 * 2 ** 6)
+    assert build_code(2, 0.5, 6, 5).size == 8
+    with pytest.raises(SizeError):
+        build_code(2, 0.5, 6, 6)

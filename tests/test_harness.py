@@ -111,6 +111,58 @@ def test_config_bad_block_lengths_and_order(fields):
         ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"r": None}, "r"), ({"r": True}, "r"), ({"r": "0.5"}, "r"), ({"r": float("nan")}, "r"),
+    ({"r": 10 ** 400}, "r"), ({"seed": None}, "seed"), ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"), ({"output": 5}, "output"), ({"sources": "ab"}, "sources"),
+    ({"sources": {"kind": "iid"}}, "sources")])
+def test_config_bad_scalar_fields(fields, named):
+    # r and seed null used to raise TypeError, output 5 a TypeError after every
+    # row was computed, "ab" made one row per character and r true ran at r = 1
+    raw = {"sources": [], "r": 0.7, "n_range": [4], **fields}
+    with pytest.raises(ConfigError, match=f"^{named} must be"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [[1, 2], "cfg", None, 3])
+def test_config_must_be_an_object(raw):
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_integer_seed_and_output_accepted():
+    cfg = ExperimentConfig.from_dict({"sources": [], "r": 1, "n_range": [4],
+                                      "seed": -3, "output": None})
+    assert (cfg.r, cfg.seed, cfg.output) == (1.0, -3, None)
+
+
+def test_code_mode_needs_only_a_classical_view():
+    # l = 11 is past orbit mode's d^l <= 2^10 gate for its diagonal path;
+    # code mode used to inherit that gate and refuse the diagonal source
+    rows = run_experiment(ExperimentConfig.from_dict(
+        {"sources": [{"kind": "iid", "probs": [0.9, 0.1]}], "r": 0.5, "n_range": [11],
+         "projector_mode": "code", "override_schedule": {"l": 11, "R": 5.5}}))
+    # k = 0 on one block: every symbol ties, so the code is the 32
+    # lexicographically first symbols, those with six leading zeros
+    assert rows[0].error == "" and rows[0].path == "code"
+    assert abs(rows[0].accept_prob - 0.9 ** 6) < 1e-12
+    assert abs(rows[0].achieved_rate - 5 / 11) < 1e-12
+    dense = {"kind": "iid", "rho_re": [[0.5, 0.4], [0.4, 0.5]]}
+    rows = _rows([dense], projector_mode="code")
+    assert rows[0].error == "ConfigError: projector_mode=code needs a diagonal source"
+
+
+def test_code_mode_gram_count_past_the_cap_is_a_row_error():
+    # k = 12 at n = 16 used to raise MemoryError (a 4 GiB count) out of the batch
+    markov = {"kind": "classical",
+              "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
+    rows = _rows([GOOD_IID, markov], n_range=[16], projector_mode="code", k_order=12)
+    assert len(rows) == 2
+    for row in rows:
+        assert row.error.startswith("SizeError") and "exceeds the cap" in row.error
+        assert row.accept_prob is None
+
+
 @pytest.mark.parametrize("mode", ["orbit", "code"])
 def test_fewer_than_one_block_is_a_row_error(mode):
     # l = 5 at n = 4 leaves no block; the row used to report achieved_rate

@@ -32,6 +32,14 @@ def test_schedule_below_minimum():
         schedule(7, 2, 0.7)
 
 
+@pytest.mark.parametrize("d", [0, 1, -1])
+def test_schedule_rejects_site_dimension_below_two(d):
+    # d = 0 used to loop forever (the bound is 0 for every i); d = 1 returned
+    # a meaningless schedule
+    with pytest.raises(ValidationError, match=f"d = {d} must be >= 2"):
+        schedule(4, d, 0.5)
+
+
 def test_schedule_bracketing_holds():
     for m in (8, 20, 127, 128, 500, 10 ** 4):
         s = schedule(m, 2, 0.5)
