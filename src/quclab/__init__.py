@@ -2,8 +2,7 @@
 
 from .errors import ConfigError, QuclabError, SizeError, ValidationError
 from .operators import (hermitian_eig, partial_trace, projector_join,
-                        projector_leq, tensor_product, validate_density,
-                        validate_projector)
+                        projector_leq, validate_density, validate_projector)
 from .processes import (Distribution, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess,
                         ergodic_decomposition_l, high_entropy_components)
@@ -19,8 +18,7 @@ from .sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
 from .info import (entanglement_fidelity, fidelity, mean_entropy,
                    von_neumann_entropy)
 from .projectors import (Schedule, UniversalProjector, acceptance_probability,
-                         assemble_q, orbit_join, rate_upper_bound, schedule,
-                         symmetric_subspace_trace_bound)
+                         assemble_q, rate_upper_bound, schedule)
 from .harness import (ExperimentConfig, ReportRow, build_source, compress_c1,
                       compress_c2, run_experiment)
 

@@ -96,8 +96,3 @@ def entanglement_fidelity(rho, kraus, method: str = "intrinsic") -> float:
         return float((theta.conj() @ out @ theta).real)
     raise ValidationError(f"unknown method {method!r}")
 
-
-def compression_rate(n: int, compressed_dim: int) -> float:
-    if compressed_dim < 1:
-        raise ValidationError("compressed dimension must be >= 1")
-    return float(np.log2(compressed_dim) / n)

@@ -1,5 +1,5 @@
-"""Dense complex-matrix substrate: tensor products, deterministic Hermitian
-eigendecomposition, partial trace and a small projector lattice.
+"""Dense complex-matrix substrate: deterministic Hermitian eigendecomposition,
+partial trace and a small projector lattice.
 
 All functions are pure and operate on plain complex ndarrays.  Density
 operators and projectors are ordinary matrices; `validate_density` /
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
+from .errors import ValidationError
 
 DEFAULT_DIM_CAP = 2 ** 14
 
@@ -36,16 +36,6 @@ def check_hermitian(a) -> float:
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return dev
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product, capped at DEFAULT_DIM_CAP."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > DEFAULT_DIM_CAP:
-        raise SizeError(f"tensor product dimension {out_dim} exceeds cap {DEFAULT_DIM_CAP}")
-    return np.kron(a, b)
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -147,7 +137,9 @@ def validate_projector(p) -> dict:
     herm = float(np.max(np.abs(p - p.conj().T)))
     if herm > HERMITIAN_TOL:
         raise ValidationError(f"projector not Hermitian (deviation {herm:.3e})")
-    idem = float(np.max(np.abs(p @ p - p)))
+    # exported grids are real: square those in real arithmetic
+    r = p if p.imag.any() else p.real
+    idem = float(np.max(np.abs(r @ r - r)))
     if idem > IDEMPOTENT_TOL:
         raise ValidationError(f"projector not idempotent (deviation {idem:.3e})")
     tr = float(np.trace(p).real)
@@ -219,28 +211,7 @@ def projector_leq(p, q, tol: float = 1e-8) -> bool:
     return float(np.linalg.norm(gap, 2)) <= tol
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
     return h / max(1.0, np.linalg.norm(h, 2))
-
-
-def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    q, _ = np.linalg.qr(g)
-    return q @ q.conj().T
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph

@@ -45,7 +45,7 @@ class Distribution:
             raise ValidationError("distribution shape mismatch")
         if np.any(p < -PROB_TOL):
             raise ValidationError("negative probability")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if not abs(p.sum() - 1.0) <= 1e-9:  # written so that NaN fails
             raise ValidationError(f"distribution sums to {p.sum()}, not 1")
         object.__setattr__(self, "probs", p)
 
@@ -95,8 +95,8 @@ class ClassicalProcess:
         chi = len(self.initial)
         if self.initial.ndim != 1 or self.T.ndim != 3 or self.T.shape[:2] != (chi, chi):
             raise ValidationError("transfer tensor must be chi x chi x L")
-        if (abs(self.initial.sum() - 1.0) > 1e-8
-                or np.max(np.abs(self.T.sum(axis=(1, 2)) - 1.0)) > 1e-8):
+        if not (abs(self.initial.sum() - 1.0) <= 1e-8
+                and np.max(np.abs(self.T.sum(axis=(1, 2)) - 1.0)) <= 1e-8):
             raise ValidationError("initial vector and transfer rows must sum to 1")
         self.L = self.T.shape[2]
 
@@ -131,6 +131,8 @@ class ClassicalProcess:
 
 def _check_prob_vector(p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError(f"{name} has non-finite entries")
     if np.any(p < -PROB_TOL):
         raise ValidationError(f"{name} has negative entries")
     if abs(p.sum() - 1.0) > PROB_TOL:
@@ -156,13 +158,18 @@ class IIDProcess(ClassicalProcess):
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by a linear solve."""
+    """Solve pi P = pi, sum(pi) = 1 by a linear solve; a singular system
+    (a reducible chain) has no unique solution."""
     L = P.shape[0]
     a = P.T - np.eye(L)
     a[-1, :] = 1.0
     b = np.zeros(L)
     b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise ValidationError("transition matrix has no unique stationary "
+                              "distribution; pass an initial distribution") from None
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
@@ -177,15 +184,14 @@ class MarkovProcess(ClassicalProcess):
             _check_prob_vector(row, "transition row")
         self.P = P
         self.L = P.shape[0]
-        self.pi_stationary = stationary_distribution(P)
         if initial is None:
-            self.pi = self.pi_stationary
+            self.pi = stationary_distribution(P)
             self.stationary = True
         else:
             self.pi = _check_prob_vector(initial, "initial distribution")
             if self.pi.shape != (self.L,):
                 raise ValidationError(f"initial distribution must have {self.L} entries")
-            self.stationary = bool(np.max(np.abs(self.pi - self.pi_stationary)) <= 1e-12)
+            self.stationary = bool(np.max(np.abs(self.pi @ P - self.pi)) <= 1e-12)
         # the hidden state is the next symbol: emit it, then step the chain
         T = np.zeros((self.L, self.L, self.L))
         T[np.arange(self.L), :, np.arange(self.L)] = P

@@ -1,4 +1,4 @@
-"""Universal projector construction: schedule arithmetic, code projectors,
+"""Universal projector construction: schedule arithmetic, code range bases,
 deterministic unitary-orbit joins, and the assembled block projectors with
 their trace-rate bounds.
 """
@@ -15,8 +15,7 @@ import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
 from .errors import ConfigError, SizeError, ValidationError
-from .operators import DEFAULT_DIM_CAP, range_basis, span_basis
-from .processes import index_sequence
+from .operators import DEFAULT_DIM_CAP
 from .sources import QuantumSource
 
 # Singular values below JOIN_RTOL (relative) are rounding, not new join directions.
@@ -50,38 +49,14 @@ def schedule(m: int, d: int, r: float) -> Schedule:
     return Schedule(m=m, d=d, r=r, i=i, l=l, n=m // l, R=l * r)
 
 
-def code_range_basis(code: BlockCode, block_basis: np.ndarray | None = None) -> np.ndarray:
-    """Columns spanning the code projector: one product vector per member."""
+def code_range_basis(code: BlockCode) -> np.ndarray:
+    """Columns spanning the code projector: one computational basis vector
+    per member."""
     if not code.dense:
         raise NotImplementedError("code projector needs dense (enumerated) mode")
-    D = code.L
-    dim = D ** code.n
-    if block_basis is None:
-        cols = np.zeros((dim, code.size), dtype=complex)
-        cols[np.asarray(code.members, dtype=int), np.arange(code.size)] = 1.0
-        return cols
-    B = np.asarray(block_basis, dtype=complex)
-    if B.shape != (D, D):
-        raise ValidationError(f"block basis must be {D}x{D}")
-    cols = np.empty((dim, code.size), dtype=complex)
-    for j, idx in enumerate(code.members):
-        seq = index_sequence(int(idx), D, code.n)
-        v = B[:, seq[0]]
-        for s in seq[1:]:
-            v = np.kron(v, B[:, s])
-        cols[:, j] = v
+    cols = np.zeros((code.L ** code.n, code.size), dtype=complex)
+    cols[np.asarray(code.members, dtype=int), np.arange(code.size)] = 1.0
     return cols
-
-
-def code_projector(code: BlockCode, block_basis: np.ndarray | None = None) -> np.ndarray:
-    cols = code_range_basis(code, block_basis)
-    if block_basis is None:
-        p = np.zeros((cols.shape[0], cols.shape[0]), dtype=complex)
-        members = np.asarray(code.members, dtype=int)
-        p[members, members] = 1.0
-        return p
-    q = span_basis(cols)
-    return q @ q.conj().T
 
 
 def _type_classes(D: int, n: int):
@@ -192,22 +167,6 @@ def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
         c: b.shape[1] for c, b in zip(classes, blocks) if b.shape[1]})
 
 
-def orbit_join(p: np.ndarray, n: int) -> np.ndarray:
-    """Projector-in, projector-out wrapper around orbit_join_basis; the block
-    dimension is the n-th root of p's dimension."""
-    p = np.asarray(p, dtype=complex)
-    block_dim = round(p.shape[0] ** (1.0 / n))
-    if block_dim ** n != p.shape[0]:
-        raise ValidationError(f"projector dimension {p.shape[0]} is not an n = {n} power")
-    return orbit_join_basis(range_basis(p), block_dim, n).matrix()
-
-
-def symmetric_subspace_trace_bound(block_dim: int, n: int, base_trace: int) -> int:
-    """(n+1)^(D^2) * tr(p) * D for block dimension D, as an exact integer
-    (it leaves the float range from D = 32 on)."""
-    return (n + 1) ** (block_dim ** 2) * base_trace * block_dim
-
-
 def rate_upper_bound(d: int, l: int, n: int | None = None) -> float:
     """Additive excess over r in the trace-rate upper bound.
 
@@ -296,8 +255,6 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
                                       "class_ranks": [[list(t), k] for t, k
                                                       in join.class_ranks.items()]})
     up.metadata["rate_lower_ok"] = bool(up.trace_log_rate >= r - 1e-12)
-    up.metadata["sym_trace_bound_ok"] = bool(
-        join.rank <= symmetric_subspace_trace_bound(d ** l, n, code.size))
     return up
 
 

@@ -28,6 +28,8 @@ class QuantumAlphabet:
         if v.ndim != 2:
             raise ValidationError("alphabet must be a (d, count) column matrix")
         self.d, self.count = v.shape
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("alphabet vectors have non-finite entries")
         norms = np.linalg.norm(v, axis=0)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValidationError("alphabet vectors must be unit norm")
@@ -65,8 +67,8 @@ class QuantumSource:
         if self.sites.ndim != 4 or self.sites.shape[:2] != (chi, chi) \
                 or self.sites.shape[2] != self.sites.shape[3]:
             raise ValidationError("site tensor must be chi x chi x d x d")
-        if (abs(self.left.sum() - 1.0) > 1e-8
-                or np.max(np.abs(self.transfer_matrix().sum(axis=1) - 1.0)) > 1e-8):
+        if not (abs(self.left.sum() - 1.0) <= 1e-8
+                and np.max(np.abs(self.transfer_matrix().sum(axis=1) - 1.0)) <= 1e-8):
             raise ValidationError("left vector and transfer-matrix rows must sum to 1")
         self.d = self.sites.shape[2]
         self._cache: dict[int, np.ndarray] = {}

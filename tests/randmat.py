@@ -1,0 +1,24 @@
+"""Random test matrices: density operators, projectors and Haar unitaries."""
+
+import numpy as np
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    q, _ = np.linalg.qr(g)
+    return q @ q.conj().T
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(g)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph

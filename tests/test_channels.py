@@ -9,7 +9,8 @@ from quclab.channels import (KrausChannel, amplitude_damping, apply_per_site,
                              depolarizing, heisenberg_dual, identity_channel,
                              validate_channel)
 from quclab.errors import SizeError, ValidationError
-from quclab.operators import haar_unitary, random_density, random_hermitian
+from quclab.operators import random_hermitian
+from randmat import haar_unitary, random_density
 
 
 def random_channel(d, n_kraus, rng):

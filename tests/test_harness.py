@@ -7,8 +7,8 @@ from quclab.errors import ConfigError, ValidationError
 from quclab.harness import (ExperimentConfig, build_process, build_source,
                             compress_c1, compress_c2, report_csv,
                             run_experiment, CSV_HEADER)
-from quclab.operators import random_density, random_projector
 from quclab.processes import MarkovProcess, PeriodicProcess
+from randmat import random_density, random_projector
 
 
 def test_c1_identity():
@@ -247,6 +247,32 @@ def test_per_row_error_recorded():
     assert rows[1].error == ""
 
 
+def _classical(process, **fields):
+    return {"kind": "classical", "process": process, **fields}
+
+
+@pytest.mark.parametrize("bad, named", [
+    (_classical({"kind": "iid", "probs": [float("nan"), 0.5]}), "probability vector"),
+    (_classical({"kind": "markov", "transition": [[float("nan"), 0.5], [0.5, 0.5]]}),
+     "transition row"),
+    (_classical({"kind": "mixture", "weights": [float("nan"), 0.5],
+                 "components": [{"kind": "iid", "probs": [0.9, 0.1]},
+                                {"kind": "iid", "probs": [0.5, 0.5]}]}), "mixture weights"),
+    (_classical({"kind": "iid", "probs": [0.9, 0.1]},
+                alphabet={"re": [[1.0, float("nan")], [0.0, 1.0]]}), "alphabet"),
+    (_classical({"kind": "markov", "transition": [[1.0, 0.0], [0.0, 1.0]]}),
+     "no unique stationary distribution"),
+], ids=["iid-nan", "markov-nan", "mixture-nan", "alphabet-nan", "reducible-markov"])
+def test_invalid_source_values_are_row_errors(bad, named):
+    good = {"id": "good", "kind": "iid", "probs": [0.9, 0.1]}
+    cfg = {"r": 0.5, "n_range": [4], "seed": 3}
+    rows = run_experiment(ExperimentConfig.from_dict({"sources": [bad, good], **cfg}))
+    alone = run_experiment(ExperimentConfig.from_dict({"sources": [good], **cfg}))
+    assert rows[0].error.startswith("ValidationError") and named in rows[0].error
+    assert rows[0].accept_prob is None
+    assert report_csv(rows[1:]) == report_csv(alone) and alone[0].error == ""
+
+
 @pytest.mark.parametrize("bad, named", [
     ({"kind": "iid"}, "'rho_re'"),
     ({"kind": "classical", "process": {"kind": "markov"}}, "'transition'"),
@@ -342,13 +368,14 @@ def test_mixed_dimension_dense_sources():
 def test_c2_diagonal_row_reports_squared_fidelity():
     from quclab.codes import build_code
     from quclab.info import fidelity
-    from quclab.projectors import code_projector
+    from quclab.projectors import code_range_basis
     from quclab.sources import IIDSource
     row = _rows(MIXED_D[:1], scheme="c2")[0]
     assert abs(row.accept_prob - 0.802) < 1e-12
     # F(rho, P rho P / tr(P rho))^2 = tr(P rho), here for the code projector
     rho = IIDSource(np.diag([0.9, 0.1])).marginal(4)
-    dense = fidelity(rho, compress_c2(code_projector(build_code(2, 0.5, 4)), rho)) ** 2
+    b = code_range_basis(build_code(2, 0.5, 4))
+    dense = fidelity(rho, compress_c2(b @ b.conj().T, rho)) ** 2
     assert abs(row.entanglement_fidelity - 0.802) < 1e-12
     assert abs(dense - row.entanglement_fidelity) < 1e-8
 

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from quclab.channels import depolarizing, identity_channel
+from quclab.channels import depolarizing
 from quclab.errors import ValidationError
-from quclab.info import (EntropyRateEstimate, compression_rate,
-                         entanglement_fidelity, fidelity, mean_entropy,
+from quclab.info import (entanglement_fidelity, fidelity, mean_entropy,
                          purification, von_neumann_entropy)
-from quclab.operators import random_density, partial_trace
+from quclab.operators import partial_trace
 from quclab.processes import IIDProcess, MarkovProcess, MixtureProcess, entropy_bits
 from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet)
+from randmat import haar_unitary, random_density
 
 H01 = entropy_bits([0.9, 0.1])
 
 
 def random_channel(d, n_kraus, rng):
-    from quclab.operators import haar_unitary
     u = haar_unitary(d * n_kraus, rng)
     iso = u[:, :d]
     from quclab.channels import KrausChannel
@@ -146,10 +145,3 @@ def test_entanglement_fidelity_below_state_fidelity():
         f = fidelity(rho, c.apply_single(rho))
         assert fe <= f ** 2 + 1e-9 and fe <= f + 1e-9
 
-
-def test_compression_rate():
-    assert compression_rate(4, 16) == 1.0
-    assert compression_rate(4, 1) == 0.0
-    assert abs(compression_rate(10, 2 ** 7) - 0.7) < 1e-15
-    with pytest.raises(ValidationError):
-        compression_rate(4, 0)

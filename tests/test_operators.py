@@ -1,45 +1,11 @@
 import numpy as np
 import pytest
 
-from quclab.errors import SizeError, ValidationError
+from quclab.errors import ValidationError
 from quclab.operators import (hermitian_eig, partial_trace, projector_join,
-                              projector_leq, random_density, random_hermitian,
-                              random_projector, range_basis, span_basis,
-                              tensor_product, validate_density,
-                              validate_projector, haar_unitary)
-
-
-def test_tensor_product_identity():
-    out = tensor_product(np.eye(2), np.eye(2))
-    assert np.array_equal(out, np.eye(4))
-
-
-def test_tensor_product_diagonal():
-    out = tensor_product(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
-    assert np.allclose(np.diag(out), [0.5, 0.5, 0.0, 0.0])
-
-
-def test_tensor_product_trace_multiplicative():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def test_tensor_product_cap():
-    with pytest.raises(SizeError):
-        tensor_product(np.eye(200), np.eye(200))
-
-
-def test_tensor_product_associative():
-    rng = np.random.default_rng(1)
-    a, b, c = (random_hermitian(2, rng) for _ in range(3))
-    left = tensor_product(tensor_product(a, b), c)
-    right = tensor_product(a, tensor_product(b, c))
-    # float multiplication order differs between the two groupings, so the
-    # agreement is to rounding, not bit-exact
-    assert np.max(np.abs(left - right)) < 1e-15
+                              projector_leq, random_hermitian, range_basis,
+                              span_basis, validate_density, validate_projector)
+from randmat import haar_unitary, random_density, random_projector
 
 
 def test_hermitian_eig_diagonal():
@@ -116,6 +82,20 @@ def test_validate_projector_rank():
     assert validate_projector(np.diag([1.0, 1.0, 0.0]))["rank"] == 2
     with pytest.raises(ValidationError):
         validate_projector(np.diag([0.5, 0.5]))
+
+
+def test_validate_projector_real_grids():
+    # a grid with zero imaginary part is squared in real arithmetic: a real
+    # Hermitian non-idempotent one is still rejected, a real projector kept
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    p = (q @ q.T).astype(complex)
+    assert validate_projector(p)["rank"] == 3
+    bent = p + 1e-6 * np.diag(np.arange(6.0))
+    with pytest.raises(ValidationError, match="not idempotent"):
+        validate_projector(bent)
+    with pytest.raises(ValidationError, match="not idempotent"):
+        validate_projector(bent + 1e-3j * (np.eye(6, k=1) - np.eye(6, k=-1)))
 
 
 def test_projector_join_idempotent():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from quclab.errors import SizeError, ValidationError
-from quclab.processes import (Distribution, IIDProcess, MarkovProcess,
-                              MixtureProcess, PeriodicProcess, entropy_bits,
-                              ergodic_decomposition_l, high_entropy_components,
-                              index_sequence, sequence_index)
+from quclab.processes import (ClassicalProcess, Distribution, IIDProcess,
+                              MarkovProcess, MixtureProcess, PeriodicProcess,
+                              entropy_bits, ergodic_decomposition_l,
+                              high_entropy_components, index_sequence,
+                              sequence_index)
 from quclab.sources import (ClassicallyCorrelatedSource, QuantumAlphabet,
                             ergodicity_gap)
 
@@ -274,6 +275,38 @@ def test_invalid_symbols_and_initial_length():
         PeriodicProcess([0, -1])
     with pytest.raises(ValidationError):
         MarkovProcess(MARKOV_P, initial=[1.0])
+
+
+def test_reducible_chain_needs_an_initial_distribution():
+    # the identity chain has every distribution as a stationary one
+    with pytest.raises(ValidationError, match="no unique stationary distribution"):
+        MarkovProcess([[1.0, 0.0], [0.0, 1.0]])
+    mk = MarkovProcess([[1.0, 0.0], [0.0, 1.0]], initial=[0.5, 0.5])
+    assert mk.stationary and mk.entropy_rate() == 0.0
+    mu = mk.marginal(3).probs
+    assert mu[0] == mu[7] == 0.5 and mu.sum() == 1.0
+    assert not mk.irreducible()
+
+
+def test_stationary_flag_of_an_initial_distribution():
+    assert MarkovProcess(MARKOV_P, initial=[2 / 3, 1 / 3]).stationary
+    assert not MarkovProcess(MARKOV_P, initial=[0.6, 0.4]).stationary
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: IIDProcess([np.nan, 0.5]), "probability vector"),
+    (lambda: IIDProcess([np.inf, 0.0]), "probability vector"),
+    (lambda: MarkovProcess([[np.nan, 0.5], [0.5, 0.5]]), "transition row"),
+    (lambda: MarkovProcess(MARKOV_P, initial=[np.nan, 1.0]), "initial distribution"),
+    (lambda: MixtureProcess([np.nan, 0.5], [IIDProcess([1.0]), IIDProcess([1.0])]),
+     "mixture weights"),
+    (lambda: Distribution(2, 1, [np.nan, 0.5]), "distribution"),
+    (lambda: ClassicalProcess([np.nan, 1.0], np.full((2, 2, 1), 0.5)), "sum to 1"),
+], ids=["iid-nan", "iid-inf", "markov-row", "markov-initial", "mixture-weights",
+        "distribution", "transfer-form"])
+def test_non_finite_probabilities_rejected(make, named):
+    with pytest.raises(ValidationError, match=named):
+        make()
 
 
 def test_invalid_probability_vectors():

@@ -7,15 +7,14 @@ import pytest
 
 from quclab.codes import build_code
 from quclab.errors import ValidationError
-from quclab.operators import (haar_unitary, projector_leq, span_basis,
-                              validate_projector)
+from quclab.operators import span_basis, validate_projector
 from quclab.processes import IIDProcess
 from quclab.projectors import (_write_grid, assemble_q, acceptance_probability,
-                               code_projector, code_range_basis,
-                               export_projector, load_projector_matrix,
-                               orbit_join, orbit_join_basis, rate_upper_bound,
-                               schedule, symmetric_subspace_trace_bound)
+                               code_range_basis, export_projector,
+                               load_projector_matrix, orbit_join_basis,
+                               rate_upper_bound, schedule)
 from quclab.sources import IIDSource
+from randmat import haar_unitary
 
 
 def test_schedule_examples():
@@ -50,40 +49,29 @@ def test_schedule_bracketing_holds():
 
 
 def test_code_projector_full():
-    c = build_code(2, 1.0, 3, 0)
-    assert np.allclose(code_projector(c), np.eye(8))
+    b = code_range_basis(build_code(2, 1.0, 3, 0))
+    assert np.allclose(b @ b.conj().T, np.eye(8))
 
 
 def test_code_projector_diagonal():
-    c = build_code(2, 1 / 3, 3, 0)  # size 2: {000, 111}
-    p = code_projector(c)
+    b = code_range_basis(build_code(2, 1 / 3, 3, 0))  # size 2: {000, 111}
+    p = b @ b.conj().T
     assert np.allclose(np.diag(p), [1, 0, 0, 0, 0, 0, 0, 1])
     assert validate_projector(p)["rank"] == 2
 
 
-def test_code_projector_rotated_basis():
-    c = build_code(2, 1 / 3, 3, 0)
-    rng = np.random.default_rng(0)
-    u = haar_unitary(2, rng)
-    p = code_projector(c, block_basis=u)
-    big = np.kron(np.kron(u, u), u)
-    assert np.max(np.abs(p - big @ code_projector(c) @ big.conj().T)) < 1e-10
-
-
 def test_orbit_join_full_rank_is_identity():
-    p = np.eye(4, dtype=complex)
-    assert np.allclose(orbit_join(p, 2), np.eye(4))
+    assert np.allclose(orbit_join_basis(np.eye(4), 2, 2).matrix(), np.eye(4))
 
 
 def test_orbit_join_single_site_vector():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    assert np.allclose(orbit_join(p, 1), np.eye(2), atol=1e-10)
+    base = np.array([[1.0], [0.0]])
+    assert np.allclose(orbit_join_basis(base, 2, 1).matrix(), np.eye(2), atol=1e-10)
 
 
 def test_orbit_join_symmetric_subspace():
-    p = np.zeros((4, 4), dtype=complex)
-    p[0, 0] = 1.0
-    w = orbit_join(p, 2)
+    base = np.array([[1.0], [0.0], [0.0], [0.0]])
+    w = orbit_join_basis(base, 2, 2).matrix()
     basis = [np.array([1, 0, 0, 0.0]),
              np.array([0, 1, 1, 0.0]) / np.sqrt(2),
              np.array([0, 0, 0, 1.0])]
@@ -155,16 +143,11 @@ def test_orbit_join_rotated_code_same_join():
     # base) has the same join as the computational one
     c = build_code(3, 0.9, 4, 1)
     u = haar_unitary(3, np.random.default_rng(11))
-    rotated = orbit_join_basis(code_range_basis(c, block_basis=u), 3, 4)
+    big = np.kron(np.kron(np.kron(u, u), u), u)
+    rotated = orbit_join_basis(big @ code_range_basis(c), 3, 4)
     plain = orbit_join_basis(code_range_basis(c), 3, 4)
     assert rotated.rank == plain.rank
     assert np.max(np.abs(rotated.matrix() - plain.matrix())) < 1e-10
-
-
-def test_symmetric_trace_bound():
-    assert symmetric_subspace_trace_bound(2, 2, 1) == 3 ** 4 * 2
-    # 3^1024 is past the float range; the bound stays an exact integer
-    assert symmetric_subspace_trace_bound(32, 2, 4) == 3 ** 1024 * 4 * 32
 
 
 def test_rate_upper_bound_paper_schedule():
@@ -178,7 +161,7 @@ def test_assemble_q_exact_blocks():
     assert q.pad == 0
     assert q.trace == q.join.rank
     assert q.r <= q.trace_log_rate <= q.r + rate_upper_bound(2, 1, 4)
-    assert q.metadata["rate_lower_ok"] and q.metadata["sym_trace_bound_ok"]
+    assert q.metadata["rate_lower_ok"]
     validate_projector(q.matrix())
 
 
@@ -237,7 +220,8 @@ def test_acceptance_matches_code_measure_for_diagonal_projector():
     # code measure of the driving process
     from quclab.codes import code_measure
     c = build_code(2, 0.7, 6, 0)
-    p = code_projector(c)
+    b = code_range_basis(c)
+    p = b @ b.conj().T
     proc = IIDProcess([0.9, 0.1])
     rho = IIDSource(np.diag([0.9, 0.1])).marginal(6)
     assert abs(np.trace(p @ rho).real - code_measure(proc, c)) < 1e-12

@@ -5,12 +5,13 @@ from quclab.channels import dephasing, depolarizing, identity_channel
 from quclab.errors import SizeError, ValidationError
 from quclab.operators import random_hermitian
 from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
-                              PeriodicProcess, entropy_bits)
+                              PeriodicProcess)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
                             IIDSource, QuantumAlphabet, QuantumSource,
                             abelian_restriction, check_consistency,
                             check_stationarity, conditional_expectation,
                             ergodicity_gap, verify_invariance)
+from randmat import haar_unitary
 
 MARKOV_P = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -26,7 +27,17 @@ def test_alphabet_validation():
     v0 = np.array([1.0, 0.0])
     with pytest.raises(ValidationError):
         QuantumAlphabet(np.column_stack([v0, v0]))  # dependent
+    with pytest.raises(ValidationError, match="non-finite"):
+        QuantumAlphabet(np.array([[1.0, np.nan], [0.0, 1.0]]))  # before the Gram matrix
     assert QuantumAlphabet.computational(3).is_computational
+
+
+def test_non_finite_transfer_form_rejected():
+    site = np.eye(2)[None, None] / 2
+    with pytest.raises(ValidationError, match="sum to 1"):
+        QuantumSource([np.nan], site)
+    with pytest.raises(ValidationError, match="sum to 1"):
+        QuantumSource([1.0], site * np.nan)
 
 
 def test_iid_marginal_tensor_power():
@@ -151,7 +162,6 @@ def test_ergodicity_matches_driving_process():
 
 def test_conditional_expectation_properties():
     rng = np.random.default_rng(0)
-    from quclab.operators import haar_unitary
     for _ in range(20):
         basis = haar_unitary(4, rng)
         a = random_hermitian(4, rng)
