@@ -28,6 +28,8 @@ class KrausChannel:
         for a in self.kraus:
             if a.shape != (d, d):
                 raise ValidationError("Kraus operators must be square with equal dims")
+        if not all(np.isfinite(a).all() for a in self.kraus):
+            raise ValidationError("Kraus operators have non-finite entries")
         self.d = d
         if validate:
             rep = validate_channel(self)

@@ -83,8 +83,9 @@ class ClassicalProcess:
 
     Every row T[i] sums to 1, so the last hidden state sums out and the
     marginals are consistent.  The kinds below only fill (initial, T) and add
-    their own `prob` and entropy rate; `ergodic` is the kind's a-priori flag,
-    None where it is not known (block regroupings, abelian restrictions).
+    their own `prob` and entropy rate; `ergodic` is the kind's flag (derived
+    from the chain for Markov processes), None where it is not known (block
+    regroupings, abelian restrictions).
     """
 
     ergodic: bool | None = None
@@ -173,9 +174,19 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
-class MarkovProcess(ClassicalProcess):
-    ergodic = True
+def _one_closed_class(P: np.ndarray, states: np.ndarray) -> bool:
+    """True iff the states in the boolean mask `states` form one closed
+    communicating class of the chain P: no step leaves them, and each
+    reaches every other through them."""
+    if np.any(P[np.ix_(states, ~states)] > 0):
+        return False
+    reach = (P[np.ix_(states, states)] > 0) | np.eye(int(states.sum()), dtype=bool)
+    for _ in range(int(states.sum()).bit_length()):  # paths of length up to 2^steps
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return bool(reach.all())
 
+
+class MarkovProcess(ClassicalProcess):
     def __init__(self, transition, initial=None):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -209,10 +220,14 @@ class MarkovProcess(ClassicalProcess):
             raise ValidationError("entropy rate requires stationary initialization")
         return float(sum(self.pi[i] * entropy_bits(self.P[i]) for i in range(self.L)))
 
+    @property
+    def ergodic(self) -> bool:
+        """True iff the states in the support of the initial distribution
+        form one closed communicating class."""
+        return _one_closed_class(self.P, self.pi > 0)
+
     def irreducible(self) -> bool:
-        reach = (self.P > 0).astype(int)
-        closure = np.linalg.matrix_power(reach + np.eye(self.L, dtype=int), self.L)
-        return bool(np.all(closure > 0))
+        return _one_closed_class(self.P, np.ones(self.L, dtype=bool))
 
     def period(self) -> int:
         """Period of an irreducible chain (gcd of cycle length differences)."""

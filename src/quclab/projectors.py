@@ -64,8 +64,11 @@ def _type_classes(D: int, n: int):
     the collective generators J_ab = sum_i E_ab^(i), a != b, move between them.
 
     Returns each class's symbol counts and member indices (ascending), and the
-    moves (class, target class, [(source rows, target rows) per site]): J_ab
-    maps the class with counts c into the one with counts c + e_a - e_b.
+    moves (class, target class, src): J_ab maps the class with counts c into
+    the one with counts c + e_a - e_b, and row y of the |target| x c_a table
+    src holds the positions, within the class, of the sequences that J_ab
+    sends onto target member y (one per site where y reads a), so
+    J_ab B = sum_j B[src[:, j]].
     """
     digits = all_sequences(D, n)
     counts = np.stack([(digits == a).sum(axis=1) for a in range(D)], axis=1)
@@ -77,14 +80,16 @@ def _type_classes(D: int, n: int):
     position = np.empty(D ** n, dtype=np.int64)
     for idx in members:
         position[idx] = np.arange(len(idx))
+    weight = D ** np.arange(n - 1, -1, -1)
     moves = []
-    for t, idx in enumerate(members):
+    for t in range(len(members)):
         for a, b in itertools.permutations(range(D), 2):
             if classes[t][b]:
                 target = index[tuple(c + (s == a) - (s == b) for s, c in enumerate(classes[t]))]
-                srcs = [np.flatnonzero(digits[idx, i] == b) for i in range(n)]
-                moves.append((t, target, [(src, position[idx[src] + (a - b) * D ** (n - 1 - i)])
-                                          for i, src in enumerate(srcs)]))
+                dst = members[target]
+                rows, sites = np.nonzero(digits[dst] == a)
+                src = position[dst[rows] + (b - a) * weight[sites]]
+                moves.append((t, target, src.reshape(len(dst), -1)))
     return classes, members, moves
 
 
@@ -94,7 +99,10 @@ def _orthonormal(cols: np.ndarray, scale: float) -> np.ndarray:
     direction, columns that are numerically zero add nothing."""
     if cols.shape[1] == 0:
         return cols
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    try:
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"orbit join: SVD of a class block failed ({exc})") from None
     return u[:, s > JOIN_RTOL * max(s[0], scale)]
 
 
@@ -145,10 +153,10 @@ def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
     grew = True
     while grew:
         grew, residual = False, 0.0
-        for t, target, sites in moves:
-            pushed = np.zeros((len(members[target]), blocks[t].shape[1]), dtype=base.dtype)
-            for src, dst in sites:
-                pushed[dst] += blocks[t][src]
+        for t, target, src in moves:
+            pushed = blocks[t][src[:, 0]]
+            for j in range(1, src.shape[1]):
+                pushed += blocks[t][src[:, j]]
             kept = blocks[target]
             leak = float(np.linalg.norm(pushed - kept @ (kept.conj().T @ pushed)))
             if leak > JOIN_RTOL:

@@ -45,6 +45,13 @@ def test_check_ergodic_command(capsys):
     assert "gap:" in out
 
 
+def test_check_ergodic_rejects_a_non_finite_channel(capsys):
+    chan = '{"name":"custom","kraus":[[[[NaN,0],[0,1]],[[0,0],[0,0]]]]}'
+    assert main(["check-ergodic", BERN, "--channel", chan]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
 def test_check_ergodic_with_channel(capsys):
     src = ('{"kind":"classical","process":{"kind":"markov",'
            '"transition":[[0.9,0.1],[0.2,0.8]]}}')

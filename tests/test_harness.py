@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from quclab import projectors
 from quclab.errors import ConfigError, ValidationError
 from quclab.harness import (ExperimentConfig, build_process, build_source,
                             compress_c1, compress_c2, report_csv,
@@ -262,7 +263,11 @@ def _classical(process, **fields):
                 alphabet={"re": [[1.0, float("nan")], [0.0, 1.0]]}), "alphabet"),
     (_classical({"kind": "markov", "transition": [[1.0, 0.0], [0.0, 1.0]]}),
      "no unique stationary distribution"),
-], ids=["iid-nan", "markov-nan", "mixture-nan", "alphabet-nan", "reducible-markov"])
+    ({"kind": "channel-transformed", "inner": {"kind": "iid", "probs": [0.9, 0.1]},
+      "channel": {"name": "custom", "kraus": [[[[float("nan"), 0], [0, 1]],
+                                                [[0, 0], [0, 0]]]]}}, "Kraus"),
+], ids=["iid-nan", "markov-nan", "mixture-nan", "alphabet-nan", "reducible-markov",
+        "kraus-nan"])
 def test_invalid_source_values_are_row_errors(bad, named):
     good = {"id": "good", "kind": "iid", "probs": [0.9, 0.1]}
     cfg = {"r": 0.5, "n_range": [4], "seed": 3}
@@ -400,12 +405,33 @@ def test_one_code_build_per_block_code(monkeypatch):
 
 
 def test_block_dimension_32_row_is_recorded():
-    # l = 5 gives block dimension 32, where the symmetric-subspace trace
-    # bound (n+1)^(D^2) tr(p) D no longer fits in a float
+    # l = 5 gives block dimension 32: the D = 32 join over n = 2 blocks, with
+    # 528 type classes, the most of any join the tests build
     row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], n_range=[10],
                 override_schedule={"l": 5})[0]
     assert row.error == ""
     assert 0 < row.accept_prob <= 1
+
+
+def test_join_svd_failure_is_a_row_error(monkeypatch):
+    # the first SVD of the join fails; its row records the error and the
+    # next row (another n, so another join) is the same as when run alone
+    source = [{"id": "bern", "kind": "iid", "probs": [0.9, 0.1]}]
+    alone = _rows(source, n_range=[5])
+    svd = projectors.np.linalg.svd
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(projectors.np.linalg, "svd", failing_once)
+    rows = _rows(source, n_range=[4, 5])
+    assert rows[0].error.startswith("ValidationError: orbit join")
+    assert rows[0].accept_prob is None and rows[0].join_rank is None
+    assert report_csv(rows[1:]) == report_csv(alone) and alone[0].error == ""
 
 
 # basis-native scheme rows: non-diagonal orbit rows come from the join basis

@@ -293,6 +293,18 @@ def test_stationary_flag_of_an_initial_distribution():
     assert not MarkovProcess(MARKOV_P, initial=[0.6, 0.4]).stationary
 
 
+@pytest.mark.parametrize("transition, initial, ergodic", [
+    ([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], False),  # a mixture of two constant sequences
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], True),
+    ([[0.5, 0.5], [0.0, 1.0]], None, True),  # pi = (0, 1): the transient state is never seen
+    ([[0.5, 0.5], [0.0, 1.0]], [1.0, 0.0], False),  # the support is not closed
+    (MARKOV_P, None, True),
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], None, True),
+])
+def test_markov_ergodic_flag_follows_the_chain(transition, initial, ergodic):
+    assert MarkovProcess(transition, initial=initial).ergodic is ergodic
+
+
 @pytest.mark.parametrize("make, named", [
     (lambda: IIDProcess([np.nan, 0.5]), "probability vector"),
     (lambda: IIDProcess([np.inf, 0.0]), "probability vector"),

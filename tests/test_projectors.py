@@ -1,15 +1,19 @@
+import functools
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quclab.codes import build_code
+from quclab.codes import all_sequences, build_code
 from quclab.errors import ValidationError
 from quclab.operators import span_basis, validate_projector
 from quclab.processes import IIDProcess
-from quclab.projectors import (_write_grid, assemble_q, acceptance_probability,
+from quclab.projectors import (JOIN_RTOL, JoinResult, _orthonormal, _type_classes,
+                               _write_grid, assemble_q, acceptance_probability,
                                code_range_basis, export_projector,
                                load_projector_matrix, orbit_join_basis,
                                rate_upper_bound, schedule)
@@ -92,15 +96,18 @@ def test_orbit_join_invariance():
     assert res.invariance_residual <= 1e-10
 
 
+def collective_generator(D, n, a, b):
+    """Dense J_ab = sum_i E_ab^(i): |a><b| at one site, the identity elsewhere."""
+    e = np.zeros((D, D))
+    e[a, b] = 1.0
+    return sum(np.kron(np.kron(np.eye(D ** i), e), np.eye(D ** (n - 1 - i)))
+               for i in range(n))
+
+
 def dense_krylov_join(base, D, n):
     """Reference join: the span closure of base under dense collective
     generators J_ab = sum_i E_ab^(i), a != b, with no type-class blocking."""
-    gens = []
-    for a, b in itertools.permutations(range(D), 2):
-        e = np.zeros((D, D))
-        e[a, b] = 1.0
-        gens.append(sum(np.kron(np.kron(np.eye(D ** i), e), np.eye(D ** (n - 1 - i)))
-                        for i in range(n)))
+    gens = [collective_generator(D, n, a, b) for a, b in itertools.permutations(range(D), 2)]
     q = span_basis(base)
     while True:
         grown = span_basis(np.hstack([q] + [g @ q for g in gens]), rtol=1e-10)
@@ -148,6 +155,98 @@ def test_orbit_join_rotated_code_same_join():
     plain = orbit_join_basis(code_range_basis(c), 3, 4)
     assert rotated.rank == plain.rank
     assert np.max(np.abs(rotated.matrix() - plain.matrix())) < 1e-10
+
+
+def per_site_join(base, D, n):
+    """Reference join: orbit_join_basis with its earlier push, one scatter-add
+    per site and move, from the (source rows, target rows) pair of that site."""
+    classes, members, _ = _type_classes(D, n)
+    digits = all_sequences(D, n)
+    index = {c: t for t, c in enumerate(classes)}
+    position = np.empty(D ** n, dtype=np.int64)
+    for idx in members:
+        position[idx] = np.arange(len(idx))
+    moves = []
+    for t, idx in enumerate(members):
+        for a, b in itertools.permutations(range(D), 2):
+            if classes[t][b]:
+                target = index[tuple(c + (s == a) - (s == b) for s, c in enumerate(classes[t]))]
+                srcs = [np.flatnonzero(digits[idx, i] == b) for i in range(n)]
+                moves.append((t, target, [(src, position[idx[src] + (a - b) * D ** (n - 1 - i)])
+                                          for i, src in enumerate(srcs)]))
+    base = base.astype(complex) if base.imag.any() else base.real.astype(float)
+    scale = float(np.linalg.norm(base, axis=0).max(initial=0.0))
+    blocks = [_orthonormal(base[idx], scale) for idx in members]
+    grew = True
+    while grew:
+        grew, residual = False, 0.0
+        for t, target, sites in moves:
+            pushed = np.zeros((len(members[target]), blocks[t].shape[1]), dtype=base.dtype)
+            for src, dst in sites:
+                pushed[dst] += blocks[t][src]
+            kept = blocks[target]
+            leak = float(np.linalg.norm(pushed - kept @ (kept.conj().T @ pushed)))
+            if leak > JOIN_RTOL:
+                grown = _orthonormal(np.hstack([kept, pushed]), 1.0)
+                if grown.shape[1] > kept.shape[1]:
+                    blocks[target], grew = grown, True
+                    continue
+            residual = max(residual, leak)
+        moves.reverse()
+    basis = np.zeros((D ** n, sum(b.shape[1] for b in blocks)), dtype=base.dtype)
+    col = 0
+    for idx, block in zip(members, blocks):
+        basis[idx, col:col + block.shape[1]] = block
+        col += block.shape[1]
+    return JoinResult(basis=basis, invariance_residual=residual, class_ranks={
+        c: b.shape[1] for c, b in zip(classes, blocks) if b.shape[1]})
+
+
+@st.composite
+def join_cases(draw):
+    D = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 5))
+    members = draw(st.lists(st.integers(0, D ** n - 1), min_size=1, max_size=8, unique=True))
+    return D, n, members, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=30)
+@given(join_cases())
+def test_orbit_join_matches_per_site_push(case):
+    # computational basis vectors, then the same after a real and after a
+    # complex (Haar) rotation of every site
+    D, n, members, seed = case
+    base = np.zeros((D ** n, len(members)))
+    base[members, np.arange(len(members))] = 1.0
+    rng = np.random.default_rng(seed)
+    real, _ = np.linalg.qr(rng.standard_normal((D, D)))
+    for u in (np.eye(D), real, haar_unitary(D, rng)):
+        rotated = functools.reduce(np.kron, [u] * n) @ base
+        res = orbit_join_basis(rotated, D, n)
+        ref = per_site_join(rotated, D, n)
+        assert res.class_ranks == ref.class_ranks
+        assert np.max(np.abs(res.matrix() - ref.matrix())) <= 1e-12
+        assert res.invariance_residual <= 1e-10
+
+
+def test_move_tables_reproduce_dense_generator_blocks():
+    D, n = 3, 4
+    classes, members, moves = _type_classes(D, n)
+    gens = {(a, b): collective_generator(D, n, a, b)
+            for a, b in itertools.permutations(range(D), 2)}
+    seen = set()
+    for t, target, src in moves:
+        step = np.subtract(classes[target], classes[t])
+        a, b = int(np.argmax(step)), int(np.argmin(step))
+        assert src.shape == (len(members[target]), classes[target][a])
+        table = np.zeros((len(members[target]), len(members[t])))
+        np.add.at(table, (np.arange(len(src))[:, None], src), 1.0)
+        assert np.array_equal(table, gens[a, b][np.ix_(members[target], members[t])])
+        seen.add((t, target, a, b))
+    # and every nonzero class block of every J_ab is a move
+    assert seen == {(t, target, a, b) for (a, b), g in gens.items()
+                    for t, target in itertools.product(range(len(classes)), repeat=2)
+                    if g[np.ix_(members[target], members[t])].any()}
 
 
 def test_rate_upper_bound_paper_schedule():
