@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
-from .operators import DEFAULT_DIM_CAP
+from .errors import ValidationError, check_budget
 
 COMPLETENESS_TOL = 1e-10
 CHOI_EIG_FLOOR = -1e-10
@@ -77,14 +76,18 @@ def apply_per_site(S, op, m: int) -> np.ndarray:
 
     S acts on the row-major vec, vec(A X B) = (A kron B^T) vec(X), so the map
     X -> sum_i A_i X A_i^dagger has S = sum_i A_i kron conj(A_i).
+
+    The working set is four complex d^m x d^m arrays: the operator, the
+    previous site's result, the transposed copy tensordot makes of it and
+    the product.
     """
     S = np.asarray(S, dtype=complex)
-    op = np.asarray(op, dtype=complex)
     d = math.isqrt(S.shape[0])
-    if op.shape[0] != d ** m:
-        raise ValidationError(f"operator dimension {op.shape[0]} != {d}^{m}")
-    if d ** m > DEFAULT_DIM_CAP:
-        raise SizeError("dimension cap exceeded")
+    rows = np.shape(op)[0]
+    if rows != d ** m:
+        raise ValidationError(f"operator dimension {rows} != {d}^{m}")
+    check_budget(4 * 16 * d ** (2 * m), f"per-site map on dimension {d}^{m}")
+    op = np.asarray(op, dtype=complex)
     s4 = S.reshape(d, d, d, d)
     t = op.reshape((d,) * (2 * m))
     for site in range(m):
@@ -109,6 +112,8 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def identity_channel(d: int = 2) -> KrausChannel:
+    if d < 1:
+        raise ValidationError(f"channel dimension d = {d} must be >= 1")
     return KrausChannel([np.eye(d)])
 
 
@@ -136,21 +141,3 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     return KrausChannel([k0, k1])
-
-
-def channel_from_spec(spec: dict) -> KrausChannel:
-    """Presets by name plus a custom matrix-list escape hatch."""
-    name = spec.get("name")
-    if name == "identity":
-        return identity_channel(int(spec.get("d", 2)))
-    if name == "depolarizing":
-        return depolarizing(float(spec["p"]))
-    if name == "dephasing":
-        return dephasing(float(spec["p"]))
-    if name == "amplitude-damping":
-        return amplitude_damping(float(spec["gamma"]))
-    if name == "custom":
-        mats = [np.array(m_re) + 1j * np.array(m_im)
-                for m_re, m_im in spec["kraus"]]
-        return KrausChannel(mats)
-    raise ValidationError(f"unknown channel preset {name!r}")

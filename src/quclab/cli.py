@@ -13,13 +13,12 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, QuclabError, ValidationError
-from .harness import (ExperimentConfig, _basis_row, build_source, report_csv,
-                      run_experiment)
+from .harness import (ExperimentConfig, _basis_row, build_channel, build_source,
+                      report_csv, run_experiment)
 from .info import mean_entropy
 from .operators import validate_projector
 from .projectors import assemble_q, export_projector, load_projector_matrix
 from .sources import ergodicity_gap, ChannelTransformedSource
-from .channels import channel_from_spec
 
 
 def _load_spec(text: str) -> dict:
@@ -45,7 +44,7 @@ def _cmd_check_ergodic(args) -> int:
     source = build_source(_load_spec(args.source))
     if args.channel:
         source = ChannelTransformedSource(source,
-                                          channel_from_spec(_load_spec(args.channel)))
+                                          build_channel(_load_spec(args.channel)))
     d = source.d
     a = np.zeros((d, d))
     a[0, 0] = 1.0

@@ -4,10 +4,11 @@ A code over alphabet L with block length n and rate R is the set of the
 first 2^floor(nR) sequences under the total order (cyclic k-th-order
 empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
 equal, then lexicographic).  Every order k uses one formula, from one count
-of the cyclic (k+1)-grams of each sequence; that count has L^n * L^(k+1)
-entries and is refused past COUNT_CAP.  Dense mode enumerates all L^n
-sequences; for binary alphabets with k = 0 a type-class representation
-handles block lengths up to 64.
+of the cyclic (k+1)-grams of each sequence, L^n * L^(k+1) entries.  Dense
+mode enumerates all L^n sequences and scores them; binary alphabets with
+k = 0 use a type-class representation past TYPECLASS_PAST sequences, up to
+block length 64.  Any other code whose enumeration is past the memory budget
+is a SizeError.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
-from .processes import (DENSE_CAP, ClassicalProcess, IIDProcess,
-                        index_sequence, sequence_index)
+from .errors import ValidationError, check_budget
+from .processes import (ClassicalProcess, IIDProcess, index_sequence,
+                        sequence_index)
 
 # guard against float-floor artifacts like 0.7 * 10 -> 6.999...
 FLOOR_GUARD = 1e-9
@@ -27,13 +28,30 @@ FLOOR_GUARD = 1e-9
 # sequence and its complement, or permuted type classes) can differ in the
 # last bits.
 SCORE_TIE_TOL = 1e-9
-# Entries of the per-sequence (k+1)-gram count: 2^26 is about 2 GB with its
-# float copies, and keeps L = 2, n = 20 buildable up to k = 5.
-COUNT_CAP = 2 ** 26
+# Binary k = 0 codes over more sequences than this are built by type class,
+# in time polynomial in n where enumeration takes 2^n n.  A speed switch, not
+# a size limit: the memory budget decides whether a code can be enumerated.
+TYPECLASS_PAST = 2 ** 20
 
 
 def code_size(n: int, R: float) -> int:
     return 2 ** int(math.floor(n * R + FLOOR_GUARD))
+
+
+def _scores_bytes(N: int, n: int, L: int, k: int) -> int:
+    """Peak bytes of empirical_entropy_scores on N rows of length n: the
+    (N, n) gram codes with three loop temporaries, or the gram codes with the
+    N x L^(k+1) count, three float temporaries of its size, its mask and the
+    context sums."""
+    G = L ** (k + 1)
+    return N * (8 * n + max(24 * n, 25 * G + 8 * L ** k))
+
+
+def _enumeration_bytes(L: int, n: int, k: int) -> int:
+    """Peak bytes of a dense build_code: the digit matrix of all L^n
+    sequences and their scores; the sort after them holds less."""
+    N = L ** n
+    return 8 * N * n + _scores_bytes(N, n, L, k)
 
 
 def empirical_entropy_scores(digits: np.ndarray, L: int, k: int) -> np.ndarray:
@@ -44,13 +62,12 @@ def empirical_entropy_scores(digits: np.ndarray, L: int, k: int) -> np.ndarray:
     Wrap-around grams make the score rotation-invariant, so all phases of a
     periodic sequence receive the same score.  Scores that tie in exact
     arithmetic may differ in the last bits; build_code counts scores within
-    SCORE_TIE_TOL as equal.  A count past COUNT_CAP entries raises SizeError
+    SCORE_TIE_TOL as equal.  A count past the memory budget raises SizeError
     before it is allocated.
     """
     N, n = digits.shape
     G = L ** (k + 1)
-    if N * G > COUNT_CAP:
-        raise SizeError(f"(k+1)-gram count of {N} x {G} entries exceeds the cap {COUNT_CAP}")
+    check_budget(_scores_bytes(N, n, L, k), f"(k+1)-gram count of {N} x {G} entries")
     # gram code at position i: x_i ... x_{i+k}, most significant first,
     # offset by the row so that one bincount counts every row
     gram = np.zeros((N, n), dtype=np.int64)
@@ -100,6 +117,29 @@ class BlockCode:
     def dense(self) -> bool:
         return self.members is not None
 
+    def member_indices(self) -> np.ndarray:
+        """The members' sequence indices: in code order in dense mode; in
+        ascending order for a type-class code, from the ones count of every
+        index (5 bytes per sequence, 8 per boundary-class sequence and per
+        member)."""
+        if self.dense:
+            return self.members
+        n, N = self.n, 2 ** self.n
+        boundary_sequences = sum(math.comb(n, j) for j in self.boundary_ones_counts)
+        check_budget(5 * N + 8 * (boundary_sequences + self.size),
+                     f"members of a type-class code over 2^{n} sequences")
+        ones = np.zeros(1, dtype=np.uint8)
+        for _ in range(n):
+            ones = np.concatenate([ones, ones + 1])
+        full = np.zeros(n + 1, dtype=bool)
+        full[self.full_ones_counts] = True
+        boundary = np.zeros(n + 1, dtype=bool)
+        boundary[self.boundary_ones_counts] = True
+        keep = full[ones]
+        # the boundary classes' lexicographically first sequences
+        keep[np.flatnonzero(boundary[ones])[:self.boundary_take]] = True
+        return np.flatnonzero(keep)
+
     def member_set(self) -> frozenset:
         if not self.dense:
             raise ValidationError("member_set requires dense mode")
@@ -145,21 +185,20 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
     if not (0 < R <= math.log2(L) + FLOOR_GUARD):
         raise ValidationError(f"rate {R} outside (0, log2 {L}]")
     size = code_size(n, R)
-    if size >= L ** n:
-        if L ** n > DENSE_CAP:
-            raise SizeError("degenerate code too large to enumerate")
-        return BlockCode(L, n, R, k, members=np.arange(L ** n), degenerate=True)
-    if L ** n <= DENSE_CAP:
-        digits = all_sequences(L, n)
-        scores = empirical_entropy_scores(digits, L, k)
-        values = np.sort(scores)
-        cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
-        order = np.argsort(cluster[np.searchsorted(values, scores)], kind="stable")
-        return BlockCode(L, n, R, k, members=order[:size])
-    if L == 2 and k == 0 and n <= 64:
+    N = L ** n
+    if size >= N:
+        check_budget(8 * N, f"degenerate code of all {L}^{n} sequences")
+        return BlockCode(L, n, R, k, members=np.arange(N), degenerate=True)
+    if L == 2 and k == 0 and TYPECLASS_PAST < N and n <= 64:
         return _build_binary_typeclass(R, n, size)
-    raise SizeError(f"code over {L}^{n} sequences exceeds the dense cap; the type-class "
-                    "mode needs a binary alphabet and k = 0")
+    check_budget(_enumeration_bytes(L, n, k), f"enumerating the {L}^{n} sequences at k = {k} "
+                 "(the type-class mode needs L = 2, k = 0 and n <= 64)")
+    digits = all_sequences(L, n)
+    scores = empirical_entropy_scores(digits, L, k)
+    values = np.sort(scores)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
+    order = np.argsort(cluster[np.searchsorted(values, scores)], kind="stable")
+    return BlockCode(L, n, R, k, members=order[:size])
 
 
 def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
@@ -183,12 +222,9 @@ def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
     """Exact probability mass the process assigns to the code set."""
     if p.L != c.L:
         raise ValidationError("alphabet size mismatch")
-    if c.dense:
+    if c.dense or not isinstance(p, IIDProcess):
         mu = p.marginal(c.n).probs
-        return float(mu[c.members].sum())
-    if not isinstance(p, IIDProcess):
-        raise SizeError(f"measure over {c.L}^{c.n} sequences exceeds the dense cap; the "
-                        "type-class measure needs an i.i.d. process")
+        return float(mu[c.member_indices()].sum())
     p0, p1 = float(p.p[0]), float(p.p[1])
     total = 0.0
     for j in c.full_ones_counts:

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .channels import channel_from_spec
+from .channels import (KrausChannel, amplitude_damping, dephasing,
+                       depolarizing, identity_channel)
 from .codes import BlockCode, build_code, code_measure
-from .errors import ConfigError, QuclabError, ValidationError
+from .errors import MEMORY_BUDGET, ConfigError, QuclabError, ValidationError
 from .operators import range_flag
 from .processes import (ClassicalProcess, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess)
@@ -96,6 +97,22 @@ def _complex(spec: dict, re_key: str, im_key: str) -> np.ndarray:
     return _field(spec, re_key) + 1j * _field(spec, im_key, default=0.0)
 
 
+def _integer(v):
+    """A `_field` converter: v itself if it is an integer, else ValueError;
+    a float or a bool is not truncated to one."""
+    if not _is_int(v):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _number(v) -> float:
+    """A `_field` converter: v as a float if it is a finite number, else
+    ValueError; strings and bools are not numbers."""
+    if not _is_int(v, kind=(int, float)):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
 def build_process(spec: dict) -> ClassicalProcess:
     kind = spec.get("kind")
     if kind == "iid":
@@ -104,12 +121,32 @@ def build_process(spec: dict) -> ClassicalProcess:
         return MarkovProcess(_field(spec, "transition"),
                              initial=_field(spec, "initial", default=None))
     if kind == "periodic":
-        return PeriodicProcess(_field(spec, "cycle", lambda v: [int(c) for c in v]),
-                               L=_field(spec, "alphabet_size", int, None))
+        return PeriodicProcess(_field(spec, "cycle", lambda v: [_integer(c) for c in v]),
+                               L=_field(spec, "alphabet_size", _integer, None))
     if kind == "mixture":
         components = _field(spec, "components", lambda v: [build_process(dict(c)) for c in v])
         return MixtureProcess(_field(spec, "weights"), components)
     raise ConfigError(f"unknown process kind {kind!r}")
+
+
+def build_channel(spec: dict) -> KrausChannel:
+    """Presets by name plus a custom matrix-list escape hatch; a missing or
+    malformed field is a ConfigError naming it."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"channel spec must be a JSON object, got {spec!r}")
+    name = spec.get("name")
+    if name == "identity":
+        return identity_channel(_field(spec, "d", _integer, 2))
+    if name == "depolarizing":
+        return depolarizing(_field(spec, "p", _number))
+    if name == "dephasing":
+        return dephasing(_field(spec, "p", _number))
+    if name == "amplitude-damping":
+        return amplitude_damping(_field(spec, "gamma", _number))
+    if name == "custom":
+        return KrausChannel(_field(spec, "kraus", lambda v: [
+            np.array(m_re) + 1j * np.array(m_im) for m_re, m_im in v]))
+    raise ValidationError(f"unknown channel preset {name!r}")
 
 
 def build_source(spec: dict) -> QuantumSource:
@@ -129,11 +166,7 @@ def build_source(spec: dict) -> QuantumSource:
             _complex(_field(spec, "alphabet", dict), "re", "im")))
     if kind == "channel-transformed":
         inner = build_source(_field(spec, "inner", dict))
-        try:
-            channel = channel_from_spec(_field(spec, "channel", dict))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed channel spec: {exc!r}") from None
-        return ChannelTransformedSource(inner, channel)
+        return ChannelTransformedSource(inner, build_channel(_field(spec, "channel", dict)))
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
@@ -334,7 +367,7 @@ def write_report(cfg: ExperimentConfig, rows: list[ReportRow],
                    "projector_mode": cfg.projector_mode, "k_order": cfg.k_order},
         "rows": [asdict(r) for r in rows],
         "wall_ms_measured": wall_times or [],
-        "tolerances": {"join_rank_rtol": JOIN_RTOL},
+        "tolerances": {"join_rank_rtol": JOIN_RTOL, "memory_budget_bytes": MEMORY_BUDGET},
     }
     with open(cfg.output + ".json", "w") as fh:
         json.dump(mirror, fh, indent=2, sort_keys=True)

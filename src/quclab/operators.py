@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-DEFAULT_DIM_CAP = 2 ** 14
-
 HERMITIAN_TOL = 1e-10
 IDEMPOTENT_TOL = 1e-8
 EIG_DEGENERACY_GAP = 1e-9

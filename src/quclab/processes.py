@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
+from .errors import ValidationError, check_budget
 
-DENSE_CAP = 2 ** 20
 PROB_TOL = 1e-12
 
 
@@ -104,12 +103,14 @@ class ClassicalProcess:
     def marginal(self, n: int) -> Distribution:
         """One left-to-right contraction: x holds (sequence so far, hidden
         state), each site appends its symbol; the last site sums out the
-        hidden state."""
+        hidden state.  Each step holds x before and after it; the last holds
+        the L^(n-1) x chi x and the L^n output with its sign mask."""
         if n < 1:
             raise ValidationError("block length must be >= 1")
-        if self.L ** n > DENSE_CAP:
-            raise SizeError(f"dense marginal with {self.L}^{n} entries exceeds cap")
         chi = len(self.initial)
+        last = 8 * chi * self.L ** (n - 1)
+        check_budget(last + max(last // self.L, 9 * self.L ** n),
+                     f"marginal over {self.L}^{n} sequences with {chi} hidden states")
         step = self.T.transpose(0, 2, 1).reshape(chi, self.L * chi)
         x = self.initial[None]
         for _ in range(n - 1):
@@ -118,12 +119,13 @@ class ClassicalProcess:
 
     def block(self, l: int) -> "ClassicalProcess":
         """The process over l-blocks: l site tensors contracted into
-        T_l[i, j, (x_1..x_l)], with the same hidden states."""
+        T_l[i, j, (x_1..x_l)], with the same hidden states.  Each einsum
+        holds the tensor before and after it and its iteration buffers."""
         if l == 1:
             return self
-        if self.L ** l > DENSE_CAP:
-            raise SizeError("block alphabet exceeds cap")
         chi = len(self.initial)
+        check_budget(8 * chi ** 2 * self.L ** (l - 1) * (1 + self.L) + 2 ** 18,
+                     f"{l}-block transfer tensor over {self.L}^{l} symbols")
         T = self.T
         for _ in range(l - 1):
             T = np.einsum("ijs,jkx->iksx", T, self.T).reshape(chi, chi, -1)

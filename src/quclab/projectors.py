@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
-from .errors import ConfigError, SizeError, ValidationError
-from .operators import DEFAULT_DIM_CAP
+from .errors import ConfigError, ValidationError, check_budget
 from .sources import QuantumSource
 
 # Singular values below JOIN_RTOL (relative) are rounding, not new join directions.
@@ -52,10 +51,9 @@ def schedule(m: int, d: int, r: float) -> Schedule:
 def code_range_basis(code: BlockCode) -> np.ndarray:
     """Columns spanning the code projector: one computational basis vector
     per member."""
-    if not code.dense:
-        raise NotImplementedError("code projector needs dense (enumerated) mode")
+    members = code.member_indices()
     cols = np.zeros((code.L ** code.n, code.size), dtype=complex)
-    cols[np.asarray(code.members, dtype=int), np.arange(code.size)] = 1.0
+    cols[members, np.arange(code.size)] = 1.0
     return cols
 
 
@@ -91,6 +89,16 @@ def _type_classes(D: int, n: int):
                 src = position[dst[rows] + (b - a) * weight[sites]]
                 moves.append((t, target, src.reshape(len(dst), -1)))
     return classes, members, moves
+
+
+def _join_bytes(D: int, n: int, size: int) -> int:
+    """Bytes the join of a size-member code over D^n sequences holds before
+    its class blocks grow: the code columns and the join's copy of them, 16
+    bytes an entry at most, and the type-class tables with their
+    temporaries, at most 3 n D int64 per sequence and 512 bytes of Python
+    objects per move."""
+    moves = math.comb(n + D - 1, D - 1) * D * (D - 1)
+    return D ** n * (32 * size + 24 * n * D) + 512 * moves
 
 
 def _orthonormal(cols: np.ndarray, scale: float) -> np.ndarray:
@@ -142,6 +150,9 @@ def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
     The certificate `invariance_residual` is the largest Frobenius norm of a
     class block of (1 - QQ^dagger) J_ab Q in that last pass; it bounds
     max_ab ||(1 - QQ^dagger) J_ab Q|| from above.
+
+    The D^n x rank basis is checked against the memory budget, with the
+    class blocks and the tables the join holds, before it is allocated.
     """
     base = np.asarray(base)
     if base.ndim != 2 or base.shape[0] != block_dim ** n:
@@ -166,7 +177,11 @@ def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
                     continue
             residual = max(residual, leak)
         moves.reverse()
-    basis = np.zeros((block_dim ** n, sum(b.shape[1] for b in blocks)), dtype=base.dtype)
+    rank = sum(b.shape[1] for b in blocks)
+    check_budget(_join_bytes(block_dim, n, base.shape[1]) + sum(b.nbytes for b in blocks)
+                 + base.itemsize * block_dim ** n * rank,
+                 f"orbit join basis of rank {rank} over {block_dim}^{n} sequences")
+    basis = np.zeros((block_dim ** n, rank), dtype=base.dtype)
     col = 0
     for idx, block in zip(members, blocks):
         basis[idx, col:col + block.shape[1]] = block
@@ -225,9 +240,15 @@ class UniversalProjector:
         return q
 
     def extended_basis(self) -> np.ndarray:
+        """The join basis with identity-padded sites: a complex d^m x
+        (rank * d^pad) array, checked against the memory budget, with the
+        Kronecker product's iteration buffers (256 KiB), before it exists."""
         b = self.join.basis
         if self.pad:
-            b = np.kron(b, np.eye(self.d ** self.pad, dtype=complex))
+            P = self.d ** self.pad
+            check_budget(16 * self.d ** self.m * self.join.rank * P + 2 ** 18,
+                         f"padded basis of {self.d}^{self.m} x {self.join.rank * P}")
+            b = np.kron(b, np.eye(P, dtype=complex))
         return b
 
 
@@ -251,10 +272,9 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
     else:
         sch = schedule(m, d, r)
         l, n, R = sch.l, sch.n, sch.R
-    if d ** m > DEFAULT_DIM_CAP:
-        raise SizeError(f"projector dimension {d}^{m} exceeds cap")
     pad = m - l * n
     code = build_code(d ** l, R, n, k_order)
+    check_budget(_join_bytes(d ** l, n, code.size), f"orbit join over {d ** l}^{n} sequences")
     join = orbit_join_basis(code_range_basis(code), d ** l, n)
     up = UniversalProjector(m=m, d=d, r=r, l=l, n=n, R=R, k_order=k_order,
                             join=join, pad=pad, code=code,
@@ -304,7 +324,20 @@ def _write_grid(path: str, a: np.ndarray) -> None:
 
 
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:
-    """CSV real/imag grids plus a JSON sidecar for reproducibility."""
+    """CSV real/imag grids plus a JSON sidecar for reproducibility.
+
+    The dense d^m x d^m grid is checked against the memory budget before it
+    exists: 16 bytes a cell, as a complex matrix or as a real one (a code's
+    join is real) with its zero .imag copy; with padding, also the join's
+    D^n x D^n matrix, of the join basis's type, that the Kronecker product
+    expands into a complex grid; plus the conjugate copy of the join basis
+    and the writer's block of rows, under 64 bytes a cell.
+    """
+    dim = q.d ** q.m
+    join_cells = (q.d ** (q.l * q.n)) ** 2 if q.pad else 0
+    check_budget(16 * dim ** 2 + q.join.basis.itemsize * join_cells
+                 + q.join.basis.nbytes + 64 * _GRID_BLOCK_CELLS,
+                 f"projector grid of {dim} x {dim}")
     mat = q.matrix()
     _write_grid(path_prefix + ".real.csv", mat.real)
     _write_grid(path_prefix + ".imag.csv", mat.imag)
@@ -319,14 +352,22 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
 
 
 def load_projector_matrix(path_prefix: str) -> tuple[np.ndarray, dict]:
+    """Read the grids back as one complex matrix, with the sidecar.  A
+    sidecar with d and m sizes the grids before they are read: two real
+    grids, the imaginary one times 1j and the complex sum."""
     re_path = path_prefix + ".real.csv"
     im_path = path_prefix + ".imag.csv"
     js_path = path_prefix + ".json"
     if not (os.path.exists(re_path) and os.path.exists(im_path)):
         raise ConfigError(f"projector files {path_prefix}.{{real,imag}}.csv not found")
-    mat = np.loadtxt(re_path, delimiter=",") + 1j * np.loadtxt(im_path, delimiter=",")
     meta = {}
     if os.path.exists(js_path):
         with open(js_path) as fh:
             meta = json.load(fh)
+    if "m" in meta and "d" in meta:
+        m, d = meta["m"], meta["d"]
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, d)):
+            raise ConfigError(f"sidecar d and m must be integers >= 1, got d = {d!r}, m = {m!r}")
+        check_budget(48 * d ** (2 * m), f"projector grids of {d}^{m} x {d}^{m}")
+    mat = np.loadtxt(re_path, delimiter=",") + 1j * np.loadtxt(im_path, delimiter=",")
     return np.atleast_2d(mat), meta

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_tensor_power, heisenberg_dual
-from .errors import SizeError, ValidationError
-from .operators import (DEFAULT_DIM_CAP, check_hermitian, hermitian_eig,
-                        partial_trace, random_hermitian, validate_density)
+from .errors import ValidationError, check_budget
+from .operators import (check_hermitian, hermitian_eig, partial_trace,
+                        random_hermitian, validate_density)
 from .processes import ClassicalProcess, IIDProcess
 
 GRAM_CONDITION_CAP = 1e8
@@ -79,7 +79,17 @@ class QuantumSource:
     def _strings(self, left, n: int, close: bool) -> np.ndarray:
         """sum over i_0..i_{n-1} of left[p, i_0] M[i_0, i_1] (x) ... (x)
         M[i_{n-1}, i_n], as a (p, chi, d^n, d^n) array indexed by the left row
-        and i_n; with `close` the last bond is summed first (chi = 1)."""
+        and i_n; with `close` the last bond is summed first (chi = 1).
+
+        Each site's einsum holds x before and after that site and its
+        iteration buffers (256 KiB), so the peak is the largest such pair of
+        complex arrays plus the buffers."""
+        p, chi = np.shape(left)
+        sizes = [16 * p * chi * self.d ** (2 * site) for site in range(n + 1)]
+        if close:
+            sizes[-1] //= chi
+        check_budget(max(map(sum, zip(sizes, sizes[1:])), default=sizes[0]) + 2 ** 18,
+                     f"{n}-site operator strings of dimension {self.d}^{n}")
         x = np.asarray(left, dtype=complex)[:, :, None, None]
         closed = self.sites.sum(axis=1, keepdims=True)
         for site in range(n):
@@ -92,8 +102,6 @@ class QuantumSource:
     def marginal(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValidationError("block length must be >= 1")
-        if self.d ** n > DEFAULT_DIM_CAP:
-            raise SizeError(f"marginal dimension {self.d}^{n} exceeds cap {DEFAULT_DIM_CAP}")
         rho = self._cache.get(n)
         if rho is None:
             rho = self._strings(self.left[None], n, close=True)[0, 0]
@@ -102,11 +110,17 @@ class QuantumSource:
 
     def apply(self, n: int, v) -> np.ndarray:
         """rho_n v for a d^n vector or d^n x k matrix v, by sweeping v through
-        the n sites one at a time; no d^n x d^n array is formed."""
+        the n sites one at a time; no d^n x d^n array is formed.
+
+        Each site holds the chi x d^n x k sweep tensor, its reshaped copy and
+        the product, all complex."""
         v = np.asarray(v)
         if n < 1 or v.shape[0] != self.d ** n:
             raise ValidationError(f"operand has {v.shape[0]} rows, not {self.d}^{n}")
         d = self.d
+        columns = v.size // v.shape[0]
+        check_budget(3 * 16 * len(self.left) * d ** n * columns,
+                     f"rho_{n} V over {columns} columns")
         closed = self.sites.sum(axis=1, keepdims=True)
         # legs (bond, inputs b_t..b_n, columns, outputs a_1..a_{t-1}): each
         # site turns its input leg into its output leg at the back

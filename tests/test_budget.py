@@ -1,0 +1,281 @@
+"""The memory budget.  Every size check passes the peak working set of what
+it is about to allocate: at one small size per check that is at least the
+tracemalloc peak of the construction, and past the budget the construction
+is refused before it allocates."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from quclab import channels, codes, errors, harness, processes, projectors, sources
+from quclab.channels import apply_per_site, depolarizing
+from quclab.cli import main
+from quclab.codes import all_sequences, build_code, empirical_entropy_scores
+from quclab.errors import MEMORY_BUDGET, SizeError
+from quclab.harness import ExperimentConfig, build_source, run_experiment
+from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
+from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probability,
+                               assemble_q, code_range_basis, export_projector,
+                               load_projector_matrix, orbit_join_basis)
+from quclab.sources import IIDSource
+
+CHECKED = (channels, codes, processes, projectors, sources)
+# The formulas count array bytes; the interpreter's own objects (array
+# headers, the check's message) add a few KiB on top.
+OBJECTS = 2 ** 16
+# A depolarized Markov source on a non-orthogonal real alphabet: bond
+# dimension 2, the n = 14 row of the scale table in the README.
+DEPOLARIZED_MARKOV = {
+    "kind": "channel-transformed",
+    "inner": {"kind": "classical",
+              "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]},
+              "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}},
+    "channel": {"name": "depolarizing", "p": 0.2}}
+
+
+class Admitted(Exception):
+    pass
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _checked_bytes(monkeypatch, run) -> tuple[int, int]:
+    """The largest working set any check passed during run(), and run()'s
+    tracemalloc peak; run() goes once unmeasured to warm numpy up."""
+    seen = []
+
+    def record(nbytes, what):
+        seen.append(nbytes)
+        errors.check_budget(nbytes, what)
+
+    run()
+    for module in CHECKED:
+        monkeypatch.setattr(module, "check_budget", record)
+    peak = _peak(run)
+    return max(seen), peak
+
+
+def _admitted_bytes(monkeypatch, run) -> int:
+    """The working set of the first check in run(), which must pass; run()
+    stops there, before it allocates."""
+    def admit(nbytes, what):
+        errors.check_budget(nbytes, what)
+        raise Admitted(nbytes)
+
+    for module in CHECKED:
+        monkeypatch.setattr(module, "check_budget", admit)
+    with pytest.raises(Admitted) as admitted:
+        run()
+    return admitted.value.args[0]
+
+
+def _apply(tmp_path):
+    s = build_source(DEPOLARIZED_MARKOV)
+    v = np.random.default_rng(3).standard_normal((2 ** 10, 40))
+    return lambda: s.apply(10, v)
+
+
+def _scores(tmp_path):
+    digits = all_sequences(2, 14)
+    return lambda: empirical_entropy_scores(digits, 2, 3)
+
+
+def _export_and_load(m, l):
+    def factory(tmp_path):
+        q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
+        prefix = str(tmp_path / "q")
+        return lambda: (export_projector(q, prefix), load_projector_matrix(prefix))
+    return factory
+
+
+def _export_padded(phase):
+    # one padded site over a 2^10 join: the join's matrix, 8 MiB for a code
+    # basis as assemble_q joins it and 16 MiB for a complex one, is larger
+    # than the writer's block (4 MiB) beside the 64 MiB complex grid
+    def factory(tmp_path):
+        code = build_code(2, 0.2, 10)
+        join = orbit_join_basis(phase * code_range_basis(code), 2, 10)
+        q = UniversalProjector(m=11, d=2, r=0.2, l=1, n=10, R=0.2, k_order=0,
+                               join=join, pad=1, code=code)
+        return lambda: export_projector(q, str(tmp_path / "q"))
+    return factory
+
+
+def _extended_basis(tmp_path):
+    q = assemble_q(11, 2, None, override=(2, 5, 1.0))
+    return q.extended_basis
+
+
+# one small size per check, each a few MiB of arrays
+SITES = {
+    "quantum-marginal": lambda tmp_path: lambda: build_source(DEPOLARIZED_MARKOV).marginal(9),
+    "quantum-apply": _apply,
+    "apply-per-site": lambda tmp_path: lambda: apply_per_site(
+        depolarizing(0.2).superoperator(), np.eye(2 ** 8), 8),
+    "classical-marginal": lambda tmp_path: lambda: PeriodicProcess(
+        [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]).marginal(16),
+    "classical-block": lambda tmp_path: lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(16),
+    "entropy-scores": _scores,
+    "code-enumeration": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
+    "typeclass-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
+    "assemble-q": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(1, 11, 0.5)),
+    "assemble-q-padded": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(2, 5, 1.0)),
+    "assemble-q-d3": lambda tmp_path: lambda: assemble_q(7, 3, 0.5, override=(1, 7, 0.8)),
+    "export-load": _export_and_load(8, 1),
+    "export-load-padded": _export_and_load(9, 2),
+    "export-padded": _export_padded(1),
+    "export-padded-complex": _export_padded(1j),
+    "extended-basis": _extended_basis,
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_checked_bytes_cover_the_peak(site, monkeypatch, tmp_path):
+    checked, peak = _checked_bytes(monkeypatch, SITES[site](tmp_path))
+    assert peak > 2 ** 20  # arrays, not interpreter objects, dominate
+    assert checked + OBJECTS >= peak
+
+
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called past the memory budget")
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+def _refused(run, match="memory budget"):
+    """run() raises SizeError and allocates under 1 MiB on the way."""
+    def refuse():
+        with pytest.raises(SizeError, match=match):
+            run()
+    assert _peak(refuse) < 2 ** 20
+
+
+def test_marginal_at_n14_is_refused_before_allocation(monkeypatch):
+    # 16 (4^13 + 4^14) bytes = 5 GiB; n = 13 needs 1280 MiB and is admitted
+    _forbid(monkeypatch, np, "einsum")
+    _refused(lambda: IIDSource(np.diag([0.9, 0.1])).marginal(14))
+    monkeypatch.undo()
+    assert _admitted_bytes(monkeypatch, lambda: IIDSource(np.diag([0.9, 0.1])).marginal(13)) \
+        == 1280 * 2 ** 20 + 2 ** 18
+
+
+def test_apply_per_site_at_m14_is_refused_before_allocation(monkeypatch):
+    # four complex 2^14 x 2^14 arrays, 16 GiB; the operand is a broadcast view
+    _forbid(monkeypatch, np, "tensordot")
+    op = np.broadcast_to(np.zeros(1, complex), (2 ** 14, 2 ** 14))
+    _refused(lambda: apply_per_site(depolarizing(0.2).superoperator(), op, 14))
+
+
+def test_apply_of_an_n14_row_is_admitted_and_past_the_budget_refused(monkeypatch):
+    # the n = 14 row's join has rank 1031: 3 * 16 * 2 * 2^14 * 1031 bytes
+    s = build_source(DEPOLARIZED_MARKOV)
+    basis = np.broadcast_to(np.zeros(1), (2 ** 14, 1031))
+    assert _admitted_bytes(monkeypatch, lambda: s.apply(14, basis)) == 48 * 2 * 2 ** 14 * 1031
+    monkeypatch.undo()
+    _forbid(monkeypatch, np, "tensordot")
+    wide = np.broadcast_to(np.zeros(1), (2 ** 16, 2 ** 10))
+    _refused(lambda: s.apply(16, wide))
+
+
+def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypatch):
+    _forbid(monkeypatch, np, "einsum")
+    _refused(lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(27))
+    digits = np.broadcast_to(np.zeros(1, dtype=np.int64), (2 ** 20, 20))
+    _forbid(monkeypatch, np, "bincount")
+    _forbid(monkeypatch, np, "zeros")
+    _refused(lambda: empirical_entropy_scores(digits, 2, 6))
+
+
+def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
+    # a budget between the code build and the join's tables refuses the join
+    # before its code columns exist; one between the tables and the
+    # assembled basis refuses the basis
+    code = build_code(2, 0.5, 10)
+    up_front = projectors._join_bytes(2, 10, code.size)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front - 1)
+    _forbid(monkeypatch, projectors, "code_range_basis")
+    with pytest.raises(SizeError, match="orbit join over 2\\^10"):
+        assemble_q(10, 2, 0.5, override=(1, 10, 0.5))
+    monkeypatch.undo()
+    base = code_range_basis(code)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front)
+    _forbid(monkeypatch, np, "zeros")
+    with pytest.raises(SizeError, match="orbit join basis of rank 162"):
+        orbit_join_basis(base, 2, 10)
+
+
+def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
+    # m = 15 with l = 2 blocks: the n = 7 join over 4^7 sequences has rank
+    # 4552 at R = 1 (1.1 GiB), and the padded site doubles both sides of its
+    # basis, 4.4 GiB; the basis here is a broadcast view of that shape
+    basis = np.broadcast_to(np.zeros(1, complex), (4 ** 7, 4552))
+    q = UniversalProjector(m=15, d=2, r=0.5, l=2, n=7, R=1.0, k_order=0,
+                           join=JoinResult(basis, {}, 0.0), pad=1,
+                           code=build_code(4, 1.0, 7))
+    source = build_source(DEPOLARIZED_MARKOV)
+    _forbid(monkeypatch, np, "kron")
+    _refused(q.extended_basis, match="padded basis of 2\\^15 x 9104 needs 4553 MiB")
+    _refused(lambda: acceptance_probability(q, source))
+    # in an experiment the refusal is that row's error, and the batch goes on;
+    # the channel's own small Kronecker products still run
+    monkeypatch.undo()
+    kron = np.kron
+
+    def small_kron(a, b):
+        assert np.size(a) < 2 ** 10, "np.kron called on the padded basis"
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", small_kron)
+    monkeypatch.setattr(harness, "assemble_q", lambda *args, **kwargs: q)
+    cfg = ExperimentConfig.from_dict({"sources": [DEPOLARIZED_MARKOV], "r": 0.5,
+                                      "n_range": [15, 15], "seed": 3,
+                                      "override_schedule": {"l": 2, "R": 1.0}})
+    rows = run_experiment(cfg)
+    assert [r.error.split(":")[0] for r in rows] == ["SizeError"] * 2
+    assert "padded basis" in rows[0].error
+
+
+def test_build_projector_past_the_budget_writes_nothing(monkeypatch, tmp_path, capsys):
+    # the n = 14 grid is 2 GiB with a 2 GiB zero .imag (two CSV files of
+    # about 6.7 GB); n = 13 is admitted
+    q = assemble_q(13, 2, None, override=(1, 13, 0.5))
+    assert _admitted_bytes(monkeypatch, lambda: export_projector(q, str(tmp_path / "q13"))) \
+        < MEMORY_BUDGET
+    monkeypatch.undo()
+    _forbid(monkeypatch, UniversalProjector, "matrix")
+    _forbid(monkeypatch, projectors, "_write_grid")
+    out = str(tmp_path / "q14")
+    assert main(["build-projector", "--l", "1", "--n", "14", "--R", "0.5", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: projector grid of 16384 x 16384 needs")
+    assert "memory budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path):
+    prefix = str(tmp_path / "q")
+    for part in ("real", "imag"):
+        (tmp_path / f"q.{part}.csv").write_text("0\n")
+    (tmp_path / "q.json").write_text('{"m": 14, "d": 2}')
+    _forbid(monkeypatch, np, "loadtxt")
+    _refused(lambda: load_projector_matrix(prefix))
+    (tmp_path / "q.json").write_text('{"m": 1.5, "d": 2}')
+    with pytest.raises(errors.ConfigError, match="sidecar d and m"):
+        load_projector_matrix(prefix)
+
+
+def test_classical_marginals_are_sized_in_bytes(monkeypatch):
+    # a 16 MiB marginal at n = 21 is admitted; n = 28 of an i.i.d. process
+    # (3.3 GiB) is refused
+    assert _admitted_bytes(monkeypatch, lambda: IIDProcess([0.9, 0.1]).marginal(21)) \
+        == 8 * 2 ** 20 + 9 * 2 ** 21
+    monkeypatch.undo()
+    _refused(lambda: IIDProcess([0.9, 0.1]).marginal(28))

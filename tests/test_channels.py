@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from quclab import channels
+from quclab import errors
 from quclab.channels import (KrausChannel, amplitude_damping, apply_per_site,
-                             apply_tensor_power, channel_from_spec, dephasing,
-                             depolarizing, heisenberg_dual, identity_channel,
-                             validate_channel)
+                             apply_tensor_power, dephasing, depolarizing,
+                             heisenberg_dual, identity_channel, validate_channel)
 from quclab.errors import SizeError, ValidationError
+from quclab.harness import build_channel
 from quclab.operators import random_hermitian
 from randmat import haar_unitary, random_density
 
@@ -126,9 +126,12 @@ def test_per_site_kernel_guards(monkeypatch):
     s = depolarizing(0.2).superoperator()
     with pytest.raises(ValidationError):
         apply_per_site(s, np.eye(8), 2)
-    monkeypatch.setattr(channels, "DEFAULT_DIM_CAP", 4)
+    # m = 3 holds four complex 8 x 8 arrays: one byte less is refused
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 * 16 * 8 ** 2 - 1)
     with pytest.raises(SizeError):
         apply_per_site(s, np.eye(8), 3)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 * 16 * 8 ** 2)
+    assert apply_per_site(s, np.eye(8), 3).shape == (8, 8)
 
 
 def test_trace_preserved():
@@ -199,10 +202,10 @@ def test_dephasing_kills_coherences():
 
 
 def test_channel_from_spec():
-    assert channel_from_spec({"name": "identity"}).d == 2
-    assert len(channel_from_spec({"name": "depolarizing", "p": 0.25}).kraus) == 4
+    assert build_channel({"name": "identity"}).d == 2
+    assert len(build_channel({"name": "depolarizing", "p": 0.25}).kraus) == 4
     with pytest.raises(ValidationError):
-        channel_from_spec({"name": "nope"})
-    c = channel_from_spec({"name": "custom",
+        build_channel({"name": "nope"})
+    c = build_channel({"name": "custom",
                            "kraus": [[[[1, 0], [0, 1]], [[0, 0], [0, 0]]]]})
     assert np.allclose(c.kraus[0], np.eye(2))

@@ -82,7 +82,7 @@ def _dense_marginal(n, kraus):
 
 @pytest.mark.parametrize("channel", [None, DEPOLARIZING])
 def test_check_ergodic_nonorthogonal_alphabet(channel, capsys):
-    from quclab.channels import channel_from_spec
+    from quclab.harness import build_channel
     extra = ["--channel", json.dumps(channel)] if channel else []
     src = json.dumps(NONORTHOGONAL_MARKOV)
     assert main(["check-ergodic", src] + extra) == 0  # the default N = 200
@@ -90,7 +90,7 @@ def test_check_ergodic_nonorthogonal_alphabet(channel, capsys):
     assert main(["check-ergodic", src, "--N", str(N)] + extra) == 0
     out = capsys.readouterr().out.split("m=1 N=6")[1]
     printed = dict(line.split(":") for line in out.strip().splitlines())
-    kraus = channel_from_spec(channel).kraus if channel else [np.eye(2)]
+    kraus = build_channel(channel).kraus if channel else [np.eye(2)]
     a = np.diag([1.0, 0.0])
     terms = [np.trace(_dense_marginal(1 + j, kraus)
                       @ np.kron(np.kron(a, np.eye(2 ** (j - 1))), a)).real

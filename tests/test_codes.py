@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quclab import codes
+from quclab import codes, errors
 from quclab.codes import (all_sequences, build_code, code_measure, code_size,
                           empirical_entropy_scores, superblock_code)
 from quclab.errors import SizeError, ValidationError
@@ -131,14 +131,19 @@ def _typeclass_measure_oracle(n, R, p0f, p1f):
 def test_typeclass_mode_matches_dense(monkeypatch):
     # same parameters evaluated in dense mode and in predicate mode
     proc = IIDProcess([0.85, 0.15])
+    markov = MarkovProcess([[0.9, 0.1], [0.3, 0.7]])
     for n in (8, 12, 16):
         dense = build_code(2, 0.6, n, 0)
         with monkeypatch.context() as m:
-            m.setattr(codes, "DENSE_CAP", 1)
+            m.setattr(codes, "TYPECLASS_PAST", 1)
             pred = build_code(2, 0.6, n, 0)
         assert not pred.dense
         assert pred.size == dense.size
         assert abs(code_measure(proc, pred) - code_measure(proc, dense)) < 1e-12
+        # a type-class code's members are the dense members, ascending, and
+        # measure every process, not only i.i.d. ones
+        assert np.array_equal(pred.member_indices(), np.sort(dense.members))
+        assert abs(code_measure(markov, pred) - code_measure(markov, dense)) < 1e-12
         # membership agrees sequence by sequence
         seqs = all_sequences(2, n)
         member = dense.member_set()
@@ -153,7 +158,7 @@ def test_typeclass_measure_oracle_large_n(monkeypatch):
         assert abs(code_measure(proc, c) - _typeclass_measure_oracle(n, 0.8, 0.9, 0.1)) < 1e-12
     # every boundary for n = 2..14 against direct enumeration: the first
     # 2^floor(nR) indices by (min(ones, zeros), index), summed exactly
-    monkeypatch.setattr(codes, "DENSE_CAP", 1)
+    monkeypatch.setattr(codes, "TYPECLASS_PAST", 1)
     p0, p1 = Fraction(9, 10), Fraction(1, 10)
     boundaries = 0
     for n in range(2, 15):
@@ -293,20 +298,39 @@ def test_degenerate_code_enumerates_nothing(monkeypatch):
 
 
 def test_gram_count_past_the_cap_is_refused_before_allocation(monkeypatch):
-    # k = 12 at n = 16 needs 2^16 x 2^13 counts (4 GiB as int64); the check
-    # comes before the count exists
+    # k = 12 at n = 16 needs 2^16 x 2^13 counts (4 GiB as int64, 12.5 GiB
+    # with their float temporaries); the check comes before the sequences or
+    # the count exist
     def forbidden(*args, **kwargs):
-        raise AssertionError("np.bincount called")
+        raise AssertionError("allocation called")
 
     monkeypatch.setattr(np, "bincount", forbidden)
-    with pytest.raises(SizeError, match="exceeds the cap"):
+    monkeypatch.setattr(codes, "all_sequences", forbidden)
+    with pytest.raises(SizeError, match=r"type-class mode needs L = 2.*memory budget"):
         build_code(2, 0.5, 16, 12)
 
 
+class _Admitted(Exception):
+    pass
+
+
 def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
-    # L = 2, n = 20 stays buildable up to k = 5: 2^20 * 2^6 entries is the cap
-    assert 2 ** 20 * 2 ** 6 == codes.COUNT_CAP
-    monkeypatch.setattr(codes, "COUNT_CAP", 2 ** 6 * 2 ** 6)
+    # L = 2, n = 20 stays buildable up to k = 5 (2176 MiB, the tracemalloc
+    # peak of that build) and is refused from k = 6 on; checked by formula,
+    # without building
+    def admit(nbytes, what):
+        errors.check_budget(nbytes, what)
+        raise _Admitted(nbytes)
+
+    with monkeypatch.context() as m:
+        m.setattr(codes, "check_budget", admit)
+        with pytest.raises(_Admitted) as admitted:
+            build_code(2, 0.5, 20, 5)
+        assert admitted.value.args[0] == 2176 * 2 ** 20
+        with pytest.raises(SizeError):
+            build_code(2, 0.5, 20, 6)
+    # the same boundary at n = 6, built: the k = 5 enumeration fits exactly
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._enumeration_bytes(2, 6, 5))
     assert build_code(2, 0.5, 6, 5).size == 8
     with pytest.raises(SizeError):
         build_code(2, 0.5, 6, 6)

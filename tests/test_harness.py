@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quclab import projectors
+from quclab import codes, errors, projectors
 from quclab.errors import ConfigError, ValidationError
 from quclab.harness import (ExperimentConfig, build_process, build_source,
                             compress_c1, compress_c2, report_csv,
@@ -160,7 +160,7 @@ def test_code_mode_gram_count_past_the_cap_is_a_row_error():
     rows = _rows([GOOD_IID, markov], n_range=[16], projector_mode="code", k_order=12)
     assert len(rows) == 2
     for row in rows:
-        assert row.error.startswith("SizeError") and "exceeds the cap" in row.error
+        assert row.error.startswith("SizeError") and "memory budget" in row.error
         assert row.accept_prob is None
 
 
@@ -252,28 +252,48 @@ def _classical(process, **fields):
     return {"kind": "classical", "process": process, **fields}
 
 
-@pytest.mark.parametrize("bad, named", [
-    (_classical({"kind": "iid", "probs": [float("nan"), 0.5]}), "probability vector"),
+def _channel(channel):
+    return {"kind": "channel-transformed", "inner": {"kind": "iid", "probs": [0.9, 0.1]},
+            "channel": channel}
+
+
+@pytest.mark.parametrize("bad, error, named", [
+    (_classical({"kind": "iid", "probs": [float("nan"), 0.5]}), "ValidationError",
+     "probability vector"),
     (_classical({"kind": "markov", "transition": [[float("nan"), 0.5], [0.5, 0.5]]}),
-     "transition row"),
+     "ValidationError", "transition row"),
     (_classical({"kind": "mixture", "weights": [float("nan"), 0.5],
                  "components": [{"kind": "iid", "probs": [0.9, 0.1]},
-                                {"kind": "iid", "probs": [0.5, 0.5]}]}), "mixture weights"),
+                                {"kind": "iid", "probs": [0.5, 0.5]}]}), "ValidationError",
+     "mixture weights"),
     (_classical({"kind": "iid", "probs": [0.9, 0.1]},
-                alphabet={"re": [[1.0, float("nan")], [0.0, 1.0]]}), "alphabet"),
+                alphabet={"re": [[1.0, float("nan")], [0.0, 1.0]]}), "ValidationError",
+     "alphabet"),
     (_classical({"kind": "markov", "transition": [[1.0, 0.0], [0.0, 1.0]]}),
-     "no unique stationary distribution"),
-    ({"kind": "channel-transformed", "inner": {"kind": "iid", "probs": [0.9, 0.1]},
-      "channel": {"name": "custom", "kraus": [[[[float("nan"), 0], [0, 1]],
-                                                [[0, 0], [0, 0]]]]}}, "Kraus"),
+     "ValidationError", "no unique stationary distribution"),
+    (_channel({"name": "custom", "kraus": [[[[float("nan"), 0], [0, 1]], [[0, 0], [0, 0]]]]}),
+     "ValidationError", "Kraus"),
+    # no truncation or parsing: a float or bool is not an integer, and a
+    # string or bool is not a number
+    (_classical({"kind": "periodic", "cycle": [0, 1.9]}), "ConfigError", "'cycle'"),
+    (_classical({"kind": "periodic", "cycle": [0, True]}), "ConfigError", "'cycle'"),
+    (_classical({"kind": "periodic", "cycle": [0, 1], "alphabet_size": 2.7}), "ConfigError",
+     "'alphabet_size'"),
+    (_channel({"name": "identity", "d": 2.7}), "ConfigError", "'d'"),
+    (_channel({"name": "depolarizing", "p": "0.1"}), "ConfigError", "'p'"),
+    (_channel({"name": "dephasing", "p": True}), "ConfigError", "'p'"),
+    (_channel({"name": "amplitude-damping", "gamma": "0.1"}), "ConfigError", "'gamma'"),
+    (_channel({"name": "amplitude-damping", "gamma": True}), "ConfigError", "'gamma'"),
 ], ids=["iid-nan", "markov-nan", "mixture-nan", "alphabet-nan", "reducible-markov",
-        "kraus-nan"])
-def test_invalid_source_values_are_row_errors(bad, named):
+        "kraus-nan", "cycle-float", "cycle-bool", "alphabet-size-float", "identity-d-float",
+        "depolarizing-p-string", "dephasing-p-bool", "damping-gamma-string",
+        "damping-gamma-bool"])
+def test_invalid_source_values_are_row_errors(bad, error, named):
     good = {"id": "good", "kind": "iid", "probs": [0.9, 0.1]}
     cfg = {"r": 0.5, "n_range": [4], "seed": 3}
     rows = run_experiment(ExperimentConfig.from_dict({"sources": [bad, good], **cfg}))
     alone = run_experiment(ExperimentConfig.from_dict({"sources": [good], **cfg}))
-    assert rows[0].error.startswith("ValidationError") and named in rows[0].error
+    assert rows[0].error.startswith(error + ":") and named in rows[0].error
     assert rows[0].accept_prob is None
     assert report_csv(rows[1:]) == report_csv(alone) and alone[0].error == ""
 
@@ -315,7 +335,9 @@ def test_output_files(tmp_path):
     assert mirror["config"]["seed"] == 4
     assert len(mirror["rows"]) == 1
     assert len(mirror["wall_ms_measured"]) == 1
-    assert mirror["tolerances"] == {"join_rank_rtol": 1e-10}
+    assert mirror["tolerances"] == {"join_rank_rtol": 1e-10,
+                                    "memory_budget_bytes": errors.MEMORY_BUDGET}
+    assert errors.MEMORY_BUDGET == 3 * 2 ** 30
     row = mirror["rows"][0]
     assert row["join_rank"] == 11
     assert abs(2 ** (4 * row["achieved_rate"]) - 11) < 1e-9
@@ -555,14 +577,19 @@ def test_mixture_rows_at_block_length_two(mode):
 def test_dense_cap_limits_of_code_mode_are_row_errors():
     markov = {"id": "markov", "kind": "classical",
               "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
-    # n = 21 is past the dense cap: k = 0 has a type-class code, measured only
-    # for i.i.d. processes; k = 1 has no code at all
-    rows = _rows([GOOD_IID, markov], n_range=[21], projector_mode="code")
-    assert rows[0].error == "" and rows[0].accept_prob > 0
-    assert rows[1].error.startswith("SizeError") and rows[1].accept_prob is None
-    assert report_csv(rows[:1]) == report_csv(
-        _rows([GOOD_IID], n_range=[21], projector_mode="code"))
-    fields = {"n_range": [4, 21], "projector_mode": "code", "k_order": 1}
+    # past 2^20 sequences binary k = 0 codes are type classes, measured by
+    # formula for i.i.d. processes and over the marginal otherwise; the
+    # Markov marginal at n = 28 is past the memory budget
+    rows = _rows([GOOD_IID, markov], n_range=[21, 28], projector_mode="code")
+    assert [r.error.split(":")[0] for r in rows] == ["", "", "", "SizeError"]
+    assert 0 < rows[2].accept_prob < 1 and rows[3].accept_prob is None
+    assert report_csv(rows[:2]) == report_csv(
+        _rows([GOOD_IID], n_range=[21, 28], projector_mode="code"))
+    # n = 22 is the first block length whose binary enumeration at k = 1 is
+    # past the memory budget, and k = 1 has no type-class mode
+    enumeration = [codes._enumeration_bytes(2, n, 1) for n in (21, 22)]
+    assert enumeration[0] <= errors.MEMORY_BUDGET < enumeration[1]
+    fields = {"n_range": [4, 22], "projector_mode": "code", "k_order": 1}
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
     assert report_csv(rows[::2]) == report_csv(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,15 @@ def test_periodic_marginal_guards():
     p = PeriodicProcess([0, 1])
     with pytest.raises(ValidationError):
         p.marginal(0)
-    with pytest.raises(SizeError):
-        p.marginal(21)
+    # two hidden states: 17 * 2^n bytes, 2.1 GiB at n = 27 and 4.3 GiB at
+    # n = 28, the first block length past the memory budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="memory budget"):
+            p.marginal(28)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("proc", [

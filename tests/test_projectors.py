@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quclab import codes
 from quclab.codes import all_sequences, build_code
 from quclab.errors import ValidationError
 from quclab.operators import span_basis, validate_projector
@@ -62,6 +63,20 @@ def test_code_projector_diagonal():
     p = b @ b.conj().T
     assert np.allclose(np.diag(p), [1, 0, 0, 0, 0, 0, 0, 1])
     assert validate_projector(p)["rank"] == 2
+
+
+def test_code_projector_of_a_typeclass_code(monkeypatch):
+    # past codes.TYPECLASS_PAST a binary k = 0 code is a type-class code; its
+    # range and its orbit join are those of the enumerated code
+    dense = build_code(2, 0.6, 10, 0)
+    monkeypatch.setattr(codes, "TYPECLASS_PAST", 1)
+    typeclass = build_code(2, 0.6, 10, 0)
+    assert not typeclass.dense
+    b, b_dense = code_range_basis(typeclass), code_range_basis(dense)
+    assert np.array_equal(b @ b.T, b_dense @ b_dense.T)
+    join, join_dense = orbit_join_basis(b, 2, 10), orbit_join_basis(b_dense, 2, 10)
+    assert join.rank == join_dense.rank
+    assert np.allclose(join.matrix(), join_dense.matrix(), atol=1e-12)
 
 
 def test_orbit_join_full_rank_is_identity():
