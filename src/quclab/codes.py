@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, check_budget
-from .processes import (ClassicalProcess, IIDProcess, index_sequence,
-                        sequence_index)
+from .processes import ClassicalProcess, IIDProcess
 
 # guard against float-floor artifacts like 0.7 * 10 -> 6.999...
 FLOOR_GUARD = 1e-9
@@ -139,44 +138,6 @@ class BlockCode:
         # the boundary classes' lexicographically first sequences
         keep[np.flatnonzero(boundary[ones])[:self.boundary_take]] = True
         return np.flatnonzero(keep)
-
-    def member_set(self) -> frozenset:
-        if not self.dense:
-            raise ValidationError("member_set requires dense mode")
-        return frozenset(int(i) for i in self.members)
-
-    def contains(self, seq) -> bool:
-        seq = tuple(int(s) for s in seq)
-        if len(seq) != self.n:
-            raise ValidationError("sequence length mismatch")
-        if self.dense:
-            return sequence_index(seq, self.L) in self.member_set()
-        j = sum(seq)
-        if j in self.full_ones_counts:
-            return True
-        if j not in self.boundary_ones_counts:
-            return False
-        return _boundary_rank(seq, self.n, self.boundary_ones_counts) < self.boundary_take
-
-    def to_text(self) -> str:
-        """Sorted newline-delimited digit strings (dense mode)."""
-        if not self.dense:
-            raise ValidationError("serialization requires dense mode")
-        lines = sorted("".join(str(d) for d in index_sequence(int(i), self.L, self.n))
-                       for i in self.members)
-        return "\n".join(lines) + "\n"
-
-
-def _boundary_rank(seq, n: int, ones_counts) -> int:
-    """Lexicographic rank of seq within the union of the given type classes."""
-    rank = 0
-    o = 0
-    for t, s in enumerate(seq):
-        if s == 1:
-            # count completions with a 0 here
-            rank += sum(math.comb(n - t - 1, j - o) for j in ones_counts if j >= o)
-        o += s
-    return rank
 
 
 def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:

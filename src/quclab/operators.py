@@ -207,9 +207,3 @@ def projector_leq(p, q, tol: float = 1e-8) -> bool:
         raise ValidationError("projector_leq requires equal dimensions")
     gap = (np.eye(p.shape[0]) - q) @ p
     return float(np.linalg.norm(gap, 2)) <= tol
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
-    return h / max(1.0, np.linalg.norm(h, 2))

@@ -50,7 +50,10 @@ def schedule(m: int, d: int, r: float) -> Schedule:
 
 def code_range_basis(code: BlockCode) -> np.ndarray:
     """Columns spanning the code projector: one computational basis vector
-    per member."""
+    per member, complex, with the column positions, checked against the
+    memory budget before they exist."""
+    check_budget((16 * code.L ** code.n + 8) * code.size,
+                 f"code columns of {code.L}^{code.n} x {code.size}")
     members = code.member_indices()
     cols = np.zeros((code.L ** code.n, code.size), dtype=complex)
     cols[members, np.arange(code.size)] = 1.0
@@ -151,12 +154,15 @@ def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
     class block of (1 - QQ^dagger) J_ab Q in that last pass; it bounds
     max_ab ||(1 - QQ^dagger) J_ab Q|| from above.
 
-    The D^n x rank basis is checked against the memory budget, with the
+    The join's copy of the base and its tables are checked against the
+    memory budget before they exist, and the D^n x rank basis, with the
     class blocks and the tables the join holds, before it is allocated.
     """
     base = np.asarray(base)
     if base.ndim != 2 or base.shape[0] != block_dim ** n:
         raise ValidationError("base dimension does not match block_dim^n")
+    check_budget(_join_bytes(block_dim, n, base.shape[1]),
+                 f"orbit join over {block_dim}^{n} sequences")
     base = base.astype(complex) if base.imag.any() else base.real.astype(float)
     classes, members, moves = _type_classes(block_dim, n)
     scale = float(np.linalg.norm(base, axis=0).max(initial=0.0))
@@ -274,7 +280,6 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
         l, n, R = sch.l, sch.n, sch.R
     pad = m - l * n
     code = build_code(d ** l, R, n, k_order)
-    check_budget(_join_bytes(d ** l, n, code.size), f"orbit join over {d ** l}^{n} sequences")
     join = orbit_join_basis(code_range_basis(code), d ** l, n)
     up = UniversalProjector(m=m, d=d, r=r, l=l, n=n, R=R, k_order=k_order,
                             join=join, pad=pad, code=code,
@@ -353,8 +358,10 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
 
 def load_projector_matrix(path_prefix: str) -> tuple[np.ndarray, dict]:
     """Read the grids back as one complex matrix, with the sidecar.  A
-    sidecar with d and m sizes the grids before they are read: two real
-    grids, the imaginary one times 1j and the complex sum."""
+    sidecar with d and m sizes `quclab compress`, the one command that loads
+    grids, before either is read: its peak is validate_projector's
+    Hermiticity check beside the grid and the marginal, four complex arrays
+    of the grid's shape, plus 256 KiB of parser and ufunc buffers."""
     re_path = path_prefix + ".real.csv"
     im_path = path_prefix + ".imag.csv"
     js_path = path_prefix + ".json"
@@ -368,6 +375,6 @@ def load_projector_matrix(path_prefix: str) -> tuple[np.ndarray, dict]:
         m, d = meta["m"], meta["d"]
         if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, d)):
             raise ConfigError(f"sidecar d and m must be integers >= 1, got d = {d!r}, m = {m!r}")
-        check_budget(48 * d ** (2 * m), f"projector grids of {d}^{m} x {d}^{m}")
+        check_budget(64 * d ** (2 * m) + 2 ** 18, f"compressing with a {d}^{m} x {d}^{m} grid")
     mat = np.loadtxt(re_path, delimiter=",") + 1j * np.loadtxt(im_path, delimiter=",")
     return np.atleast_2d(mat), meta

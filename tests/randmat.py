@@ -1,6 +1,13 @@
-"""Random test matrices: density operators, projectors and Haar unitaries."""
+"""Random test matrices: Hermitian observables, density operators,
+projectors and Haar unitaries."""
 
 import numpy as np
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    return h / max(1.0, np.linalg.norm(h, 2))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

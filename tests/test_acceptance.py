@@ -15,8 +15,7 @@ from quclab.channels import depolarizing
 from quclab.codes import build_code, code_measure, code_size
 from quclab.harness import ExperimentConfig, run_experiment
 from quclab.info import entanglement_fidelity, von_neumann_entropy
-from quclab.operators import (projector_leq, random_hermitian, validate_density,
-                              validate_projector)
+from quclab.operators import projector_leq, validate_density, validate_projector
 from quclab.processes import IIDProcess, MarkovProcess, entropy_bits
 from quclab.projectors import (assemble_q, acceptance_probability,
                                code_range_basis, orbit_join_basis,
@@ -24,7 +23,7 @@ from quclab.projectors import (assemble_q, acceptance_probability,
 from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet, conditional_expectation,
                             verify_invariance)
-from randmat import haar_unitary, random_density, random_projector
+from randmat import haar_unitary, random_density, random_hermitian, random_projector
 
 MARKOV_P = [[0.9, 0.1], [0.2, 0.8]]
 R_TARGET = 0.7

@@ -3,6 +3,7 @@ it is about to allocate: at one small size per check that is at least the
 tracemalloc peak of the construction, and past the budget the construction
 is refused before it allocates."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
 from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probability,
                                assemble_q, code_range_basis, export_projector,
                                load_projector_matrix, orbit_join_basis)
-from quclab.sources import IIDSource
+from quclab.sources import IIDSource, ergodicity_gap
 
 CHECKED = (channels, codes, processes, projectors, sources)
 # The formulas count array bytes; the interpreter's own objects (array
@@ -109,6 +110,20 @@ def _export_padded(phase):
     return factory
 
 
+def _compress(tmp_path):
+    prefix = str(tmp_path / "q")
+    export_projector(assemble_q(8, 2, None, override=(1, 8, 0.5)), prefix)
+    argv = ["compress", "--scheme", "c1", "--projector", prefix,
+            "--source", json.dumps(DEPOLARIZED_MARKOV)]
+    return lambda: main(argv)
+
+
+def _lag_terms(tmp_path):
+    # 50000 terms hold 1.2 MB of arrays, past the 1 MiB the cover test asks for
+    a = np.diag([1.0, 0.0])
+    return lambda: ergodicity_gap(IIDSource(np.diag([0.9, 0.1])), a, a, 1, 50000)
+
+
 def _extended_basis(tmp_path):
     q = assemble_q(11, 2, None, override=(2, 5, 1.0))
     return q.extended_basis
@@ -134,6 +149,8 @@ SITES = {
     "export-padded": _export_padded(1),
     "export-padded-complex": _export_padded(1j),
     "extended-basis": _extended_basis,
+    "compress": _compress,
+    "lag-terms": _lag_terms,
 }
 
 
@@ -195,17 +212,24 @@ def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypa
 
 
 def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
-    # a budget between the code build and the join's tables refuses the join
-    # before its code columns exist; one between the tables and the
-    # assembled basis refuses the basis
+    # a budget below the join's up-front bytes refuses the join before its
+    # tables exist, called directly or from assemble_q; one below the code
+    # columns refuses those before they exist; one between the tables and
+    # the assembled basis refuses the basis
     code = build_code(2, 0.5, 10)
+    base = code_range_basis(code)
     up_front = projectors._join_bytes(2, 10, code.size)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front - 1)
-    _forbid(monkeypatch, projectors, "code_range_basis")
+    _forbid(monkeypatch, projectors, "all_sequences")
+    with pytest.raises(SizeError, match="orbit join over 2\\^10"):
+        orbit_join_basis(base, 2, 10)
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
         assemble_q(10, 2, 0.5, override=(1, 10, 0.5))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 16 * 2 ** 10 * code.size)
+    _forbid(monkeypatch, np, "zeros")
+    with pytest.raises(SizeError, match="code columns of 2\\^10 x 32"):
+        code_range_basis(code)
     monkeypatch.undo()
-    base = code_range_basis(code)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front)
     _forbid(monkeypatch, np, "zeros")
     with pytest.raises(SizeError, match="orbit join basis of rank 162"):
@@ -270,6 +294,40 @@ def test_load_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path):
     (tmp_path / "q.json").write_text('{"m": 1.5, "d": 2}')
     with pytest.raises(errors.ConfigError, match="sidecar d and m"):
         load_projector_matrix(prefix)
+
+
+def test_compress_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path, capsys):
+    # the whole command peaks at 64 bytes a cell: m = 12 is admitted at
+    # 1 GiB, and m = 13 (4 GiB) is refused before either grid is read
+    prefix = str(tmp_path / "q")
+    for part in ("real", "imag"):
+        (tmp_path / f"q.{part}.csv").write_text("0\n")
+    (tmp_path / "q.json").write_text('{"m": 12, "d": 2}')
+    assert _admitted_bytes(monkeypatch, lambda: load_projector_matrix(prefix)) \
+        == 64 * 2 ** 24 + 2 ** 18
+    monkeypatch.undo()
+    (tmp_path / "q.json").write_text('{"m": 13, "d": 2}')
+    _forbid(monkeypatch, np, "loadtxt")
+    assert main(["compress", "--scheme", "c1", "--projector", prefix,
+                 "--source", '{"kind": "iid", "probs": [0.9, 0.1]}']) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: compressing with a 2^13 x 2^13 grid needs 4097 MiB")
+    assert "memory budget" in err
+
+
+def test_lag_terms_past_the_budget_are_refused_before_allocation(monkeypatch, capsys):
+    _forbid(monkeypatch, np, "empty")
+    assert main(["check-ergodic", '{"kind": "iid", "probs": [0.9, 0.1]}',
+                 "--N", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1000000000000 lag terms needs")
+    assert "memory budget" in err
+    # 24 bytes a term: 2^27 terms are admitted at exactly the budget
+    s, a = build_source(DEPOLARIZED_MARKOV), np.diag([1.0, 0.0])
+    _refused(lambda: ergodicity_gap(s, a, a, 1, 2 ** 27 + 1))
+    monkeypatch.undo()
+    assert _admitted_bytes(monkeypatch, lambda: ergodicity_gap(s, a, a, 1, 2 ** 27)) \
+        == MEMORY_BUDGET
 
 
 def test_classical_marginals_are_sized_in_bytes(monkeypatch):

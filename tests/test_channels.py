@@ -9,8 +9,7 @@ from quclab.channels import (KrausChannel, amplitude_damping, apply_per_site,
                              heisenberg_dual, identity_channel, validate_channel)
 from quclab.errors import SizeError, ValidationError
 from quclab.harness import build_channel
-from quclab.operators import random_hermitian
-from randmat import haar_unitary, random_density
+from randmat import haar_unitary, random_density, random_hermitian
 
 
 def random_channel(d, n_kraus, rng):

@@ -3,9 +3,9 @@ import pytest
 
 from quclab.errors import ValidationError
 from quclab.operators import (hermitian_eig, partial_trace, projector_join,
-                              projector_leq, random_hermitian, range_basis,
-                              span_basis, validate_density, validate_projector)
-from randmat import haar_unitary, random_density, random_projector
+                              projector_leq, range_basis, span_basis,
+                              validate_density, validate_projector)
+from randmat import haar_unitary, random_density, random_hermitian, random_projector
 
 
 def test_hermitian_eig_diagonal():

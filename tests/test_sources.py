@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from quclab.channels import dephasing, depolarizing, identity_channel
+from quclab import sources
+from quclab.channels import (amplitude_damping, apply_tensor_power, dephasing,
+                             depolarizing, identity_channel)
 from quclab.errors import SizeError, ValidationError
-from quclab.operators import random_hermitian
 from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
                               PeriodicProcess)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
@@ -11,7 +12,7 @@ from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSourc
                             abelian_restriction, check_consistency,
                             check_stationarity, conditional_expectation,
                             ergodicity_gap, verify_invariance)
-from randmat import haar_unitary
+from randmat import haar_unitary, random_hermitian
 
 MARKOV_P = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -85,10 +86,10 @@ def test_stationarity():
     # non-stationary initialization breaks shift invariance by a computable gap
     ns = ClassicallyCorrelatedSource(MarkovProcess(MARKOV_P, initial=[1.0, 0.0]),
                                      QuantumAlphabet.computational(2))
-    a = np.diag([1.0, 0.0]).astype(complex)
-    dev = check_stationarity(ns, 1, 1, observables=[a])
-    expected = abs(1.0 - 0.9)  # P(X1=0) - P(X2=0) from initial (1,0)
-    assert abs(dev - expected) < 1e-12
+    # rho_1 - rho_2 reduced to its second site is diag(0.1, -0.1): P(X1 = 0)
+    # - P(X2 = 0) = 1 - 0.9 from initial (1, 0), and its trace norm is 0.2
+    dev = check_stationarity(ns, 1, 1)
+    assert abs(dev - 0.2) < 1e-12
 
 
 def test_ergodicity_iid_factorizes():
@@ -258,10 +259,39 @@ def test_verify_invariance_identity():
 
 def test_verify_invariance_depolarizing_markov():
     rep = verify_invariance(markov_source(), depolarizing(0.25), m_max=5, N=500)
+    assert verify_invariance(markov_source(), depolarizing(0.25), m_max=5, N=500) == rep
     assert rep["consistency"] < 1e-10
     assert rep["stationarity"] < 1e-10
     assert rep["duality"] < 1e-10
     assert rep["ergodicity"].gap < 0.01
+
+
+def test_reduction_deviation_is_the_supremum_over_observables():
+    # the trace norm bounds every normalized |tr(rho_m a) - tr(rho_{m+i} a')|
+    # and is attained at a = sign(Delta)
+    ns = ClassicallyCorrelatedSource(MarkovProcess(MARKOV_P, initial=[0.3, 0.7]),
+                                     QuantumAlphabet(np.array([[1.0, 0.6], [0.0, 0.8]])))
+    rng = np.random.default_rng(7)
+    for m, i in [(1, 1), (2, 1), (1, 2)]:
+        dev = check_stationarity(ns, m, i)
+        delta = ns.marginal(m) - np.trace(
+            ns.marginal(m + i).reshape(2 ** i, 2 ** m, 2 ** i, 2 ** m), axis1=0, axis2=2)
+        w, v = np.linalg.eigh(delta)
+        sign = (v * np.sign(w)) @ v.conj().T
+        assert abs(dev - abs(np.trace(delta @ sign))) < 1e-12
+        for _ in range(20):
+            a = random_hermitian(2 ** m, rng)
+            assert abs(np.trace(delta @ a)) / np.linalg.norm(a, 2) <= dev + 1e-12
+        assert dev > 0.01
+
+
+def test_verify_invariance_catches_a_wrong_dual(monkeypatch):
+    # amplitude damping is not self-dual, so the channel in place of its
+    # dual breaks the duality identity by a finite trace norm
+    s, c = IIDSource(np.diag([0.7, 0.3])), amplitude_damping(0.5)
+    assert verify_invariance(s, c, m_max=3, N=20)["duality"] < 1e-12
+    monkeypatch.setattr(sources, "heisenberg_dual", apply_tensor_power)
+    assert verify_invariance(s, c, m_max=3, N=20)["duality"] > 0.1
 
 
 def test_dephasing_plus_state_becomes_mixed():

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from quclab.channels import KrausChannel
 from quclab.errors import ValidationError
-from quclab.operators import random_hermitian
 from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
                               PeriodicProcess, index_sequence)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
                             IIDSource, QuantumAlphabet, ergodicity_gap)
-from randmat import haar_unitary, random_density
+from randmat import haar_unitary, random_density, random_hermitian
 
 
 def _random_channel(d, n_kraus, rng):
