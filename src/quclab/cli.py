@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, QuclabError, ValidationError
+from .errors import ConfigError, QuclabError, ValidationError, check_budget
 from .harness import (ExperimentConfig, _basis_row, build_channel, build_source,
                       report_csv, run_experiment)
 from .info import mean_entropy
@@ -45,8 +45,13 @@ def _cmd_check_ergodic(args) -> int:
     if args.channel:
         source = ChannelTransformedSource(source,
                                           build_channel(_load_spec(args.channel)))
-    d = source.d
-    a = np.zeros((d, d))
+    # |0...0><0...0| on the m sites each lag term correlates, sized before it
+    # exists: 72 bytes a cell with ergodicity_gap's two complex copies and
+    # its Hermiticity check's temporaries, plus 256 KiB of ufunc buffers; a
+    # bad m is ergodicity_gap's to name
+    dim = source.d ** max(args.m, 1)
+    check_budget(72 * dim ** 2 + 2 ** 18, f"check-ergodic observable of {dim} x {dim}")
+    a = np.zeros((dim, dim))
     a[0, 0] = 1.0
     rep = ergodicity_gap(source, a, a, m=args.m, N=args.N)
     print(f"m={rep.m} N={rep.N}")

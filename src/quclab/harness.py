@@ -27,7 +27,7 @@ from .errors import MEMORY_BUDGET, ConfigError, QuclabError, ValidationError
 from .operators import range_flag
 from .processes import (ClassicalProcess, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess)
-from .projectors import JOIN_RTOL, UniversalProjector, assemble_q
+from .projectors import JOIN_RTOL, UniversalProjector, assemble_q, trace_q_rho
 from .sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
                       IIDSource, QuantumAlphabet, QuantumSource)
 
@@ -247,7 +247,8 @@ class ReportRow:
     wall_ms: float = 0.0
     error: str = ""
     # in the JSON mirror only, not in the CSV: the path that computed the row
-    # ("diagonal", "dense" or "code") and the orbit-mode join evidence
+    # ("diagonal" or "code", or trace_q_rho's "classical", "invariant" or
+    # "dense") and the orbit-mode join evidence
     path: str | None = None
     join_rank: int | None = None
     invariance_residual: float | None = None
@@ -272,12 +273,15 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     return accept, (accept ** 2 if scheme == "c1" else accept)
 
 
-def _basis_row(b: np.ndarray, rho_times, scheme: str) -> tuple[float, float]:
+def _basis_row(b: np.ndarray, rho_times, scheme: str,
+               accept: float | None = None) -> tuple[float, float]:
     """Non-diagonal path, from a basis b with b b^dagger = q (the join basis
     in rows, q itself in `quclab compress`) and rho_times(V) = rho V:
-    accept = Re sum conj(b) (rho b) = tr(q rho); scheme 1's F_e with the flag
-    compress_c1 picks, range_flag(b); scheme 2's equals accept, as in _diag_row."""
-    accept = float(np.vdot(b, rho_times(b)).real)
+    accept = tr(q rho), given or else Re sum conj(b) (rho b); scheme 1's F_e
+    with the flag compress_c1 picks, range_flag(b), which needs rho times
+    that one column; scheme 2's equals accept, as in _diag_row."""
+    if accept is None:
+        accept = float(np.vdot(b, rho_times(b)).real)
     if scheme == "c2":
         return accept, accept
     f = range_flag(b)
@@ -319,9 +323,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
                             source, up.code, l, cfg.scheme)
                     else:
-                        row.path = "dense"
+                        b = up.extended_basis()
+                        accept, row.path = trace_q_rho(up, source, b)
                         row.accept_prob, row.entanglement_fidelity = _basis_row(
-                            up.extended_basis(), lambda v: source.apply(n, v), cfg.scheme)
+                            b, lambda v: source.apply(n, v), cfg.scheme, accept)
                 else:
                     if not diagonal:
                         raise ConfigError("projector_mode=code needs a diagonal source")

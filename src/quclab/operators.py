@@ -73,11 +73,15 @@ def hermitian_eig(a):
     Eigenvalues come out descending.  Inside degenerate clusters (gap below
     1e-9) the eigenvectors are canonicalized against the computational basis
     and every column is phase-fixed so its largest-magnitude entry is real
-    positive.  Returns (eigenvalues, eigenvector columns).
+    positive.  Returns (eigenvalues, eigenvector columns); a solver that
+    does not converge is a ValidationError.
     """
     a = _as_matrix(a)
     check_hermitian(a)
-    w, v = np.linalg.eigh(a)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"Hermitian eigendecomposition failed ({exc})") from None
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     n = len(w)

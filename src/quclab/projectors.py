@@ -15,6 +15,8 @@ import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
 from .errors import ConfigError, ValidationError, check_budget
+from .operators import hermitian_eig
+from .processes import IIDProcess
 from .sources import QuantumSource
 
 # Singular values below JOIN_RTOL (relative) are rounding, not new join directions.
@@ -291,17 +293,36 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
     return up
 
 
-def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:
-    """tr(q rho_m): diag(q) against the classical marginal when the source is
-    diagonal in the computational basis, otherwise Re sum conj(b) (rho_m b)
-    over the basis b of range(q), with rho_m b from the source's sweep."""
+def trace_q_rho(q: UniversalProjector, s: QuantumSource,
+                basis: np.ndarray | None = None) -> tuple[float, str]:
+    """tr(q rho_m) and the path that computed it:
+
+    - "classical": the source is diagonal in the computational basis, so
+      tr(q rho_m) is diag(q) against its classical marginal;
+    - "invariant": the source has bond dimension 1, so rho_m is
+      rho_1^{(x)m}.  q commutes with every U^{(x)m}, so with U diagonalising
+      rho_1, tr(q rho_m) = diag(q) . lambda^{(x)m}, lambda the spectrum of
+      rho_1: the classical case with lambda as an i.i.d. process.  Identity
+      padding keeps this (a padded site contributes tr rho_1 = 1), and so do
+      blocks of l > 1 sites (U^{(x)l} is a block unitary);
+    - "dense": Re sum conj(b) (rho_m b) over the basis b of range(q),
+      `basis` or else q.extended_basis(), with rho_m b from the source's
+      sweep.
+    """
     if s.d != q.d:
         raise ValidationError("source dimension != projector site dimension")
-    view = s.classical_view()
+    view, path = s.classical_view(), "classical"
+    if view is None and len(s.left) == 1:
+        view, path = IIDProcess(hermitian_eig(s.sites[0, 0])[0]), "invariant"
     if view is not None:
-        return float(np.dot(q.diagonal(), view.marginal(q.m).probs))
-    b = q.extended_basis()
-    return float(np.vdot(b, s.apply(q.m, b)).real)
+        return float(np.dot(q.diagonal(), view.marginal(q.m).probs)), path
+    b = q.extended_basis() if basis is None else basis
+    return float(np.vdot(b, s.apply(q.m, b)).real), "dense"
+
+
+def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:
+    """tr(q rho_m), as `trace_q_rho` computes it."""
+    return trace_q_rho(q, s)[0]
 
 
 # Cells per row block of the grid writer: bounds its working arrays.

@@ -71,6 +71,9 @@ class QuantumSource:
                 and np.max(np.abs(self.transfer_matrix().sum(axis=1) - 1.0)) <= 1e-8):
             raise ValidationError("left vector and transfer-matrix rows must sum to 1")
         self.d = self.sites.shape[2]
+        # apply sweeps a real operand in float64 when every site operator is
+        # real; a complex operand promotes it to complex
+        self._sweep_sites = self.sites if self.sites.imag.any() else self.sites.real.copy()
         self._cache: dict[int, np.ndarray] = {}
 
     def transfer_matrix(self) -> np.ndarray:
@@ -110,10 +113,12 @@ class QuantumSource:
 
     def apply(self, n: int, v) -> np.ndarray:
         """rho_n v for a d^n vector or d^n x k matrix v, by sweeping v through
-        the n sites one at a time; no d^n x d^n array is formed.
+        the n sites one at a time; no d^n x d^n array is formed.  The sweep
+        is real (float64) when the site operators, l and v are, and complex
+        otherwise.
 
         Each site holds the chi x d^n x k sweep tensor, its reshaped copy and
-        the product, all complex."""
+        the product, counted as complex."""
         v = np.asarray(v)
         if n < 1 or v.shape[0] != self.d ** n:
             raise ValidationError(f"operand has {v.shape[0]} rows, not {self.d}^{n}")
@@ -121,12 +126,13 @@ class QuantumSource:
         columns = v.size // v.shape[0]
         check_budget(3 * 16 * len(self.left) * d ** n * columns,
                      f"rho_{n} V over {columns} columns")
-        closed = self.sites.sum(axis=1, keepdims=True)
+        sites = self._sweep_sites
+        closed = sites.sum(axis=1, keepdims=True)
         # legs (bond, inputs b_t..b_n, columns, outputs a_1..a_{t-1}): each
         # site turns its input leg into its output leg at the back
         t = np.multiply.outer(self.left, v.reshape(d ** n, -1))
         for site in range(n):
-            m = closed if site == n - 1 else self.sites
+            m = closed if site == n - 1 else sites
             t = np.tensordot(m, t.reshape(t.shape[0], d, -1), axes=([0, 3], [0, 1]))
             t = np.moveaxis(t, 1, -1)
         return t.reshape(-1, d ** n).T.reshape(v.shape)
@@ -222,12 +228,17 @@ def ergodicity_gap(s: QuantumSource, a, b, m: int, N: int) -> ErgodicityReport:
     """Lag-j terms tr(rho_{m+j} (a (x) 1^{j-m} (x) b)) for j = m..N, from the
     transfer form: term_j = l A_a T^{j-m} A_b 1, where A_x[i, k] is x's trace
     against the m-site operator strings from bond i to bond k."""
+    if not 1 <= m <= N:
+        raise ValidationError(f"ergodicity scan needs 1 <= m <= N, got m = {m}, N = {N}")
+    D = s.d ** m
+    for name, x in (("a", a), ("b", b)):
+        if np.shape(x) != (D, D):
+            raise ValidationError(f"observable {name} must be {s.d}^{m} x {s.d}^{m} "
+                                  f"= {D} x {D} at m = {m}, got {np.shape(x)}")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     check_hermitian(a)
     check_hermitian(b)
-    if not 1 <= m <= N:
-        raise ValidationError(f"ergodicity scan needs 1 <= m <= N, got m = {m}, N = {N}")
     # the lag terms, their deviations from the product and those in modulus
     check_budget(3 * 8 * (N - m + 1), f"{N - m + 1} lag terms")
     strings = s._strings(np.eye(len(s.left)), m, close=False)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quclab import channels, codes, errors, harness, processes, projectors, sources
+from quclab import channels, cli, codes, errors, harness, processes, projectors, sources
 from quclab.channels import apply_per_site, depolarizing
 from quclab.cli import main
 from quclab.codes import all_sequences, build_code, empirical_entropy_scores
@@ -21,7 +21,7 @@ from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probab
                                load_projector_matrix, orbit_join_basis)
 from quclab.sources import IIDSource, ergodicity_gap
 
-CHECKED = (channels, codes, processes, projectors, sources)
+CHECKED = (channels, cli, codes, processes, projectors, sources)
 # The formulas count array bytes; the interpreter's own objects (array
 # headers, the check's message) add a few KiB on top.
 OBJECTS = 2 ** 16
@@ -78,10 +78,14 @@ def _admitted_bytes(monkeypatch, run) -> int:
     return admitted.value.args[0]
 
 
-def _apply(tmp_path):
-    s = build_source(DEPOLARIZED_MARKOV)
-    v = np.random.default_rng(3).standard_normal((2 ** 10, 40))
-    return lambda: s.apply(10, v)
+def _apply(phase):
+    # the source's site operators are real: a real operand is swept in
+    # float64, a complex one in complex arithmetic, which the check counts
+    def factory(tmp_path):
+        s = build_source(DEPOLARIZED_MARKOV)
+        v = phase * np.random.default_rng(3).standard_normal((2 ** 10, 40))
+        return lambda: s.apply(10, v)
+    return factory
 
 
 def _scores(tmp_path):
@@ -132,7 +136,8 @@ def _extended_basis(tmp_path):
 # one small size per check, each a few MiB of arrays
 SITES = {
     "quantum-marginal": lambda tmp_path: lambda: build_source(DEPOLARIZED_MARKOV).marginal(9),
-    "quantum-apply": _apply,
+    "quantum-apply": _apply(1.0),
+    "quantum-apply-complex": _apply(1j),
     "apply-per-site": lambda tmp_path: lambda: apply_per_site(
         depolarizing(0.2).superoperator(), np.eye(2 ** 8), 8),
     "classical-marginal": lambda tmp_path: lambda: PeriodicProcess(
@@ -151,6 +156,8 @@ SITES = {
     "extended-basis": _extended_basis,
     "compress": _compress,
     "lag-terms": _lag_terms,
+    "check-ergodic-observable": lambda tmp_path: lambda: main(
+        ["check-ergodic", '{"kind": "iid", "probs": [0.9, 0.1]}', "--m", "9", "--N", "20"]),
 }
 
 
@@ -329,6 +336,20 @@ def test_lag_terms_past_the_budget_are_refused_before_allocation(monkeypatch, ca
     assert _admitted_bytes(monkeypatch, lambda: ergodicity_gap(s, a, a, 1, 2 ** 27)) \
         == MEMORY_BUDGET
 
+
+def test_check_ergodic_observable_past_the_budget_is_refused_before_allocation(
+        monkeypatch, capsys):
+    # 72 bytes a cell of the d^m x d^m observable: m = 12 is admitted at
+    # 1152 MiB and 256 KiB, m = 13 (4.5 GiB) refused before np.zeros
+    iid = '{"kind": "iid", "probs": [0.9, 0.1]}'
+    assert _admitted_bytes(monkeypatch, lambda: main(["check-ergodic", iid, "--m", "12"])) \
+        == 72 * 2 ** 24 + 2 ** 18
+    monkeypatch.undo()
+    _forbid(monkeypatch, np, "zeros")
+    assert main(["check-ergodic", iid, "--m", "13"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: check-ergodic observable of 8192 x 8192 needs")
+    assert "memory budget" in err
 
 def test_classical_marginals_are_sized_in_bytes(monkeypatch):
     # a 16 MiB marginal at n = 21 is admitted; n = 28 of an i.i.d. process

@@ -45,6 +45,15 @@ def test_check_ergodic_command(capsys):
     assert "gap:" in out
 
 
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_check_ergodic_over_several_sites(m, capsys):
+    # the observable is |0...0><0...0| on the m sites, d^m x d^m
+    assert main(["check-ergodic", BERN, "--m", m, "--N", "100"]) == 0
+    out = dict(line.split(":") for line in capsys.readouterr().out.splitlines()[1:])
+    assert abs(float(out["product target"]) - 0.81 ** int(m)) < 1e-10
+    assert float(out["gap"]) < 1e-12
+
+
 def test_check_ergodic_rejects_a_non_finite_channel(capsys):
     chan = '{"name":"custom","kraus":[[[[NaN,0],[0,1]],[[0,0],[0,0]]]]}'
     assert main(["check-ergodic", BERN, "--channel", chan]) == 1
@@ -150,6 +159,9 @@ C2_SOURCES = {
         "channel": {"name": "amplitude-damping", "gamma": 0.3}},
 }
 
+# the orbit-row path each source takes: the damped source is i.i.d. (chi = 1)
+C2_PATHS = {"depolarized-markov": "dense", "damped-iid": "invariant"}
+
 
 @pytest.mark.parametrize("name", sorted(C2_SOURCES))
 def test_compress_c2_matches_library_scheme(name, tmp_path, capsys):
@@ -190,7 +202,8 @@ def _compress(args, capsys) -> dict:
 @pytest.mark.parametrize("name", sorted(C2_SOURCES))
 @pytest.mark.parametrize("scheme", ["c1", "c2"])
 def test_compress_matches_experiment_row(name, scheme, tmp_path, capsys):
-    # the printed numbers are the row's: one _basis_row computes both
+    # the printed numbers are the row's: one _basis_row computes both, the
+    # i.i.d. row with tr(q rho) by U^{(x)n} invariance
     out = str(tmp_path / "q")
     assert main(["build-projector", "--l", "1", "--n", "8", "--R", "0.5",
                  "--out", out]) == 0
@@ -199,7 +212,7 @@ def test_compress_matches_experiment_row(name, scheme, tmp_path, capsys):
                          "--source", json.dumps(spec)], capsys)
     row, = run_experiment(ExperimentConfig.from_dict(
         {"sources": [spec], "r": 0.5, "n_range": [8], "scheme": scheme}))
-    assert row.path == "dense" and not row.error
+    assert row.path == C2_PATHS[name] and not row.error
     fe = "entanglement_fidelity" if scheme == "c1" else "fidelity^2"
     assert printed["accept_prob"] == f"{row.accept_prob:.10f}"
     assert printed[fe] == f"{row.entanglement_fidelity:.10f}"

@@ -5,10 +5,12 @@ import pytest
 
 from quclab import codes, errors, projectors
 from quclab.errors import ConfigError, ValidationError
-from quclab.harness import (ExperimentConfig, build_process, build_source,
+from quclab.harness import (ExperimentConfig, _basis_row, build_process, build_source,
                             compress_c1, compress_c2, report_csv,
                             run_experiment, CSV_HEADER)
 from quclab.processes import MarkovProcess, PeriodicProcess
+from quclab.projectors import acceptance_probability, assemble_q, trace_q_rho
+from quclab.sources import IIDSource, QuantumSource
 from randmat import random_density, random_projector
 
 
@@ -469,6 +471,8 @@ DENSE_SOURCES = [
                "rho_im": [[0.0, -0.15], [0.15, 0.0]]},
      "channel": {"name": "amplitude-damping", "gamma": 0.3}},
 ]
+# the i.i.d. source has bond dimension 1: tr(q rho) by U^{(x)n} invariance
+DENSE_PATHS = {"depolarized-markov": "dense", "damped-iid": "invariant"}
 
 
 def _flag_reference(b):
@@ -495,7 +499,7 @@ def test_basis_row_matches_dense_c1():
     up = assemble_q(6, 2, 0.5, override=(1, 6, 0.5))
     rows = _rows(DENSE_SOURCES, n_range=[6])
     for spec, row in zip(DENSE_SOURCES, rows):
-        assert row.error == "" and row.path == "dense"
+        assert row.error == "" and row.path == DENSE_PATHS[spec["id"]]
         rho = build_source(spec).marginal(6)
         _, fe = compress_c1(up.matrix(), rho)
         assert abs(row.entanglement_fidelity - fe) < 1e-12
@@ -527,7 +531,7 @@ def test_dense_rows_build_no_dense_projector(monkeypatch):
         rows = _rows(DENSE_SOURCES, n_range=[6, 7], scheme=scheme,
                      override_schedule={"l": 2})
         assert [r.error for r in rows] == [""] * 4
-        assert {r.path for r in rows} == {"dense"}
+        assert [r.path for r in rows] == [DENSE_PATHS[r.source] for r in rows]
 
 
 def test_dense_rows_form_no_dense_state(monkeypatch):
@@ -544,8 +548,78 @@ def test_dense_rows_form_no_dense_state(monkeypatch):
         rows = _rows(DENSE_SOURCES, n_range=[6, 7], scheme=scheme,
                      override_schedule={"l": 2})
         assert [r.error for r in rows] == [""] * 4
-        assert {r.path for r in rows} == {"dense"}
+        assert [r.path for r in rows] == [DENSE_PATHS[r.source] for r in rows]
     assert abs(acceptance_probability(q, build_source(DENSE_SOURCES[0])) - dense) < 1e-12
+
+
+# i.i.d. rows by U^{(x)n} invariance, against the kept sweep
+
+def _iid_sources(d):
+    """Bond-dimension-1 sources at site dimension d, none diagonal."""
+    if d == 3:
+        return [IIDSource(random_density(3, np.random.default_rng(5)))]
+    process = {"kind": "iid", "probs": [0.7, 0.3]}
+    return [build_source(DENSE_SOURCES[1]),  # amplitude-damped, complex rho_1
+            build_source({"kind": "classical", "process": process,
+                          "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}})]
+
+
+@pytest.mark.parametrize("d, l, n_blocks, m", [
+    (2, 1, 5, 6), (2, 2, 3, 7), (2, 3, 2, 8), (3, 1, 4, 5), (3, 2, 2, 5), (3, 3, 1, 4)])
+@pytest.mark.parametrize("scheme", ["c1", "c2"])
+def test_invariant_rows_match_the_sweep(d, l, n_blocks, m, scheme):
+    # every case pads m - l * n_blocks > 0 sites with the identity
+    up = assemble_q(m, d, None, override=(l, n_blocks, 0.5 * l))
+    assert up.pad > 0
+    b = up.extended_basis()
+    for source in _iid_sources(d):
+        assert len(source.left) == 1 and source.classical_view() is None
+        accept, path = trace_q_rho(up, source, b)
+        assert path == "invariant"
+        sweep = _basis_row(b, lambda v: source.apply(m, v), scheme)
+        fast = _basis_row(b, lambda v: source.apply(m, v), scheme, accept)
+        assert np.max(np.abs(np.subtract(fast, sweep))) <= 1e-12
+        assert abs(acceptance_probability(up, source) - sweep[0]) <= 1e-12
+
+
+def test_acceptance_probability_takes_the_row_paths(monkeypatch):
+    up = assemble_q(7, 2, None, override=(2, 3, 1.0))
+    paths = [trace_q_rho(up, build_source(spec))[1]
+             for spec in DENSE_SOURCES + [{"kind": "iid", "probs": [0.9, 0.1]}]]
+    assert paths == ["dense", "invariant", "classical"]
+    source = build_source(DENSE_SOURCES[1])
+    sweep = float(np.vdot(up.extended_basis(),
+                          source.apply(7, up.extended_basis())).real)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rho B swept for an i.i.d. source")
+    monkeypatch.setattr(QuantumSource, "apply", forbidden)
+    assert abs(acceptance_probability(up, source) - sweep) <= 1e-12
+
+
+def test_invariant_row_eigensolver_failure_is_a_row_error(monkeypatch):
+    # rho_1's spectrum cannot be computed: that row records a ValidationError
+    # and the next source's row (a chi = 2 sweep) is the same as alone
+    alone = _rows(DENSE_SOURCES[:1], n_range=[6])
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    rows = _rows(DENSE_SOURCES[::-1], n_range=[6])
+    assert rows[0].error.startswith("ValidationError: Hermitian eigendecomposition failed")
+    assert rows[0].accept_prob is None and rows[0].entanglement_fidelity is None
+    assert rows[1].path == "dense" and rows[1].error == ""
+    assert report_csv(rows[1:]) == report_csv(alone)
+
+
+def test_mirror_names_the_invariant_path(tmp_path):
+    out = str(tmp_path / "rep")
+    run_experiment(ExperimentConfig.from_dict(
+        {"sources": DENSE_SOURCES, "r": 0.5, "n_range": [6], "output": out}))
+    mirror = json.loads((tmp_path / "rep.json").read_text())
+    assert [r["path"] for r in mirror["rows"]] == ["dense", "invariant"]
+    csv_text = (tmp_path / "rep.csv").read_text()
+    assert "invariant" not in csv_text and "dense" not in csv_text
 
 
 # block regrouping serves every process kind, and size limits are row errors

@@ -308,3 +308,16 @@ def test_marginal_cache_and_cap():
     assert s.marginal(3) is a
     with pytest.raises(SizeError):
         s.marginal(20)
+
+
+def test_ergodicity_gap_names_the_observable_shape():
+    s = IIDSource(np.diag([0.9, 0.1]))
+    a = np.diag([1.0, 0.0])
+    with pytest.raises(ValidationError, match=r"observable a must be 2\^3 x 2\^3 = 8 x 8"):
+        ergodicity_gap(s, a, np.eye(8), 3, 10)
+    with pytest.raises(ValidationError, match=r"observable b must be 2\^1 x 2\^1"):
+        ergodicity_gap(s, a, np.eye(4), 1, 10)
+    # |00><00| at m = 2 is the square of the one-site product for an i.i.d. source
+    rep = ergodicity_gap(s, np.kron(a, a), np.kron(a, a), 2, 10)
+    assert abs(rep.product - 0.81 ** 2) < 1e-12 and rep.gap < 1e-12
+

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quclab.channels import KrausChannel
+from quclab.channels import KrausChannel, amplitude_damping, depolarizing
 from quclab.errors import ValidationError
 from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
                               PeriodicProcess, index_sequence)
@@ -149,6 +149,26 @@ def test_bad_arguments_are_validation_errors():
         s.apply(3, np.ones(4))
     with pytest.raises(ValidationError):
         ergodicity_gap(s, np.eye(2), np.eye(2), 2, 1)
+
+
+def test_apply_sweeps_real_sources_in_float64():
+    # a depolarized source on a real alphabet has real site operators: a real
+    # operand is swept in float64, a complex one in complex arithmetic
+    real = ChannelTransformedSource(
+        ClassicallyCorrelatedSource(MarkovProcess([[0.9, 0.1], [0.3, 0.7]]),
+                                    QuantumAlphabet([[1.0, 0.6], [0.0, 0.8]])),
+        depolarizing(0.2))
+    damped = ChannelTransformedSource(
+        IIDSource([[0.75, 0.2 - 0.15j], [0.2 + 0.15j, 0.25]]), amplitude_damping(0.3))
+    rng = np.random.default_rng(8)
+    n = 6
+    v = rng.standard_normal((2 ** n, 3))
+    w = v + 1j * rng.standard_normal((2 ** n, 3))
+    for source, operand, dtype in ((real, v, np.float64), (real, w, np.complex128),
+                                   (real, v[:, 0], np.float64), (damped, v, np.complex128)):
+        out = source.apply(n, operand)
+        assert out.dtype == dtype and out.shape == operand.shape
+        assert np.max(np.abs(out - source.marginal(n) @ operand)) <= 1e-12
 
 
 # --- property test on random small chains
