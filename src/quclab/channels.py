@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError, check_budget
+from .errors import ValidationError, check_budget, solving
 
 COMPLETENESS_TOL = 1e-10
 CHOI_EIG_FLOOR = -1e-10
@@ -66,7 +66,8 @@ def validate_channel(c: KrausChannel) -> dict:
     for a in c.kraus:
         v = a.reshape(-1, order="F")  # column-stacking vec
         choi += np.outer(v, v.conj())
-    min_eig = float(np.linalg.eigvalsh(choi)[0])
+    with solving("Choi matrix eigenvalues"):
+        min_eig = float(np.linalg.eigvalsh(choi)[0])
     return {"completeness_deviation": dev, "min_choi_eigenvalue": min_eig}
 
 

@@ -273,20 +273,19 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     return accept, (accept ** 2 if scheme == "c1" else accept)
 
 
-def _basis_row(b: np.ndarray, rho_times, scheme: str,
-               accept: float | None = None) -> tuple[float, float]:
-    """Non-diagonal path, from a basis b with b b^dagger = q (the join basis
-    in rows, q itself in `quclab compress`) and rho_times(V) = rho V:
-    accept = tr(q rho), given or else Re sum conj(b) (rho b); scheme 1's F_e
-    with the flag compress_c1 picks, range_flag(b), which needs rho times
-    that one column; scheme 2's equals accept, as in _diag_row."""
-    if accept is None:
-        accept = float(np.vdot(b, rho_times(b)).real)
+def _basis_row(b: np.ndarray, rho_times, scheme: str, accept: float,
+               pad_dim: int = 1) -> tuple[float, float]:
+    """Non-diagonal path, from accept = tr(q rho), a basis b with q = b b^dagger
+    (x) 1_{pad_dim} (the join basis in rows, padded sites last; q itself in
+    `quclab compress`) and rho_times(V) = rho V: scheme 1's F_e with the flag
+    compress_c1 picks, range_flag(b) (x) e_0, which needs rho times that one
+    column, with q v = b (b^dagger X) for X = v as a len(b) x pad_dim matrix;
+    scheme 2's F_e equals accept, as in _diag_row."""
     if scheme == "c2":
         return accept, accept
-    f = range_flag(b)
-    return accept, _c1_fidelity(accept, rho_times(f), f,
-                                lambda v: b @ (b.conj().T @ v))
+    f = np.outer(range_flag(b), np.eye(pad_dim)[0]).ravel()
+    return accept, _c1_fidelity(accept, rho_times(f), f, lambda v: (
+        b @ (b.conj().T @ v.reshape(len(b), pad_dim))).reshape(v.shape))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -323,10 +322,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
                             source, up.code, l, cfg.scheme)
                     else:
-                        b = up.extended_basis()
-                        accept, row.path = trace_q_rho(up, source, b)
+                        accept, row.path = trace_q_rho(up, source)
                         row.accept_prob, row.entanglement_fidelity = _basis_row(
-                            b, lambda v: source.apply(n, v), cfg.scheme, accept)
+                            up.join.basis, lambda v: source.apply(n, v), cfg.scheme,
+                            accept, d ** up.pad)
                 else:
                     if not diagonal:
                         raise ConfigError("projector_mode=code needs a diagonal source")

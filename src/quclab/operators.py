@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, solving
 
 HERMITIAN_TOL = 1e-10
 IDEMPOTENT_TOL = 1e-8
@@ -78,10 +78,8 @@ def hermitian_eig(a):
     """
     a = _as_matrix(a)
     check_hermitian(a)
-    try:
+    with solving("Hermitian eigendecomposition"):
         w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"Hermitian eigendecomposition failed ({exc})") from None
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     n = len(w)
@@ -124,7 +122,8 @@ def validate_density(rho) -> dict:
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITIAN_TOL:
         raise ValidationError(f"density operator not Hermitian (deviation {herm:.3e})")
-    evals = np.linalg.eigvalsh(rho)
+    with solving("density operator eigenvalues"):
+        evals = np.linalg.eigvalsh(rho)
     min_eig = float(evals[0])
     if min_eig < -1e-10:
         raise ValidationError(f"density operator not PSD (min eigenvalue {min_eig:.3e})")

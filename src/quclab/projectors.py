@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
-from .errors import ConfigError, ValidationError, check_budget
+from .errors import ConfigError, ValidationError, check_budget, solving
 from .operators import hermitian_eig
 from .processes import IIDProcess
 from .sources import QuantumSource
@@ -112,10 +112,8 @@ def _orthonormal(cols: np.ndarray, scale: float) -> np.ndarray:
     direction, columns that are numerically zero add nothing."""
     if cols.shape[1] == 0:
         return cols
-    try:
+    with solving("orbit join: SVD of a class block"):
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"orbit join: SVD of a class block failed ({exc})") from None
     return u[:, s > JOIN_RTOL * max(s[0], scale)]
 
 
@@ -235,29 +233,11 @@ class UniversalProjector:
     def trace_log_rate(self) -> float:
         return math.log2(self.trace) / self.m
 
-    def diagonal(self) -> np.ndarray:
-        diag = self.join.diagonal()
-        if self.pad:
-            diag = np.kron(diag, np.ones(self.d ** self.pad))
-        return diag
-
     def matrix(self) -> np.ndarray:
         q = self.join.matrix()
         if self.pad:
             q = np.kron(q, np.eye(self.d ** self.pad, dtype=complex))
         return q
-
-    def extended_basis(self) -> np.ndarray:
-        """The join basis with identity-padded sites: a complex d^m x
-        (rank * d^pad) array, checked against the memory budget, with the
-        Kronecker product's iteration buffers (256 KiB), before it exists."""
-        b = self.join.basis
-        if self.pad:
-            P = self.d ** self.pad
-            check_budget(16 * self.d ** self.m * self.join.rank * P + 2 ** 18,
-                         f"padded basis of {self.d}^{self.m} x {self.join.rank * P}")
-            b = np.kron(b, np.eye(P, dtype=complex))
-        return b
 
 
 def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
@@ -293,31 +273,30 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
     return up
 
 
-def trace_q_rho(q: UniversalProjector, s: QuantumSource,
-                basis: np.ndarray | None = None) -> tuple[float, str]:
-    """tr(q rho_m) and the path that computed it:
+def trace_q_rho(q: UniversalProjector, s: QuantumSource) -> tuple[float, str]:
+    """tr(q rho_m) and the path that computed it.  q is q_J (x) 1, with
+    q_J = B B^dagger the join on the first ln = l n sites, and every source is
+    consistent (its last bond sums out), so tr(q rho_m) = tr(q_J rho_{ln}),
+    computed from B alone:
 
     - "classical": the source is diagonal in the computational basis, so
-      tr(q rho_m) is diag(q) against its classical marginal;
-    - "invariant": the source has bond dimension 1, so rho_m is
-      rho_1^{(x)m}.  q commutes with every U^{(x)m}, so with U diagonalising
-      rho_1, tr(q rho_m) = diag(q) . lambda^{(x)m}, lambda the spectrum of
-      rho_1: the classical case with lambda as an i.i.d. process.  Identity
-      padding keeps this (a padded site contributes tr rho_1 = 1), and so do
-      blocks of l > 1 sites (U^{(x)l} is a block unitary);
-    - "dense": Re sum conj(b) (rho_m b) over the basis b of range(q),
-      `basis` or else q.extended_basis(), with rho_m b from the source's
-      sweep.
+      this is diag(q_J) against its classical marginal;
+    - "invariant": the source has bond dimension 1, so rho_{ln} is
+      rho_1^{(x)ln}, and q_J commutes with every U^{(x)ln} (for l > 1 too:
+      U^{(x)l} is a block unitary).  With U diagonalising rho_1, this is
+      the classical case for the i.i.d. process of rho_1's spectrum;
+    - "dense": Re sum conj(B) (rho_{ln} B), from the source's sweep.
     """
     if s.d != q.d:
         raise ValidationError("source dimension != projector site dimension")
+    sites = q.l * q.n
     view, path = s.classical_view(), "classical"
     if view is None and len(s.left) == 1:
         view, path = IIDProcess(hermitian_eig(s.sites[0, 0])[0]), "invariant"
     if view is not None:
-        return float(np.dot(q.diagonal(), view.marginal(q.m).probs)), path
-    b = q.extended_basis() if basis is None else basis
-    return float(np.vdot(b, s.apply(q.m, b)).real), "dense"
+        return float(np.dot(q.join.diagonal(), view.marginal(sites).probs)), path
+    b = q.join.basis
+    return float(np.vdot(b, s.apply(sites, b)).real), "dense"
 
 
 def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:

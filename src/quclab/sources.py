@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_tensor_power, heisenberg_dual
-from .errors import ValidationError, check_budget
+from .errors import ValidationError, check_budget, solving
 from .operators import (check_hermitian, hermitian_eig, partial_trace,
                         validate_density)
 from .processes import ClassicalProcess, IIDProcess
@@ -34,7 +34,8 @@ class QuantumAlphabet:
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValidationError("alphabet vectors must be unit norm")
         gram = v.conj().T @ v
-        cond = np.linalg.cond(gram)
+        with solving("alphabet Gram matrix condition number"):
+            cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > GRAM_CONDITION_CAP:
             raise ValidationError(
                 f"alphabet Gram matrix condition number {cond:.3e} exceeds "

@@ -114,6 +114,15 @@ def _export_padded(phase):
     return factory
 
 
+def _padded_row(tmp_path):
+    # a padded c1 row: rho_10 B over the join's sites, then rho_11 f for the
+    # one flag column
+    q = assemble_q(11, 2, None, override=(2, 5, 1.0))
+    s = build_source(DEPOLARIZED_MARKOV)
+    return lambda: harness._basis_row(q.join.basis, lambda v: s.apply(11, v), "c1",
+                                      acceptance_probability(q, s), 2 ** q.pad)
+
+
 def _compress(tmp_path):
     prefix = str(tmp_path / "q")
     export_projector(assemble_q(8, 2, None, override=(1, 8, 0.5)), prefix)
@@ -126,11 +135,6 @@ def _lag_terms(tmp_path):
     # 50000 terms hold 1.2 MB of arrays, past the 1 MiB the cover test asks for
     a = np.diag([1.0, 0.0])
     return lambda: ergodicity_gap(IIDSource(np.diag([0.9, 0.1])), a, a, 1, 50000)
-
-
-def _extended_basis(tmp_path):
-    q = assemble_q(11, 2, None, override=(2, 5, 1.0))
-    return q.extended_basis
 
 
 # one small size per check, each a few MiB of arrays
@@ -153,7 +157,7 @@ SITES = {
     "export-load-padded": _export_and_load(9, 2),
     "export-padded": _export_padded(1),
     "export-padded-complex": _export_padded(1j),
-    "extended-basis": _extended_basis,
+    "padded-row": _padded_row,
     "compress": _compress,
     "lag-terms": _lag_terms,
     "check-ergodic-observable": lambda tmp_path: lambda: main(
@@ -244,34 +248,28 @@ def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
 
 
 def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
-    # m = 15 with l = 2 blocks: the n = 7 join over 4^7 sequences has rank
-    # 4552 at R = 1 (1.1 GiB), and the padded site doubles both sides of its
-    # basis, 4.4 GiB; the basis here is a broadcast view of that shape
-    basis = np.broadcast_to(np.zeros(1, complex), (4 ** 7, 4552))
+    # m = 15 with l = 2 blocks and one padded site: the n = 7 join over 4^7
+    # sequences has rank 4552 at R = 1 (1.1 GiB), a broadcast view here.  The
+    # row sweeps it through the 14 joined sites, rho_14 B, which the sweep
+    # refuses at 48 chi 2^14 4552 bytes (6.7 GiB) before it allocates
+    basis = np.broadcast_to(np.zeros(1), (4 ** 7, 4552))
     q = UniversalProjector(m=15, d=2, r=0.5, l=2, n=7, R=1.0, k_order=0,
                            join=JoinResult(basis, {}, 0.0), pad=1,
                            code=build_code(4, 1.0, 7))
     source = build_source(DEPOLARIZED_MARKOV)
-    _forbid(monkeypatch, np, "kron")
-    _refused(q.extended_basis, match="padded basis of 2\\^15 x 9104 needs 4553 MiB")
-    _refused(lambda: acceptance_probability(q, source))
+    _forbid(monkeypatch, np, "tensordot")
+    _refused(lambda: acceptance_probability(q, source),
+             match="rho_14 V over 4552 columns needs 6828 MiB")
     # in an experiment the refusal is that row's error, and the batch goes on;
-    # the channel's own small Kronecker products still run
+    # building the source runs its own small tensordot
     monkeypatch.undo()
-    kron = np.kron
-
-    def small_kron(a, b):
-        assert np.size(a) < 2 ** 10, "np.kron called on the padded basis"
-        return kron(a, b)
-
-    monkeypatch.setattr(np, "kron", small_kron)
     monkeypatch.setattr(harness, "assemble_q", lambda *args, **kwargs: q)
     cfg = ExperimentConfig.from_dict({"sources": [DEPOLARIZED_MARKOV], "r": 0.5,
                                       "n_range": [15, 15], "seed": 3,
                                       "override_schedule": {"l": 2, "R": 1.0}})
     rows = run_experiment(cfg)
     assert [r.error.split(":")[0] for r in rows] == ["SizeError"] * 2
-    assert "padded basis" in rows[0].error
+    assert "rho_14 V over 4552 columns" in rows[0].error
 
 
 def test_build_projector_past_the_budget_writes_nothing(monkeypatch, tmp_path, capsys):

@@ -487,11 +487,15 @@ def test_range_flag_matches_range_basis():
     g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     # zero leading rows: the flag comes from row 3, and the phase fix matters
     random_basis = np.vstack([np.zeros((3, 3)), np.linalg.qr(g)[0]])
-    bases = [assemble_q(6, 2, 0.5, override=(1, 6, 0.5)).extended_basis(),
-             assemble_q(7, 2, 0.5, override=(1, 6, 0.6)).extended_basis(),
-             random_basis]
+    # the second join has one identity-padded site: b (x) 1_2, whose flag is
+    # the unpadded flag with a zero appended to each entry, as rows pad it
+    join = assemble_q(7, 2, 0.5, override=(1, 6, 0.6)).join.basis
+    bases = [assemble_q(6, 2, 0.5, override=(1, 6, 0.5)).join.basis,
+             np.kron(join, np.eye(2)), random_basis]
     for b in bases:
         assert np.max(np.abs(range_flag(b) - _flag_reference(b))) < 1e-12
+    padded = np.kron(range_flag(join), [1.0, 0.0])
+    assert np.max(np.abs(range_flag(np.kron(join, np.eye(2))) - padded)) < 1e-12
 
 
 def test_basis_row_matches_dense_c1():
@@ -564,22 +568,31 @@ def _iid_sources(d):
                           "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}})]
 
 
+def _dense_row(up, rho, scheme):
+    """A row's (accept, F_e) from the dense projector and marginal."""
+    q = up.matrix()
+    accept = float(np.trace(q @ rho).real)
+    return accept, (compress_c1(q, rho)[1] if scheme == "c1" else accept)
+
+
 @pytest.mark.parametrize("d, l, n_blocks, m", [
     (2, 1, 5, 6), (2, 2, 3, 7), (2, 3, 2, 8), (3, 1, 4, 5), (3, 2, 2, 5), (3, 3, 1, 4)])
 @pytest.mark.parametrize("scheme", ["c1", "c2"])
 def test_invariant_rows_match_the_sweep(d, l, n_blocks, m, scheme):
-    # every case pads m - l * n_blocks > 0 sites with the identity
+    # every case pads m - l * n_blocks > 0 sites with the identity; the
+    # sweep over the join's l n sites and the dense row are the references
     up = assemble_q(m, d, None, override=(l, n_blocks, 0.5 * l))
     assert up.pad > 0
-    b = up.extended_basis()
+    b = up.join.basis
     for source in _iid_sources(d):
         assert len(source.left) == 1 and source.classical_view() is None
-        accept, path = trace_q_rho(up, source, b)
+        accept, path = trace_q_rho(up, source)
         assert path == "invariant"
-        sweep = _basis_row(b, lambda v: source.apply(m, v), scheme)
-        fast = _basis_row(b, lambda v: source.apply(m, v), scheme, accept)
-        assert np.max(np.abs(np.subtract(fast, sweep))) <= 1e-12
-        assert abs(acceptance_probability(up, source) - sweep[0]) <= 1e-12
+        assert abs(accept - np.vdot(b, source.apply(l * n_blocks, b)).real) <= 1e-12
+        row = _basis_row(b, lambda v: source.apply(m, v), scheme, accept, d ** up.pad)
+        dense = _dense_row(up, source.marginal(m), scheme)
+        assert np.max(np.abs(np.subtract(row, dense))) <= 1e-12
+        assert abs(acceptance_probability(up, source) - dense[0]) <= 1e-12
 
 
 def test_acceptance_probability_takes_the_row_paths(monkeypatch):
@@ -588,13 +601,56 @@ def test_acceptance_probability_takes_the_row_paths(monkeypatch):
              for spec in DENSE_SOURCES + [{"kind": "iid", "probs": [0.9, 0.1]}]]
     assert paths == ["dense", "invariant", "classical"]
     source = build_source(DENSE_SOURCES[1])
-    sweep = float(np.vdot(up.extended_basis(),
-                          source.apply(7, up.extended_basis())).real)
+    dense = float(np.trace(up.matrix() @ source.marginal(7)).real)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("rho B swept for an i.i.d. source")
     monkeypatch.setattr(QuantumSource, "apply", forbidden)
-    assert abs(acceptance_probability(up, source) - sweep) <= 1e-12
+    assert abs(acceptance_probability(up, source) - dense) <= 1e-12
+
+
+# padded rows: q = q_J (x) 1 on l n + pad sites, computed from the join basis
+# on the first l n sites, against the dense q and rho_m
+
+MARKOV = {"id": "markov", "kind": "classical",
+          "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
+# The other sources are symmetric under reversing the sites, so q_J (x) 1 and
+# 1 (x) q_J give them the same rows; this cycle is not its own reversal.
+PERIODIC = {"id": "periodic", "kind": "classical",
+            "process": {"kind": "periodic", "cycle": [0, 0, 1, 0, 1, 1]},
+            "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}}
+
+
+@pytest.mark.parametrize("l, m", [(2, 7), (2, 9), (3, 7), (3, 8)])
+@pytest.mark.parametrize("scheme", ["c1", "c2"])
+def test_padded_rows_match_the_dense_row(l, m, scheme, monkeypatch):
+    up = assemble_q(m, 2, 0.5, override=(l, m // l, 0.5 * l))
+    assert up.pad >= 1
+    dense = {spec["id"]: _dense_row(up, build_source(spec).marginal(m), scheme)
+             for spec in DENSE_SOURCES + [MARKOV, PERIODIC]}
+    # the classical path: a diagonal source's rows take the code measure, so
+    # its q row is computed here as run_experiment computes the others
+    markov = build_source(MARKOV)
+    accept, path = trace_q_rho(up, markov)
+    assert path == "classical"
+    row = _basis_row(up.join.basis, lambda v: markov.apply(m, v), scheme, accept,
+                     2 ** up.pad)
+    assert np.max(np.abs(np.subtract(row, dense["markov"]))) <= 1e-12
+    # no row forms the padded basis, a 2^m x rank 2^pad Kronecker product:
+    # the only Kronecker products left are the channels' d^2 x d^2 ones
+    kron = np.kron
+
+    def small_kron(a, b):
+        assert np.size(a) * np.size(b) <= 16, "np.kron called on a basis"
+        return kron(a, b)
+    monkeypatch.setattr(np, "kron", small_kron)
+    rows = _rows(DENSE_SOURCES + [PERIODIC], n_range=[m], scheme=scheme,
+                 override_schedule={"l": l})
+    assert [r.path for r in rows] == ["dense", "invariant", "dense"]
+    for row in rows:
+        assert row.error == "" and row.join_rank == up.join.rank
+        assert max(abs(row.accept_prob - dense[row.source][0]),
+                   abs(row.entanglement_fidelity - dense[row.source][1])) <= 1e-12
 
 
 def test_invariant_row_eigensolver_failure_is_a_row_error(monkeypatch):
@@ -610,6 +666,35 @@ def test_invariant_row_eigensolver_failure_is_a_row_error(monkeypatch):
     assert rows[0].accept_prob is None and rows[0].entanglement_fidelity is None
     assert rows[1].path == "dense" and rows[1].error == ""
     assert report_csv(rows[1:]) == report_csv(alone)
+
+
+BERNOULLI = {"id": "bernoulli", "kind": "iid", "probs": [0.9, 0.1]}
+DEPOLARIZED_COMPUTATIONAL = {"id": "depolarized", "kind": "channel-transformed",
+                             "inner": MARKOV, "channel": {"name": "depolarizing", "p": 0.2}}
+
+
+@pytest.mark.parametrize("call, bad, good, message", [
+    # validate_density's spectrum; the Markov source takes no eigvalsh
+    ("eigvalsh", BERNOULLI, MARKOV, "density operator eigenvalues failed"),
+    # validate_channel's Choi spectrum; the inner Markov source takes none
+    ("eigvalsh", DEPOLARIZED_COMPUTATIONAL, MARKOV, "Choi matrix eigenvalues failed"),
+    # QuantumAlphabet's condition number; the i.i.d. source has no alphabet
+    ("cond", MARKOV, BERNOULLI, "alphabet Gram matrix condition number failed"),
+], ids=["density", "choi", "alphabet"])
+def test_source_linalg_failure_is_a_row_error(call, bad, good, message, monkeypatch):
+    # building the bad source raises LinAlgError inside numpy: its rows
+    # record a ValidationError and the good source's rows are as alone
+    alone = _rows([good], n_range=[5, 6])
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, call, failing)
+    rows = _rows([bad, good], n_range=[5, 6])
+    for row in rows[:2]:
+        assert row.error.startswith(f"ValidationError: {message} (did not converge)")
+        assert row.accept_prob is None and row.entanglement_fidelity is None
+    assert report_csv(rows[2:]) == report_csv(alone)
+    assert [r.error for r in alone] == ["", ""]
 
 
 def test_mirror_names_the_invariant_path(tmp_path):
