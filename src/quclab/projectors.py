@@ -1,5 +1,5 @@
-"""Universal projector construction: schedule arithmetic, code range bases,
-deterministic unitary-orbit joins, and the assembled block projectors with
+"""Universal projector construction: schedule arithmetic, deterministic
+unitary-orbit joins of block codes, and the assembled block projectors with
 their trace-rate bounds.
 """
 
@@ -9,7 +9,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,18 +50,6 @@ def schedule(m: int, d: int, r: float) -> Schedule:
     return Schedule(m=m, d=d, r=r, i=i, l=l, n=m // l, R=l * r)
 
 
-def code_range_basis(code: BlockCode) -> np.ndarray:
-    """Columns spanning the code projector: one computational basis vector
-    per member, complex, with the column positions, checked against the
-    memory budget before they exist."""
-    check_budget((16 * code.L ** code.n + 8) * code.size,
-                 f"code columns of {code.L}^{code.n} x {code.size}")
-    members = code.member_indices()
-    cols = np.zeros((code.L ** code.n, code.size), dtype=complex)
-    cols[members, np.arange(code.size)] = 1.0
-    return cols
-
-
 def _type_classes(D: int, n: int):
     """Type classes (weight spaces) of the D^n computational basis, and how
     the collective generators J_ab = sum_i E_ab^(i), a != b, move between them.
@@ -98,23 +86,24 @@ def _type_classes(D: int, n: int):
 
 def _join_bytes(D: int, n: int, size: int) -> int:
     """Bytes the join of a size-member code over D^n sequences holds before
-    its class blocks grow: the code columns and the join's copy of them, 16
-    bytes an entry at most, and the type-class tables with their
-    temporaries, at most 3 n D int64 per sequence and 512 bytes of Python
-    objects per move."""
+    its class blocks grow: the code's membership mask, one byte a sequence;
+    the type-class tables with their temporaries, at most 3 n D int64 a
+    sequence and 512 bytes of Python objects a move; and the start blocks,
+    one float64 unit column a member over the rows of its class, which holds
+    at most the largest class's multinomial(n; n/D, ..., n/D) sequences."""
     moves = math.comb(n + D - 1, D - 1) * D * (D - 1)
-    return D ** n * (32 * size + 24 * n * D) + 512 * moves
+    largest = math.factorial(n) // math.prod(math.factorial(n // D + (a < n % D))
+                                             for a in range(D))
+    return D ** n * (1 + 24 * n * D) + 512 * moves + 8 * size * largest
 
 
-def _orthonormal(cols: np.ndarray, scale: float) -> np.ndarray:
+def _orthonormal(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(cols), cutting singular values at
-    JOIN_RTOL * max(s_max, scale): with `scale` the size of a genuine
-    direction, columns that are numerically zero add nothing."""
-    if cols.shape[1] == 0:
-        return cols
+    JOIN_RTOL * max(s_max, 1): a join direction has norm 1, so columns that
+    are numerically zero add nothing."""
     with solving("orbit join: SVD of a class block"):
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > JOIN_RTOL * max(s[0], scale)]
+    return u[:, s > JOIN_RTOL * max(s[0], 1.0)]
 
 
 @dataclass
@@ -131,42 +120,52 @@ class JoinResult:
         return self.basis.shape[1]
 
     def matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+        return self.basis @ self.basis.T
 
     def diagonal(self) -> np.ndarray:
-        return (np.abs(self.basis) ** 2).sum(axis=1)
+        return (self.basis ** 2).sum(axis=1)
 
 
-def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
-    """The unitary-orbit join of span(base): the smallest subspace holding
-    span(base) and invariant under U^{(x)n} for every block unitary U.
+def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
+    """The unitary-orbit join of a code: the smallest subspace holding the
+    computational basis vector of every sequence index in `members` (in
+    [0, block_dim^n)) and invariant under U^{(x)n} for every block unitary U.
 
     By Schur-Weyl duality that is the smallest such subspace invariant under
     the collective generators J_ab, a != b.  The type-class projectors lie in
-    the same algebra, so the join holds every class component of the base,
-    and each J_ab maps one class into one other.  So the closure is built one
-    class at a time: each J_ab B_t that leaks out of its target class block
-    is added by re-orthonormalising the whole target block, in passes of
-    alternating direction, until a pass adds nothing.  The basis is real
-    when the base is.
+    the same algebra, and each J_ab maps one class into one other.  So the
+    closure is built one class at a time, each class block starting as the
+    unit columns of the members in that class, which are orthonormal: each
+    J_ab B_t that leaks out of its target class block is added by
+    re-orthonormalising the whole target block, in passes of alternating
+    direction, until a pass adds nothing.  The basis is real.
 
     The certificate `invariance_residual` is the largest Frobenius norm of a
-    class block of (1 - QQ^dagger) J_ab Q in that last pass; it bounds
-    max_ab ||(1 - QQ^dagger) J_ab Q|| from above.
+    class block of (1 - QQ^T) J_ab Q in that last pass; it bounds
+    max_ab ||(1 - QQ^T) J_ab Q|| from above.
 
-    The join's copy of the base and its tables are checked against the
-    memory budget before they exist, and the D^n x rank basis, with the
-    class blocks and the tables the join holds, before it is allocated.
+    The members are validated before any table is built.  The tables and the
+    start blocks are checked against the memory budget before they exist,
+    and the D^n x rank basis, with the class blocks and the tables the join
+    holds, before it is allocated.
     """
-    base = np.asarray(base)
-    if base.ndim != 2 or base.shape[0] != block_dim ** n:
-        raise ValidationError("base dimension does not match block_dim^n")
-    check_budget(_join_bytes(block_dim, n, base.shape[1]),
-                 f"orbit join over {block_dim}^{n} sequences")
-    base = base.astype(complex) if base.imag.any() else base.real.astype(float)
-    classes, members, moves = _type_classes(block_dim, n)
-    scale = float(np.linalg.norm(base, axis=0).max(initial=0.0))
-    blocks = [_orthonormal(base[idx], scale) for idx in members]
+    members = np.asarray(members)
+    if members.ndim != 1 or members.dtype.kind not in "iu":
+        raise ValidationError(f"members must be a 1-D integer array, got {members.ndim}-D "
+                              f"{members.dtype}")
+    if members.size and (members.min() < 0 or members.max() >= block_dim ** n):
+        raise ValidationError(f"a member index lies outside [0, {block_dim}^{n})")
+    up_front = _join_bytes(block_dim, n, members.size)
+    check_budget(up_front, f"orbit join over {block_dim}^{n} sequences")
+    in_code = np.zeros(block_dim ** n, dtype=bool)
+    in_code[members] = True
+    classes, class_seqs, moves = _type_classes(block_dim, n)
+    blocks = []
+    for seqs in class_seqs:
+        rows = np.flatnonzero(in_code[seqs])
+        block = np.zeros((len(seqs), len(rows)))
+        block[rows, np.arange(len(rows))] = 1.0
+        blocks.append(block)
     grew = True
     while grew:
         grew, residual = False, 0.0
@@ -175,22 +174,21 @@ def orbit_join_basis(base: np.ndarray, block_dim: int, n: int) -> JoinResult:
             for j in range(1, src.shape[1]):
                 pushed += blocks[t][src[:, j]]
             kept = blocks[target]
-            leak = float(np.linalg.norm(pushed - kept @ (kept.conj().T @ pushed)))
+            leak = float(np.linalg.norm(pushed - kept @ (kept.T @ pushed)))
             if leak > JOIN_RTOL:
-                grown = _orthonormal(np.hstack([kept, pushed]), 1.0)
+                grown = _orthonormal(np.hstack([kept, pushed]))
                 if grown.shape[1] > kept.shape[1]:
                     blocks[target], grew = grown, True
                     continue
             residual = max(residual, leak)
         moves.reverse()
     rank = sum(b.shape[1] for b in blocks)
-    check_budget(_join_bytes(block_dim, n, base.shape[1]) + sum(b.nbytes for b in blocks)
-                 + base.itemsize * block_dim ** n * rank,
+    check_budget(up_front + sum(b.nbytes for b in blocks) + 8 * block_dim ** n * rank,
                  f"orbit join basis of rank {rank} over {block_dim}^{n} sequences")
-    basis = np.zeros((block_dim ** n, rank), dtype=base.dtype)
+    basis = np.zeros((block_dim ** n, rank))
     col = 0
-    for idx, block in zip(members, blocks):
-        basis[idx, col:col + block.shape[1]] = block
+    for seqs, block in zip(class_seqs, blocks):
+        basis[seqs, col:col + block.shape[1]] = block
         col += block.shape[1]
     return JoinResult(basis=basis, invariance_residual=residual, class_ranks={
         c: b.shape[1] for c, b in zip(classes, blocks) if b.shape[1]})
@@ -219,11 +217,6 @@ class UniversalProjector:
     join: JoinResult
     pad: int
     code: BlockCode
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def code_size(self) -> int:
-        return self.code.size
 
     @property
     def trace(self) -> float:
@@ -262,15 +255,9 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
         l, n, R = sch.l, sch.n, sch.R
     pad = m - l * n
     code = build_code(d ** l, R, n, k_order)
-    join = orbit_join_basis(code_range_basis(code), d ** l, n)
-    up = UniversalProjector(m=m, d=d, r=r, l=l, n=n, R=R, k_order=k_order,
-                            join=join, pad=pad, code=code,
-                            metadata={"rank_rtol": JOIN_RTOL,
-                                      "invariance_residual": join.invariance_residual,
-                                      "class_ranks": [[list(t), k] for t, k
-                                                      in join.class_ranks.items()]})
-    up.metadata["rate_lower_ok"] = bool(up.trace_log_rate >= r - 1e-12)
-    return up
+    join = orbit_join_basis(code.member_indices(), d ** l, n)
+    return UniversalProjector(m=m, d=d, r=r, l=l, n=n, R=R, k_order=k_order,
+                              join=join, pad=pad, code=code)
 
 
 def trace_q_rho(q: UniversalProjector, s: QuantumSource) -> tuple[float, str]:
@@ -332,16 +319,14 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     """CSV real/imag grids plus a JSON sidecar for reproducibility.
 
     The dense d^m x d^m grid is checked against the memory budget before it
-    exists: 16 bytes a cell, as a complex matrix or as a real one (a code's
-    join is real) with its zero .imag copy; with padding, also the join's
-    D^n x D^n matrix, of the join basis's type, that the Kronecker product
-    expands into a complex grid; plus the conjugate copy of the join basis
-    and the writer's block of rows, under 64 bytes a cell.
+    exists: 16 bytes a cell, as the real join matrix with its zero .imag
+    copy or, with padding, as the complex Kronecker product beside the
+    join's real D^n x D^n matrix; plus the writer's block of rows, under 64
+    bytes a cell.
     """
     dim = q.d ** q.m
     join_cells = (q.d ** (q.l * q.n)) ** 2 if q.pad else 0
-    check_budget(16 * dim ** 2 + q.join.basis.itemsize * join_cells
-                 + q.join.basis.nbytes + 64 * _GRID_BLOCK_CELLS,
+    check_budget(16 * dim ** 2 + 8 * join_cells + 64 * _GRID_BLOCK_CELLS,
                  f"projector grid of {dim} x {dim}")
     mat = q.matrix()
     _write_grid(path_prefix + ".real.csv", mat.real)
@@ -349,8 +334,11 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     sidecar = {
         "m": q.m, "d": q.d, "r": q.r, "l": q.l, "n": q.n, "R": q.R,
         "k_order": q.k_order, "pad": q.pad, "trace": q.trace,
-        "rank": q.join.rank, "code_size": q.code_size,
-        "metadata": q.metadata,
+        "rank": q.join.rank, "code_size": q.code.size,
+        "metadata": {"rank_rtol": JOIN_RTOL,
+                     "invariance_residual": q.join.invariance_residual,
+                     "class_ranks": [[list(c), k] for c, k in q.join.class_ranks.items()],
+                     "rate_lower_ok": q.trace_log_rate >= q.r - 1e-12},
     }
     with open(path_prefix + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

@@ -17,8 +17,7 @@ from quclab.harness import ExperimentConfig, run_experiment
 from quclab.info import entanglement_fidelity, von_neumann_entropy
 from quclab.operators import projector_leq, validate_density, validate_projector
 from quclab.processes import IIDProcess, MarkovProcess, entropy_bits
-from quclab.projectors import (assemble_q, acceptance_probability,
-                               code_range_basis, orbit_join_basis,
+from quclab.projectors import (assemble_q, acceptance_probability, orbit_join_basis,
                                rate_upper_bound, schedule)
 from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet, conditional_expectation,
@@ -185,9 +184,7 @@ def test_criterion_07_converse():
 
 
 def test_criterion_08_orbit_join():
-    p = np.zeros((4, 1), dtype=complex)
-    p[0, 0] = 1.0
-    res = orbit_join_basis(p, 2, 2)
+    res = orbit_join_basis([0], 2, 2)
     w = res.matrix()
     basis = [np.array([1, 0, 0, 0.0]),
              np.array([0, 1, 1, 0.0]) / np.sqrt(2),
@@ -240,8 +237,8 @@ def test_criterion_10_classical_universality():
 def test_criterion_11_superblock_monotonicity():
     from quclab.codes import superblock_code
     c = build_code(2, 0.5, 4, 1)
-    w1 = orbit_join_basis(code_range_basis(c), 2, 4).matrix()
-    w2 = orbit_join_basis(code_range_basis(superblock_code(c, 2)), 4, 2).matrix()
+    w1 = orbit_join_basis(c.member_indices(), 2, 4).matrix()
+    w2 = orbit_join_basis(superblock_code(c, 2).member_indices(), 4, 2).matrix()
     ok = projector_leq(w1, w2, tol=1e-6)
     if not ok:
         gap = (np.eye(16) - w2) @ w1

@@ -17,8 +17,8 @@ from quclab.errors import MEMORY_BUDGET, SizeError
 from quclab.harness import ExperimentConfig, build_source, run_experiment
 from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
 from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probability,
-                               assemble_q, code_range_basis, export_projector,
-                               load_projector_matrix, orbit_join_basis)
+                               assemble_q, export_projector, load_projector_matrix,
+                               orbit_join_basis)
 from quclab.sources import IIDSource, ergodicity_gap
 
 CHECKED = (channels, cli, codes, processes, projectors, sources)
@@ -101,17 +101,11 @@ def _export_and_load(m, l):
     return factory
 
 
-def _export_padded(phase):
-    # one padded site over a 2^10 join: the join's matrix, 8 MiB for a code
-    # basis as assemble_q joins it and 16 MiB for a complex one, is larger
-    # than the writer's block (4 MiB) beside the 64 MiB complex grid
-    def factory(tmp_path):
-        code = build_code(2, 0.2, 10)
-        join = orbit_join_basis(phase * code_range_basis(code), 2, 10)
-        q = UniversalProjector(m=11, d=2, r=0.2, l=1, n=10, R=0.2, k_order=0,
-                               join=join, pad=1, code=code)
-        return lambda: export_projector(q, str(tmp_path / "q"))
-    return factory
+def _export_padded(tmp_path):
+    # one padded site over a 2^10 join: the join's real matrix, 8 MiB, is
+    # larger than the writer's block (4 MiB) beside the 64 MiB complex grid
+    q = assemble_q(11, 2, 0.2, override=(1, 10, 0.2))
+    return lambda: export_projector(q, str(tmp_path / "q"))
 
 
 def _padded_row(tmp_path):
@@ -155,8 +149,7 @@ SITES = {
     "assemble-q-d3": lambda tmp_path: lambda: assemble_q(7, 3, 0.5, override=(1, 7, 0.8)),
     "export-load": _export_and_load(8, 1),
     "export-load-padded": _export_and_load(9, 2),
-    "export-padded": _export_padded(1),
-    "export-padded-complex": _export_padded(1j),
+    "export-padded": _export_padded,
     "padded-row": _padded_row,
     "compress": _compress,
     "lag-terms": _lag_terms,
@@ -224,27 +217,29 @@ def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypa
 
 def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
     # a budget below the join's up-front bytes refuses the join before its
-    # tables exist, called directly or from assemble_q; one below the code
-    # columns refuses those before they exist; one between the tables and
-    # the assembled basis refuses the basis
+    # tables and start blocks exist, called directly or from assemble_q; one
+    # between those and the assembled basis refuses the D^n x rank basis
     code = build_code(2, 0.5, 10)
-    base = code_range_basis(code)
+    members = code.member_indices()
     up_front = projectors._join_bytes(2, 10, code.size)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front - 1)
     _forbid(monkeypatch, projectors, "all_sequences")
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
-        orbit_join_basis(base, 2, 10)
-    with pytest.raises(SizeError, match="orbit join over 2\\^10"):
         assemble_q(10, 2, 0.5, override=(1, 10, 0.5))
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 16 * 2 ** 10 * code.size)
     _forbid(monkeypatch, np, "zeros")
-    with pytest.raises(SizeError, match="code columns of 2\\^10 x 32"):
-        code_range_basis(code)
+    with pytest.raises(SizeError, match="orbit join over 2\\^10"):
+        orbit_join_basis(members, 2, 10)
     monkeypatch.undo()
     monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front)
-    _forbid(monkeypatch, np, "zeros")
+    zeros = np.zeros
+
+    def no_basis(shape, *args, **kwargs):
+        if shape == (2 ** 10, 162):
+            raise AssertionError("D^n x rank basis allocated past the memory budget")
+        return zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "zeros", no_basis)
     with pytest.raises(SizeError, match="orbit join basis of rank 162"):
-        orbit_join_basis(base, 2, 10)
+        orbit_join_basis(members, 2, 10)
 
 
 def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):

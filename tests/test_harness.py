@@ -397,14 +397,13 @@ def test_mixed_dimension_dense_sources():
 def test_c2_diagonal_row_reports_squared_fidelity():
     from quclab.codes import build_code
     from quclab.info import fidelity
-    from quclab.projectors import code_range_basis
     from quclab.sources import IIDSource
     row = _rows(MIXED_D[:1], scheme="c2")[0]
     assert abs(row.accept_prob - 0.802) < 1e-12
     # F(rho, P rho P / tr(P rho))^2 = tr(P rho), here for the code projector
     rho = IIDSource(np.diag([0.9, 0.1])).marginal(4)
-    b = code_range_basis(build_code(2, 0.5, 4))
-    dense = fidelity(rho, compress_c2(b @ b.conj().T, rho)) ** 2
+    p = np.diag(np.isin(np.arange(16), build_code(2, 0.5, 4).member_indices()).astype(float))
+    dense = fidelity(rho, compress_c2(p, rho)) ** 2
     assert abs(row.entanglement_fidelity - 0.802) < 1e-12
     assert abs(dense - row.entanglement_fidelity) < 1e-8
 

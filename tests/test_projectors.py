@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quclab import codes
+from quclab import codes, projectors
 from quclab.codes import all_sequences, build_code
 from quclab.errors import ValidationError
 from quclab.operators import span_basis, validate_projector
 from quclab.processes import IIDProcess
 from quclab.projectors import (JOIN_RTOL, JoinResult, _orthonormal, _type_classes,
                                _write_grid, assemble_q, acceptance_probability,
-                               code_range_basis, export_projector,
-                               load_projector_matrix, orbit_join_basis,
+                               export_projector, load_projector_matrix, orbit_join_basis,
                                rate_upper_bound, schedule)
 from quclab.sources import IIDSource
 from randmat import haar_unitary
@@ -53,44 +52,50 @@ def test_schedule_bracketing_holds():
         assert s.l == 2 ** s.i and s.n == m // s.l
 
 
+def unit_columns(members, dim):
+    """The code projector's range: one computational basis vector a member."""
+    b = np.zeros((dim, len(members)))
+    b[members, np.arange(len(members))] = 1.0
+    return b
+
+
 def test_code_projector_full():
-    b = code_range_basis(build_code(2, 1.0, 3, 0))
-    assert np.allclose(b @ b.conj().T, np.eye(8))
+    b = unit_columns(build_code(2, 1.0, 3, 0).member_indices(), 8)
+    assert np.allclose(b @ b.T, np.eye(8))
 
 
 def test_code_projector_diagonal():
-    b = code_range_basis(build_code(2, 1 / 3, 3, 0))  # size 2: {000, 111}
-    p = b @ b.conj().T
+    b = unit_columns(build_code(2, 1 / 3, 3, 0).member_indices(), 8)  # size 2: {000, 111}
+    p = b @ b.T
     assert np.allclose(np.diag(p), [1, 0, 0, 0, 0, 0, 0, 1])
     assert validate_projector(p)["rank"] == 2
 
 
 def test_code_projector_of_a_typeclass_code(monkeypatch):
     # past codes.TYPECLASS_PAST a binary k = 0 code is a type-class code; its
-    # range and its orbit join are those of the enumerated code
+    # members and its orbit join are those of the enumerated code
     dense = build_code(2, 0.6, 10, 0)
     monkeypatch.setattr(codes, "TYPECLASS_PAST", 1)
     typeclass = build_code(2, 0.6, 10, 0)
     assert not typeclass.dense
-    b, b_dense = code_range_basis(typeclass), code_range_basis(dense)
-    assert np.array_equal(b @ b.T, b_dense @ b_dense.T)
-    join, join_dense = orbit_join_basis(b, 2, 10), orbit_join_basis(b_dense, 2, 10)
+    members, members_dense = typeclass.member_indices(), dense.member_indices()
+    assert np.array_equal(members, np.sort(members_dense))
+    join = orbit_join_basis(members, 2, 10)
+    join_dense = orbit_join_basis(members_dense, 2, 10)
     assert join.rank == join_dense.rank
     assert np.allclose(join.matrix(), join_dense.matrix(), atol=1e-12)
 
 
 def test_orbit_join_full_rank_is_identity():
-    assert np.allclose(orbit_join_basis(np.eye(4), 2, 2).matrix(), np.eye(4))
+    assert np.allclose(orbit_join_basis(np.arange(4), 2, 2).matrix(), np.eye(4))
 
 
 def test_orbit_join_single_site_vector():
-    base = np.array([[1.0], [0.0]])
-    assert np.allclose(orbit_join_basis(base, 2, 1).matrix(), np.eye(2), atol=1e-10)
+    assert np.allclose(orbit_join_basis([0], 2, 1).matrix(), np.eye(2), atol=1e-10)
 
 
 def test_orbit_join_symmetric_subspace():
-    base = np.array([[1.0], [0.0], [0.0], [0.0]])
-    w = orbit_join_basis(base, 2, 2).matrix()
+    w = orbit_join_basis([0], 2, 2).matrix()
     basis = [np.array([1, 0, 0, 0.0]),
              np.array([0, 1, 1, 0.0]) / np.sqrt(2),
              np.array([0, 0, 0, 1.0])]
@@ -100,15 +105,32 @@ def test_orbit_join_symmetric_subspace():
 
 
 def test_orbit_join_invariance():
-    c = build_code(2, 0.7, 4, 0)
-    res = orbit_join_basis(code_range_basis(c), 2, 4)
-    w = res.matrix()
+    # the join is real, and commutes with complex U^{(x)n} at D = 2, 3 and 4
     rng = np.random.default_rng(99)
-    for _ in range(5):
-        u = haar_unitary(2, rng)
-        big = np.kron(np.kron(np.kron(u, u), u), u)
-        assert np.max(np.abs(big @ w @ big.conj().T - w)) < 1e-6
-    assert res.invariance_residual <= 1e-10
+    for D, n, R, k in [(2, 4, 0.7, 0), (3, 4, 0.9, 1), (4, 4, 0.4, 1)]:
+        res = orbit_join_basis(build_code(D, R, n, k).member_indices(), D, n)
+        w = res.matrix()
+        assert 0 < res.rank < D ** n
+        for _ in range(5):
+            big = functools.reduce(np.kron, [haar_unitary(D, rng)] * n)
+            assert np.max(np.abs(big @ w @ big.conj().T - w)) < 1e-6
+        assert res.invariance_residual <= 1e-10
+
+
+@pytest.mark.parametrize("members, match", [
+    (np.array([[0, 1]]), "1-D integer array, got 2-D"),
+    (np.array(3), "1-D integer array, got 0-D"),
+    (np.array([0.0, 1.0]), "1-D integer array, got 1-D float64"),
+    (np.array([True, False]), "1-D integer array, got 1-D bool"),
+    (np.array([0, 8]), "outside \\[0, 2\\^3\\)"),
+    (np.array([-1, 2]), "outside \\[0, 2\\^3\\)")],
+    ids=["2-D", "0-D", "float", "bool", "past-the-end", "negative"])
+def test_orbit_join_rejects_bad_members_before_any_table(members, match, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("type-class tables built for invalid members")
+    monkeypatch.setattr(projectors, "_type_classes", forbidden)
+    with pytest.raises(ValidationError, match=match):
+        orbit_join_basis(members, 2, 3)
 
 
 def collective_generator(D, n, a, b):
@@ -135,9 +157,9 @@ def dense_krylov_join(base, D, n):
                                         (3, 4, 1, 0.9), (3, 5, 1, 0.9), (4, 3, 0, 1.0),
                                         (4, 3, 1, 1.2)])
 def test_orbit_join_matches_dense_krylov(D, n, k, R):
-    base = code_range_basis(build_code(D, R, n, k))
-    res = orbit_join_basis(base, D, n)
-    ref = dense_krylov_join(base, D, n)
+    members = build_code(D, R, n, k).member_indices()
+    res = orbit_join_basis(members, D, n)
+    ref = dense_krylov_join(unit_columns(members, D ** n), D, n)
     assert res.rank == ref.shape[1] == sum(res.class_ranks.values())
     assert np.max(np.abs(res.matrix() - ref @ ref.conj().T)) < 1e-10
     assert res.invariance_residual <= 1e-10
@@ -153,28 +175,16 @@ def test_orbit_join_schur_weyl_rank(n, g):
     # the union of all binary type classes with min(#0, #1) < g joins to the
     # spin-j irreps with j >= n/2 - g + 1, each with its full multiplicity
     members = [x for x in range(2 ** n) if min(bin(x).count("1"), n - bin(x).count("1")) < g]
-    base = np.zeros((2 ** n, len(members)))
-    base[members, np.arange(len(members))] = 1.0
     expect = sum((math.comb(n, s) - (math.comb(n, s - 1) if s else 0)) * (n - 2 * s + 1)
                  for s in range(g))
-    assert orbit_join_basis(base, 2, n).rank == expect
-
-
-def test_orbit_join_rotated_code_same_join():
-    # the join is U-invariant, so a code in a rotated block basis (a complex
-    # base) has the same join as the computational one
-    c = build_code(3, 0.9, 4, 1)
-    u = haar_unitary(3, np.random.default_rng(11))
-    big = np.kron(np.kron(np.kron(u, u), u), u)
-    rotated = orbit_join_basis(big @ code_range_basis(c), 3, 4)
-    plain = orbit_join_basis(code_range_basis(c), 3, 4)
-    assert rotated.rank == plain.rank
-    assert np.max(np.abs(rotated.matrix() - plain.matrix())) < 1e-10
+    assert orbit_join_basis(members, 2, n).rank == expect
 
 
 def per_site_join(base, D, n):
-    """Reference join: orbit_join_basis with its earlier push, one scatter-add
-    per site and move, from the (source rows, target rows) pair of that site."""
+    """Reference join: orbit_join_basis with its earlier start and push.  Each
+    class block starts as an SVD of the real base's rows in that class, and
+    each push is one scatter-add per site and move, from the (source rows,
+    target rows) pair of that site."""
     classes, members, _ = _type_classes(D, n)
     digits = all_sequences(D, n)
     index = {c: t for t, c in enumerate(classes)}
@@ -189,26 +199,24 @@ def per_site_join(base, D, n):
                 srcs = [np.flatnonzero(digits[idx, i] == b) for i in range(n)]
                 moves.append((t, target, [(src, position[idx[src] + (a - b) * D ** (n - 1 - i)])
                                           for i, src in enumerate(srcs)]))
-    base = base.astype(complex) if base.imag.any() else base.real.astype(float)
-    scale = float(np.linalg.norm(base, axis=0).max(initial=0.0))
-    blocks = [_orthonormal(base[idx], scale) for idx in members]
+    blocks = [_orthonormal(base[idx]) for idx in members]
     grew = True
     while grew:
         grew, residual = False, 0.0
         for t, target, sites in moves:
-            pushed = np.zeros((len(members[target]), blocks[t].shape[1]), dtype=base.dtype)
+            pushed = np.zeros((len(members[target]), blocks[t].shape[1]))
             for src, dst in sites:
                 pushed[dst] += blocks[t][src]
             kept = blocks[target]
-            leak = float(np.linalg.norm(pushed - kept @ (kept.conj().T @ pushed)))
+            leak = float(np.linalg.norm(pushed - kept @ (kept.T @ pushed)))
             if leak > JOIN_RTOL:
-                grown = _orthonormal(np.hstack([kept, pushed]), 1.0)
+                grown = _orthonormal(np.hstack([kept, pushed]))
                 if grown.shape[1] > kept.shape[1]:
                     blocks[target], grew = grown, True
                     continue
             residual = max(residual, leak)
         moves.reverse()
-    basis = np.zeros((D ** n, sum(b.shape[1] for b in blocks)), dtype=base.dtype)
+    basis = np.zeros((D ** n, sum(b.shape[1] for b in blocks)))
     col = 0
     for idx, block in zip(members, blocks):
         basis[idx, col:col + block.shape[1]] = block
@@ -222,26 +230,20 @@ def join_cases(draw):
     D = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(1, 5))
     members = draw(st.lists(st.integers(0, D ** n - 1), min_size=1, max_size=8, unique=True))
-    return D, n, members, draw(st.integers(0, 2 ** 32 - 1))
+    return D, n, members
 
 
 @settings(max_examples=30)
 @given(join_cases())
 def test_orbit_join_matches_per_site_push(case):
-    # computational basis vectors, then the same after a real and after a
-    # complex (Haar) rotation of every site
-    D, n, members, seed = case
-    base = np.zeros((D ** n, len(members)))
-    base[members, np.arange(len(members))] = 1.0
-    rng = np.random.default_rng(seed)
-    real, _ = np.linalg.qr(rng.standard_normal((D, D)))
-    for u in (np.eye(D), real, haar_unitary(D, rng)):
-        rotated = functools.reduce(np.kron, [u] * n) @ base
-        res = orbit_join_basis(rotated, D, n)
-        ref = per_site_join(rotated, D, n)
-        assert res.class_ranks == ref.class_ranks
-        assert np.max(np.abs(res.matrix() - ref.matrix())) <= 1e-12
-        assert res.invariance_residual <= 1e-10
+    # random member sets: the unit-column start against the SVD start of the
+    # dense unit columns it replaces
+    D, n, members = case
+    res = orbit_join_basis(members, D, n)
+    ref = per_site_join(unit_columns(members, D ** n), D, n)
+    assert res.class_ranks == ref.class_ranks
+    assert np.max(np.abs(res.matrix() - ref.matrix())) <= 1e-12
+    assert res.invariance_residual <= 1e-10
 
 
 def test_move_tables_reproduce_dense_generator_blocks():
@@ -275,7 +277,6 @@ def test_assemble_q_exact_blocks():
     assert q.pad == 0
     assert q.trace == q.join.rank
     assert q.r <= q.trace_log_rate <= q.r + rate_upper_bound(2, 1, 4)
-    assert q.metadata["rate_lower_ok"]
     validate_projector(q.matrix())
 
 
@@ -293,7 +294,9 @@ def test_assemble_q_rejects_bad_blocks(d, override, k, match):
 def test_assemble_q_rate_defaults_to_override():
     q = assemble_q(6, 2, None, override=(2, 3, 0.9))
     assert q.r == 0.9 / 2
-    assert q.metadata == assemble_q(6, 2, 0.45, override=(2, 3, 0.9)).metadata
+    explicit = assemble_q(6, 2, 0.45, override=(2, 3, 0.9))
+    assert q.join.class_ranks == explicit.join.class_ranks
+    assert q.join.invariance_residual == explicit.join.invariance_residual
 
 
 def test_assemble_q_padding():
@@ -334,8 +337,8 @@ def test_acceptance_matches_code_measure_for_diagonal_projector():
     # code measure of the driving process
     from quclab.codes import code_measure
     c = build_code(2, 0.7, 6, 0)
-    b = code_range_basis(c)
-    p = b @ b.conj().T
+    b = unit_columns(c.member_indices(), 2 ** 6)
+    p = b @ b.T
     proc = IIDProcess([0.9, 0.1])
     rho = IIDSource(np.diag([0.9, 0.1])).marginal(6)
     assert abs(np.trace(p @ rho).real - code_measure(proc, c)) < 1e-12
@@ -351,7 +354,11 @@ def test_export_load_roundtrip(tmp_path):
     with open(prefix + ".json") as fh:
         sidecar = json.load(fh)
     assert sidecar["rank"] == q.join.rank == 8
-    assert sidecar["metadata"]["invariance_residual"] == q.join.invariance_residual
+    assert sidecar["code_size"] == q.code.size
+    assert sidecar["metadata"] == {
+        "rank_rtol": JOIN_RTOL, "rate_lower_ok": True,
+        "invariance_residual": q.join.invariance_residual,
+        "class_ranks": [[list(c), k] for c, k in q.join.class_ranks.items()]}
     assert sidecar["metadata"]["invariance_residual"] <= 1e-10
 
 
