@@ -12,13 +12,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, QuclabError, ValidationError, check_budget
+from .errors import ConfigError, QuclabError, ValidationError
 from .harness import (ExperimentConfig, _basis_row, build_channel, build_source,
                       report_csv, run_experiment)
 from .info import mean_entropy
 from .operators import validate_projector
 from .projectors import assemble_q, export_projector, load_projector_matrix
-from .sources import ergodicity_gap, ChannelTransformedSource
+from .sources import ChannelTransformedSource, lag_scan, transfer_observable
 
 
 def _load_spec(text: str) -> dict:
@@ -45,15 +45,11 @@ def _cmd_check_ergodic(args) -> int:
     if args.channel:
         source = ChannelTransformedSource(source,
                                           build_channel(_load_spec(args.channel)))
-    # |0...0><0...0| on the m sites each lag term correlates, sized before it
-    # exists: 72 bytes a cell with ergodicity_gap's two complex copies and
-    # its Hermiticity check's temporaries, plus 256 KiB of ufunc buffers; a
-    # bad m is ergodicity_gap's to name
-    dim = source.d ** max(args.m, 1)
-    check_budget(72 * dim ** 2 + 2 ** 18, f"check-ergodic observable of {dim} x {dim}")
-    a = np.zeros((dim, dim))
-    a[0, 0] = 1.0
-    rep = ergodicity_gap(source, a, a, m=args.m, N=args.N)
+    # |0...0><0...0| on the m sites is |0><0| on each: its chi x chi matrix is
+    # the m-th power of |0><0|'s, with no d^m x d^m array; lag_scan names a bad m
+    zero = np.diag(np.eye(source.d)[0])
+    A = np.linalg.matrix_power(transfer_observable(source, zero, 1), max(args.m, 0))
+    rep = lag_scan(source, A, A, args.m, args.N)
     print(f"m={rep.m} N={rep.N}")
     print(f"cesaro average:   {rep.cesaro:.10f}")
     print(f"product target:   {rep.product:.10f}")

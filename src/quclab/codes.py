@@ -3,12 +3,11 @@
 A code over alphabet L with block length n and rate R is the set of the
 first 2^floor(nR) sequences under the total order (cyclic k-th-order
 empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
-equal, then lexicographic).  Every order k uses one formula, from one count
-of the cyclic (k+1)-grams of each sequence, L^n * L^(k+1) entries.  Dense
-mode enumerates all L^n sequences and scores them; binary alphabets with
-k = 0 use a type-class representation past TYPECLASS_PAST sequences, up to
-block length 64.  Any other code whose enumeration is past the memory budget
-is a SizeError.
+equal, then lexicographic).  A binary k = 0 code is a union of type classes
+and is built as one up to block length 64, in time polynomial in n.  Every
+other code enumerates and scores all L^n sequences, with one formula for
+every k from one count of the cyclic (k+1)-grams, L^n * L^(k+1) entries; an
+enumeration past the memory budget is a SizeError.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ FLOOR_GUARD = 1e-9
 # sequence and its complement, or permuted type classes) can differ in the
 # last bits.
 SCORE_TIE_TOL = 1e-9
-# Binary k = 0 codes over more sequences than this are built by type class,
-# in time polynomial in n where enumeration takes 2^n n.  A speed switch, not
-# a size limit: the memory budget decides whether a code can be enumerated.
-TYPECLASS_PAST = 2 ** 20
 
 
 def code_size(n: int, R: float) -> int:
@@ -109,8 +104,7 @@ class BlockCode:
     def size(self) -> int:
         if self.members is not None:
             return int(len(self.members))
-        full = sum(math.comb(self.n, j) for j in self.full_ones_counts)
-        return full + self.boundary_take
+        return sum(math.comb(self.n, j) for j in self.full_ones_counts) + self.boundary_take
 
     @property
     def dense(self) -> bool:
@@ -150,7 +144,7 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
     if size >= N:
         check_budget(8 * N, f"degenerate code of all {L}^{n} sequences")
         return BlockCode(L, n, R, k, members=np.arange(N), degenerate=True)
-    if L == 2 and k == 0 and TYPECLASS_PAST < N and n <= 64:
+    if L == 2 and k == 0 and n <= 64:
         return _build_binary_typeclass(R, n, size)
     check_budget(_enumeration_bytes(L, n, k), f"enumerating the {L}^{n} sequences at k = {k} "
                  "(the type-class mode needs L = 2, k = 0 and n <= 64)")
@@ -163,20 +157,19 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
 
 
 def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
+    """Whole type-class pairs {g, n - g} by ascending g while they fit, then
+    the boundary pair; size < 2^n, so a pair is always left to stop at."""
     full: list[int] = []
-    remaining = size
     for g in range(n // 2 + 1):
         classes = sorted({g, n - g})
         total = sum(math.comb(n, j) for j in classes)
-        if total <= remaining:
-            full.extend(classes)
-            remaining -= total
-            if remaining == 0:
-                return BlockCode(2, n, R, 0, full_ones_counts=full)
-        else:
+        if total > size:
             return BlockCode(2, n, R, 0, full_ones_counts=full,
-                             boundary_ones_counts=classes, boundary_take=remaining)
-    return BlockCode(2, n, R, 0, full_ones_counts=full)
+                             boundary_ones_counts=classes, boundary_take=size)
+        full.extend(classes)
+        size -= total
+        if size == 0:
+            return BlockCode(2, n, R, 0, full_ones_counts=full)
 
 
 def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
@@ -184,8 +177,7 @@ def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
     if p.L != c.L:
         raise ValidationError("alphabet size mismatch")
     if c.dense or not isinstance(p, IIDProcess):
-        mu = p.marginal(c.n).probs
-        return float(mu[c.member_indices()].sum())
+        return float(p.marginal(c.n).probs[c.member_indices()].sum())
     p0, p1 = float(p.p[0]), float(p.p[1])
     total = 0.0
     for j in c.full_ones_counts:
@@ -217,16 +209,12 @@ def _boundary_measure(n: int, ones_counts, take: int, p0: float, p1: float) -> f
 
 
 def superblock_code(c: BlockCode, i: int) -> BlockCode:
-    """Regroup a length-(i*j) code over L into a length-j code over L^i.
-
-    The flat member indices are invariant under mixed-radix regrouping, so
-    the member array carries over unchanged.
-    """
+    """Regroup a length-(i*j) code over L into a length-j code over L^i.  The
+    flat member indices are invariant under mixed-radix regrouping, so the
+    regrouped code holds member_indices() of either kind of code."""
     if i == 1:
         return c
-    if not c.dense:
-        raise NotImplementedError("superblock regrouping requires dense mode")
     if c.n % i != 0:
         raise ValidationError(f"superblock size {i} does not divide length {c.n}")
     return BlockCode(c.L ** i, c.n // i, c.R * i, c.k,
-                     members=c.members.copy(), degenerate=c.degenerate)
+                     members=c.member_indices().copy(), degenerate=c.degenerate)

@@ -247,8 +247,8 @@ class ReportRow:
     wall_ms: float = 0.0
     error: str = ""
     # in the JSON mirror only, not in the CSV: the path that computed the row
-    # ("diagonal" or "code", or trace_q_rho's "classical", "invariant" or
-    # "dense") and the orbit-mode join evidence
+    # ("diagonal" or "code" for a diagonal source, else trace_q_rho's
+    # "invariant" or "dense") and the orbit-mode join evidence
     path: str | None = None
     join_rank: int | None = None
     invariance_residual: float | None = None
@@ -317,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                     row.achieved_rate = up.trace_log_rate
                     row.join_rank = up.join.rank
                     row.invariance_residual = up.join.invariance_residual
-                    if diagonal and d ** l <= 2 ** 10:
+                    if diagonal:
                         row.path = "diagonal"
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
                             source, up.code, l, cfg.scheme)

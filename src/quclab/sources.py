@@ -18,6 +18,8 @@ from .processes import ClassicalProcess, IIDProcess
 
 GRAM_CONDITION_CAP = 1e8
 DIAG_TOL = 1e-12
+# Lag terms per step of the ergodicity scan (lag_scan).
+LAG_BLOCK = 2 ** 10
 
 
 class QuantumAlphabet:
@@ -227,8 +229,7 @@ class ErgodicityReport:
 
 def ergodicity_gap(s: QuantumSource, a, b, m: int, N: int) -> ErgodicityReport:
     """Lag-j terms tr(rho_{m+j} (a (x) 1^{j-m} (x) b)) for j = m..N, from the
-    transfer form: term_j = l A_a T^{j-m} A_b 1, where A_x[i, k] is x's trace
-    against the m-site operator strings from bond i to bond k."""
+    transfer form: term_j = l A_a T^{j-m} A_b 1 (transfer_observable, lag_scan)."""
     if not 1 <= m <= N:
         raise ValidationError(f"ergodicity scan needs 1 <= m <= N, got m = {m}, N = {N}")
     D = s.d ** m
@@ -236,26 +237,41 @@ def ergodicity_gap(s: QuantumSource, a, b, m: int, N: int) -> ErgodicityReport:
         if np.shape(x) != (D, D):
             raise ValidationError(f"observable {name} must be {s.d}^{m} x {s.d}^{m} "
                                   f"= {D} x {D} at m = {m}, got {np.shape(x)}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_hermitian(a)
-    check_hermitian(b)
-    # the lag terms, their deviations from the product and those in modulus
-    check_budget(3 * 8 * (N - m + 1), f"{N - m + 1} lag terms")
+        check_hermitian(np.asarray(x, dtype=complex))
+    return lag_scan(s, transfer_observable(s, a, m), transfer_observable(s, b, m), m, N)
+
+
+def transfer_observable(s: QuantumSource, x, m: int) -> np.ndarray:
+    """A_x[i, k] = tr(x S_ik) over the m-site operator strings S_ik from bond i
+    to bond k; a product x_1 (x) ... (x) x_m has A_{x_1} ... A_{x_m}."""
     strings = s._strings(np.eye(len(s.left)), m, close=False)
-    A = np.einsum("ikxy,yx->ik", strings, a)
-    B = np.einsum("ikxy,yx->ik", strings, b)
-    T = s.transfer_matrix()
+    return np.einsum("ikxy,yx->ik", strings, np.asarray(x, dtype=complex))
+
+
+def lag_scan(s: QuantumSource, A: np.ndarray, B: np.ndarray, m: int,
+             N: int) -> ErgodicityReport:
+    """The Cesaro diagnostic from the chi x chi matrices A and B of two m-site
+    observables: term_j = u T^{j-m} w for j = m..N, with u = l A and w = B 1.
+    The rows u T^k come LAG_BLOCK at a time, each block the last one times
+    T^LAG_BLOCK.  The budget counts 24 bytes a term (the terms, their
+    deviations and those in modulus) and 2 chi + 2 complex entries a block row."""
+    if not 1 <= m <= N:
+        raise ValidationError(f"ergodicity scan needs 1 <= m <= N, got m = {m}, N = {N}")
+    count = N - m + 1
+    check_budget(3 * 8 * count + 16 * LAG_BLOCK * (2 * len(s.left) + 2), f"{count} lag terms")
     ones = np.ones(len(s.left))
     product = float(((s.left @ A @ ones) * (s.left @ B @ ones)).real)
-    u, w = s.left @ A, B @ ones
-    terms = np.empty(N - m + 1)
-    for k in range(len(terms)):
-        terms[k] = (u @ w).real
-        u = u @ T
-    cesaro = float(np.mean(terms))
+    # rows u T^k for k < len(rows), and step = T^len(rows), by doubling
+    rows, step, w = (s.left @ A)[None], s.transfer_matrix(), B @ ones
+    while len(rows) < min(count, LAG_BLOCK):
+        rows = np.vstack([rows, rows @ step])
+        step = step @ step
+    terms = np.empty(count)
+    for start in range(0, count, len(rows)):
+        terms[start:start + len(rows)] = (rows @ w).real[:count - start]
+        rows = rows @ step
     return ErgodicityReport(
-        m=m, N=N, cesaro=cesaro, product=product,
+        m=m, N=N, cesaro=float(np.mean(terms)), product=product,
         weak_mixing_avg=float(np.mean(np.abs(terms - product))),
         strong_tail=float(terms[-1] - product))
 
@@ -272,8 +288,7 @@ def verify_invariance(s: QuantumSource, c: KrausChannel, m_max: int = 6,
     # the (m, i) deviation is at most the sum of i adjacent ones
     cons = max((check_consistency(t, m, 1) for m in range(1, m_max)), default=0.0)
     stat = max((check_stationarity(t, m, 1) for m in range(1, m_max)), default=0.0)
-    a = np.zeros((t.d, t.d))
-    a[0, 0] = 1.0
+    a = np.diag(np.eye(t.d)[0])
     ergodic = ergodicity_gap(t, a, a, 1, N)
     # the d^4 two-site matrix units |x><y| span every observable, and
     # G[y, x] = tr(rho_2 dual(|x><y|)) is what E^{x2}(rho_2)[y, x] must equal

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quclab import channels, cli, codes, errors, harness, processes, projectors, sources
+from quclab import channels, codes, errors, harness, processes, projectors, sources
 from quclab.channels import apply_per_site, depolarizing
 from quclab.cli import main
 from quclab.codes import all_sequences, build_code, empirical_entropy_scores
@@ -19,9 +19,9 @@ from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
 from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probability,
                                assemble_q, export_projector, load_projector_matrix,
                                orbit_join_basis)
-from quclab.sources import IIDSource, ergodicity_gap
+from quclab.sources import IIDSource, ergodicity_gap, lag_scan, transfer_observable
 
-CHECKED = (channels, cli, codes, processes, projectors, sources)
+CHECKED = (channels, codes, processes, projectors, sources)
 # The formulas count array bytes; the interpreter's own objects (array
 # headers, the check's message) add a few KiB on top.
 OBJECTS = 2 ** 16
@@ -153,8 +153,6 @@ SITES = {
     "padded-row": _padded_row,
     "compress": _compress,
     "lag-terms": _lag_terms,
-    "check-ergodic-observable": lambda tmp_path: lambda: main(
-        ["check-ergodic", '{"kind": "iid", "probs": [0.9, 0.1]}', "--m", "9", "--N", "20"]),
 }
 
 
@@ -322,27 +320,17 @@ def test_lag_terms_past_the_budget_are_refused_before_allocation(monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error: 1000000000000 lag terms needs")
     assert "memory budget" in err
-    # 24 bytes a term: 2^27 terms are admitted at exactly the budget
+    # 24 bytes a term beside the scan's block of LAG_BLOCK rows, complex, its
+    # successor and their products (chi = 2 here): 2^27 - 4096 terms are
+    # admitted at exactly the budget
     s, a = build_source(DEPOLARIZED_MARKOV), np.diag([1.0, 0.0])
-    _refused(lambda: ergodicity_gap(s, a, a, 1, 2 ** 27 + 1))
+    most = 2 ** 27 - 4096
+    assert 24 * most + 16 * sources.LAG_BLOCK * 6 == MEMORY_BUDGET
+    _refused(lambda: ergodicity_gap(s, a, a, 1, most + 1))
     monkeypatch.undo()
-    assert _admitted_bytes(monkeypatch, lambda: ergodicity_gap(s, a, a, 1, 2 ** 27)) \
-        == MEMORY_BUDGET
+    A = transfer_observable(s, a, 1)
+    assert _admitted_bytes(monkeypatch, lambda: lag_scan(s, A, A, 1, most)) == MEMORY_BUDGET
 
-
-def test_check_ergodic_observable_past_the_budget_is_refused_before_allocation(
-        monkeypatch, capsys):
-    # 72 bytes a cell of the d^m x d^m observable: m = 12 is admitted at
-    # 1152 MiB and 256 KiB, m = 13 (4.5 GiB) refused before np.zeros
-    iid = '{"kind": "iid", "probs": [0.9, 0.1]}'
-    assert _admitted_bytes(monkeypatch, lambda: main(["check-ergodic", iid, "--m", "12"])) \
-        == 72 * 2 ** 24 + 2 ** 18
-    monkeypatch.undo()
-    _forbid(monkeypatch, np, "zeros")
-    assert main(["check-ergodic", iid, "--m", "13"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: check-ergodic observable of 8192 x 8192 needs")
-    assert "memory budget" in err
 
 def test_classical_marginals_are_sized_in_bytes(monkeypatch):
     # a 16 MiB marginal at n = 21 is admitted; n = 28 of an i.i.d. process

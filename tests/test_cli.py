@@ -45,9 +45,11 @@ def test_check_ergodic_command(capsys):
     assert "gap:" in out
 
 
-@pytest.mark.parametrize("m", ["2", "3"])
+@pytest.mark.parametrize("m", ["2", "3", "13"])
 def test_check_ergodic_over_several_sites(m, capsys):
-    # the observable is |0...0><0...0| on the m sites, d^m x d^m
+    # the observable is |0...0><0...0| on the m sites; it enters the scan as
+    # the m-th power of |0><0|'s chi x chi matrix, so at m = 13 no
+    # 2^13 x 2^13 array (4.5 GiB with its copies) is formed
     assert main(["check-ergodic", BERN, "--m", m, "--N", "100"]) == 0
     out = dict(line.split(":") for line in capsys.readouterr().out.splitlines()[1:])
     assert abs(float(out["product target"]) - 0.81 ** int(m)) < 1e-10

@@ -134,47 +134,56 @@ def _typeclass_measure_oracle(n, R, p0f, p1f):
     return float(total)
 
 
-def test_typeclass_mode_matches_dense(monkeypatch):
-    # same parameters evaluated in dense mode and in predicate mode
+def _oracle_members(n, size):
+    """The first `size` indices of the 2^n binary sequences ordered by
+    (min(ones, zeros), index), enumerated."""
+    ones = np.array([bin(i).count("1") for i in range(2 ** n)])
+    return np.lexsort((np.arange(2 ** n), np.minimum(ones, n - ones)))[:size]
+
+
+def test_typeclass_code_matches_enumeration():
+    # a binary k = 0 code is a type-class code; its members are the
+    # enumeration oracle's, ascending, and it measures every process, not
+    # only i.i.d. ones
     proc = IIDProcess([0.85, 0.15])
     markov = MarkovProcess([[0.9, 0.1], [0.3, 0.7]])
     for n in (8, 12, 16):
-        dense = build_code(2, 0.6, n, 0)
-        with monkeypatch.context() as m:
-            m.setattr(codes, "TYPECLASS_PAST", 1)
-            pred = build_code(2, 0.6, n, 0)
-        assert not pred.dense
-        assert pred.size == dense.size
-        assert abs(code_measure(proc, pred) - code_measure(proc, dense)) < 1e-12
-        # a type-class code's members are the dense members, ascending, and
-        # measure every process, not only i.i.d. ones
-        assert np.array_equal(pred.member_indices(), np.sort(dense.members))
-        assert abs(code_measure(markov, pred) - code_measure(markov, dense)) < 1e-12
+        c = build_code(2, 0.6, n, 0)
+        oracle = _oracle_members(n, code_size(n, 0.6))
+        assert not c.dense
+        assert np.array_equal(c.member_indices(), np.sort(oracle))
+        for p in (proc, markov):
+            assert abs(code_measure(p, c) - p.marginal(n).probs[oracle].sum()) < 1e-12
 
 
-def test_typeclass_measure_oracle_large_n(monkeypatch):
+def test_typeclass_measure_oracle_large_n():
     proc = IIDProcess([0.9, 0.1])
     for n in (20, 40, 60):
         c = build_code(2, 0.8, n, 0)
         assert abs(code_measure(proc, c) - _typeclass_measure_oracle(n, 0.8, 0.9, 0.1)) < 1e-12
-    # every boundary for n = 2..14 against direct enumeration: the first
-    # 2^floor(nR) indices by (min(ones, zeros), index), summed exactly
-    monkeypatch.setattr(codes, "TYPECLASS_PAST", 1)
+    # every boundary for n = 2..14 against the enumeration oracle, summed
+    # exactly
     p0, p1 = Fraction(9, 10), Fraction(1, 10)
     boundaries = 0
     for n in range(2, 15):
-        ones = np.array([bin(i).count("1") for i in range(2 ** n)])
-        ordered = np.lexsort((np.arange(2 ** n), np.minimum(ones, n - ones)))
         for R in [x / 100 for x in range(5, 96, 5)]:
             c = build_code(2, R, n, 0)
             if c.degenerate:
                 continue
             assert not c.dense
             boundaries += c.boundary_take > 0
-            taken = np.bincount(ones[ordered[:c.size]], minlength=n + 1)
+            oracle = _oracle_members(n, c.size)
+            taken = np.bincount([bin(i).count("1") for i in oracle], minlength=n + 1)
             exact = sum(int(taken[j]) * p1 ** j * p0 ** (n - j) for j in range(n + 1))
             assert abs(code_measure(proc, c) - float(exact)) < 1e-12
     assert boundaries > 100
+
+
+def test_binary_k0_codes_are_typeclass_codes_up_to_n64():
+    for n in range(1, 65):
+        for R in (0.3, 0.5, 0.9):
+            c = build_code(2, R, n, 0)
+            assert c.degenerate or not c.dense
 
 
 def test_universality_curve():
@@ -227,6 +236,17 @@ def test_superblock_contains_low_entropy_core():
 def test_superblock_divisibility_error():
     with pytest.raises(ValidationError):
         superblock_code(build_code(2, 0.5, 5, 0), 2)
+
+
+def test_superblock_of_a_typeclass_code():
+    # regrouping reads member_indices(), so a type-class code regroups too
+    c = build_code(2, 0.5, 6, 0)
+    assert not c.dense
+    s = superblock_code(c, 2)
+    assert (s.L, s.n, s.R, s.size) == (4, 3, 1.0, c.size)
+    assert set(s.member_indices().tolist()) == set(c.member_indices().tolist())
+    with pytest.raises(ValidationError, match="does not divide"):
+        superblock_code(c, 4)
 
 
 def test_scores_rotation_invariant():

@@ -436,6 +436,15 @@ def test_block_dimension_32_row_is_recorded():
     assert 0 < row.accept_prob <= 1
 
 
+def test_diagonal_row_past_block_dimension_1024_is_the_joins_size_error():
+    # l = 11 gives block dimension 2048: the join is refused before any path
+    # is taken, so a diagonal row never reaches trace_q_rho's classical path
+    row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], n_range=[11],
+                override_schedule={"l": 11})[0]
+    assert row.error.startswith("SizeError: orbit join over 2048^1 sequences")
+    assert row.path is None and row.accept_prob is None
+
+
 def test_join_svd_failure_is_a_row_error(monkeypatch):
     # the first SVD of the join fails; its row records the error and the
     # next row (another n, so another join) is the same as when run alone
@@ -735,9 +744,9 @@ def test_mixture_rows_at_block_length_two(mode):
 def test_dense_cap_limits_of_code_mode_are_row_errors():
     markov = {"id": "markov", "kind": "classical",
               "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
-    # past 2^20 sequences binary k = 0 codes are type classes, measured by
-    # formula for i.i.d. processes and over the marginal otherwise; the
-    # Markov marginal at n = 28 is past the memory budget
+    # binary k = 0 codes are type classes, measured by formula for i.i.d.
+    # processes and over the marginal otherwise; the Markov marginal at
+    # n = 28 is past the memory budget
     rows = _rows([GOOD_IID, markov], n_range=[21, 28], projector_mode="code")
     assert [r.error.split(":")[0] for r in rows] == ["", "", "", "SizeError"]
     assert 0 < rows[2].accept_prob < 1 and rows[3].accept_prob is None

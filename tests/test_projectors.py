@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quclab import codes, projectors
+from quclab import projectors
 from quclab.codes import all_sequences, build_code
 from quclab.errors import ValidationError
 from quclab.operators import span_basis, validate_projector
@@ -71,19 +71,18 @@ def test_code_projector_diagonal():
     assert validate_projector(p)["rank"] == 2
 
 
-def test_code_projector_of_a_typeclass_code(monkeypatch):
-    # past codes.TYPECLASS_PAST a binary k = 0 code is a type-class code; its
-    # members and its orbit join are those of the enumerated code
-    dense = build_code(2, 0.6, 10, 0)
-    monkeypatch.setattr(codes, "TYPECLASS_PAST", 1)
+def test_code_projector_of_a_typeclass_code():
+    # a binary k = 0 code is a type-class code; its orbit join is that of the
+    # enumeration oracle's members, the first 2^floor(nR) indices by
+    # (min(ones, zeros), index), taken in that order
     typeclass = build_code(2, 0.6, 10, 0)
     assert not typeclass.dense
-    members, members_dense = typeclass.member_indices(), dense.member_indices()
-    assert np.array_equal(members, np.sort(members_dense))
-    join = orbit_join_basis(members, 2, 10)
-    join_dense = orbit_join_basis(members_dense, 2, 10)
-    assert join.rank == join_dense.rank
-    assert np.allclose(join.matrix(), join_dense.matrix(), atol=1e-12)
+    ones = np.array([bin(i).count("1") for i in range(2 ** 10)])
+    oracle = np.lexsort((np.arange(2 ** 10), np.minimum(ones, 10 - ones)))[:typeclass.size]
+    join = orbit_join_basis(typeclass.member_indices(), 2, 10)
+    join_oracle = orbit_join_basis(oracle, 2, 10)
+    assert join.rank == join_oracle.rank
+    assert np.allclose(join.matrix(), join_oracle.matrix(), atol=1e-12)
 
 
 def test_orbit_join_full_rank_is_identity():
