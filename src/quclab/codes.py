@@ -5,9 +5,11 @@ first 2^floor(nR) sequences under the total order (cyclic k-th-order
 empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
 equal, then lexicographic).  A binary k = 0 code is a union of type classes
 and is built as one up to block length 64, in time polynomial in n.  Every
-other code enumerates and scores all L^n sequences, with one formula for
-every k from one count of the cyclic (k+1)-grams, L^n * L^(k+1) entries; an
-enumeration past the memory budget is a SizeError.
+other code scores all L^n sequences, with one formula for every k from one
+count of the cyclic (k+1)-grams, L^n * L^(k+1) entries.  The grams come from
+position-major digits, one row of all sequences per position, each row's
+grams slid on from the row before; the order is a stable radix sort of the
+score clusters.  An enumeration past the memory budget is a SizeError.
 """
 
 from __future__ import annotations
@@ -32,43 +34,65 @@ def code_size(n: int, R: float) -> int:
     return 2 ** int(math.floor(n * R + FLOOR_GUARD))
 
 
-def _scores_bytes(N: int, n: int, L: int, k: int) -> int:
-    """Peak bytes of empirical_entropy_scores on N rows of length n: the
-    (N, n) gram codes with three loop temporaries, or the gram codes with the
-    N x L^(k+1) count, three float temporaries of its size, its mask and the
-    context sums."""
-    G = L ** (k + 1)
-    return N * (8 * n + max(24 * n, 25 * G + 8 * L ** k))
+def _scores_bytes(L: int, n: int, k: int) -> int:
+    """Peak bytes of empirical_entropy_scores(L, n, k), and so of a dense
+    build_code, over the N = L^n sequences: the (n, N) offset grams with
+    bincount's intp copy of them and the N x L^(k+1) count, or the float
+    count with its mask, two float temporaries, the where output and the
+    context sums.  The order after the scores holds at most 57 bytes a
+    sequence (np.unique's copy, permutation, sorted copy, mask, cumsum,
+    inverse and distinct values beside the scores), under the float count's
+    25 L^(k+1) + 8 L^k >= 58."""
+    N, G = L ** n, L ** (k + 1)
+    itemsize = _gram_dtype(N * G).itemsize
+    return N * max((itemsize + 8) * n + 8 * G, 25 * G + 8 * L ** k)
 
 
-def _enumeration_bytes(L: int, n: int, k: int) -> int:
-    """Peak bytes of a dense build_code: the digit matrix of all L^n
-    sequences and their scores; the sort after them holds less."""
-    N = L ** n
-    return 8 * N * n + _scores_bytes(N, n, L, k)
+def _gram_dtype(count: int) -> np.dtype:
+    """The digits' and offset grams' type: int32 while every offset gram,
+    below count, fits."""
+    return np.dtype(np.int32 if count <= 2 ** 31 else np.int64)
 
 
-def empirical_entropy_scores(digits: np.ndarray, L: int, k: int) -> np.ndarray:
-    """Cyclic k-th-order empirical conditional entropy per row, in bits.
+def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
+    """Cyclic k-th-order empirical conditional entropy, in bits, of every
+    sequence of length n over L symbols, in index order (x1 most
+    significant).
 
     One formula for every k (k = 0 has the empty context): the sum over the
-    row's wrap-around (k+1)-grams of c * log2(context count / c), over n.
-    Wrap-around grams make the score rotation-invariant, so all phases of a
-    periodic sequence receive the same score.  Scores that tie in exact
+    sequence's wrap-around (k+1)-grams of c * log2(context count / c), over
+    n.  Wrap-around grams make the score rotation-invariant, so all phases of
+    a periodic sequence receive the same score.  Scores that tie in exact
     arithmetic may differ in the last bits; build_code counts scores within
     SCORE_TIE_TOL as equal.  A count past the memory budget raises SizeError
-    before it is allocated.
+    before anything is allocated.
     """
-    N, n = digits.shape
-    G = L ** (k + 1)
-    check_budget(_scores_bytes(N, n, L, k), f"(k+1)-gram count of {N} x {G} entries")
-    # gram code at position i: x_i ... x_{i+k}, most significant first,
-    # offset by the row so that one bincount counts every row
-    gram = np.zeros((N, n), dtype=np.int64)
-    for j in range(k + 1):
-        gram = gram * L + digits[:, (np.arange(n) + j) % n]
-    gram += np.arange(N)[:, None] * G
-    counts = np.bincount(gram.ravel(), minlength=N * G).reshape(N, L ** k, L).astype(float)
+    N, Lk = L ** n, L ** k
+    G = Lk * L
+    check_budget(_scores_bytes(L, n, k), f"(k+1)-gram count of {N} x {G} entries")
+    dtype = _gram_dtype(N * G)
+    # position-major digits: row i holds x_{i+1} of every sequence
+    digits = np.empty((n, N), dtype=dtype)
+    rest = np.arange(N, dtype=dtype)
+    for i in range(n - 1, -1, -1):
+        np.divmod(rest, L, out=(rest, digits[i]))
+    # row i: the gram x_{i+1} ... x_{i+k+1} (wrapping), most significant
+    # first; each row slides one digit on from the one before
+    grams = np.empty((n, N), dtype=dtype)
+    grams[0] = digits[0]
+    for j in range(1, k + 1):
+        grams[0] *= L
+        grams[0] += digits[j % n]
+    for i in range(1, n):
+        np.remainder(grams[i - 1], Lk, out=grams[i])
+        grams[i] *= L
+        grams[i] += digits[(i + k) % n]
+    del digits, rest
+    # offset by the sequence, so that one bincount counts every sequence
+    grams += np.arange(0, N * G, G, dtype=dtype)
+    counts = np.bincount(grams.ravel(), minlength=N * G)
+    del grams
+    counts = counts.reshape(N, Lk, L).astype(float)
     ctx = counts.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(counts > 0, counts * np.log2(ctx / counts), 0.0)
@@ -146,13 +170,15 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
         return BlockCode(L, n, R, k, members=np.arange(N), degenerate=True)
     if L == 2 and k == 0 and n <= 64:
         return _build_binary_typeclass(R, n, size)
-    check_budget(_enumeration_bytes(L, n, k), f"enumerating the {L}^{n} sequences at k = {k} "
+    check_budget(_scores_bytes(L, n, k), f"enumerating the {L}^{n} sequences at k = {k} "
                  "(the type-class mode needs L = 2, k = 0 and n <= 64)")
-    digits = all_sequences(L, n)
-    scores = empirical_entropy_scores(digits, L, k)
-    values = np.sort(scores)
+    values, inverse = np.unique(empirical_entropy_scores(L, n, k), return_inverse=True)
     cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
-    order = np.argsort(cluster[np.searchsorted(values, scores)], kind="stable")
+    # a stable sort of the cluster ids, in the narrowest unsigned type that
+    # holds them (numpy radix-sorts 8- and 16-bit keys), breaks ties in
+    # index order, which is lexicographic
+    cluster = cluster.astype(np.min_scalar_type(cluster[-1]))
+    order = np.argsort(cluster[inverse], kind="stable")
     return BlockCode(L, n, R, k, members=order[:size])
 
 

@@ -12,7 +12,7 @@ import pytest
 from quclab import channels, codes, errors, harness, processes, projectors, sources
 from quclab.channels import apply_per_site, depolarizing
 from quclab.cli import main
-from quclab.codes import all_sequences, build_code, empirical_entropy_scores
+from quclab.codes import build_code, empirical_entropy_scores
 from quclab.errors import MEMORY_BUDGET, SizeError
 from quclab.harness import ExperimentConfig, build_source, run_experiment
 from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
@@ -88,11 +88,6 @@ def _apply(phase):
     return factory
 
 
-def _scores(tmp_path):
-    digits = all_sequences(2, 14)
-    return lambda: empirical_entropy_scores(digits, 2, 3)
-
-
 def _export_and_load(m, l):
     def factory(tmp_path):
         q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
@@ -141,7 +136,8 @@ SITES = {
     "classical-marginal": lambda tmp_path: lambda: PeriodicProcess(
         [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]).marginal(16),
     "classical-block": lambda tmp_path: lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(16),
-    "entropy-scores": _scores,
+    # the offset grams set the scores' peak at k = 1, the float count at k = 3
+    "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 14, 1),
     "code-enumeration": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
     "typeclass-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
     "assemble-q": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(1, 11, 0.5)),
@@ -207,10 +203,9 @@ def test_apply_of_an_n14_row_is_admitted_and_past_the_budget_refused(monkeypatch
 def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypatch):
     _forbid(monkeypatch, np, "einsum")
     _refused(lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(27))
-    digits = np.broadcast_to(np.zeros(1, dtype=np.int64), (2 ** 20, 20))
-    _forbid(monkeypatch, np, "bincount")
-    _forbid(monkeypatch, np, "zeros")
-    _refused(lambda: empirical_entropy_scores(digits, 2, 6))
+    for name in ("empty", "divmod", "bincount"):
+        _forbid(monkeypatch, np, name)
+    _refused(lambda: empirical_entropy_scores(2, 20, 6))
 
 
 def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quclab import codes, errors
-from quclab.codes import (all_sequences, build_code, code_measure, code_size,
+from quclab.codes import (SCORE_TIE_TOL, all_sequences, build_code, code_measure, code_size,
                           empirical_entropy_scores, superblock_code)
 from quclab.errors import SizeError, ValidationError
 from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess, index_sequence
@@ -28,6 +30,39 @@ def brute_order(L, n, k):
         scored.append((h, seq))
     scored.sort(key=lambda t: (round(t[0], 12), t[1]))
     return [s for _, s in scored]
+
+
+def reference_scores(digits, L, k):
+    """The scores from an (N, n) digit matrix: (k+1)-gram codes gathered
+    column by column, offset by the row and counted by one bincount, under
+    the same float formula as empirical_entropy_scores."""
+    N, n = digits.shape
+    G = L ** (k + 1)
+    gram = np.zeros((N, n), dtype=np.int64)
+    for j in range(k + 1):
+        gram = gram * L + digits[:, (np.arange(n) + j) % n]
+    gram += np.arange(N)[:, None] * G
+    counts = np.bincount(gram.ravel(), minlength=N * G).reshape(N, L ** k, L).astype(float)
+    ctx = counts.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(counts > 0, counts * np.log2(ctx / counts), 0.0)
+    return t.reshape(N, G).sum(axis=1) / n
+
+
+def reference_order(scores):
+    """Every index in code order: scores sorted, clustered within
+    SCORE_TIE_TOL, each score mapped to its cluster by searchsorted, and ties
+    kept in index order by an int64 stable argsort."""
+    values = np.sort(scores)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
+    return np.argsort(cluster[np.searchsorted(values, scores)], kind="stable")
+
+
+# the (L, n, k) grid on which the scores and the code order are compared with
+# the reference, k >= n included
+REFERENCE_GRID = ([(2, n, k) for n in range(1, 17) for k in range(7)]
+                  + [(3, n, k) for n in range(1, 9) for k in range(4)]
+                  + [(4, n, k) for n in range(1, 7) for k in range(3)])
 
 
 def member_strings(c):
@@ -251,12 +286,26 @@ def test_superblock_of_a_typeclass_code():
 
 def test_scores_rotation_invariant():
     seqs = all_sequences(2, 6)
-    scores = empirical_entropy_scores(seqs, 2, 1)
+    scores = empirical_entropy_scores(2, 6, 1)
     for i in (5, 11, 23):
         seq = seqs[i]
         rot = np.roll(seq, 2)
         j = int("".join(map(str, rot)), 2)
         assert abs(scores[i] - scores[j]) < 1e-12
+
+
+def test_scores_and_code_order_match_the_digit_matrix_reference():
+    for L, n, k in REFERENCE_GRID:
+        scores = empirical_entropy_scores(L, n, k)
+        assert np.array_equal(scores, reference_scores(all_sequences(L, n), L, k)), (L, n, k)
+        # the largest code short of every sequence holds most of the order
+        bits = math.ceil(n * math.log2(L)) - 1
+        if bits == 0:
+            continue
+        c = build_code(L, bits / n, n, k)
+        assert c.size == 2 ** bits < L ** n
+        if c.dense:
+            assert np.array_equal(c.members, reference_order(scores)[:c.size]), (L, n, k)
 
 
 def test_code_measure_markov():
@@ -299,6 +348,26 @@ def test_build_code_exact_ties(L, n, k, R):
     assert sorted(build_code(L, R, n, k).members.tolist()) == sorted(order[:size])
 
 
+@st.composite
+def code_cases(draw):
+    """Small (L, n, k, R) with R = b / n for b >= 1 bits, degenerate codes
+    (2^b >= L^n) included."""
+    L = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 10, 3: 6, 4: 5}[L]))
+    k = draw(st.integers(0, n + 1))
+    b = draw(st.integers(1, math.floor(n * math.log2(L))))
+    return L, n, k, b
+
+
+@given(code_cases())
+def test_code_is_a_prefix_of_the_exact_order(case):
+    L, n, k, b = case
+    seqs = list(itertools.product(range(L), repeat=n))
+    order = sorted(range(L ** n), key=lambda i: (exact_order_key(seqs[i], L, k), i))
+    c = build_code(L, b / n, n, k)
+    assert set(c.member_indices().tolist()) == set(order[:2 ** b])
+
+
 @pytest.mark.parametrize("L, n, k", [(1, 3, 0), (0, 3, 0), (2, 0, 0), (2, -1, 0),
                                      (2, 3, -1)])
 def test_build_code_rejects_bad_parameters(L, n, k):
@@ -307,26 +376,29 @@ def test_build_code_rejects_bad_parameters(L, n, k):
 
 
 def test_degenerate_code_enumerates_nothing(monkeypatch):
-    # the full-rate code at the dense cap is every index; the digit matrix of
-    # all 2^20 sequences used to be built only to be thrown away
-    def forbidden(*args):
-        raise AssertionError("all_sequences called")
+    # the full-rate code at the dense cap is every index, with no sequence
+    # enumerated or scored; an enumerated code trips the same guards
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sequences enumerated")
 
-    monkeypatch.setattr(codes, "all_sequences", forbidden)
+    monkeypatch.setattr(np, "divmod", forbidden)
+    monkeypatch.setattr(np, "bincount", forbidden)
     c = build_code(2, 1.0, 20, 0)
     assert c.degenerate and c.size == 2 ** 20
     assert np.array_equal(c.members, np.arange(2 ** 20))
+    with pytest.raises(AssertionError, match="sequences enumerated"):
+        build_code(2, 0.5, 4, 1)
 
 
 def test_gram_count_past_the_cap_is_refused_before_allocation(monkeypatch):
-    # k = 12 at n = 16 needs 2^16 x 2^13 counts (4 GiB as int64, 12.5 GiB
-    # with their float temporaries); the check comes before the sequences or
-    # the count exist
+    # k = 12 at n = 16 needs 2^16 x 2^13 counts (4 GiB as int64, 14.5 GiB
+    # with the float count's temporaries); the check comes before the digits
+    # or the count exist
     def forbidden(*args, **kwargs):
         raise AssertionError("allocation called")
 
     monkeypatch.setattr(np, "bincount", forbidden)
-    monkeypatch.setattr(codes, "all_sequences", forbidden)
+    monkeypatch.setattr(np, "divmod", forbidden)
     with pytest.raises(SizeError, match=r"type-class mode needs L = 2.*memory budget"):
         build_code(2, 0.5, 16, 12)
 
@@ -336,9 +408,9 @@ class _Admitted(Exception):
 
 
 def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
-    # L = 2, n = 20 stays buildable up to k = 5 (2176 MiB, the tracemalloc
-    # peak of that build) and is refused from k = 6 on; checked by formula,
-    # without building
+    # L = 2, n = 20 stays buildable up to k = 5 (1856 MiB, the float count
+    # and its temporaries; the tracemalloc peak of that build) and is refused
+    # from k = 6 on (3712 MiB); checked by formula, without building
     def admit(nbytes, what):
         errors.check_budget(nbytes, what)
         raise _Admitted(nbytes)
@@ -347,11 +419,21 @@ def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
         m.setattr(codes, "check_budget", admit)
         with pytest.raises(_Admitted) as admitted:
             build_code(2, 0.5, 20, 5)
-        assert admitted.value.args[0] == 2176 * 2 ** 20
+        assert admitted.value.args[0] == 1856 * 2 ** 20
         with pytest.raises(SizeError):
             build_code(2, 0.5, 20, 6)
     # the same boundary at n = 6, built: the k = 5 enumeration fits exactly
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._enumeration_bytes(2, 6, 5))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._scores_bytes(2, 6, 5))
     assert build_code(2, 0.5, 6, 5).size == 8
     with pytest.raises(SizeError):
         build_code(2, 0.5, 6, 6)
+
+
+def test_offset_grams_past_int32_are_int64(monkeypatch):
+    # the digits and offset grams are int32 while every offset gram fits;
+    # wider ones are int64, with the same scores
+    assert codes._gram_dtype(2 ** 31) == np.int32
+    assert codes._gram_dtype(2 ** 31 + 1) == np.int64
+    narrow = empirical_entropy_scores(3, 7, 2)
+    monkeypatch.setattr(codes, "_gram_dtype", lambda count: np.dtype(np.int64))
+    assert np.array_equal(empirical_entropy_scores(3, 7, 2), narrow)

@@ -752,11 +752,11 @@ def test_dense_cap_limits_of_code_mode_are_row_errors():
     assert 0 < rows[2].accept_prob < 1 and rows[3].accept_prob is None
     assert report_csv(rows[:2]) == report_csv(
         _rows([GOOD_IID], n_range=[21, 28], projector_mode="code"))
-    # n = 22 is the first block length whose binary enumeration at k = 1 is
+    # n = 24 is the first block length whose binary enumeration at k = 1 is
     # past the memory budget, and k = 1 has no type-class mode
-    enumeration = [codes._enumeration_bytes(2, n, 1) for n in (21, 22)]
+    enumeration = [codes._scores_bytes(2, n, 1) for n in (23, 24)]
     assert enumeration[0] <= errors.MEMORY_BUDGET < enumeration[1]
-    fields = {"n_range": [4, 22], "projector_mode": "code", "k_order": 1}
+    fields = {"n_range": [4, 24], "projector_mode": "code", "k_order": 1}
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
     assert report_csv(rows[::2]) == report_csv(
