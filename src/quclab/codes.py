@@ -36,22 +36,15 @@ def code_size(n: int, R: float) -> int:
 
 def _scores_bytes(L: int, n: int, k: int) -> int:
     """Peak bytes of empirical_entropy_scores(L, n, k), and so of a dense
-    build_code, over the N = L^n sequences: the (n, N) offset grams with
-    bincount's intp copy of them and the N x L^(k+1) count, or the float
-    count with its mask, two float temporaries, the where output and the
-    context sums.  The order after the scores holds at most 57 bytes a
+    build_code, over the N = L^n sequences: the (n, N) int32 offset grams
+    with bincount's intp copy of them and the N x L^(k+1) count, or the
+    float count with its mask, two float temporaries, the where output and
+    the context sums.  The order after the scores holds at most 57 bytes a
     sequence (np.unique's copy, permutation, sorted copy, mask, cumsum,
     inverse and distinct values beside the scores), under the float count's
     25 L^(k+1) + 8 L^k >= 58."""
     N, G = L ** n, L ** (k + 1)
-    itemsize = _gram_dtype(N * G).itemsize
-    return N * max((itemsize + 8) * n + 8 * G, 25 * G + 8 * L ** k)
-
-
-def _gram_dtype(count: int) -> np.dtype:
-    """The digits' and offset grams' type: int32 while every offset gram,
-    below count, fits."""
-    return np.dtype(np.int32 if count <= 2 ** 31 else np.int64)
+    return N * max(12 * n + 8 * G, 25 * G + 8 * L ** k)
 
 
 def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
@@ -70,15 +63,17 @@ def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
     N, Lk = L ** n, L ** k
     G = Lk * L
     check_budget(_scores_bytes(L, n, k), f"(k+1)-gram count of {N} x {G} entries")
-    dtype = _gram_dtype(N * G)
+    # the budget bounds N * G far below 2^31 (_scores_bytes >= 25 N G), so
+    # every offset gram fits in int32
+    assert N * G <= 2 ** 31
     # position-major digits: row i holds x_{i+1} of every sequence
-    digits = np.empty((n, N), dtype=dtype)
-    rest = np.arange(N, dtype=dtype)
+    digits = np.empty((n, N), dtype=np.int32)
+    rest = np.arange(N, dtype=np.int32)
     for i in range(n - 1, -1, -1):
         np.divmod(rest, L, out=(rest, digits[i]))
     # row i: the gram x_{i+1} ... x_{i+k+1} (wrapping), most significant
     # first; each row slides one digit on from the one before
-    grams = np.empty((n, N), dtype=dtype)
+    grams = np.empty((n, N), dtype=np.int32)
     grams[0] = digits[0]
     for j in range(1, k + 1):
         grams[0] *= L
@@ -89,7 +84,7 @@ def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
         grams[i] += digits[(i + k) % n]
     del digits, rest
     # offset by the sequence, so that one bincount counts every sequence
-    grams += np.arange(0, N * G, G, dtype=dtype)
+    grams += np.arange(0, N * G, G, dtype=np.int32)
     counts = np.bincount(grams.ravel(), minlength=N * G)
     del grams
     counts = counts.reshape(N, Lk, L).astype(float)
@@ -179,7 +174,7 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
     # index order, which is lexicographic
     cluster = cluster.astype(np.min_scalar_type(cluster[-1]))
     order = np.argsort(cluster[inverse], kind="stable")
-    return BlockCode(L, n, R, k, members=order[:size])
+    return BlockCode(L, n, R, k, members=order[:size].copy())
 
 
 def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:

@@ -308,6 +308,13 @@ def test_scores_and_code_order_match_the_digit_matrix_reference():
             assert np.array_equal(c.members, reference_order(scores)[:c.size]), (L, n, k)
 
 
+def test_dense_members_do_not_hold_the_whole_order():
+    # a cached code keeps its 2^7 members, not a view of the 2^12-entry sort
+    c = build_code(2, 0.6, 12, 1)
+    assert c.dense and c.size == 2 ** 7
+    assert c.members.base is None
+
+
 def test_code_measure_markov():
     mk = MarkovProcess([[0.95, 0.05], [0.3, 0.7]])
     c = build_code(2, 0.7, 8, 1)
@@ -427,13 +434,3 @@ def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
     assert build_code(2, 0.5, 6, 5).size == 8
     with pytest.raises(SizeError):
         build_code(2, 0.5, 6, 6)
-
-
-def test_offset_grams_past_int32_are_int64(monkeypatch):
-    # the digits and offset grams are int32 while every offset gram fits;
-    # wider ones are int64, with the same scores
-    assert codes._gram_dtype(2 ** 31) == np.int32
-    assert codes._gram_dtype(2 ** 31 + 1) == np.int64
-    narrow = empirical_entropy_scores(3, 7, 2)
-    monkeypatch.setattr(codes, "_gram_dtype", lambda count: np.dtype(np.int64))
-    assert np.array_equal(empirical_entropy_scores(3, 7, 2), narrow)
