@@ -6,10 +6,13 @@ empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
 equal, then lexicographic).  A binary k = 0 code is a union of type classes
 and is built as one up to block length 64, in time polynomial in n.  Every
 other code scores all L^n sequences, with one formula for every k from one
-count of the cyclic (k+1)-grams, L^n * L^(k+1) entries.  The grams come from
-position-major digits, one row of all sequences per position, each row's
-grams slid on from the row before; the order is a stable radix sort of the
-score clusters.  An enumeration past the memory budget is a SizeError.
+count of the cyclic (k+1)-grams, L^n * L^(k+1) one-byte entries.  The count
+grows one site at a time, as a marginal does: each prefix's row is repeated
+for the L symbols that extend it, and the gram ending at the new site is the
+row index mod L^(k+1); the grams that wrap round the end come from the row
+index.  Each term c log2(context count / c) is read from an (n+1) x (n+1)
+table, and the order is a stable radix sort of the score clusters.  An
+enumeration past the memory budget is a SizeError.
 """
 
 from __future__ import annotations
@@ -36,15 +39,37 @@ def code_size(n: int, R: float) -> int:
 
 def _scores_bytes(L: int, n: int, k: int) -> int:
     """Peak bytes of empirical_entropy_scores(L, n, k), and so of a dense
-    build_code, over the N = L^n sequences: the (n, N) int32 offset grams
-    with bincount's intp copy of them and the N x L^(k+1) count, or the
-    float count with its mask, two float temporaries, the where output and
-    the context sums.  The order after the scores holds at most 57 bytes a
-    sequence (np.unique's copy, permutation, sorted copy, mask, cumsum,
-    inverse and distinct values beside the scores), under the float count's
-    25 L^(k+1) + 8 L^k >= 58."""
+    build_code, over the N = L^n sequences of G = L^(k+1) one-byte gram
+    counts (n < 256; a longer enumeration is far past any budget), a
+    sequence: the gathered float terms beside the counts, the context counts
+    and the sums, or the order after the scores, at most 57 bytes (np.unique's
+    copy, permutation, sorted copy, mask, cumsum, inverse and distinct values
+    beside the scores).  The wrap-around grams' int64 index, rotation, gram
+    and temporaries, 48 bytes beside the counts, stay under both.  On top,
+    the G x G identity (for k < n), the (n+1) x (n+1) log table with its
+    temporaries and the gather's two 8192-entry intp index buffers."""
     N, G = L ** n, L ** (k + 1)
-    return N * max(12 * n + 8 * G, 25 * G + 8 * L ** k)
+    eye = G * G if k < n else 0
+    return N * max(9 * G + G // L + 8, 57) + eye + 32 * (n + 1) ** 2 + 2 ** 17
+
+
+def _count_wrapped_grams(counts: np.ndarray, L: int, n: int, k: int) -> None:
+    """Add the min(k, n) cyclic (k+1)-grams that wrap round the end to the
+    (L^n, G) counts, from each row's index: the gram starting at position s
+    is the sequence rotated to start there, read for k + 1 symbols (whole
+    turns first when k + 1 >= n)."""
+    N, G = counts.shape
+    index = np.arange(N)
+    flat = counts.reshape(-1)
+    turns, rest = divmod(k + 1, n)
+    for start in range(max(n - k, 0), n):
+        head = L ** (n - start)
+        rotated = index % head * (N // head) + index // head
+        gram = rotated // L ** (n - rest)
+        for turn in range(turns):
+            gram += rotated * (L ** rest * N ** turn)
+        gram += index * G
+        flat[gram] += 1
 
 
 def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
@@ -63,35 +88,28 @@ def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
     N, Lk = L ** n, L ** k
     G = Lk * L
     check_budget(_scores_bytes(L, n, k), f"(k+1)-gram count of {N} x {G} entries")
-    # the budget bounds N * G far below 2^31 (_scores_bytes >= 25 N G), so
-    # every offset gram fits in int32
-    assert N * G <= 2 ** 31
-    # position-major digits: row i holds x_{i+1} of every sequence
-    digits = np.empty((n, N), dtype=np.int32)
-    rest = np.arange(N, dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        np.divmod(rest, L, out=(rest, digits[i]))
-    # row i: the gram x_{i+1} ... x_{i+k+1} (wrapping), most significant
-    # first; each row slides one digit on from the one before
-    grams = np.empty((n, N), dtype=np.int32)
-    grams[0] = digits[0]
-    for j in range(1, k + 1):
-        grams[0] *= L
-        grams[0] += digits[j % n]
-    for i in range(1, n):
-        np.remainder(grams[i - 1], Lk, out=grams[i])
-        grams[i] *= L
-        grams[i] += digits[(i + k) % n]
-    del digits, rest
-    # offset by the sequence, so that one bincount counts every sequence
-    grams += np.arange(0, N * G, G, dtype=np.int32)
-    counts = np.bincount(grams.ravel(), minlength=N * G)
-    del grams
-    counts = counts.reshape(N, Lk, L).astype(float)
-    ctx = counts.sum(axis=2, keepdims=True)
+    # one row of gram counts a prefix, each site appending its symbol as
+    # ClassicalProcess.marginal does: the gram ending at the new site is the
+    # row index mod G, so from site k + 1 on each block of G rows gains the
+    # identity
+    counts = np.zeros((1, G), dtype=np.min_scalar_type(n))
+    eye = np.eye(G, dtype=counts.dtype) if k < n else None
+    for site in range(1, n + 1):
+        counts = np.repeat(counts, L, axis=0)
+        if site > k:
+            counts.reshape(-1, G, G)[...] += eye
+    _count_wrapped_grams(counts, L, n, k)
+    counts = counts.reshape(N, Lk, L)
+    # context counts one symbol at a time: a sum over the short last axis is
+    # several times slower
+    ctx = counts[:, :, 0].copy()
+    for a in range(1, L):
+        ctx += counts[:, :, a]
+    # c log2(ctx / c) at every (context count, count)
+    c = np.arange(n + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(counts > 0, counts * np.log2(ctx / counts), 0.0)
-    return t.reshape(N, G).sum(axis=1) / n
+        table = np.where(c > 0, c * np.log2(c[:, None] / c), 0.0)
+    return table[ctx[:, :, None], counts].reshape(N, G).sum(axis=1) / n
 
 
 def all_sequences(L: int, n: int) -> np.ndarray:

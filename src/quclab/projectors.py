@@ -5,7 +5,6 @@ their trace-rate bounds.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -73,14 +72,19 @@ def _type_classes(D: int, n: int):
         position[idx] = np.arange(len(idx))
     weight = D ** np.arange(n - 1, -1, -1)
     moves = []
-    for t in range(len(members)):
-        for a, b in itertools.permutations(range(D), 2):
-            if classes[t][b]:
-                target = index[tuple(c + (s == a) - (s == b) for s, c in enumerate(classes[t]))]
-                dst = members[target]
-                rows, sites = np.nonzero(digits[dst] == a)
-                src = position[dst[rows] + (b - a) * weight[sites]]
-                moves.append((t, target, src.reshape(len(dst), -1)))
+    for t, held in enumerate(classes):
+        symbols = [b for b, c in enumerate(held) if c]
+        for a in range(D):
+            for b in symbols:
+                if b != a:
+                    counts_after = list(held)
+                    counts_after[a] += 1
+                    counts_after[b] -= 1
+                    target = index[tuple(counts_after)]
+                    dst = members[target]
+                    rows, sites = np.nonzero(digits[dst] == a)
+                    src = position[dst[rows] + (b - a) * weight[sites]]
+                    moves.append((t, target, src.reshape(len(dst), -1)))
     return classes, members, moves
 
 
@@ -88,10 +92,12 @@ def _join_bytes(D: int, n: int, size: int) -> int:
     """Bytes the join of a size-member code over D^n sequences holds before
     its class blocks grow: the code's membership mask, one byte a sequence;
     the type-class tables with their temporaries, at most 3 n D int64 a
-    sequence and 512 bytes of Python objects a move; and the start blocks,
-    one float64 unit column a member over the rows of its class, which holds
-    at most the largest class's multinomial(n; n/D, ..., n/D) sequences."""
-    moves = math.comb(n + D - 1, D - 1) * D * (D - 1)
+    sequence and 512 bytes of Python objects a move, one a (class, a, b)
+    with b a symbol the class holds and a != b; and the start blocks, one
+    float64 unit column a member over the rows of its class, which holds at
+    most the largest class's multinomial(n; n/D, ..., n/D) sequences."""
+    # D (D - 1) pairs, and C(n + D - 2, D - 1) classes hold each symbol b
+    moves = D * (D - 1) * math.comb(n + D - 2, D - 1)
     largest = math.factorial(n) // math.prod(math.factorial(n // D + (a < n % D))
                                              for a in range(D))
     return D ** n * (1 + 24 * n * D) + 512 * moves + 8 * size * largest

@@ -136,8 +136,9 @@ SITES = {
     "classical-marginal": lambda tmp_path: lambda: PeriodicProcess(
         [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]).marginal(16),
     "classical-block": lambda tmp_path: lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(16),
-    # the offset grams set the scores' peak at k = 1, the float count at k = 3
-    "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 14, 1),
+    # the gathered float terms set the scores' peak; at k = 1 the order after
+    # the scores sets the check, at k = 3 the float terms
+    "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 16, 1),
     "code-enumeration": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
     "typeclass-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
     "assemble-q": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(1, 11, 0.5)),
@@ -203,9 +204,9 @@ def test_apply_of_an_n14_row_is_admitted_and_past_the_budget_refused(monkeypatch
 def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypatch):
     _forbid(monkeypatch, np, "einsum")
     _refused(lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(27))
-    for name in ("empty", "divmod", "bincount"):
+    for name in ("zeros", "eye", "repeat"):
         _forbid(monkeypatch, np, name)
-    _refused(lambda: empirical_entropy_scores(2, 20, 6))
+    _refused(lambda: empirical_entropy_scores(2, 20, 8))
 
 
 def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):

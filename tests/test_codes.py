@@ -308,6 +308,23 @@ def test_scores_and_code_order_match_the_digit_matrix_reference():
             assert np.array_equal(c.members, reference_order(scores)[:c.size]), (L, n, k)
 
 
+@st.composite
+def score_cases(draw):
+    """(L, n, k) with k up to n + 2 and at most 2^20 gram counts."""
+    L = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 12, 3: 7, 4: 6}[L]))
+    k = draw(st.integers(0, max(k for k in range(n + 3) if L ** (n + k + 1) <= 2 ** 20)))
+    return L, n, k
+
+
+@given(score_cases())
+def test_scores_match_the_digit_matrix_reference_at_random_sizes(case):
+    # k >= n included: every gram then wraps round the sequence at least once
+    L, n, k = case
+    assert np.array_equal(empirical_entropy_scores(L, n, k),
+                          reference_scores(all_sequences(L, n), L, k))
+
+
 def test_dense_members_do_not_hold_the_whole_order():
     # a cached code keeps its 2^7 members, not a view of the 2^12-entry sort
     c = build_code(2, 0.6, 12, 1)
@@ -388,8 +405,8 @@ def test_degenerate_code_enumerates_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sequences enumerated")
 
-    monkeypatch.setattr(np, "divmod", forbidden)
-    monkeypatch.setattr(np, "bincount", forbidden)
+    monkeypatch.setattr(np, "zeros", forbidden)
+    monkeypatch.setattr(np, "repeat", forbidden)
     c = build_code(2, 1.0, 20, 0)
     assert c.degenerate and c.size == 2 ** 20
     assert np.array_equal(c.members, np.arange(2 ** 20))
@@ -398,14 +415,14 @@ def test_degenerate_code_enumerates_nothing(monkeypatch):
 
 
 def test_gram_count_past_the_cap_is_refused_before_allocation(monkeypatch):
-    # k = 12 at n = 16 needs 2^16 x 2^13 counts (4 GiB as int64, 14.5 GiB
-    # with the float count's temporaries); the check comes before the digits
-    # or the count exist
+    # k = 12 at n = 16 needs 2^16 x 2^13 counts (512 MiB as bytes, 4.8 GiB
+    # with the gathered float terms); the check comes before the count rows
+    # exist
     def forbidden(*args, **kwargs):
         raise AssertionError("allocation called")
 
-    monkeypatch.setattr(np, "bincount", forbidden)
-    monkeypatch.setattr(np, "divmod", forbidden)
+    monkeypatch.setattr(np, "zeros", forbidden)
+    monkeypatch.setattr(np, "repeat", forbidden)
     with pytest.raises(SizeError, match=r"type-class mode needs L = 2.*memory budget"):
         build_code(2, 0.5, 16, 12)
 
@@ -414,10 +431,12 @@ class _Admitted(Exception):
     pass
 
 
-def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
-    # L = 2, n = 20 stays buildable up to k = 5 (1856 MiB, the float count
-    # and its temporaries; the tracemalloc peak of that build) and is refused
-    # from k = 6 on (3712 MiB); checked by formula, without building
+def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
+    # L = 2, n = 20 stays buildable up to k = 7 (2440 MiB: the 2^28 gathered
+    # float terms beside the byte counts, the context counts and the sums,
+    # plus the identity, the log table and the gather's index buffers) and
+    # is refused from k = 8 on (4872 MiB); checked by formula, without
+    # building
     def admit(nbytes, what):
         errors.check_budget(nbytes, what)
         raise _Admitted(nbytes)
@@ -425,10 +444,10 @@ def test_gram_count_cap_admits_k5_at_n20(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(codes, "check_budget", admit)
         with pytest.raises(_Admitted) as admitted:
-            build_code(2, 0.5, 20, 5)
-        assert admitted.value.args[0] == 1856 * 2 ** 20
+            build_code(2, 0.5, 20, 7)
+        assert admitted.value.args[0] == 2440 * 2 ** 20 + 256 ** 2 + 32 * 21 ** 2 + 2 ** 17
         with pytest.raises(SizeError):
-            build_code(2, 0.5, 20, 6)
+            build_code(2, 0.5, 20, 8)
     # the same boundary at n = 6, built: the k = 5 enumeration fits exactly
     monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._scores_bytes(2, 6, 5))
     assert build_code(2, 0.5, 6, 5).size == 8

@@ -437,11 +437,12 @@ def test_block_dimension_32_row_is_recorded():
 
 
 def test_diagonal_row_past_block_dimension_1024_is_the_joins_size_error():
-    # l = 11 gives block dimension 2048: the join is refused before any path
-    # is taken, so a diagonal row never reaches trace_q_rho's classical path
-    row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], n_range=[11],
-                override_schedule={"l": 11})[0]
-    assert row.error.startswith("SizeError: orbit join over 2048^1 sequences")
+    # l = 12 gives block dimension 4096: the join's D (D - 1) moves are
+    # refused before any path is taken, so a diagonal row never reaches
+    # trace_q_rho's classical path
+    row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], n_range=[12],
+                override_schedule={"l": 12})[0]
+    assert row.error.startswith("SizeError: orbit join over 4096^1 sequences")
     assert row.path is None and row.accept_prob is None
 
 
@@ -752,11 +753,11 @@ def test_dense_cap_limits_of_code_mode_are_row_errors():
     assert 0 < rows[2].accept_prob < 1 and rows[3].accept_prob is None
     assert report_csv(rows[:2]) == report_csv(
         _rows([GOOD_IID], n_range=[21, 28], projector_mode="code"))
-    # n = 24 is the first block length whose binary enumeration at k = 1 is
+    # n = 26 is the first block length whose binary enumeration at k = 1 is
     # past the memory budget, and k = 1 has no type-class mode
-    enumeration = [codes._scores_bytes(2, n, 1) for n in (23, 24)]
+    enumeration = [codes._scores_bytes(2, n, 1) for n in (25, 26)]
     assert enumeration[0] <= errors.MEMORY_BUDGET < enumeration[1]
-    fields = {"n_range": [4, 24], "projector_mode": "code", "k_order": 1}
+    fields = {"n_range": [4, 26], "projector_mode": "code", "k_order": 1}
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
     assert report_csv(rows[::2]) == report_csv(

@@ -265,6 +265,18 @@ def test_move_tables_reproduce_dense_generator_blocks():
                     if g[np.ix_(members[target], members[t])].any()}
 
 
+def test_join_bytes_count_the_moves_the_type_classes_make():
+    # one move a (class, a, b) with b a symbol the class holds and a != b:
+    # D (D - 1) C(n + D - 2, D - 1) of them at 512 bytes each, beside the
+    # per-sequence tables (size 0: no start blocks)
+    for D, n in [(2, 1), (2, 7), (3, 1), (3, 5), (4, 3), (5, 2), (8, 2)]:
+        moves = _type_classes(D, n)[2]
+        assert projectors._join_bytes(D, n, 0) - D ** n * (1 + 24 * n * D) == 512 * len(moves)
+    # so a one-block join over D = 256 symbols (l = 8 at d = 2, a 16-member
+    # code) is about 35 MB up front, not the 8 GiB of D^2 (D - 1) moves
+    assert 34e6 < projectors._join_bytes(256, 1, 16) < 36e6
+
+
 def test_rate_upper_bound_paper_schedule():
     b = rate_upper_bound(2, 1)
     expect = 4 * math.log2(9) / 8 + 1 / 8
