@@ -4,9 +4,11 @@ A code over alphabet L with block length n and rate R is the set of the
 first 2^floor(nR) sequences under the total order (cyclic k-th-order
 empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
 equal, then lexicographic).  A binary k = 0 code is a union of type classes
-and is built as one up to block length 64, in time polynomial in n.  Every
-other code scores all L^n sequences, with one formula for every k from one
-count of the cyclic (k+1)-grams, L^n * L^(k+1) one-byte entries.  The count
+and is built as one up to block length 64, in time polynomial in n; every
+process measures it by one recursion over (ones count, hidden state), with
+no marginal and no member list.  Every other code scores all L^n sequences,
+with one formula for every k from one count of the cyclic (k+1)-grams,
+L^n * L^(k+1) one-byte entries.  The count
 grows one site at a time, as a marginal does: each prefix's row is repeated
 for the L symbols that extend it, and the gram ending at the new site is the
 row index mod L^(k+1); the grams that wrap round the end come from the row
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, check_budget
-from .processes import ClassicalProcess, IIDProcess
+from .processes import ClassicalProcess
 
 # guard against float-floor artifacts like 0.7 * 10 -> 6.999...
 FLOOR_GUARD = 1e-9
@@ -212,38 +214,61 @@ def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
 
 
 def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
-    """Exact probability mass the process assigns to the code set."""
+    """Exact probability mass the process assigns to the code set.
+
+    A dense code sums the marginal over its members.  A type-class code uses
+    the hidden-Markov form (initial, T): suffix[t][j] is the mass, by hidden
+    state, of the n - t symbols after site t holding j ones, so class j
+    weighs initial . suffix[0][j], and the boundary walk carries the walked
+    prefix's mass by hidden state.  No sequence is listed."""
     if p.L != c.L:
         raise ValidationError("alphabet size mismatch")
-    if c.dense or not isinstance(p, IIDProcess):
-        return float(p.marginal(c.n).probs[c.member_indices()].sum())
-    p0, p1 = float(p.p[0]), float(p.p[1])
-    total = 0.0
-    for j in c.full_ones_counts:
-        total += math.comb(c.n, j) * p1 ** j * p0 ** (c.n - j)
+    if c.dense:
+        return float(p.marginal(c.n).probs[c.members].sum())
+    n, chi = c.n, len(p.initial)
+    # the suffix masses beside two steps' products and the site matrices
+    check_budget(8 * (n + 2) * (n + 5) * chi + 16 * chi ** 2,
+                 f"suffix masses of a type-class code over {n} sites with {chi} hidden states")
+    # steps[x] = T[:, :, x].T: masses times steps[x] prepend symbol x, and
+    # steps[x] times masses append it
+    steps = p.T.transpose(2, 1, 0).copy()
+    # row j + 1 of level t is suffix[t][j]; row 0 (j = -1) stays zero, so
+    # the shift that adds a 1 is a one-row offset
+    levels = np.zeros((n + 1, n + 2, chi))
+    levels[n, 1] = 1.0
+    after = levels[n]
+    for masses in levels[-2::-1]:
+        prepended = after @ steps
+        np.add(prepended[0, 1:], prepended[1, :-1], out=masses[1:])
+        after = masses
+    suffix = levels[:, 1:]
+    total = p.initial @ suffix[0, c.full_ones_counts].sum(axis=0)
     if c.boundary_take:
-        total += _boundary_measure(c.n, c.boundary_ones_counts, c.boundary_take, p0, p1)
-    return total
+        total += _boundary_measure(c, p.initial, steps, suffix)
+    return float(total)
 
 
-def _boundary_measure(n: int, ones_counts, take: int, p0: float, p1: float) -> float:
-    """Measure of the `take` lexicographically-first sequences in a union of
-    binary type classes, via the unranking walk (no enumeration): where the
-    rows still to take cover every completion with a 0 at position t, that
-    whole 0-subtree is taken and the walk puts a 1; otherwise it puts a 0."""
-    measure = 0.0
-    o = 0
-    remaining = take
+def _boundary_measure(c: BlockCode, prefix: np.ndarray, steps: np.ndarray,
+                      suffix: np.ndarray) -> float:
+    """Measure of the `boundary_take` lexicographically-first sequences in
+    the union of the boundary classes, via the unranking walk (no
+    enumeration): where the rows still to take cover every completion with a
+    0 at position t, that whole 0-subtree is taken and the walk puts a 1;
+    otherwise it puts a 0.  `prefix` starts as the initial vector."""
+    n, measure, o, remaining = c.n, 0.0, 0, c.boundary_take
     for t in range(n):
         if remaining == 0:
             break
-        zeros = sum(math.comb(n - t - 1, j - o) for j in ones_counts if j >= o)
+        rest = [j - o for j in c.boundary_ones_counts if j >= o]
+        zeros = sum(math.comb(n - t - 1, j) for j in rest)
+        zero, one = steps @ prefix
         if zeros <= remaining:
-            for j in ones_counts:
-                if j >= o:
-                    measure += math.comb(n - t - 1, j - o) * p1 ** j * p0 ** (n - j)
+            measure += zero @ suffix[t + 1, rest].sum(axis=0)
             remaining -= zeros
             o += 1
+            prefix = one
+        else:
+            prefix = zero
     return measure
 
 

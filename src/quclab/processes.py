@@ -143,6 +143,13 @@ def _check_prob_vector(p, name: str) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _zero_transfer(chi: int, L: int, kind: str) -> np.ndarray:
+    """An all-zero chi x chi x L transfer tensor for a kind to fill, checked
+    against the memory budget before it is allocated."""
+    check_budget(8 * chi * chi * L, f"{kind} transfer tensor of {chi} x {chi} x {L}")
+    return np.zeros((chi, chi, L))
+
+
 class IIDProcess(ClassicalProcess):
     ergodic = True
 
@@ -206,7 +213,7 @@ class MarkovProcess(ClassicalProcess):
                 raise ValidationError(f"initial distribution must have {self.L} entries")
             self.stationary = bool(np.max(np.abs(self.pi @ P - self.pi)) <= 1e-12)
         # the hidden state is the next symbol: emit it, then step the chain
-        T = np.zeros((self.L, self.L, self.L))
+        T = _zero_transfer(self.L, self.L, "Markov")
         T[np.arange(self.L), :, np.arange(self.L)] = P
         super().__init__(self.pi, T)
 
@@ -273,7 +280,7 @@ class PeriodicProcess(ClassicalProcess):
         # the hidden state is the position in the cycle
         initial = np.zeros(self.c)
         initial[self.phases] = 1.0 / len(self.phases)
-        T = np.zeros((self.c, self.c, self.L))
+        T = _zero_transfer(self.c, self.L, "periodic")
         T[np.arange(self.c), (np.arange(self.c) + 1) % self.c, self.cycle] = 1.0
         super().__init__(initial, T)
 
@@ -307,7 +314,7 @@ class MixtureProcess(ClassicalProcess):
         self.stationary = all(getattr(c, "stationary", True) for c in self.components)
         # block sum of the components' hidden states
         initial = np.concatenate([w * c.initial for w, c in zip(self.w, self.components)])
-        T = np.zeros((len(initial), len(initial), Ls.pop()))
+        T = _zero_transfer(len(initial), Ls.pop(), "mixture")
         start = 0
         for c in self.components:
             stop = start + len(c.initial)

@@ -165,6 +165,11 @@ class ClassicallyCorrelatedSource(QuantumSource):
     def __init__(self, process: ClassicalProcess, alphabet: QuantumAlphabet):
         if process.L != alphabet.count:
             raise ValidationError("process alphabet size != quantum alphabet size")
+        chi, L, d = len(process.initial), process.L, alphabet.d
+        # the complex product beside the transfer tensor's complex copy, or
+        # the sites beside the real copy QuantumSource keeps
+        check_budget(8 * chi ** 2 * max(2 * (L + d * d), 3 * d * d),
+                     f"site tensor of {chi} hidden states over {d}-dimensional sites")
         v = alphabet.vectors
         states = np.einsum("as,bs->sab", v, v.conj())
         super().__init__(process.initial, np.tensordot(process.T, states, axes=1))
@@ -182,6 +187,9 @@ class ChannelTransformedSource(QuantumSource):
         if inner.d != channel.d:
             raise ValidationError("channel dimension != source site dimension")
         shape = inner.sites.shape
+        # the transformed sites beside the real copy QuantumSource keeps
+        check_budget(24 * shape[0] ** 2 * shape[2] ** 2,
+                     f"site tensor of {shape[0]} hidden states over {shape[2]}-dimensional sites")
         super().__init__(inner.left, (inner.sites.reshape(-1, shape[2] * shape[3])
                                       @ channel.superoperator().T).reshape(shape))
         self.inner = inner

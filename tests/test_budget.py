@@ -5,6 +5,7 @@ is refused before it allocates."""
 
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ import pytest
 from quclab import channels, codes, errors, harness, processes, projectors, sources
 from quclab.channels import apply_per_site, depolarizing
 from quclab.cli import main
-from quclab.codes import build_code, empirical_entropy_scores
+from quclab.codes import build_code, code_measure, empirical_entropy_scores
 from quclab.errors import MEMORY_BUDGET, SizeError
 from quclab.harness import ExperimentConfig, build_source, run_experiment
-from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess
+from quclab.processes import IIDProcess, MarkovProcess, MixtureProcess, PeriodicProcess
 from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probability,
                                assemble_q, export_projector, load_projector_matrix,
                                orbit_join_basis)
-from quclab.sources import IIDSource, ergodicity_gap, lag_scan, transfer_observable
+from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource, IIDSource,
+                            QuantumAlphabet, ergodicity_gap, lag_scan, transfer_observable)
 
 CHECKED = (channels, codes, processes, projectors, sources)
 # The formulas count array bytes; the interpreter's own objects (array
@@ -120,6 +122,17 @@ def _compress(tmp_path):
     return lambda: main(argv)
 
 
+def _cycle(phases: int) -> list:
+    return [int(x) for x in np.random.default_rng(phases).integers(0, 2, phases)]
+
+
+def _periodic_sites(tmp_path):
+    # 200 phases: 96 chi^2 bytes of sites and their real copy, 3.7 MiB
+    inner = ClassicallyCorrelatedSource(PeriodicProcess(_cycle(200)),
+                                        QuantumAlphabet.computational(2))
+    return lambda: ChannelTransformedSource(inner, depolarizing(0.2))
+
+
 def _lag_terms(tmp_path):
     # 50000 terms hold 1.2 MB of arrays, past the 1 MiB the cover test asks for
     a = np.diag([1.0, 0.0])
@@ -141,6 +154,18 @@ SITES = {
     "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 16, 1),
     "code-enumeration": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
     "typeclass-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
+    # the suffix masses of a 64-phase cycle at n = 64, 2.3 MiB
+    "typeclass-measure": lambda tmp_path: partial(
+        code_measure, PeriodicProcess(_cycle(64)), build_code(2, 0.5, 64)),
+    "markov-transfer": lambda tmp_path: partial(
+        MarkovProcess, np.full((60, 60), 1 / 60)),
+    "periodic-transfer": lambda tmp_path: partial(PeriodicProcess, _cycle(400)),
+    "mixture-transfer": lambda tmp_path: partial(
+        MixtureProcess, [0.5, 0.5], [PeriodicProcess(_cycle(200)), PeriodicProcess(_cycle(201))]),
+    "correlated-sites": lambda tmp_path: partial(
+        ClassicallyCorrelatedSource, PeriodicProcess(_cycle(200)),
+        QuantumAlphabet.computational(2)),
+    "channel-sites": _periodic_sites,
     "assemble-q": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(1, 11, 0.5)),
     "assemble-q-padded": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(2, 5, 1.0)),
     "assemble-q-d3": lambda tmp_path: lambda: assemble_q(7, 3, 0.5, override=(1, 7, 0.8)),
@@ -335,3 +360,25 @@ def test_classical_marginals_are_sized_in_bytes(monkeypatch):
         == 8 * 2 ** 20 + 9 * 2 ** 21
     monkeypatch.undo()
     _refused(lambda: IIDProcess([0.9, 0.1]).marginal(28))
+
+
+def test_hidden_state_forms_past_the_budget_are_row_errors(monkeypatch):
+    # under a 1 MiB budget: a 1500-phase cycle's transfer tensor (34 MiB), a
+    # 20-letter chain's site tensor (3.7 MiB, its 63 KiB transfer tensor
+    # admitted) and the transfer tensor of a mixture of three cycles of
+    # about 100 phases (1.4 MiB, each component's 160 KB admitted) are
+    # refused before they are allocated, each in its own row
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 2 ** 20)
+    cycles = [{"kind": "periodic", "cycle": _cycle(100 + i)} for i in range(3)]
+    specs = [{"kind": "periodic", "cycle": _cycle(1500)},
+             {"kind": "markov", "transition": [[0.05] * 20] * 20},
+             {"kind": "mixture", "weights": [0.2, 0.3, 0.5], "components": cycles}]
+    cfg = ExperimentConfig.from_dict({
+        "sources": [{"kind": "classical", "process": spec} for spec in specs],
+        "r": 0.5, "n_range": [16], "projector_mode": "code"})
+    rows = []
+    assert _peak(lambda: rows.extend(run_experiment(cfg))) < 2 ** 20
+    assert [r.error.split(" needs")[0] for r in rows] == [
+        "SizeError: periodic transfer tensor of 1500 x 1500 x 2",
+        "SizeError: site tensor of 20 hidden states over 20-dimensional sites",
+        "SizeError: mixture transfer tensor of 303 x 303 x 2"]

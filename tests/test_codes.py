@@ -11,7 +11,8 @@ from quclab import codes, errors
 from quclab.codes import (SCORE_TIE_TOL, all_sequences, build_code, code_measure, code_size,
                           empirical_entropy_scores, superblock_code)
 from quclab.errors import SizeError, ValidationError
-from quclab.processes import IIDProcess, MarkovProcess, PeriodicProcess, index_sequence
+from quclab.processes import (ClassicalProcess, IIDProcess, MarkovProcess, MixtureProcess,
+                              PeriodicProcess, index_sequence)
 
 
 def brute_order(L, n, k):
@@ -189,6 +190,66 @@ def test_typeclass_code_matches_enumeration():
         assert np.array_equal(c.member_indices(), np.sort(oracle))
         for p in (proc, markov):
             assert abs(code_measure(p, c) - p.marginal(n).probs[oracle].sum()) < 1e-12
+
+
+# every kind fills the hidden-Markov form the type-class measure runs on:
+# a non-stationary initial vector, restricted phases and a raw chi = 3 form
+_RAW_T = np.random.default_rng(7).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
+MEASURED_PROCESSES = {
+    "iid": IIDProcess([0.85, 0.15]),
+    "markov": MarkovProcess([[0.7, 0.3], [0.4, 0.6]], initial=[0.95, 0.05]),
+    "periodic": PeriodicProcess([0, 1, 1, 0, 1, 0, 0], phases=[1, 4]),
+    "mixture": MixtureProcess([0.3, 0.7], [IIDProcess([0.9, 0.1]),
+                                           MarkovProcess([[0.6, 0.4], [0.1, 0.9]])]),
+    "raw": ClassicalProcess([0.2, 0.5, 0.3], _RAW_T),
+}
+# each side rounds a sum of at most 2^16 terms of at most 1, n <= 16 steps
+# deep: 32 ulps of 1 bound both
+MEASURE_TOL = 32 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", MEASURED_PROCESSES)
+def test_typeclass_measure_matches_the_marginal_sum(kind):
+    p = MEASURED_PROCESSES[kind]
+    for n in range(1, 17):
+        probs = p.marginal(n).probs
+        for R in [x / 20 for x in range(1, 20)]:
+            c = build_code(2, R, n, 0)
+            if not c.dense:
+                assert abs(code_measure(p, c) - probs[c.member_indices()].sum()) <= MEASURE_TOL
+
+
+@st.composite
+def hidden_markov_cases(draw):
+    chi = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 14))
+    R = draw(st.integers(1, 19)) / 20
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # sparse forms too: a zero entry is a forbidden step
+    T = rng.dirichlet(np.ones(2 * chi), size=chi) * (rng.random((chi, 2 * chi)) < 0.8)
+    T[:, 0] += T.sum(axis=1) == 0
+    T /= T.sum(axis=1, keepdims=True)
+    return ClassicalProcess(rng.dirichlet(np.ones(chi)), T.reshape(chi, chi, 2)), n, R
+
+
+@given(hidden_markov_cases())
+def test_typeclass_measure_matches_the_marginal_sum_at_random_forms(case):
+    p, n, R = case
+    c = build_code(2, R, n, 0)
+    expected = p.marginal(n).probs[c.member_indices()].sum()
+    assert abs(code_measure(p, c) - expected) <= MEASURE_TOL
+
+
+def test_typeclass_measure_lists_no_sequence(monkeypatch):
+    # no marginal and no member list, so past n = 27 too
+    for owner, name in ((ClassicalProcess, "marginal"), (codes.BlockCode, "member_indices")):
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called to measure a type-class code")
+        monkeypatch.setattr(owner, name, forbidden)
+    for p in MEASURED_PROCESSES.values():
+        for n in (12, 40, 64):
+            c = build_code(2, 0.5, n)
+            assert not c.dense and 0 <= code_measure(p, c) <= 1
 
 
 def test_typeclass_measure_oracle_large_n():

@@ -745,14 +745,14 @@ def test_mixture_rows_at_block_length_two(mode):
 def test_dense_cap_limits_of_code_mode_are_row_errors():
     markov = {"id": "markov", "kind": "classical",
               "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
-    # binary k = 0 codes are type classes, measured by formula for i.i.d.
-    # processes and over the marginal otherwise; the Markov marginal at
-    # n = 28 is past the memory budget
-    rows = _rows([GOOD_IID, markov], n_range=[21, 28], projector_mode="code")
-    assert [r.error.split(":")[0] for r in rows] == ["", "", "", "SizeError"]
-    assert 0 < rows[2].accept_prob < 1 and rows[3].accept_prob is None
-    assert report_csv(rows[:2]) == report_csv(
-        _rows([GOOD_IID], n_range=[21, 28], projector_mode="code"))
+    # binary k = 0 codes are type classes up to n = 64, measured for every
+    # process with no marginal; at n = 65 the code is enumerated, past the
+    # memory budget
+    fields = {"n_range": [21, 28, 64, 65], "projector_mode": "code"}
+    rows = _rows([GOOD_IID, markov], **fields)
+    assert [r.error.split(":")[0] for r in rows] == ["", "", "", "SizeError"] * 2
+    assert all(0 < r.accept_prob < 1 for r in rows[4:7]) and rows[7].accept_prob is None
+    assert report_csv(rows[:4]) == report_csv(_rows([GOOD_IID], **fields))
     # n = 26 is the first block length whose binary enumeration at k = 1 is
     # past the memory budget, and k = 1 has no type-class mode
     enumeration = [codes._scores_bytes(2, n, 1) for n in (25, 26)]
