@@ -78,7 +78,7 @@ def _cmd_compress(args) -> int:
     if p.shape != rho.shape:
         raise ValidationError("projector / state dimension mismatch")
     validate_projector(p)  # p is its own range basis (p p^dagger = p) for _basis_row
-    accept, fe = _basis_row(p, rho.__matmul__, args.scheme, float(np.vdot(p, rho @ p).real))
+    accept, fe = _basis_row(p, rho.__matmul__, args.scheme, float(np.vdot(p, rho).real))
     if args.scheme == "c2" and accept <= 1e-12:
         raise ValidationError("state has (numerically) zero overlap with the projector")
     print(f"accept_prob = {accept:.10f}")

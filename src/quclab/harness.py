@@ -297,11 +297,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     wall_times: list[float] = []
     for s_idx, spec in enumerate(cfg.sources):
         sid = spec.get("id", f"source{s_idx}") if isinstance(spec, dict) else f"source{s_idx}"
+        # one source alive at a time; a spec that fails to build fails each
+        # of its rows with the same error
+        try:
+            source, build_error = build_source(spec), None
+        except QuclabError as exc:
+            source, build_error = None, exc
         for n in cfg.n_range:
             t0 = time.perf_counter()
             row = ReportRow(source=sid, n=n, r=cfg.r)
             try:
-                source = build_source(spec)
+                if build_error is not None:
+                    raise build_error
                 d = source.d
                 l = cfg.override_schedule.get("l", 1)
                 R = float(cfg.override_schedule.get("R", l * cfg.r))

@@ -180,28 +180,6 @@ def span_basis(columns: np.ndarray, rtol: float = RANK_SVAL_RTOL) -> np.ndarray:
     return u[:, s > rtol * s[0]]
 
 
-def projector_join(ps, dim: int | None = None) -> np.ndarray:
-    """Smallest projector dominating every projector in `ps`.
-
-    Computed as the orthonormal span closure of the input range bases.  For
-    an empty list the caller must pass `dim` and gets the zero projector.
-    """
-    ps = list(ps)
-    if not ps:
-        if dim is None:
-            raise ValidationError("projector_join of an empty list needs an explicit dim")
-        return np.zeros((dim, dim), dtype=complex)
-    d = _as_matrix(ps[0]).shape[0]
-    bases = []
-    for p in ps:
-        p = _as_matrix(p)
-        if p.shape[0] != d:
-            raise ValidationError("projector_join requires equal dimensions")
-        bases.append(range_basis(p))
-    q = span_basis(np.hstack(bases))
-    return q @ q.conj().T
-
-
 def projector_leq(p, q, tol: float = 1e-8) -> bool:
     """True iff range(p) is contained in range(q), up to `tol`."""
     p = _as_matrix(p)

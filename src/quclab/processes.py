@@ -235,34 +235,11 @@ class MarkovProcess(ClassicalProcess):
         form one closed communicating class."""
         return _one_closed_class(self.P, self.pi > 0)
 
-    def irreducible(self) -> bool:
-        return _one_closed_class(self.P, np.ones(self.L, dtype=bool))
-
-    def period(self) -> int:
-        """Period of an irreducible chain (gcd of cycle length differences)."""
-        level = {0: 0}
-        frontier = [0]
-        g = 0
-        edges = []
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(self.P[u] > 0)[0]:
-                    edges.append((u, int(v)))
-                    if int(v) not in level:
-                        level[int(v)] = level[u] + 1
-                        nxt.append(int(v))
-            frontier = nxt
-        for u, v in edges:
-            g = math.gcd(g, level[u] + 1 - level[v])
-        return max(g, 1)
-
 
 class PeriodicProcess(ClassicalProcess):
     """Deterministic cycle observed from a uniformly random phase.
 
-    `phases` restricts the admissible phases (used by the l-ergodic
-    decomposition); the default is all of them.
+    `phases` restricts the admissible phases; the default is all of them.
     """
 
     def __init__(self, cycle, phases=None, L=None):
@@ -293,9 +270,6 @@ class PeriodicProcess(ClassicalProcess):
 
     def entropy_rate(self) -> float:
         return 0.0
-
-    def shifted(self, x: int) -> "PeriodicProcess":
-        return PeriodicProcess(self.cycle, phases=[(p + x) % self.c for p in self.phases], L=self.L)
 
 
 class MixtureProcess(ClassicalProcess):
@@ -340,24 +314,44 @@ class Decomposition:
     components: list = field(default_factory=list)
 
 
+def _levels(A: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+    """Breadth-first levels of the chain A from `start` (-1 where
+    unreached) and its period there: the gcd of level[u] + 1 - level[v]
+    over the edges u -> v among the reached states."""
+    edge = A > 0
+    level = np.full(len(A), -1)
+    frontier = np.arange(len(A)) == start
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = edge[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    u, v = np.nonzero(edge & np.outer(level >= 0, level >= 0))
+    return level, int(np.gcd.reduce(level[u] + 1 - level[v]))
+
+
 def ergodic_decomposition_l(p: ClassicalProcess, l: int) -> Decomposition:
-    if isinstance(p, PeriodicProcess):
-        if set(p.phases) != set(range(p.c)):
-            raise ValidationError("decomposition expects the full uniform-phase process")
-        k = math.gcd(p.c, l)
-        comps = [PeriodicProcess(p.cycle, phases=[ph for ph in range(p.c) if ph % k == x], L=p.L)
-                 for x in range(k)]
-        return Decomposition(l=l, k=k, components=comps)
-    if isinstance(p, MarkovProcess):
-        if not p.stationary:
-            raise ValidationError("decomposition requires a stationary chain")
-        if not p.irreducible():
-            raise NotImplementedError("decomposition of reducible chains is not supported")
-        if math.gcd(p.period(), l) != 1:
-            raise NotImplementedError("decomposition of periodic chains with gcd(period, l) > 1 "
-                                      "is not supported")
+    """Split p, from its hidden chain A = sum_x T[:, :, x], into the k =
+    gcd(g, l) components of its cyclic classes, g being the period of A
+    on the support of `initial`.  Component x is `initial` restricted to
+    the states whose breadth-first level is x (mod k), so each has mass
+    1/k and component x + 1 is component x shifted by one site.  p must be
+    stationary, with a support that is one closed class of A."""
+    A = p.T.sum(axis=2)
+    support = p.initial > 0
+    if np.max(np.abs(p.initial @ A - p.initial)) > 1e-12:
+        raise ValidationError("decomposition requires a stationary process")
+    if not _one_closed_class(A, support):
+        raise ValidationError("decomposition requires the support of the initial "
+                              "vector to be one closed class of the hidden chain")
+    level, g = _levels(A, int(np.argmax(support)))
+    k = math.gcd(g, l)
+    if k == 1:
         return Decomposition(l=l, k=1, components=[p])
-    raise NotImplementedError(f"decomposition not implemented for {type(p).__name__}")
+    # unreached states (level -1) lie outside the support, where initial is 0
+    parts = [np.where(level % k == x, p.initial, 0.0) for x in range(k)]
+    return Decomposition(l=l, k=k, components=[ClassicalProcess(w / w.sum(), p.T)
+                                               for w in parts])
 
 
 def high_entropy_components(decomposition: Decomposition, s: float, eta: float,

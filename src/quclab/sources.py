@@ -60,7 +60,7 @@ class QuantumSource:
 
     The transfer matrix tr M[i, j] is row-stochastic, so the last bond sums
     out (the right boundary is all-ones) and the marginals are consistent.
-    The kinds below only fill (l, M); marginals are cached per block length.
+    The kinds below only fill (l, M).
     """
 
     def __init__(self, left, sites):
@@ -77,7 +77,6 @@ class QuantumSource:
         # apply sweeps a real operand in float64 when every site operator is
         # real; a complex operand promotes it to complex
         self._sweep_sites = self.sites if self.sites.imag.any() else self.sites.real.copy()
-        self._cache: dict[int, np.ndarray] = {}
 
     def transfer_matrix(self) -> np.ndarray:
         return np.trace(self.sites, axis1=2, axis2=3)
@@ -108,11 +107,7 @@ class QuantumSource:
     def marginal(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValidationError("block length must be >= 1")
-        rho = self._cache.get(n)
-        if rho is None:
-            rho = self._strings(self.left[None], n, close=True)[0, 0]
-            self._cache[n] = rho
-        return rho
+        return self._strings(self.left[None], n, close=True)[0, 0]
 
     def apply(self, n: int, v) -> np.ndarray:
         """rho_n v for a d^n vector or d^n x k matrix v, by sweeping v through

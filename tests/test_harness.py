@@ -427,6 +427,30 @@ def test_one_code_build_per_block_code(monkeypatch):
         assert len(calls) == 2, mode
 
 
+def test_one_source_build_per_spec(monkeypatch):
+    from quclab import harness
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return build_source(spec)
+    monkeypatch.setattr(harness, "build_source", counting)
+    sources = [{"kind": "iid", "probs": [0.9, 0.1]},
+               {"kind": "classical", "process": {"kind": "markov",
+                                                 "transition": [[0.9, 0.1], [0.2, 0.8]]}}]
+    rows = run_experiment(ExperimentConfig.from_dict(
+        {"sources": sources, "r": 0.6, "n_range": [4, 5, 6], "projector_mode": "code"}))
+    assert built == sources
+    assert len(rows) == 6 and all(r.error == "" for r in rows)
+    # a spec that fails to build fails each of its rows the same way
+    bad = {"kind": "classical", "process": {"kind": "markov", "transition": [[1, 0], [0, 1]]}}
+    rows = run_experiment(ExperimentConfig.from_dict(
+        {"sources": [bad], "r": 0.6, "n_range": [4, 5, 6], "projector_mode": "code"}))
+    assert len(built) == 3
+    assert rows[0].error.startswith("ValidationError: transition matrix has no unique")
+    assert rows[1].error == rows[2].error == rows[0].error
+
+
 def test_block_dimension_32_row_is_recorded():
     # l = 5 gives block dimension 32: the D = 32 join over n = 2 blocks, with
     # 528 type classes, the most of any join the tests build

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from quclab.errors import ValidationError
-from quclab.operators import (hermitian_eig, partial_trace, projector_join,
-                              projector_leq, range_basis, span_basis,
-                              validate_density, validate_projector)
+from quclab.operators import (hermitian_eig, partial_trace, projector_leq,
+                              range_basis, span_basis, validate_density,
+                              validate_projector)
 from randmat import haar_unitary, random_density, random_hermitian, random_projector
 
 
@@ -98,39 +98,10 @@ def test_validate_projector_real_grids():
         validate_projector(bent + 1e-3j * (np.eye(6, k=1) - np.eye(6, k=-1)))
 
 
-def test_projector_join_idempotent():
-    p = np.diag([1.0, 0.0])
-    assert np.allclose(projector_join([p, p]), p, atol=1e-12)
-
-
-def test_projector_join_orthogonal_pair():
-    assert np.allclose(projector_join([np.diag([1.0, 0]), np.diag([0, 1.0])]),
-                       np.eye(2), atol=1e-12)
-
-
-def test_projector_join_independent_vectors():
-    plus = np.full((2, 2), 0.5)
-    assert np.allclose(projector_join([np.diag([1.0, 0]), plus]), np.eye(2), atol=1e-10)
-
-
-def test_projector_join_empty_needs_dim():
-    with pytest.raises(ValidationError):
-        projector_join([])
-    assert np.array_equal(projector_join([], dim=3), np.zeros((3, 3)))
-
-
 def test_projector_leq_basics():
     p = np.diag([1.0, 0.0])
     assert projector_leq(p, np.eye(2))
     assert not projector_leq(p, np.diag([0.0, 1.0]))
-
-
-def test_projector_leq_join_monotone():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        p = random_projector(4, 1, rng)
-        q = random_projector(4, 1, rng)
-        assert projector_leq(p, projector_join([p, q]))
 
 
 def test_span_basis_rank():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from quclab.processes import (ClassicalProcess, Distribution, IIDProcess,
                               high_entropy_components, index_sequence,
                               sequence_index)
 from quclab.sources import (ClassicallyCorrelatedSource, QuantumAlphabet,
-                            ergodicity_gap)
+                            abelian_restriction, ergodicity_gap)
 
 H01 = entropy_bits([0.9, 0.1])
 H02 = entropy_bits([0.8, 0.2])
@@ -186,10 +187,10 @@ def test_decomposition_periodic_two_cycle():
     assert dec.k == 2
     # components are point masses on the two phase sequences
     for comp, seq in zip(dec.components, ([0, 1], [1, 0])):
-        assert comp.prob(seq) == 1.0
+        assert comp.marginal(2).probs[sequence_index(seq, 2)] == 1.0
     # shift relation: component 1 = component 0 shifted by 1
-    assert np.allclose(dec.components[0].shifted(1).marginal(2).probs,
-                       dec.components[1].marginal(2).probs)
+    assert np.array_equal(dec.components[0].marginal(3).marginalize_first(1).probs,
+                          dec.components[1].marginal(2).probs)
 
 
 def test_decomposition_periodic_three_cycle():
@@ -211,6 +212,67 @@ def test_decomposition_reconstruction():
         dec = ergodic_decomposition_l(p, l)
         mix = sum(c.marginal(l).probs for c in dec.components) / dec.k
         assert np.max(np.abs(mix - p.marginal(l).probs)) < 1e-12
+
+
+def _check_decomposition(p, l, n):
+    """The uniform mixture of the components' n-marginals is p's, and
+    component x + 1 is component x shifted by one site."""
+    dec = ergodic_decomposition_l(p, l)
+    mix = sum(c.marginal(n).probs for c in dec.components) / dec.k
+    assert np.max(np.abs(mix - p.marginal(n).probs)) < 1e-12
+    for x, comp in enumerate(dec.components):
+        nxt = dec.components[(x + 1) % dec.k]
+        assert np.max(np.abs(comp.marginal(n + 1).marginalize_first(1).probs
+                             - nxt.marginal(n).probs)) < 1e-12
+    return dec
+
+
+# period 2: {0, 1} <-> {2, 3}; period 3: 0 -> {1, 2} -> 3 -> 0
+PERIOD_2 = [[0, 0, 0.5, 0.5], [0, 0, 0.3, 0.7], [0.4, 0.6, 0, 0], [0.1, 0.9, 0, 0]]
+PERIOD_3 = [[0, 0.4, 0.6, 0], [0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0]]
+
+
+def test_decomposition_k_is_gcd_of_period_and_l():
+    for cycle in ([0, 1], [0, 1, 1], [0, 1, 0, 1, 1, 0]):
+        for l in range(1, 7):
+            dec = _check_decomposition(PeriodicProcess(cycle), l, 6)
+            assert dec.k == math.gcd(len(cycle), l)
+    for P, g in ((PERIOD_2, 2), (PERIOD_3, 3)):
+        for l in range(2, 7):
+            assert _check_decomposition(MarkovProcess(P), l, 6).k == math.gcd(g, l)
+    iid = IIDProcess([0.3, 0.7])
+    for l in (1, 2, 3):
+        dec = _check_decomposition(iid, l, 6)
+        assert dec.k == 1 and dec.components[0] is iid
+
+
+def test_decomposition_of_chains_regroupings_and_restrictions():
+    # a transient state outside the support of the stationary vector
+    transient = MarkovProcess([[0.5, 0.25, 0.25], [0, 0.9, 0.1], [0, 0.2, 0.8]])
+    assert _check_decomposition(transient, 2, 6).k == 1
+    # a transient state in front of a period-2 class
+    flip = MarkovProcess([[0, 1, 0], [0, 0, 1], [0, 1, 0]], initial=[0, 0.5, 0.5])
+    assert _check_decomposition(flip, 4, 6).k == 2
+    assert _check_decomposition(MarkovProcess(MARKOV_P).block(2), 2, 4).k == 1
+    # two steps of the 3-cycle are still a 3-cycle
+    assert _check_decomposition(PeriodicProcess([0, 1, 1]).block(2), 3, 4).k == 3
+    alphabet = QuantumAlphabet(np.array([[1.0, 0.6], [0.0, 0.8]]))
+    markov = ClassicallyCorrelatedSource(MarkovProcess(MARKOV_P), alphabet)
+    assert _check_decomposition(abelian_restriction(markov, 2)[0], 2, 4).k == 1
+    cycle = ClassicallyCorrelatedSource(PeriodicProcess([0, 1, 1]), alphabet)
+    restricted = abelian_restriction(cycle, 1)[0]
+    assert _check_decomposition(restricted, 3, 8).k == 3
+    assert _check_decomposition(restricted, 2, 8).k == 1
+
+
+def test_decomposition_needs_a_stationary_single_class_process():
+    for p in (MarkovProcess(MARKOV_P, initial=[1.0, 0.0]),
+              PeriodicProcess([0, 1, 1, 0], phases=[0, 2])):
+        with pytest.raises(ValidationError, match="stationary"):
+            ergodic_decomposition_l(p, 2)
+    mix = MixtureProcess([0.5, 0.5], [IIDProcess([0.9, 0.1]), IIDProcess([0.5, 0.5])])
+    with pytest.raises(ValidationError, match="one closed class"):
+        ergodic_decomposition_l(mix, 2)
 
 
 def test_high_entropy_components():
@@ -294,7 +356,7 @@ def test_reducible_chain_needs_an_initial_distribution():
     assert mk.stationary and mk.entropy_rate() == 0.0
     mu = mk.marginal(3).probs
     assert mu[0] == mu[7] == 0.5 and mu.sum() == 1.0
-    assert not mk.irreducible()
+    assert not mk.ergodic
 
 
 def test_stationary_flag_of_an_initial_distribution():
