@@ -237,12 +237,11 @@ class MarkovProcess(ClassicalProcess):
 
 
 class PeriodicProcess(ClassicalProcess):
-    """Deterministic cycle observed from a uniformly random phase.
+    """Deterministic cycle observed from a uniformly random phase."""
 
-    `phases` restricts the admissible phases; the default is all of them.
-    """
+    ergodic = True
 
-    def __init__(self, cycle, phases=None, L=None):
+    def __init__(self, cycle, L=None):
         self.cycle = [int(c) for c in cycle]
         if not self.cycle:
             raise ValidationError("cycle must be nonempty")
@@ -250,23 +249,17 @@ class PeriodicProcess(ClassicalProcess):
         if min(self.cycle) < 0 or max(self.cycle) >= self.L:
             raise ValidationError(f"cycle symbols must lie in 0..{self.L - 1}")
         self.c = len(self.cycle)
-        self.phases = sorted(set(range(self.c) if phases is None else (int(p) % self.c for p in phases)))
-        if not self.phases:
-            raise ValidationError("phase set must be nonempty")
-        self.ergodic = len(self.phases) == self.c or len(self.phases) == 1
         # the hidden state is the position in the cycle
-        initial = np.zeros(self.c)
-        initial[self.phases] = 1.0 / len(self.phases)
         T = _zero_transfer(self.c, self.L, "periodic")
         T[np.arange(self.c), (np.arange(self.c) + 1) % self.c, self.cycle] = 1.0
-        super().__init__(initial, T)
+        super().__init__(np.full(self.c, 1.0 / self.c), T)
 
     def _matches(self, seq, ph: int) -> bool:
         return all(int(s) == self.cycle[(ph + t) % self.c] for t, s in enumerate(seq))
 
     def prob(self, seq) -> float:
-        hits = sum(1 for ph in self.phases if self._matches(seq, ph))
-        return hits / len(self.phases)
+        hits = sum(1 for ph in range(self.c) if self._matches(seq, ph))
+        return hits / self.c
 
     def entropy_rate(self) -> float:
         return 0.0

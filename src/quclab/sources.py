@@ -113,10 +113,16 @@ class QuantumSource:
         """rho_n v for a d^n vector or d^n x k matrix v, by sweeping v through
         the n sites one at a time; no d^n x d^n array is formed.  The sweep
         is real (float64) when the site operators, l and v are, and complex
-        otherwise.
+        otherwise; a real v is cast once, before the first site.
 
-        Each site holds the chi x d^n x k sweep tensor, its reshaped copy and
-        the product, counted as complex."""
+        The sweep tensor's legs are (bond, inputs b_t..b_n, columns, outputs
+        a_1..a_{t-1}).  Site t reads it as a (bond, b_t) x rest matrix, a free
+        view, and writes one product per output bond j into a fresh
+        (bond, rest, a_t) tensor: rest x (bond, b_t) times W_j[(i, b), a] =
+        M[i, j, a, b].  The new output leg lands at the back by layout, so no
+        site copies the sweep tensor.  A cast operand lives only until the
+        sweep tensor is built from it, and a site holds the sweep tensor and
+        the product; the check counts three chi x d^n x k complex arrays."""
         v = np.asarray(v)
         if n < 1 or v.shape[0] != self.d ** n:
             raise ValidationError(f"operand has {v.shape[0]} rows, not {self.d}^{n}")
@@ -125,14 +131,19 @@ class QuantumSource:
         check_budget(3 * 16 * len(self.left) * d ** n * columns,
                      f"rho_{n} V over {columns} columns")
         sites = self._sweep_sites
-        closed = sites.sum(axis=1, keepdims=True)
-        # legs (bond, inputs b_t..b_n, columns, outputs a_1..a_{t-1}): each
-        # site turns its input leg into its output leg at the back
-        t = np.multiply.outer(self.left, v.reshape(d ** n, -1))
+        dtype = np.result_type(self.left, v, sites)
+
+        def weights(m):  # W[j][(i, b), a] = m[i, j, a, b]
+            return m.transpose(1, 0, 3, 2).reshape(m.shape[1], -1, d).astype(dtype)
+
+        open_w, closed_w = weights(sites), weights(sites.sum(axis=1, keepdims=True))
+        t = np.multiply.outer(self.left, v.reshape(d ** n, -1).astype(dtype, copy=False))
         for site in range(n):
-            m = closed if site == n - 1 else sites
-            t = np.tensordot(m, t.reshape(t.shape[0], d, -1), axes=([0, 3], [0, 1]))
-            t = np.moveaxis(t, 1, -1)
+            w = closed_w if site == n - 1 else open_w
+            flat = t.reshape(w.shape[1], -1).T
+            t = np.empty((len(w), flat.shape[0], d), dtype)
+            for j, wj in enumerate(w):
+                np.matmul(flat, wj, out=t[j])
         return t.reshape(-1, d ** n).T.reshape(v.shape)
 
     def classical_view(self):

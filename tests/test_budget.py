@@ -221,7 +221,8 @@ def test_apply_of_an_n14_row_is_admitted_and_past_the_budget_refused(monkeypatch
     basis = np.broadcast_to(np.zeros(1), (2 ** 14, 1031))
     assert _admitted_bytes(monkeypatch, lambda: s.apply(14, basis)) == 48 * 2 * 2 ** 14 * 1031
     monkeypatch.undo()
-    _forbid(monkeypatch, np, "tensordot")
+    # np.matmul is the sweep's per-site product
+    _forbid(monkeypatch, np, "matmul")
     wide = np.broadcast_to(np.zeros(1), (2 ** 16, 2 ** 10))
     _refused(lambda: s.apply(16, wide))
 
@@ -271,11 +272,10 @@ def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
                            join=JoinResult(basis, {}, 0.0), pad=1,
                            code=build_code(4, 1.0, 7))
     source = build_source(DEPOLARIZED_MARKOV)
-    _forbid(monkeypatch, np, "tensordot")
+    _forbid(monkeypatch, np, "matmul")
     _refused(lambda: acceptance_probability(q, source),
              match="rho_14 V over 4552 columns needs 6828 MiB")
-    # in an experiment the refusal is that row's error, and the batch goes on;
-    # building the source runs its own small tensordot
+    # in an experiment the refusal is that row's error, and the batch goes on
     monkeypatch.undo()
     monkeypatch.setattr(harness, "assemble_q", lambda *args, **kwargs: q)
     cfg = ExperimentConfig.from_dict({"sources": [DEPOLARIZED_MARKOV], "r": 0.5,

@@ -13,6 +13,7 @@ from quclab.codes import (SCORE_TIE_TOL, all_sequences, build_code, code_measure
 from quclab.errors import SizeError, ValidationError
 from quclab.processes import (ClassicalProcess, IIDProcess, MarkovProcess, MixtureProcess,
                               PeriodicProcess, index_sequence)
+from cycles import phase_subset
 
 
 def brute_order(L, n, k):
@@ -198,7 +199,7 @@ _RAW_T = np.random.default_rng(7).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
 MEASURED_PROCESSES = {
     "iid": IIDProcess([0.85, 0.15]),
     "markov": MarkovProcess([[0.7, 0.3], [0.4, 0.6]], initial=[0.95, 0.05]),
-    "periodic": PeriodicProcess([0, 1, 1, 0, 1, 0, 0], phases=[1, 4]),
+    "periodic": phase_subset([0, 1, 1, 0, 1, 0, 0], [1, 4]),
     "mixture": MixtureProcess([0.3, 0.7], [IIDProcess([0.9, 0.1]),
                                            MarkovProcess([[0.6, 0.4], [0.1, 0.9]])]),
     "raw": ClassicalProcess([0.2, 0.5, 0.3], _RAW_T),

@@ -12,6 +12,7 @@ from quclab.processes import (ClassicalProcess, Distribution, IIDProcess,
                               sequence_index)
 from quclab.sources import (ClassicallyCorrelatedSource, QuantumAlphabet,
                             abelian_restriction, ergodicity_gap)
+from cycles import phase_subset
 
 H01 = entropy_bits([0.9, 0.1])
 H02 = entropy_bits([0.8, 0.2])
@@ -50,7 +51,7 @@ def _brute(p, n):
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_periodic_marginal_matches_prob_enumeration(kwargs, n):
     # n = 1, 3 are shorter than every cycle here and n = 7 is longer
-    p = PeriodicProcess(**kwargs)
+    p = phase_subset(**kwargs) if "phases" in kwargs else PeriodicProcess(**kwargs)
     mu = p.marginal(n).probs
     assert mu.shape == (p.L ** n,)
     assert np.array_equal(mu, _brute(p, n))
@@ -157,7 +158,7 @@ def test_block_process_markov():
 
 BLOCKED = {**ENUMERATED,
            "periodic": PeriodicProcess([0, 2, 2, 1, 0]),
-           "periodic-phase-subset": PeriodicProcess([1, 0, 1, 1], phases=[0, 1], L=3)}
+           "periodic-phase-subset": phase_subset([1, 0, 1, 1], [0, 1], L=3)}
 
 
 @pytest.mark.parametrize("kind", BLOCKED)
@@ -267,7 +268,7 @@ def test_decomposition_of_chains_regroupings_and_restrictions():
 
 def test_decomposition_needs_a_stationary_single_class_process():
     for p in (MarkovProcess(MARKOV_P, initial=[1.0, 0.0]),
-              PeriodicProcess([0, 1, 1, 0], phases=[0, 2])):
+              phase_subset([0, 1, 1, 0], [0, 2])):
         with pytest.raises(ValidationError, match="stationary"):
             ergodic_decomposition_l(p, 2)
     mix = MixtureProcess([0.5, 0.5], [IIDProcess([0.9, 0.1]), IIDProcess([0.5, 0.5])])

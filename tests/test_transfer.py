@@ -13,7 +13,8 @@ from quclab.errors import ValidationError
 from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
                               PeriodicProcess, index_sequence)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
-                            IIDSource, QuantumAlphabet, ergodicity_gap)
+                            IIDSource, QuantumAlphabet, QuantumSource, ergodicity_gap)
+from cycles import phase_subset
 from randmat import haar_unitary, random_density, random_hermitian
 
 
@@ -84,7 +85,7 @@ def _iid_power(rho1, n):
 def _processes(L, rng):
     P = _random_stochastic(L, rng)
     cycle = [int(x) for x in rng.integers(0, L, 4)]
-    subset = PeriodicProcess(cycle, phases=[0, 2], L=L)
+    subset = phase_subset(cycle, [0, 2], L=L)
     return {
         "iid": IIDProcess(rng.dirichlet(np.ones(L))),
         "markov": MarkovProcess(P),
@@ -171,6 +172,49 @@ def test_apply_sweeps_real_sources_in_float64():
         assert np.max(np.abs(out - source.marginal(n) @ operand)) <= 1e-12
 
 
+def reference_apply(source, n, v):
+    """rho_n v by a tensordot per site, each moving the site's output leg to
+    the back of the sweep tensor, so every later reshape copies it."""
+    d = source.d
+    sites = source._sweep_sites
+    closed = sites.sum(axis=1, keepdims=True)
+    t = np.multiply.outer(source.left, v.reshape(d ** n, -1))
+    for site in range(n):
+        m = closed if site == n - 1 else sites
+        t = np.tensordot(m, t.reshape(t.shape[0], d, -1), axes=([0, 3], [0, 1]))
+        t = np.moveaxis(t, 1, -1)
+    return t.reshape(-1, d ** n).T.reshape(v.shape)
+
+
+@st.composite
+def sweeps(draw):
+    """(source, n, operand): chi x chi sites M[i, j] = P[i, j] rho_ij with
+    random density operators rho_ij, real or complex, so ||rho_n|| <= 1; n = 1
+    is a closed first site."""
+    chi, d, n = draw(st.integers(1, 4)), draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    complex_sites, complex_operand = draw(st.booleans()), draw(st.booleans())
+    columns = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rhos = np.array([[random_density(d, rng) for _ in range(chi)] for _ in range(chi)])
+    sites = _random_stochastic(chi, rng)[:, :, None, None] * (
+        rhos if complex_sites else rhos.real)
+    source = QuantumSource(rng.dirichlet(np.ones(chi)), sites)
+    assert source._sweep_sites.dtype == (np.complex128 if complex_sites else np.float64)
+    shape = (d ** n,) if columns is None else (d ** n, columns)
+    v = rng.standard_normal(shape)
+    if complex_operand:
+        v = v + 1j * rng.standard_normal(shape)
+    return source, n, v
+
+
+@given(sweeps())
+def test_apply_matches_the_tensordot_sweep(sweep):
+    source, n, v = sweep
+    out, ref = source.apply(n, v), reference_apply(source, n, v)
+    assert out.shape == v.shape and out.dtype == ref.dtype
+    assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(v)
+
+
 # --- property test on random small chains
 
 
@@ -189,7 +233,7 @@ def chains(draw):
     rng = np.random.default_rng(seed)
     P = _random_stochastic(L, rng)
     markov = MarkovProcess(P, initial=rng.dirichlet(np.ones(L)) if custom_initial else None)
-    periodic = PeriodicProcess(cycle, phases=sorted(phases), L=L)
+    periodic = phase_subset(cycle, sorted(phases), L=L)
     process = {"iid": IIDProcess(rng.dirichlet(np.ones(L))), "markov": markov,
                "periodic": periodic,
                "mixture": MixtureProcess([0.3, 0.7], [periodic, markov])}[kind]
