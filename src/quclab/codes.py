@@ -6,14 +6,17 @@ empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
 equal, then lexicographic).  A binary k = 0 code is a union of type classes
 and is built as one up to block length 64, in time polynomial in n; every
 process measures it by one recursion over (ones count, hidden state), with
-no marginal and no member list.  Every other code scores all L^n sequences,
-with one formula for every k from one count of the cyclic (k+1)-grams,
-L^n * L^(k+1) one-byte entries.  The count
-grows one site at a time, as a marginal does: each prefix's row is repeated
-for the L symbols that extend it, and the gram ending at the new site is the
-row index mod L^(k+1); the grams that wrap round the end come from the row
-index.  Each term c log2(context count / c) is read from an (n+1) x (n+1)
-table, and the order is a stable radix sort of the score clusters.  An
+no marginal and no member list.  Every other code is enumerated, with one
+formula for every k.  A score depends only on the sequence's cyclic
+(k+1)-gram counts, its Markov type, and there are polynomially many types
+against L^n sequences, so a recursion over sites keeps one small table of
+states (last k symbols, gram counts so far, which fix the first k symbols
+too) and one int32 state id a prefix: each site appends every symbol to
+every state and merges the candidates whose exact int64 key agrees.  At the
+end each state's wrap-around grams come from one representative sequence,
+each state is scored once (each term c log2(context count / c) read from an
+(n+1) x (n+1) table), and the order is a stable radix sort of the
+sequences' score clusters.  No L^n float array or float sort is formed.  An
 enumeration past the memory budget is a SizeError.
 """
 
@@ -33,45 +36,201 @@ FLOOR_GUARD = 1e-9
 # sequence and its complement, or permuted type classes) can differ in the
 # last bits.
 SCORE_TIE_TOL = 1e-9
+# The state recursion merges candidates once a level holds MERGE_FROM
+# prefixes (below that a merge costs more than the candidates it saves), and
+# only while a state's key fits in MERGED_KEY_CHUNKS int64 chunks: each chunk
+# is one more sort of every candidate.  At L = 2 a four-chunk key (k = 4,
+# n = 20) still builds faster merged; with seven or more (k >= 5, n = 16 to
+# 20) few sequences share a state and the sorts cost more than they save.
+MERGE_FROM = 2 ** 8
+MERGED_KEY_CHUNKS = 4
 
 
 def code_size(n: int, R: float) -> int:
     return 2 ** int(math.floor(n * R + FLOOR_GUARD))
 
 
+def _key_layout(L: int, n: int, k: int) -> tuple[int, int, int] | None:
+    """How the exact key of a state splits into int64 chunks of radix-(n+1)
+    gram-count digits: (digits in chunk 0, digits in each later chunk,
+    chunks).  Chunk 0 is keyed beside the last k symbols (below L^k), every
+    later chunk beside the previous chunks' ids (below L^n), so no key
+    reaches 2^63.  None where the recursion merges nothing: no two prefixes
+    share a state (n <= 2k, see _type_states), or the key needs more than
+    MERGED_KEY_CHUNKS chunks."""
+    if n <= 2 * k:
+        return None
+
+    def digits(room):  # the most count digits below room
+        j = 0
+        while (n + 1) ** (j + 1) <= room:
+            j += 1
+        return j
+
+    first, rest = digits(2 ** 63 // L ** k), digits(2 ** 63 // L ** n)
+    if rest == 0:  # L^n within a factor n + 1 of 2^63: far past any budget
+        return None
+    chunks = 1 + -(-max(L ** (k + 1) - first, 0) // rest)
+    return (first, rest, chunks) if chunks <= MERGED_KEY_CHUNKS else None
+
+
 def _scores_bytes(L: int, n: int, k: int) -> int:
     """Peak bytes of empirical_entropy_scores(L, n, k), and so of a dense
-    build_code, over the N = L^n sequences of G = L^(k+1) one-byte gram
-    counts (n < 256; a longer enumeration is far past any budget), a
-    sequence: the gathered float terms beside the counts, the context counts
-    and the sums, or the order after the scores, at most 57 bytes (np.unique's
-    copy, permutation, sorted copy, mask, cumsum, inverse and distinct values
-    beside the scores).  The wrap-around grams' int64 index, rotation, gram
-    and temporaries, 48 bytes beside the counts, stay under both.  On top,
-    the G x G identity (for k < n), the (n+1) x (n+1) log table with its
-    temporaries and the gather's two 8192-entry intp index buffers."""
+    build_code, from the largest number of states each level can hold.
+
+    A state at level s is one (first k, last k symbols, gram counts)
+    triple, so level s holds at most L^(2k) pairs of k symbols times the
+    counts of s - k grams between them; those are fixed by their
+    D = L^(k+1) - L^k + 1 values off a spanning tree of the order-k de
+    Bruijn graph (the rest follow from flow conservation), so at most
+    C(s - k + D, D) of them.  A merging level of P candidates with C key
+    chunks: 8 (C + 10) bytes a candidate (the candidate representatives and
+    keys, the last k symbols, the chunk key, and np.unique's copy,
+    permutation, sorted copy, mask, cumsum and inverse), 8 (C + 1) a state
+    of the level before, and the int32 prefix ids before and after with the
+    intp copy of the old ones, 12 + 4 L bytes a prefix of the level before.
+    After the last level, S states beside the N = L^n prefix ids: at most
+    G + 56 bytes a state (the counts beside the representatives and the
+    rotation's int64 temporaries), then 9 G + G / L + 8 (counts, context
+    counts, gathered float terms and sums).  Then 20 bytes a sequence (the
+    ids, their intp copy and the gathered scores) or, in build_code,
+    np.unique over the states' scores, 57 bytes a state beside the ids, and
+    then at most 20 bytes a sequence again (the sequences' clusters, the
+    order and its radix buffer).  Where no state merges, S = N and nothing
+    is gathered.  On top, the (n+1) x (n+1) log table with its temporaries,
+    the gather's two 8192-entry intp index buffers and, where states merge,
+    the G-entry chunk and weight tables."""
     N, G = L ** n, L ** (k + 1)
-    eye = G * G if k < n else 0
-    return N * max(9 * G + G // L + 8, 57) + eye + 32 * (n + 1) ** 2 + 2 ** 17
+    fixed = 32 * (n + 1) ** 2 + 2 ** 17
+    scoring = max(G + 56, 9 * G + G // L + 8)
+    layout = _key_layout(L, n, k)
+    if layout is None:
+        return N * max(scoring, 57) + fixed
+    chunks, D = layout[2], G - L ** k + 1
+    peak, states, prefixes = 0, 1, None
+    for site in range(1, n + 1):
+        candidates = states * L
+        states = candidates
+        if site > 2 * k and L ** site >= MERGE_FROM:
+            old = 0 if prefixes is None else prefixes
+            states = min(candidates, L ** (2 * k) * math.comb(site - k + D, D))
+            peak = max(peak, 8 * (chunks + 10) * candidates + 8 * (chunks + 1) * candidates // L
+                       + (12 + 4 * L) * old)
+            prefixes = L ** site
+    gathered = 0 if prefixes is None else N
+    return max(peak, 4 * gathered + states * scoring, 20 * gathered + 8 * states,
+               4 * gathered + 57 * states) + fixed + 16 * G
 
 
-def _count_wrapped_grams(counts: np.ndarray, L: int, n: int, k: int) -> None:
-    """Add the min(k, n) cyclic (k+1)-grams that wrap round the end to the
-    (L^n, G) counts, from each row's index: the gram starting at position s
-    is the sequence rotated to start there, read for k + 1 symbols (whole
-    turns first when k + 1 >= n)."""
-    N, G = counts.shape
-    index = np.arange(N)
-    flat = counts.reshape(-1)
+def _distinct(tails: np.ndarray, counts: np.ndarray, radices: list) -> tuple:
+    """The distinct rows of (tails, count chunks): the index of each
+    distinct row's first occurrence, and the distinct row of every row.  One
+    np.unique a chunk, each chunk's ids feeding the next chunk's key."""
+    key = tails * radices[0] + counts[:, 0]
+    for c in range(1, len(radices)):
+        key = np.unique(key, return_inverse=True)[1] * radices[c] + counts[:, c]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _type_states(L: int, n: int, k: int) -> tuple:
+    """The state of every sequence of length n, as int32 ids in index order
+    (None when every sequence is its own state), and one representative
+    sequence index a state.
+
+    A prefix's state is (its last k symbols, the counts of the (k+1)-grams
+    inside it).  The grams are a path through the order-k de Bruijn graph,
+    so the counts also fix the first k symbols: the one node the path leaves
+    once more than it enters, or the last k symbols if there is none.  The
+    cyclic grams add the ones that wrap round from the last k symbols to the
+    first, so two sequences in one state have the same cyclic gram counts,
+    and while a prefix is at most 2k long its state fixes all of it.  Each
+    site appends every symbol to every state, and a merging site keeps one
+    state for each distinct key of the candidates; the prefix ids follow by
+    one gather.  The key is the last k symbols and the gram counts as
+    radix-(n+1) digits, split by _key_layout."""
+    N, G, Lk = L ** n, L ** (k + 1), L ** k
+    layout = _key_layout(L, n, k)
+    if layout is None:
+        return None, np.arange(N)
+    first, rest, chunks = layout
+    g = np.arange(G)
+    later = np.maximum(g - first, 0)
+    chunk = np.where(g < first, 0, 1 + later // rest)
+    weight = np.power(n + 1, np.where(g < first, g, later % rest), dtype=np.int64)
+    radices = [(n + 1) ** int(j) for j in np.bincount(chunk, minlength=chunks)]
+    ids, reps, symbols = None, np.zeros(1, dtype=np.int64), np.arange(L)
+    counts = np.zeros((1, chunks), dtype=np.int64)
+    for site in range(1, n + 1):
+        # candidate i * L + a is state i followed by a
+        reps = np.add.outer(reps * L, symbols).ravel()
+        counts = np.repeat(counts, L, axis=0)
+        if site > k:
+            gram = reps % G
+            rows = np.arange(0, counts.size, chunks)
+            counts.reshape(-1)[rows + np.take(chunk, gram)] += np.take(weight, gram)
+        if site > 2 * k and L ** site >= MERGE_FROM:
+            kept, inverse = _distinct(reps % Lk, counts, radices)
+            reps, counts = reps[kept], counts[kept]
+            inverse = inverse.astype(np.int32)
+            if ids is not None:
+                inverse = np.take(inverse.reshape(-1, L), ids, axis=0).ravel()
+            ids = inverse
+    return ids, reps
+
+
+def _gram_counts(reps: np.ndarray, L: int, n: int, k: int) -> np.ndarray:
+    """The cyclic (k+1)-gram counts of the sequences with indices `reps`,
+    one row each: a gram that does not wrap is read from the index, and the
+    gram starting at a later position s is the sequence rotated to start
+    there, read for k + 1 symbols (whole turns first when k + 1 >= n).  Rows
+    are counted a block of at most 1 MiB of counts at a time, so the n
+    scattered increments of a row hit the cache."""
+    N, G = L ** n, L ** (k + 1)
+    counts = np.zeros((len(reps), G), dtype=np.min_scalar_type(n))
     turns, rest = divmod(k + 1, n)
-    for start in range(max(n - k, 0), n):
-        head = L ** (n - start)
-        rotated = index % head * (N // head) + index // head
-        gram = rotated // L ** (n - rest)
-        for turn in range(turns):
-            gram += rotated * (L ** rest * N ** turn)
-        gram += index * G
-        flat[gram] += 1
+    step = max(1, 2 ** 20 // G)
+    for first in range(0, len(reps), step):
+        block = reps[first:first + step]
+        flat = counts[first:first + step].reshape(-1)
+        rows = np.arange(0, flat.size, G)
+        for start in range(n):
+            if start + k < n:
+                gram = block // L ** (n - start - k - 1) % G
+            else:
+                head = L ** (n - start)
+                rotated = block % head * (N // head) + block // head
+                gram = rotated // L ** (n - rest)
+                for turn in range(turns):
+                    gram += rotated * (L ** rest * N ** turn)
+            gram += rows
+            flat[gram] += 1
+    return counts
+
+
+def _scores_of_counts(counts: np.ndarray, L: int, n: int, k: int) -> np.ndarray:
+    """Each row's sum over its grams of c * log2(context count / c), over n;
+    each term read from an (n+1) x (n+1) table."""
+    S, Lk = len(counts), L ** k
+    counts = counts.reshape(S, Lk, L)
+    # context counts one symbol at a time: a sum over the short last axis is
+    # several times slower
+    ctx = counts[:, :, 0].copy()
+    for a in range(1, L):
+        ctx += counts[:, :, a]
+    c = np.arange(n + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.where(c > 0, c * np.log2(c[:, None] / c), 0.0)
+    return table[ctx[:, :, None], counts].reshape(S, Lk * L).sum(axis=1) / n
+
+
+def _state_scores(L: int, n: int, k: int) -> tuple:
+    """The state of every sequence (None: each is its own) and the score of
+    every state."""
+    ids, reps = _type_states(L, n, k)
+    counts = _gram_counts(reps, L, n, k)
+    del reps
+    return ids, _scores_of_counts(counts, L, n, k)
 
 
 def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
@@ -84,34 +243,13 @@ def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
     n.  Wrap-around grams make the score rotation-invariant, so all phases of
     a periodic sequence receive the same score.  Scores that tie in exact
     arithmetic may differ in the last bits; build_code counts scores within
-    SCORE_TIE_TOL as equal.  A count past the memory budget raises SizeError
-    before anything is allocated.
+    SCORE_TIE_TOL as equal.  The score depends on the gram counts alone, so
+    it is computed once a state (see _type_states).  A recursion past the
+    memory budget raises SizeError before anything is allocated.
     """
-    N, Lk = L ** n, L ** k
-    G = Lk * L
-    check_budget(_scores_bytes(L, n, k), f"(k+1)-gram count of {N} x {G} entries")
-    # one row of gram counts a prefix, each site appending its symbol as
-    # ClassicalProcess.marginal does: the gram ending at the new site is the
-    # row index mod G, so from site k + 1 on each block of G rows gains the
-    # identity
-    counts = np.zeros((1, G), dtype=np.min_scalar_type(n))
-    eye = np.eye(G, dtype=counts.dtype) if k < n else None
-    for site in range(1, n + 1):
-        counts = np.repeat(counts, L, axis=0)
-        if site > k:
-            counts.reshape(-1, G, G)[...] += eye
-    _count_wrapped_grams(counts, L, n, k)
-    counts = counts.reshape(N, Lk, L)
-    # context counts one symbol at a time: a sum over the short last axis is
-    # several times slower
-    ctx = counts[:, :, 0].copy()
-    for a in range(1, L):
-        ctx += counts[:, :, a]
-    # c log2(ctx / c) at every (context count, count)
-    c = np.arange(n + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.where(c > 0, c * np.log2(c[:, None] / c), 0.0)
-    return table[ctx[:, :, None], counts].reshape(N, G).sum(axis=1) / n
+    check_budget(_scores_bytes(L, n, k), f"scoring the {L}^{n} sequences at k = {k}")
+    ids, scores = _state_scores(L, n, k)
+    return scores if ids is None else np.take(scores, ids)
 
 
 def all_sequences(L: int, n: int) -> np.ndarray:
@@ -187,13 +325,17 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
         return _build_binary_typeclass(R, n, size)
     check_budget(_scores_bytes(L, n, k), f"enumerating the {L}^{n} sequences at k = {k} "
                  "(the type-class mode needs L = 2, k = 0 and n <= 64)")
-    values, inverse = np.unique(empirical_entropy_scores(L, n, k), return_inverse=True)
+    ids, scores = _state_scores(L, n, k)
+    values, inverse = np.unique(scores, return_inverse=True)
     cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
     # a stable sort of the cluster ids, in the narrowest unsigned type that
     # holds them (numpy radix-sorts 8- and 16-bit keys), breaks ties in
     # index order, which is lexicographic
-    cluster = cluster.astype(np.min_scalar_type(cluster[-1]))
-    order = np.argsort(cluster[inverse], kind="stable")
+    cluster = cluster.astype(np.min_scalar_type(cluster[-1]))[inverse]
+    if ids is not None:  # each state's cluster to each sequence's
+        cluster = np.take(cluster, ids)
+        del ids
+    order = np.argsort(cluster, kind="stable")
     return BlockCode(L, n, R, k, members=order[:size].copy())
 
 

@@ -278,7 +278,10 @@ def trace_q_rho(q: UniversalProjector, s: QuantumSource) -> tuple[float, str]:
       rho_1^{(x)ln}, and q_J commutes with every U^{(x)ln} (for l > 1 too:
       U^{(x)l} is a block unitary).  With U diagonalising rho_1, this is
       the classical case for the i.i.d. process of rho_1's spectrum;
-    - "dense": Re sum conj(B) (rho_{ln} B), from the source's sweep.
+    - "dense": Re sum B (rho_{ln} B), from the source's sweep (B is real).
+      The sweep returns rho B as the transpose of a C-ordered array, so each
+      column's dot product with B reads it in place; vdot would first copy
+      the whole product into B's layout.
     """
     if s.d != q.d:
         raise ValidationError("source dimension != projector site dimension")
@@ -289,7 +292,8 @@ def trace_q_rho(q: UniversalProjector, s: QuantumSource) -> tuple[float, str]:
     if view is not None:
         return float(np.dot(q.join.diagonal(), view.marginal(sites).probs)), path
     b = q.join.basis
-    return float(np.vdot(b, s.apply(sites, b)).real), "dense"
+    products = s.apply(sites, b).real.T
+    return float(np.matmul(products[:, None, :], b.T[:, :, None]).sum()), "dense"
 
 
 def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:

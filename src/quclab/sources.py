@@ -122,16 +122,17 @@ class QuantumSource:
         M[i, j, a, b].  The new output leg lands at the back by layout, so no
         site copies the sweep tensor.  A cast operand lives only until the
         sweep tensor is built from it, and a site holds the sweep tensor and
-        the product; the check counts three chi x d^n x k complex arrays."""
+        the product; the check counts three chi x d^n x k arrays of the
+        sweep's dtype."""
         v = np.asarray(v)
         if n < 1 or v.shape[0] != self.d ** n:
             raise ValidationError(f"operand has {v.shape[0]} rows, not {self.d}^{n}")
         d = self.d
         columns = v.size // v.shape[0]
-        check_budget(3 * 16 * len(self.left) * d ** n * columns,
-                     f"rho_{n} V over {columns} columns")
         sites = self._sweep_sites
         dtype = np.result_type(self.left, v, sites)
+        check_budget(3 * dtype.itemsize * len(self.left) * d ** n * columns,
+                     f"rho_{n} V over {columns} columns")
 
         def weights(m):  # W[j][(i, b), a] = m[i, j, a, b]
             return m.transpose(1, 0, 3, 2).reshape(m.shape[1], -1, d).astype(dtype)

@@ -149,8 +149,8 @@ SITES = {
     "classical-marginal": lambda tmp_path: lambda: PeriodicProcess(
         [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]).marginal(16),
     "classical-block": lambda tmp_path: lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(16),
-    # the gathered float terms set the scores' peak; at k = 1 the order after
-    # the scores sets the check, at k = 3 the float terms
+    # at k = 1 the prefix ids and the gathered scores set the peak; at k = 3
+    # (two key chunks) the candidates of the last levels
     "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 16, 1),
     "code-enumeration": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
     "typeclass-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
@@ -216,14 +216,20 @@ def test_apply_per_site_at_m14_is_refused_before_allocation(monkeypatch):
 
 
 def test_apply_of_an_n14_row_is_admitted_and_past_the_budget_refused(monkeypatch):
-    # the n = 14 row's join has rank 1031: 3 * 16 * 2 * 2^14 * 1031 bytes
+    # the n = 14 row's join has rank 1031 and its sweep is real: three
+    # float64 arrays of 2 * 2^14 * 1031 entries; the n = 15 row (rank 1292,
+    # 1938 MiB) is admitted too, and refused once a complex operand makes
+    # the sweep complex (3876 MiB)
     s = build_source(DEPOLARIZED_MARKOV)
     basis = np.broadcast_to(np.zeros(1), (2 ** 14, 1031))
-    assert _admitted_bytes(monkeypatch, lambda: s.apply(14, basis)) == 48 * 2 * 2 ** 14 * 1031
+    assert _admitted_bytes(monkeypatch, lambda: s.apply(14, basis)) == 24 * 2 * 2 ** 14 * 1031
+    basis = np.broadcast_to(np.zeros(1), (2 ** 15, 1292))
+    assert _admitted_bytes(monkeypatch, lambda: s.apply(15, basis)) == 24 * 2 * 2 ** 15 * 1292
     monkeypatch.undo()
     # np.matmul is the sweep's per-site product
     _forbid(monkeypatch, np, "matmul")
-    wide = np.broadcast_to(np.zeros(1), (2 ** 16, 2 ** 10))
+    _refused(lambda: s.apply(15, np.broadcast_to(np.zeros(1, complex), (2 ** 15, 1292))))
+    wide = np.broadcast_to(np.zeros(1), (2 ** 16, 2 ** 11))
     _refused(lambda: s.apply(16, wide))
 
 
@@ -265,8 +271,8 @@ def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
 def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
     # m = 15 with l = 2 blocks and one padded site: the n = 7 join over 4^7
     # sequences has rank 4552 at R = 1 (1.1 GiB), a broadcast view here.  The
-    # row sweeps it through the 14 joined sites, rho_14 B, which the sweep
-    # refuses at 48 chi 2^14 4552 bytes (6.7 GiB) before it allocates
+    # row sweeps it through the 14 joined sites, rho_14 B, which the real
+    # sweep refuses at 24 chi 2^14 4552 bytes (3.3 GiB) before it allocates
     basis = np.broadcast_to(np.zeros(1), (4 ** 7, 4552))
     q = UniversalProjector(m=15, d=2, r=0.5, l=2, n=7, R=1.0, k_order=0,
                            join=JoinResult(basis, {}, 0.0), pad=1,
@@ -274,7 +280,7 @@ def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
     source = build_source(DEPOLARIZED_MARKOV)
     _forbid(monkeypatch, np, "matmul")
     _refused(lambda: acceptance_probability(q, source),
-             match="rho_14 V over 4552 columns needs 6828 MiB")
+             match="rho_14 V over 4552 columns needs 3414 MiB")
     # in an experiment the refusal is that row's error, and the batch goes on
     monkeypatch.undo()
     monkeypatch.setattr(harness, "assemble_q", lambda *args, **kwargs: q)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,10 +62,27 @@ def reference_order(scores):
 
 
 # the (L, n, k) grid on which the scores and the code order are compared with
-# the reference, k >= n included
+# the reference: k >= n (every gram wraps, some whole turns), and the state
+# keys of more than one int64 chunk (L = 2, k = 4 from n = 9; L = 3, k = 2
+# from n = 5)
 REFERENCE_GRID = ([(2, n, k) for n in range(1, 17) for k in range(7)]
+                  + [(2, n, k) for n in (7, 9) for k in (n, n + 1, n + 3)]
                   + [(3, n, k) for n in range(1, 9) for k in range(4)]
                   + [(4, n, k) for n in range(1, 7) for k in range(3)])
+
+
+def assert_matches_the_reference(L, n, k):
+    """Scores, and the members of the largest code short of every sequence,
+    equal to the digit-matrix reference."""
+    scores = empirical_entropy_scores(L, n, k)
+    assert np.array_equal(scores, reference_scores(all_sequences(L, n), L, k)), (L, n, k)
+    bits = math.ceil(n * math.log2(L)) - 1
+    if bits == 0:
+        return
+    c = build_code(L, bits / n, n, k)
+    assert c.size == 2 ** bits < L ** n
+    if c.dense:
+        assert np.array_equal(c.members, reference_order(scores)[:c.size]), (L, n, k)
 
 
 def member_strings(c):
@@ -358,23 +376,23 @@ def test_scores_rotation_invariant():
 
 def test_scores_and_code_order_match_the_digit_matrix_reference():
     for L, n, k in REFERENCE_GRID:
-        scores = empirical_entropy_scores(L, n, k)
-        assert np.array_equal(scores, reference_scores(all_sequences(L, n), L, k)), (L, n, k)
-        # the largest code short of every sequence holds most of the order
-        bits = math.ceil(n * math.log2(L)) - 1
-        if bits == 0:
-            continue
-        c = build_code(L, bits / n, n, k)
-        assert c.size == 2 ** bits < L ** n
-        if c.dense:
-            assert np.array_equal(c.members, reference_order(scores)[:c.size]), (L, n, k)
+        assert_matches_the_reference(L, n, k)
+
+
+@pytest.mark.parametrize("L, n, k, chunks", [(2, 11, 3, 1), (2, 12, 3, 1), (2, 13, 3, 2),
+                                             (2, 14, 3, 2), (2, 14, 4, 3), (5, 6, 1, 2),
+                                             (8, 5, 1, 4)])
+def test_state_keys_of_one_to_four_chunks_match_the_digit_matrix_reference(L, n, k, chunks):
+    # past one int64 chunk, each chunk's ids feed the next chunk's key
+    assert codes._key_layout(L, n, k)[2] == chunks
+    assert_matches_the_reference(L, n, k)
 
 
 @st.composite
 def score_cases(draw):
     """(L, n, k) with k up to n + 2 and at most 2^20 gram counts."""
     L = draw(st.integers(2, 4))
-    n = draw(st.integers(1, {2: 12, 3: 7, 4: 6}[L]))
+    n = draw(st.integers(1, {2: 14, 3: 7, 4: 6}[L]))
     k = draw(st.integers(0, max(k for k in range(n + 3) if L ** (n + k + 1) <= 2 ** 20)))
     return L, n, k
 
@@ -382,9 +400,46 @@ def score_cases(draw):
 @given(score_cases())
 def test_scores_match_the_digit_matrix_reference_at_random_sizes(case):
     # k >= n included: every gram then wraps round the sequence at least once
-    L, n, k = case
-    assert np.array_equal(empirical_entropy_scores(L, n, k),
-                          reference_scores(all_sequences(L, n), L, k))
+    assert_matches_the_reference(*case)
+
+
+@pytest.mark.parametrize("L, n, k", [(2, 12, 1), (2, 11, 2), (2, 12, 3), (3, 7, 1), (4, 5, 0),
+                                     (2, 9, 4), (5, 6, 1)])
+def test_type_states_are_the_distinct_tails_and_counts(L, n, k):
+    # sequences share a state exactly when they share their last k symbols
+    # and the counts of the (k+1)-grams that do not wrap, and those fix the
+    # first k symbols too; each state's representative is one of its
+    # sequences
+    ids, reps = codes._type_states(L, n, k)
+    digits, G = all_sequences(L, n), L ** (k + 1)
+    gram = np.zeros((L ** n, n - k), dtype=np.int64)
+    for j in range(k + 1):
+        gram = gram * L + digits[:, j:n - k + j]
+    counts = np.zeros((L ** n, G), dtype=np.int64)
+    np.add.at(counts, (np.arange(L ** n)[:, None], gram), 1)
+    index = np.arange(L ** n)
+    rows = np.column_stack([index % L ** k, counts])
+    distinct, state = np.unique(rows, axis=0, return_inverse=True)
+    assert len(reps) == len(distinct)
+    assert np.array_equal(state[reps].ravel()[ids], state.ravel())
+    with_heads = np.column_stack([index // L ** (n - k), rows])
+    assert len(np.unique(with_heads, axis=0)) == len(distinct)
+
+
+def test_k1_enumeration_holds_no_float_a_sequence():
+    # the scores are computed once a state: beside the int32 prefix ids
+    # (and their intp copy) the build holds the sequences' one-byte
+    # clusters and the order, 13 bytes a sequence under tracemalloc (17
+    # where numpy traces the order's radix buffer); a float score or gram
+    # count a sequence took 49
+    build_code(2, 0.6, 18, 1)
+    tracemalloc.start()
+    try:
+        build_code(2, 0.6, 18, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 18
 
 
 def test_dense_members_do_not_hold_the_whole_order():
@@ -494,10 +549,12 @@ class _Admitted(Exception):
 
 
 def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
-    # L = 2, n = 20 stays buildable up to k = 7 (2440 MiB: the 2^28 gathered
-    # float terms beside the byte counts, the context counts and the sums,
-    # plus the identity, the log table and the gather's index buffers) and
-    # is refused from k = 8 on (4872 MiB); checked by formula, without
+    # L = 2, n = 20 stays buildable up to k = 7 and is refused from k = 8
+    # on (4872 MiB), as before: from k = 5 a state's key takes more than
+    # four chunks, so every sequence is its own state and the peak is the
+    # 2^28 gathered float terms beside the byte counts, the context counts
+    # and the sums (2440 MiB), plus the log table and the gather's index
+    # buffers (no G x G identity any more); checked by formula, without
     # building
     def admit(nbytes, what):
         errors.check_budget(nbytes, what)
@@ -507,7 +564,7 @@ def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
         m.setattr(codes, "check_budget", admit)
         with pytest.raises(_Admitted) as admitted:
             build_code(2, 0.5, 20, 7)
-        assert admitted.value.args[0] == 2440 * 2 ** 20 + 256 ** 2 + 32 * 21 ** 2 + 2 ** 17
+        assert admitted.value.args[0] == 2440 * 2 ** 20 + 32 * 21 ** 2 + 2 ** 17
         with pytest.raises(SizeError):
             build_code(2, 0.5, 20, 8)
     # the same boundary at n = 6, built: the k = 5 enumeration fits exactly

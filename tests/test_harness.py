@@ -777,11 +777,12 @@ def test_dense_cap_limits_of_code_mode_are_row_errors():
     assert [r.error.split(":")[0] for r in rows] == ["", "", "", "SizeError"] * 2
     assert all(0 < r.accept_prob < 1 for r in rows[4:7]) and rows[7].accept_prob is None
     assert report_csv(rows[:4]) == report_csv(_rows([GOOD_IID], **fields))
-    # n = 26 is the first block length whose binary enumeration at k = 1 is
-    # past the memory budget, and k = 1 has no type-class mode
-    enumeration = [codes._scores_bytes(2, n, 1) for n in (25, 26)]
+    # n = 28 is the first block length whose binary k = 1 state recursion
+    # (20 bytes a sequence at n = 27) is past the memory budget, and k = 1
+    # has no type-class mode
+    enumeration = [codes._scores_bytes(2, n, 1) for n in (27, 28)]
     assert enumeration[0] <= errors.MEMORY_BUDGET < enumeration[1]
-    fields = {"n_range": [4, 26], "projector_mode": "code", "k_order": 1}
+    fields = {"n_range": [4, 28], "projector_mode": "code", "k_order": 1}
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
     assert report_csv(rows[::2]) == report_csv(
