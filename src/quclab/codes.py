@@ -15,9 +15,15 @@ too) and one int32 state id a prefix: each site appends every symbol to
 every state and merges the candidates whose exact int64 key agrees.  At the
 end each state's wrap-around grams come from one representative sequence,
 each state is scored once (each term c log2(context count / c) read from an
-(n+1) x (n+1) table), and the order is a stable radix sort of the
-sequences' score clusters.  No L^n float array or float sort is formed.  An
-enumeration past the memory budget is a SizeError.
+(n+1) x (n+1) table), and the states' scores fall into clusters.  A
+bincount of the sequences' clusters finds the boundary cluster, and only
+the at most 2^floor(nR) indices of the clusters before it are sorted; the
+boundary cluster's lexicographically first sequences complete the code.
+An enumerated code is measured from the two halves of its sequences: one
+vector by hidden state for each of the L^(n/2) prefixes and each of the
+L^(n - n/2) suffixes, one dot product a member.  No L^n float array or
+float sort is formed.  An enumeration or a measure past the memory budget
+is a SizeError.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ SCORE_TIE_TOL = 1e-9
 # 20) few sequences share a state and the sorts cost more than they save.
 MERGE_FROM = 2 ** 8
 MERGED_KEY_CHUNKS = 4
+# A dense code is measured this many members at a time.
+MEASURE_BLOCK = 2 ** 14
 
 
 def code_size(n: int, R: float) -> int:
@@ -95,8 +103,9 @@ def _scores_bytes(L: int, n: int, k: int) -> int:
     counts, gathered float terms and sums).  Then 20 bytes a sequence (the
     ids, their intp copy and the gathered scores) or, in build_code,
     np.unique over the states' scores, 57 bytes a state beside the ids, and
-    then at most 20 bytes a sequence again (the sequences' clusters, the
-    order and its radix buffer).  Where no state merges, S = N and nothing
+    then at most 14 bytes a sequence (the sequences' clusters beside the ids
+    and their intp copy; then beside bincount's intp copy, or a mask and the
+    boundary cluster's indices).  Where no state merges, S = N and nothing
     is gathered.  On top, the (n+1) x (n+1) log table with its temporaries,
     the gather's two 8192-entry intp index buffers and, where states merge,
     the G-entry chunk and weight tables."""
@@ -328,15 +337,26 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
     ids, scores = _state_scores(L, n, k)
     values, inverse = np.unique(scores, return_inverse=True)
     cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
-    # a stable sort of the cluster ids, in the narrowest unsigned type that
-    # holds them (numpy radix-sorts 8- and 16-bit keys), breaks ties in
-    # index order, which is lexicographic
+    # the narrowest unsigned type that holds the cluster ids: one byte a
+    # sequence up to 256 clusters
     cluster = cluster.astype(np.min_scalar_type(cluster[-1]))[inverse]
     if ids is not None:  # each state's cluster to each sequence's
         cluster = np.take(cluster, ids)
         del ids
-    order = np.argsort(cluster, kind="stable")
-    return BlockCode(L, n, R, k, members=order[:size].copy())
+    return BlockCode(L, n, R, k, members=_first_members(cluster, size))
+
+
+def _first_members(cluster: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` sequence indices ordered by (cluster, index), where
+    size is below the number of sequences: the clusters that fit whole,
+    ordered by a stable sort of their at most `size` indices (ties in index
+    order, which is lexicographic), then the index-ordered head of the
+    boundary cluster, the first one whose running total passes size."""
+    boundary = int(np.searchsorted(np.cumsum(np.bincount(cluster)), size, side="right"))
+    whole = np.flatnonzero(cluster < boundary)
+    whole = whole[np.argsort(cluster[whole], kind="stable")]
+    head = np.flatnonzero(cluster == boundary)[:size - len(whole)]
+    return np.concatenate([whole, head])
 
 
 def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
@@ -356,17 +376,20 @@ def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
 
 
 def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
-    """Exact probability mass the process assigns to the code set.
+    """Exact probability mass the process assigns to the code set, from the
+    hidden-Markov form (initial, T); neither kind of code builds a marginal.
 
-    A dense code sums the marginal over its members.  A type-class code uses
-    the hidden-Markov form (initial, T): suffix[t][j] is the mass, by hidden
-    state, of the n - t symbols after site t holding j ones, so class j
-    weighs initial . suffix[0][j], and the boundary walk carries the walked
-    prefix's mass by hidden state.  No sequence is listed."""
+    A dense code meets in the middle (see _dense_measure): each member's
+    probability is its prefix's row vector by hidden state times its
+    suffix's column vector, in O(chi^2 (L^h + L^(n-h)) + chi |code|) for h =
+    n // 2.  A type-class code lists no sequence: suffix[t][j] is the mass,
+    by hidden state, of the n - t symbols after site t holding j ones, so
+    class j weighs initial . suffix[0][j], and the boundary walk carries the
+    walked prefix's mass by hidden state."""
     if p.L != c.L:
         raise ValidationError("alphabet size mismatch")
     if c.dense:
-        return float(p.marginal(c.n).probs[c.members].sum())
+        return _dense_measure(p, c)
     n, chi = c.n, len(p.initial)
     # the suffix masses beside two steps' products and the site matrices
     check_budget(8 * (n + 2) * (n + 5) * chi + 16 * chi ** 2,
@@ -387,6 +410,50 @@ def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
     total = p.initial @ suffix[0, c.full_ones_counts].sum(axis=0)
     if c.boundary_take:
         total += _boundary_measure(c, p.initial, steps, suffix)
+    return float(total)
+
+
+def _dense_measure_bytes(L: int, n: int, chi: int, size: int) -> int:
+    """Peak bytes of _dense_measure with h = n // 2 prefix and m = n - h
+    suffix sites: the L^h x chi prefix rows (their sweep's last step, L^(h-1)
+    rows before L^h, is no larger than the suffix sweep's) held beside
+    either the suffix sweep's last step (L^(m-1) rows before, L^m after and
+    its transposed copy) or, with the L^m suffix rows, one block of at most
+    MEASURE_BLOCK members (their prefix and suffix indices with a product
+    of the two, and the two gathered rows, 24 + 16 chi bytes a member); on
+    top, the two chi x L chi step matrices."""
+    h = n // 2
+    m = n - h
+    block = min(size, MEASURE_BLOCK) * (24 + 16 * chi)
+    return (8 * chi * L ** h + max(8 * chi * (L ** (m - 1) + 2 * L ** m),
+                                   8 * chi * L ** m + block) + 16 * chi * chi * L)
+
+
+def _dense_measure(p: ClassicalProcess, c: BlockCode) -> float:
+    """Sum over the members x of left[x // L^m] . right[x mod L^m]: left
+    holds initial . T[x_1] ... T[x_h] for every prefix of h = n // 2 sites
+    (the process's prefix sweep), right holds T[x_(h+1)] ... T[x_n] . 1 for
+    every suffix of the other m sites, grown from the right one prepended
+    symbol at a time.  No L^n array is formed; members are taken
+    MEASURE_BLOCK at a time."""
+    L, n, chi = c.L, c.n, len(p.initial)
+    h = n // 2
+    tail = L ** (n - h)
+    check_budget(_dense_measure_bytes(L, n, chi, c.size),
+                 f"measure of a dense code over {L}^{n} sequences with {chi} hidden states")
+    left = p.prefixes(h)
+    # back[j, (x, i)] = T[i, j, x]: rows times back prepend x to each suffix
+    back = p.T.transpose(1, 2, 0).reshape(chi, L * chi)
+    right = np.ones((1, chi))
+    for _ in range(n - h):
+        right = (right @ back).reshape(len(right), L, chi).transpose(1, 0, 2).reshape(-1, chi)
+    total = 0.0
+    for start in range(0, c.size, MEASURE_BLOCK):
+        block = c.members[start:start + MEASURE_BLOCK]
+        head = block // tail
+        rows = np.take(left, head, axis=0)
+        rows *= np.take(right, block - head * tail, axis=0)
+        total += rows.sum()
     return float(total)
 
 

@@ -98,24 +98,34 @@ class ClassicalProcess:
         if not (abs(self.initial.sum() - 1.0) <= 1e-8
                 and np.max(np.abs(self.T.sum(axis=(1, 2)) - 1.0)) <= 1e-8):
             raise ValidationError("initial vector and transfer rows must sum to 1")
+        # every measure sums products of these entries; min() allocates no mask
+        if min(self.initial.min(), self.T.min()) < -PROB_TOL:
+            raise ValidationError("initial vector and transfer tensor have negative entries")
         self.L = self.T.shape[2]
 
+    def prefixes(self, h: int) -> np.ndarray:
+        """initial . T[x_1] ... T[x_h] for every prefix of length h, as the
+        L^h x chi rows in index order: one left-to-right contraction, each
+        site appending its symbol.  Each step holds the rows before and after
+        it; the caller checks the memory budget."""
+        chi = len(self.initial)
+        step = self.T.transpose(0, 2, 1).reshape(chi, self.L * chi)
+        x = self.initial[None]
+        for _ in range(h):
+            x = (x @ step).reshape(-1, chi)
+        return x
+
     def marginal(self, n: int) -> Distribution:
-        """One left-to-right contraction: x holds (sequence so far, hidden
-        state), each site appends its symbol; the last site sums out the
-        hidden state.  Each step holds x before and after it; the last holds
-        the L^(n-1) x chi x and the L^n output with its sign mask."""
+        """The prefixes of length n - 1, closed by the last site, which sums
+        out the hidden state.  The last step holds the L^(n-1) x chi
+        prefixes and the L^n output with its sign mask."""
         if n < 1:
             raise ValidationError("block length must be >= 1")
         chi = len(self.initial)
         last = 8 * chi * self.L ** (n - 1)
         check_budget(last + max(last // self.L, 9 * self.L ** n),
                      f"marginal over {self.L}^{n} sequences with {chi} hidden states")
-        step = self.T.transpose(0, 2, 1).reshape(chi, self.L * chi)
-        x = self.initial[None]
-        for _ in range(n - 1):
-            x = (x @ step).reshape(-1, chi)
-        return Distribution(self.L, n, (x @ self.T.sum(axis=1)).ravel())
+        return Distribution(self.L, n, (self.prefixes(n - 1) @ self.T.sum(axis=1)).ravel())
 
     def block(self, l: int) -> "ClassicalProcess":
         """The process over l-blocks: l site tensors contracted into

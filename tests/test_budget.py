@@ -16,7 +16,8 @@ from quclab.cli import main
 from quclab.codes import build_code, code_measure, empirical_entropy_scores
 from quclab.errors import MEMORY_BUDGET, SizeError
 from quclab.harness import ExperimentConfig, build_source, run_experiment
-from quclab.processes import IIDProcess, MarkovProcess, MixtureProcess, PeriodicProcess
+from quclab.processes import (ClassicalProcess, IIDProcess, MarkovProcess, MixtureProcess,
+                              PeriodicProcess)
 from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probability,
                                assemble_q, export_projector, load_projector_matrix,
                                orbit_join_basis)
@@ -157,6 +158,10 @@ SITES = {
     # the suffix masses of a 64-phase cycle at n = 64, 2.3 MiB
     "typeclass-measure": lambda tmp_path: partial(
         code_measure, PeriodicProcess(_cycle(64)), build_code(2, 0.5, 64)),
+    # the 2^14 members of a k = 1 code of a 16-phase cycle at n = 18: one
+    # block of gathered rows, 4.4 MiB
+    "dense-measure": lambda tmp_path: partial(
+        code_measure, PeriodicProcess(_cycle(16)), build_code(2, 0.8, 18, 1)),
     "markov-transfer": lambda tmp_path: partial(
         MarkovProcess, np.full((60, 60), 1 / 60)),
     "periodic-transfer": lambda tmp_path: partial(PeriodicProcess, _cycle(400)),
@@ -366,6 +371,38 @@ def test_classical_marginals_are_sized_in_bytes(monkeypatch):
         == 8 * 2 ** 20 + 9 * 2 ** 21
     monkeypatch.undo()
     _refused(lambda: IIDProcess([0.9, 0.1]).marginal(28))
+
+
+def _first_check(monkeypatch, run) -> int:
+    """The bytes of the first check in run(), admitted or not; run() stops
+    there, before it allocates."""
+    def record(nbytes, what):
+        raise Admitted(nbytes)
+
+    with monkeypatch.context() as m:
+        for module in CHECKED:
+            m.setattr(module, "check_budget", record)
+        with pytest.raises(Admitted) as admitted:
+            run()
+    return admitted.value.args[0]
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_dense_measure_admits_every_code_the_marginal_admitted(L, monkeypatch):
+    # the dense measure summed the marginal over the members; from the two
+    # halves it needs no more bytes wherever that marginal fit the budget,
+    # whatever the code's size (the members are a broadcast view here)
+    for chi in (1, 2, 6, 16, 64):
+        p = ClassicalProcess(np.full(chi, 1 / chi), np.full((chi, chi, L), 1 / (chi * L)))
+        for n in range(1, 40):
+            marginal = _first_check(monkeypatch, lambda: p.marginal(n))
+            if marginal > MEMORY_BUDGET:
+                break
+            for size in {1, 2 ** (n // 2), L ** n}:
+                members = np.broadcast_to(np.zeros(1, dtype=np.int64), (size,))
+                c = codes.BlockCode(L, n, 0.5, 1, members=members)
+                assert _first_check(monkeypatch, lambda: code_measure(p, c)) <= MEMORY_BUDGET
+        assert n > 10
 
 
 def test_hidden_state_forms_past_the_budget_are_row_errors(monkeypatch):

@@ -52,13 +52,18 @@ def reference_scores(digits, L, k):
     return t.reshape(N, G).sum(axis=1) / n
 
 
-def reference_order(scores):
-    """Every index in code order: scores sorted, clustered within
-    SCORE_TIE_TOL, each score mapped to its cluster by searchsorted, and ties
-    kept in index order by an int64 stable argsort."""
+def reference_clusters(scores):
+    """Every index's score cluster: scores sorted, clustered within
+    SCORE_TIE_TOL, each score mapped to its cluster by searchsorted."""
     values = np.sort(scores)
     cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
-    return np.argsort(cluster[np.searchsorted(values, scores)], kind="stable")
+    return cluster[np.searchsorted(values, scores)]
+
+
+def reference_order(scores):
+    """Every index in code order: ties in cluster kept in index order by an
+    int64 stable argsort."""
+    return np.argsort(reference_clusters(scores), kind="stable")
 
 
 # the (L, n, k) grid on which the scores and the code order are compared with
@@ -429,9 +434,10 @@ def test_type_states_are_the_distinct_tails_and_counts(L, n, k):
 def test_k1_enumeration_holds_no_float_a_sequence():
     # the scores are computed once a state: beside the int32 prefix ids
     # (and their intp copy) the build holds the sequences' one-byte
-    # clusters and the order, 13 bytes a sequence under tracemalloc (17
-    # where numpy traces the order's radix buffer); a float score or gram
-    # count a sequence took 49
+    # clusters, 13 bytes a sequence under tracemalloc; the selection then
+    # sorts only the members (a stable sort of every sequence took 17 where
+    # numpy traces its radix buffer); a float score or gram count a sequence
+    # took 49
     build_code(2, 0.6, 18, 1)
     tracemalloc.start()
     try:
@@ -454,6 +460,91 @@ def test_code_measure_markov():
     c = build_code(2, 0.7, 8, 1)
     mu = mk.marginal(8).probs
     assert abs(code_measure(mk, c) - mu[c.members].sum()) < 1e-15
+
+
+# the dense measure's processes over two and three symbols: a chain with a
+# non-stationary initial vector, a cycle, a mixture and raw chi = 3 forms
+_RAW_T3 = np.random.default_rng(11).dirichlet(np.ones(9), size=3).reshape(3, 3, 3)
+DENSE_MEASURED = {
+    (2, "markov"): MarkovProcess([[0.7, 0.3], [0.4, 0.6]], initial=[0.95, 0.05]),
+    (2, "periodic"): PeriodicProcess([0, 1, 1, 0, 1]),
+    (2, "mixture"): MixtureProcess([0.3, 0.7], [PeriodicProcess([1, 1, 0]),
+                                                MarkovProcess([[0.6, 0.4], [0.1, 0.9]])]),
+    (2, "raw"): ClassicalProcess([0.2, 0.5, 0.3], _RAW_T),
+    (3, "markov"): MarkovProcess([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.05, 0.15, 0.8]]),
+    (3, "periodic"): PeriodicProcess([0, 2, 2, 1, 0]),
+    (3, "mixture"): MixtureProcess([0.6, 0.4], [PeriodicProcess([2, 0, 1, 1]),
+                                                IIDProcess([0.5, 0.3, 0.2])]),
+    (3, "raw"): ClassicalProcess([0.1, 0.6, 0.3], _RAW_T3),
+}
+
+
+def exact_measure(p, members, n):
+    """The sum over the members of initial . T[x_1] ... T[x_n] . 1 in
+    rational arithmetic on the process's float entries, each prefix's row
+    vector computed once."""
+    chi = len(p.initial)
+    T = [[[Fraction(float(p.T[i, j, x])) for j in range(chi)] for i in range(chi)]
+         for x in range(p.L)]
+    rows = {(): [Fraction(float(w)) for w in p.initial]}
+
+    def row(prefix):
+        if prefix not in rows:
+            v, x = row(prefix[:-1]), prefix[-1]
+            rows[prefix] = [sum(v[i] * T[x][i][j] for i in range(chi)) for j in range(chi)]
+        return rows[prefix]
+
+    return sum(sum(row(index_sequence(int(i), p.L, n))) for i in members)
+
+
+@pytest.mark.parametrize("L, kind", DENSE_MEASURED)
+def test_dense_measure_matches_the_rational_oracle(L, kind, monkeypatch):
+    # odd n, so the prefix and suffix halves differ, and n = 1 (no prefix
+    # site); R = log2 L is the degenerate code of every sequence, of measure
+    # 1; a binary k = 0 code is a type-class code, measured here through a
+    # dense code of its members.  Blocks of 7 members: most codes take
+    # several, the last one partial
+    def forbidden(*args, **kwargs):
+        raise AssertionError("marginal built to measure a dense code")
+    monkeypatch.setattr(ClassicalProcess, "marginal", forbidden)
+    monkeypatch.setattr(codes, "MEASURE_BLOCK", 7)
+    p = DENSE_MEASURED[L, kind]
+    for n in (1, 4, 5) if L == 3 else (1, 6, 9):
+        for k in range(3):
+            for R in (0.6 * math.log2(L), math.log2(L)):
+                c = build_code(L, R, n, k)
+                if not c.dense:
+                    c = codes.BlockCode(L, n, R, k, members=c.member_indices())
+                exact = exact_measure(p, c.members, n)
+                assert abs(code_measure(p, c) - float(exact)) <= 1e-14, (n, k, R)
+                if c.degenerate:
+                    assert abs(code_measure(p, c) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("L, n, k", [(2, 10, 1), (2, 9, 2), (2, 11, 3), (3, 6, 1), (3, 5, 0),
+                                     (4, 4, 1)])
+def test_first_members_match_a_full_stable_sort(L, n, k):
+    # every code size short of every sequence, so the boundary falls in the
+    # first cluster, exactly at each cluster's end, and inside clusters of
+    # several states (each sequence its own state where none merge); the
+    # clusters are one byte a sequence, as build_code holds them
+    scores = empirical_entropy_scores(L, n, k)
+    cluster = reference_clusters(scores).astype(np.uint8)
+    ids = codes._type_states(L, n, k)[0]
+    states = np.arange(L ** n) if ids is None else ids
+    order = reference_order(scores)
+    ends = np.cumsum(np.bincount(cluster))
+    seen = set()
+    for size in range(1, L ** n):
+        assert np.array_equal(codes._first_members(cluster, size), order[:size]), size
+        boundary = np.searchsorted(ends, size, side="right")
+        if boundary == 0:
+            seen.add("first")
+        elif size == ends[boundary - 1]:
+            seen.add("end")
+        elif len(np.unique(states[cluster == boundary])) > 1:
+            seen.add("several states")
+    assert seen == {"first", "end", "several states"}
 
 
 def exact_order_key(seq, L, k):

@@ -386,8 +386,12 @@ def test_markov_ergodic_flag_follows_the_chain(transition, initial, ergodic):
      "mixture weights"),
     (lambda: Distribution(2, 1, [np.nan, 0.5]), "distribution"),
     (lambda: ClassicalProcess([np.nan, 1.0], np.full((2, 2, 1), 0.5)), "sum to 1"),
+    # entries that sum to 1 but are negative: every measure sums products of them
+    (lambda: ClassicalProcess([1.5, -0.5], np.full((2, 2, 1), 0.5)), "negative entries"),
+    (lambda: ClassicalProcess([0.5, 0.5], np.array([[[1.2], [-0.2]], [[0.5], [0.5]]])),
+     "negative entries"),
 ], ids=["iid-nan", "iid-inf", "markov-row", "markov-initial", "mixture-weights",
-        "distribution", "transfer-form"])
+        "distribution", "transfer-form", "transfer-negative-initial", "transfer-negative-tensor"])
 def test_non_finite_probabilities_rejected(make, named):
     with pytest.raises(ValidationError, match=named):
         make()
