@@ -6,7 +6,7 @@ from .operators import (hermitian_eig, partial_trace, projector_leq,
 from .processes import (Distribution, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess,
                         ergodic_decomposition_l, high_entropy_components)
-from .codes import BlockCode, build_code, code_measure, superblock_code
+from .codes import BlockCode, build_code, code_measure
 from .channels import (KrausChannel, amplitude_damping, apply_tensor_power,
                        dephasing, depolarizing, heisenberg_dual,
                        identity_channel, validate_channel)

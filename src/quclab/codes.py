@@ -1,35 +1,31 @@
-"""Fixed-rate universal block codes realized as empirical-type codes.
+"""Fixed-rate universal block codes, one form for every (L, n, k).
 
 A code over alphabet L with block length n and rate R is the set of the
 first 2^floor(nR) sequences under the total order (cyclic k-th-order
 empirical conditional entropy ascending, scores within SCORE_TIE_TOL counted
-equal, then lexicographic).  A binary k = 0 code is a union of type classes
-and is built as one up to block length 64, in time polynomial in n; every
-process measures it by one recursion over (ones count, hidden state), with
-no marginal and no member list.  Every other code is enumerated, with one
-formula for every k.  A score depends only on the sequence's cyclic
+equal, then lexicographic).  A score depends only on the sequence's cyclic
 (k+1)-gram counts, its Markov type, and there are polynomially many types
-against L^n sequences, so a recursion over sites keeps one small table of
-states (last k symbols, gram counts so far, which fix the first k symbols
-too) and one int32 state id a prefix: each site appends every symbol to
-every state and merges the candidates whose exact int64 key agrees.  At the
-end each state's wrap-around grams come from one representative sequence,
-each state is scored once (each term c log2(context count / c) read from an
-(n+1) x (n+1) table), and the states' scores fall into clusters.  A
-bincount of the sequences' clusters finds the boundary cluster, and only
-the at most 2^floor(nR) indices of the clusters before it are sorted; the
-boundary cluster's lexicographically first sequences complete the code.
-An enumerated code is measured from the two halves of its sequences: one
-vector by hidden state for each of the L^(n/2) prefixes and each of the
-L^(n - n/2) suffixes, one dot product a member.  No L^n float array or
-float sort is formed.  An enumeration or a measure past the memory budget
-is a SizeError.
+against L^n sequences.  So every code is the type-state graph of its
+sequences (see _type_states): a table of the states of the L^h0 prefixes
+at the first merging site h0, then one int32 table a site, candidate
+(state, symbol) -> next state.  Each final state is scored once and falls
+into a score cluster; sequence counts carried forward over the tables, in
+exact integers, give the clusters that fit whole and the boundary cluster,
+whose `take` lexicographically first sequences complete the code.  An
+unranking walk finds those (see _plan) and is stored in the tables.
+
+Every process (initial, T) measures a code by one backward recursion over
+the graph, one gather and one matrix product a site, met at h0 by the
+process's prefix rows (see code_measure).  Member lists and per-sequence
+scores are composed from the tables on demand.  A build, a measure or a
+member list past the memory budget is a SizeError before it allocates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,30 +38,27 @@ FLOOR_GUARD = 1e-9
 # sequence and its complement, or permuted type classes) can differ in the
 # last bits.
 SCORE_TIE_TOL = 1e-9
-# The state recursion merges candidates once a level holds MERGE_FROM
-# prefixes (below that a merge costs more than the candidates it saves), and
-# only while a state's key fits in MERGED_KEY_CHUNKS int64 chunks: each chunk
-# is one more sort of every candidate.  At L = 2 a four-chunk key (k = 4,
-# n = 20) still builds faster merged; with seven or more (k >= 5, n = 16 to
-# 20) few sequences share a state and the sorts cost more than they save.
+# States merge from the first site whose L^site prefixes reach MERGE_FROM
+# (below that a merge costs more than it saves), and only while a key fits
+# in MERGED_KEY_CHUNKS int64 chunks, each one more sort of every candidate:
+# at L = 2 four chunks (k = 4, n = 20) still build faster merged; with seven
+# or more (k >= 5, n = 16 to 20) the sorts cost more than they save.
 MERGE_FROM = 2 ** 8
 MERGED_KEY_CHUNKS = 4
-# A dense code is measured this many members at a time.
-MEASURE_BLOCK = 2 ** 14
 
 
 def code_size(n: int, R: float) -> int:
     return 2 ** int(math.floor(n * R + FLOOR_GUARD))
 
 
+@lru_cache(maxsize=256)
 def _key_layout(L: int, n: int, k: int) -> tuple[int, int, int] | None:
-    """How the exact key of a state splits into int64 chunks of radix-(n+1)
-    gram-count digits: (digits in chunk 0, digits in each later chunk,
-    chunks).  Chunk 0 is keyed beside the last k symbols (below L^k), every
-    later chunk beside the previous chunks' ids (below L^n), so no key
-    reaches 2^63.  None where the recursion merges nothing: no two prefixes
-    share a state (n <= 2k, see _type_states), or the key needs more than
-    MERGED_KEY_CHUNKS chunks."""
+    """How a state's exact key splits into int64 chunks of radix-(n+1)
+    gram-count digits: (digits in chunk 0, in each later chunk, chunks).
+    Chunk 0 is keyed beside the last k symbols (below L^k), each later one
+    beside the previous chunks' ids (below the candidates, at most L^n, and
+    int32), so no key reaches 2^63.  None where nothing merges: no two
+    prefixes share a state (n <= 2k), or more than MERGED_KEY_CHUNKS."""
     if n <= 2 * k:
         return None
 
@@ -75,60 +68,64 @@ def _key_layout(L: int, n: int, k: int) -> tuple[int, int, int] | None:
             j += 1
         return j
 
-    first, rest = digits(2 ** 63 // L ** k), digits(2 ** 63 // L ** n)
-    if rest == 0:  # L^n within a factor n + 1 of 2^63: far past any budget
-        return None
+    first, rest = digits(2 ** 63 // L ** k), digits(2 ** 63 // min(L ** n, 2 ** 31))
     chunks = 1 + -(-max(L ** (k + 1) - first, 0) // rest)
     return (first, rest, chunks) if chunks <= MERGED_KEY_CHUNKS else None
 
 
-def _scores_bytes(L: int, n: int, k: int) -> int:
-    """Peak bytes of empirical_entropy_scores(L, n, k), and so of a dense
-    build_code, from the largest number of states each level can hold.
+def _merge_from(L: int, n: int, k: int) -> int | None:
+    """The first merging site h0, or None where no site merges."""
+    if _key_layout(L, n, k) is None:
+        return None
+    return next((s for s in range(2 * k + 1, n + 1) if L ** s >= MERGE_FROM), None)
 
-    A state at level s is one (first k, last k symbols, gram counts)
-    triple, so level s holds at most L^(2k) pairs of k symbols times the
-    counts of s - k grams between them; those are fixed by their
-    D = L^(k+1) - L^k + 1 values off a spanning tree of the order-k de
-    Bruijn graph (the rest follow from flow conservation), so at most
-    C(s - k + D, D) of them.  A merging level of P candidates with C key
-    chunks: 8 (C + 10) bytes a candidate (the candidate representatives and
-    keys, the last k symbols, the chunk key, and np.unique's copy,
-    permutation, sorted copy, mask, cumsum and inverse), 8 (C + 1) a state
-    of the level before, and the int32 prefix ids before and after with the
-    intp copy of the old ones, 12 + 4 L bytes a prefix of the level before.
-    After the last level, S states beside the N = L^n prefix ids: at most
-    G + 56 bytes a state (the counts beside the representatives and the
-    rotation's int64 temporaries), then 9 G + G / L + 8 (counts, context
-    counts, gathered float terms and sums).  Then 20 bytes a sequence (the
-    ids, their intp copy and the gathered scores) or, in build_code,
-    np.unique over the states' scores, 57 bytes a state beside the ids, and
-    then at most 14 bytes a sequence (the sequences' clusters beside the ids
-    and their intp copy; then beside bincount's intp copy, or a mask and the
-    boundary cluster's indices).  Where no state merges, S = N and nothing
-    is gathered.  On top, the (n+1) x (n+1) log table with its temporaries,
-    the gather's two 8192-entry intp index buffers and, where states merge,
-    the G-entry chunk and weight tables."""
-    N, G = L ** n, L ** (k + 1)
-    fixed = 32 * (n + 1) ** 2 + 2 ** 17
-    scoring = max(G + 56, 9 * G + G // L + 8)
-    layout = _key_layout(L, n, k)
-    if layout is None:
-        return N * max(scoring, 57) + fixed
-    chunks, D = layout[2], G - L ** k + 1
-    peak, states, prefixes = 0, 1, None
-    for site in range(1, n + 1):
+
+def _state_bound(L: int, k: int, site: int) -> int:
+    """At most this many states at a merging site: a pair of k symbols
+    (head, tail) and site - k gram counts, a path from head to tail in the
+    order-k de Bruijn graph, fixed by D - 1 of its D = L^(k+1) - L^k + 1
+    counts off a spanning tree (the last, a self-loop's, by their sum)."""
+    D = L ** (k + 1) - L ** k + 1
+    return min(L ** site, L ** (2 * k) * math.comb(site - k + D - 1, D - 1))
+
+
+@lru_cache(maxsize=256)
+def _build_bytes(L: int, n: int, k: int) -> int:
+    """Peak bytes of build_code(L, R, n, k) short of every sequence, from
+    the most states each site can hold.  With no merge (S = L^n states):
+    the index and ends, and the grams of the w = n - k windows with two
+    temporaries, 24 (w + 1) bytes a sequence, beside the G = L^(k+1)
+    counts of c bytes.  With C key chunks: the prefix table counted so at
+    h0, and its keys, 8 (C + 16) bytes a prefix; a site, 8 (C + 12) bytes
+    a candidate (grams, tails, key, np.unique's copies, permutation, mask,
+    cumsum and inverse) and 8 (C + 3) a state before, beside the tables so
+    far, 4 bytes a candidate; the final decoded counts beside their keys.  Then beside
+    the tables: the scoring, 9 G + G / L + 16 bytes a state (counts,
+    context counts, float terms, sums, scores), or np.unique and the
+    clusters, 57; or the plan, all sites' completions and the widest site's
+    counts and spread, one exact count each (int64, or a Python integer and
+    its pointer).  On top, the (n+1)^2 log table and the G-entry tables."""
+    G, c = L ** (k + 1), 1 if n < 256 else 2
+    fixed = 32 * (n + 1) ** 2 + 16 * G
+    scoring = max(9 * G + G // L + 16, 57)
+    exact = 8 if L ** n < 2 ** 63 else 48
+    h0 = _merge_from(L, n, k)
+    if h0 is None:
+        S = L ** n
+        return S * max(24 * (n - k + 1) + c * G, scoring, (L + 3) * exact) + fixed
+    chunks = _key_layout(L, n, k)[2]
+    states = min(L ** h0, _state_bound(L, k, h0))
+    peak = (24 * (h0 - k + 1) + c * G + 8 * (chunks + 16)) * L ** h0
+    tables, counted, widest = 4 * L ** h0, states, states
+    for site in range(h0 + 1, n + 1):
         candidates = states * L
-        states = candidates
-        if site > 2 * k and L ** site >= MERGE_FROM:
-            old = 0 if prefixes is None else prefixes
-            states = min(candidates, L ** (2 * k) * math.comb(site - k + D, D))
-            peak = max(peak, 8 * (chunks + 10) * candidates + 8 * (chunks + 1) * candidates // L
-                       + (12 + 4 * L) * old)
-            prefixes = L ** site
-    gathered = 0 if prefixes is None else N
-    return max(peak, 4 * gathered + states * scoring, 20 * gathered + 8 * states,
-               4 * gathered + 57 * states) + fixed + 16 * G
+        peak = max(peak, tables + 8 * (chunks + 12) * candidates + 8 * (chunks + 3) * states)
+        tables += 4 * candidates + 8 * L
+        states = min(candidates, _state_bound(L, k, site))
+        counted, widest = counted + states, max(widest, states)
+    final = max(c * G + 8 * chunks + 16, scoring)
+    plan = exact * (counted + (L + 2) * widest)
+    return max(peak, tables + states * final, tables + plan) + fixed
 
 
 def _distinct(tails: np.ndarray, counts: np.ndarray, radices: list) -> tuple:
@@ -142,84 +139,90 @@ def _distinct(tails: np.ndarray, counts: np.ndarray, radices: list) -> tuple:
     return first, inverse
 
 
-def _type_states(L: int, n: int, k: int) -> tuple:
-    """The state of every sequence of length n, as int32 ids in index order
-    (None when every sequence is its own state), and one representative
-    sequence index a state.
+def _prefix_counts(L: int, h: int, k: int) -> tuple:
+    """All L^h prefixes of length h as states, in index order: the last and
+    the first k symbols of each as integers below L^k (where k > h, those
+    of the prefix repeated, as a whole sequence is read cyclically), and
+    the counts of the (k+1)-grams inside each."""
+    index = np.arange(L ** h)
+    turns = -(-k // h)
+    repeated = index * sum(L ** (h * t) for t in range(turns))
+    counts = np.zeros((L ** h, L ** (k + 1)), dtype=np.min_scalar_type(h))
+    grams = index[:, None] // L ** np.arange(max(h - k, 0))[::-1] % L ** (k + 1)
+    np.add.at(counts, (index[:, None], grams), 1)
+    return repeated % L ** k, repeated // L ** (h * turns - k), counts
 
-    A prefix's state is (its last k symbols, the counts of the (k+1)-grams
-    inside it).  The grams are a path through the order-k de Bruijn graph,
-    so the counts also fix the first k symbols: the one node the path leaves
-    once more than it enters, or the last k symbols if there is none.  The
-    cyclic grams add the ones that wrap round from the last k symbols to the
-    first, so two sequences in one state have the same cyclic gram counts,
-    and while a prefix is at most 2k long its state fixes all of it.  Each
-    site appends every symbol to every state, and a merging site keeps one
-    state for each distinct key of the candidates; the prefix ids follow by
-    one gather.  The key is the last k symbols and the gram counts as
-    radix-(n+1) digits, split by _key_layout."""
-    N, G, Lk = L ** n, L ** (k + 1), L ** k
-    layout = _key_layout(L, n, k)
-    if layout is None:
-        return None, np.arange(N)
-    first, rest, chunks = layout
+
+# the prefixes at h0, which depends on L and k alone, kept (read only) for
+# the next code
+_merge_prefixes = lru_cache(maxsize=16)(_prefix_counts)
+
+
+def _type_states(L: int, n: int, k: int) -> tuple:
+    """The type-state graph of the sequences of length n: the int32 state at
+    the first merging site h0 of each L^h0 prefix (None where no site
+    merges: every sequence is its own state), one int32 table a later site
+    (candidate state * L + symbol -> next state), and each final state's
+    cyclic (k+1)-gram counts.  A state is (last k symbols, gram counts),
+    which fix the first k symbols too (the grams are a path through the
+    order-k de Bruijn graph), and all of a prefix up to 2k long.  A merging
+    site keeps one state a distinct key (the last k symbols and the counts
+    as radix-(n+1) digits, split by _key_layout); the final counts are
+    decoded from it, plus the grams that wrap round to the first k."""
+    G, Lk = L ** (k + 1), L ** k
+    h0 = _merge_from(L, n, k)
+    if h0 is None:
+        return None, [], _wrap(*_prefix_counts(L, n, k), L, n, k)
+    first, rest, chunks = _key_layout(L, n, k)
     g = np.arange(G)
     later = np.maximum(g - first, 0)
     chunk = np.where(g < first, 0, 1 + later // rest)
     weight = np.power(n + 1, np.where(g < first, g, later % rest), dtype=np.int64)
     radices = [(n + 1) ** int(j) for j in np.bincount(chunk, minlength=chunks)]
-    ids, reps, symbols = None, np.zeros(1, dtype=np.int64), np.arange(L)
-    counts = np.zeros((1, chunks), dtype=np.int64)
-    for site in range(1, n + 1):
-        # candidate i * L + a is state i followed by a
-        reps = np.add.outer(reps * L, symbols).ravel()
-        counts = np.repeat(counts, L, axis=0)
-        if site > k:
-            gram = reps % G
-            rows = np.arange(0, counts.size, chunks)
-            counts.reshape(-1)[rows + np.take(chunk, gram)] += np.take(weight, gram)
-        if site > 2 * k and L ** site >= MERGE_FROM:
-            kept, inverse = _distinct(reps % Lk, counts, radices)
-            reps, counts = reps[kept], counts[kept]
-            inverse = inverse.astype(np.int32)
-            if ids is not None:
-                inverse = np.take(inverse.reshape(-1, L), ids, axis=0).ravel()
-            ids = inverse
-    return ids, reps
+    # gram g adds weight[g] to key chunk chunk[g]
+    adds = np.where(chunk[:, None] == np.arange(chunks), weight[:, None], 0)
+    tails, heads, counts = _merge_prefixes(L, h0, k)
+    keys = counts @ adds
+    kept, table = _distinct(tails, keys, radices)
+    tails, heads, keys, table = tails[kept], heads[kept], keys[kept], table.astype(np.int32)
+    levels, symbols = [], np.arange(L)
+    for _ in range(h0, n):
+        # candidate i * L + a is state i followed by a, and its new gram
+        grams = np.add.outer(tails * L, symbols).ravel()
+        keys = keys[:, None] + np.take(adds, grams, axis=0).reshape(-1, L, chunks)
+        keys = keys.reshape(-1, chunks)
+        tails = grams % Lk
+        kept, inverse = _distinct(tails, keys, radices)
+        tails, heads, keys = tails[kept], heads[kept // L], keys[kept]
+        levels.append(inverse.astype(np.int32))
+    counts = np.empty((len(keys), G), dtype=np.min_scalar_type(n))
+    for gram in range(G):
+        counts[:, gram] = keys[:, chunk[gram]] // weight[gram] % (n + 1)
+    return table, levels, _wrap(tails, heads, counts, L, n, k)
 
 
-def _gram_counts(reps: np.ndarray, L: int, n: int, k: int) -> np.ndarray:
-    """The cyclic (k+1)-gram counts of the sequences with indices `reps`,
-    one row each: a gram that does not wrap is read from the index, and the
-    gram starting at a later position s is the sequence rotated to start
-    there, read for k + 1 symbols (whole turns first when k + 1 >= n).  Rows
-    are counted a block of at most 1 MiB of counts at a time, so the n
-    scattered increments of a row hit the cache."""
-    N, G = L ** n, L ** (k + 1)
-    counts = np.zeros((len(reps), G), dtype=np.min_scalar_type(n))
-    turns, rest = divmod(k + 1, n)
-    step = max(1, 2 ** 20 // G)
-    for first in range(0, len(reps), step):
-        block = reps[first:first + step]
-        flat = counts[first:first + step].reshape(-1)
-        rows = np.arange(0, flat.size, G)
-        for start in range(n):
-            if start + k < n:
-                gram = block // L ** (n - start - k - 1) % G
-            else:
-                head = L ** (n - start)
-                rotated = block % head * (N // head) + block // head
-                gram = rotated // L ** (n - rest)
-                for turn in range(turns):
-                    gram += rotated * (L ** rest * N ** turn)
-            gram += rows
-            flat[gram] += 1
+def _wrap(tails: np.ndarray, heads: np.ndarray, counts: np.ndarray,
+          L: int, n: int, k: int) -> np.ndarray:
+    """Add to each row the grams that wrap round the sequence: the windows
+    of its last k symbols followed by its first k that start in the last k
+    (and, where k > n, only the n that start a turn from the end)."""
+    for j in range(max(k - n, 0), k):
+        grams = (tails * L ** k + heads) // L ** (k - 1 - j) % L ** (k + 1)
+        counts[np.arange(len(counts)), grams] += 1
     return counts
+
+
+@lru_cache(maxsize=64)
+def _log_terms(n: int) -> np.ndarray:
+    """The (n+1) x (n+1) table of c * log2(context count / c), 0 at c = 0."""
+    c = np.arange(n + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c > 0, c * np.log2(c[:, None] / c), 0.0)
 
 
 def _scores_of_counts(counts: np.ndarray, L: int, n: int, k: int) -> np.ndarray:
     """Each row's sum over its grams of c * log2(context count / c), over n;
-    each term read from an (n+1) x (n+1) table."""
+    each term read from _log_terms."""
     S, Lk = len(counts), L ** k
     counts = counts.reshape(S, Lk, L)
     # context counts one symbol at a time: a sum over the short last axis is
@@ -227,19 +230,24 @@ def _scores_of_counts(counts: np.ndarray, L: int, n: int, k: int) -> np.ndarray:
     ctx = counts[:, :, 0].copy()
     for a in range(1, L):
         ctx += counts[:, :, a]
-    c = np.arange(n + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.where(c > 0, c * np.log2(c[:, None] / c), 0.0)
-    return table[ctx[:, :, None], counts].reshape(S, Lk * L).sum(axis=1) / n
+    return _log_terms(n)[ctx[:, :, None], counts].reshape(S, Lk * L).sum(axis=1) / n
 
 
-def _state_scores(L: int, n: int, k: int) -> tuple:
-    """The state of every sequence (None: each is its own) and the score of
-    every state."""
-    ids, reps = _type_states(L, n, k)
-    counts = _gram_counts(reps, L, n, k)
-    del reps
-    return ids, _scores_of_counts(counts, L, n, k)
+def _sequence_values(values: np.ndarray, L: int, n: int, table: np.ndarray | None,
+                     levels: list) -> np.ndarray:
+    """values[s] for every sequence's final state s, in index order: the
+    prefix table composed with each site's table, the last site's read
+    through values, so no state id a sequence is formed.  (A code's last
+    table also leads to its path and zero states, which no sequence
+    reaches: clipped.)"""
+    if table is None:
+        return values
+    if levels:
+        values = np.take(values, levels[-1], mode="clip").reshape(-1, L)
+    ids = table
+    for inverse in levels[:-1]:
+        ids = np.take(inverse.reshape(-1, L), ids, axis=0).ravel()
+    return np.take(values, ids, axis=0).ravel()
 
 
 def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
@@ -252,13 +260,15 @@ def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
     n.  Wrap-around grams make the score rotation-invariant, so all phases of
     a periodic sequence receive the same score.  Scores that tie in exact
     arithmetic may differ in the last bits; build_code counts scores within
-    SCORE_TIE_TOL as equal.  The score depends on the gram counts alone, so
-    it is computed once a state (see _type_states).  A recursion past the
-    memory budget raises SizeError before anything is allocated.
+    SCORE_TIE_TOL as equal.  Each state is scored once and its score
+    gathered by its sequences; past the memory budget (the graph, or the
+    int32 ids before the last site with their intp copy beside the
+    scores) this is a SizeError before anything is allocated.
     """
-    check_budget(_scores_bytes(L, n, k), f"scoring the {L}^{n} sequences at k = {k}")
-    ids, scores = _state_scores(L, n, k)
-    return scores if ids is None else np.take(scores, ids)
+    check_budget(max(_build_bytes(L, n, k), 12 * L ** (n - 1) + 8 * L ** n),
+                 f"scoring the {L}^{n} sequences at k = {k}")
+    table, levels, counts = _type_states(L, n, k)
+    return _sequence_values(_scores_of_counts(counts, L, n, k), L, n, table, levels)
 
 
 def all_sequences(L: int, n: int) -> np.ndarray:
@@ -274,81 +284,50 @@ def all_sequences(L: int, n: int) -> np.ndarray:
 
 @dataclass
 class BlockCode:
+    """A code as the type-state graph of its sequences: `table` holds the
+    state at site h0 = n - len(levels) of each of the L^h0 prefixes (None:
+    no site merges, each sequence is its own final state), and levels[i]
+    the state at site h0 + i + 1 of candidate state * L + symbol, then the
+    L candidates of the walked path and the L of the zero state, the last
+    two states of every site.  `cluster` is each final state's score
+    cluster; the code holds the clusters before `boundary` whole, and the
+    `take` first sequences of the boundary cluster: those of the first
+    `cut` prefixes at h0, then those of the walked path's subtrees."""
     L: int
     n: int
     R: float
     k: int
-    # dense mode
-    members: np.ndarray | None = None      # flat sequence indices, code order
-    # type-class mode (binary, k = 0)
-    full_ones_counts: list = field(default_factory=list)
-    boundary_ones_counts: list = field(default_factory=list)
-    boundary_take: int = 0
-    degenerate: bool = False
+    table: np.ndarray | None
+    levels: list
+    cluster: np.ndarray
+    boundary: int
+    take: int
+    cut: int
 
     @property
     def size(self) -> int:
-        if self.members is not None:
-            return int(len(self.members))
-        return sum(math.comb(self.n, j) for j in self.full_ones_counts) + self.boundary_take
+        return min(code_size(self.n, self.R), self.L ** self.n)
 
     @property
-    def dense(self) -> bool:
-        return self.members is not None
+    def degenerate(self) -> bool:
+        return self.size == self.L ** self.n
 
     def member_indices(self) -> np.ndarray:
-        """The members' sequence indices: in code order in dense mode; in
-        ascending order for a type-class code, from the ones count of every
-        index (5 bytes per sequence, 8 per boundary-class sequence and per
-        member)."""
-        if self.dense:
-            return self.members
-        n, N = self.n, 2 ** self.n
-        boundary_sequences = sum(math.comb(n, j) for j in self.boundary_ones_counts)
-        check_budget(5 * N + 8 * (boundary_sequences + self.size),
-                     f"members of a type-class code over 2^{n} sequences")
-        ones = np.zeros(1, dtype=np.uint8)
-        for _ in range(n):
-            ones = np.concatenate([ones, ones + 1])
-        full = np.zeros(n + 1, dtype=bool)
-        full[self.full_ones_counts] = True
-        boundary = np.zeros(n + 1, dtype=bool)
-        boundary[self.boundary_ones_counts] = True
-        keep = full[ones]
-        # the boundary classes' lexicographically first sequences
-        keep[np.flatnonzero(boundary[ones])[:self.boundary_take]] = True
-        return np.flatnonzero(keep)
-
-
-def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
-    if L < 2 or n < 1 or k < 0:
-        raise ValidationError(f"a code needs L >= 2, n >= 1, k >= 0; got L = {L}, n = {n}, k = {k}")
-    if not (0 < R <= math.log2(L) + FLOOR_GUARD):
-        raise ValidationError(f"rate {R} outside (0, log2 {L}]")
-    size = code_size(n, R)
-    N = L ** n
-    if size >= N:
-        check_budget(8 * N, f"degenerate code of all {L}^{n} sequences")
-        return BlockCode(L, n, R, k, members=np.arange(N), degenerate=True)
-    if L == 2 and k == 0 and n <= 64:
-        return _build_binary_typeclass(R, n, size)
-    check_budget(_scores_bytes(L, n, k), f"enumerating the {L}^{n} sequences at k = {k} "
-                 "(the type-class mode needs L = 2, k = 0 and n <= 64)")
-    ids, scores = _state_scores(L, n, k)
-    values, inverse = np.unique(scores, return_inverse=True)
-    cluster = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
-    # the narrowest unsigned type that holds the cluster ids: one byte a
-    # sequence up to 256 clusters
-    cluster = cluster.astype(np.min_scalar_type(cluster[-1]))[inverse]
-    if ids is not None:  # each state's cluster to each sequence's
-        cluster = np.take(cluster, ids)
-        del ids
-    return BlockCode(L, n, R, k, members=_first_members(cluster, size))
+        """The members' sequence indices in code order, (cluster, index):
+        every sequence's cluster, then _first_members (a bincount's intp
+        copy, or a mask and the whole and boundary clusters' indices, at
+        most 9 bytes a sequence; the members sorted and joined, 16 each)."""
+        L, n, c = self.L, self.n, self.cluster.itemsize
+        N = L ** n
+        check_budget(max(12 * (N // L) + c * N, (c + 9) * N + 16 * self.size),
+                     f"members of a code over {L}^{n} sequences")
+        cluster = _sequence_values(self.cluster, L, n, self.table, self.levels)
+        return _first_members(cluster, self.size)
 
 
 def _first_members(cluster: np.ndarray, size: int) -> np.ndarray:
     """The first `size` sequence indices ordered by (cluster, index), where
-    size is below the number of sequences: the clusters that fit whole,
+    size is at most the number of sequences: the clusters that fit whole,
     ordered by a stable sort of their at most `size` indices (ties in index
     order, which is lexicographic), then the index-ordered head of the
     boundary cluster, the first one whose running total passes size."""
@@ -359,135 +338,136 @@ def _first_members(cluster: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate([whole, head])
 
 
-def _build_binary_typeclass(R: float, n: int, size: int) -> BlockCode:
-    """Whole type-class pairs {g, n - g} by ascending g while they fit, then
-    the boundary pair; size < 2^n, so a pair is always left to stop at."""
-    full: list[int] = []
-    for g in range(n // 2 + 1):
-        classes = sorted({g, n - g})
-        total = sum(math.comb(n, j) for j in classes)
-        if total > size:
-            return BlockCode(2, n, R, 0, full_ones_counts=full,
-                             boundary_ones_counts=classes, boundary_take=size)
-        full.extend(classes)
-        size -= total
-        if size == 0:
-            return BlockCode(2, n, R, 0, full_ones_counts=full)
+def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
+    if L < 2 or n < 1 or k < 0:
+        raise ValidationError(f"a code needs L >= 2, n >= 1, k >= 0; got L = {L}, n = {n}, k = {k}")
+    if not (0 < R <= math.log2(L) + FLOOR_GUARD):
+        raise ValidationError(f"rate {R} outside (0, log2 {L}]")
+    size = min(code_size(n, R), L ** n)
+    if size == L ** n:  # every sequence: one state a site, one cluster
+        table, cluster = np.zeros(1, np.int32), np.zeros(1, np.uint8)
+        levels = [np.zeros(L, np.int32)] * n
+    else:
+        check_budget(_build_bytes(L, n, k), f"the type-state graph of the {L}^{n} sequences "
+                     f"at k = {k}")
+        table, levels, counts = _type_states(L, n, k)
+        # cluster of each state: a new one at every gap past SCORE_TIE_TOL
+        # between the sorted distinct scores, in the narrowest unsigned type
+        values, cluster = np.unique(_scores_of_counts(counts, L, n, k), return_inverse=True)
+        del counts
+        ids = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
+        cluster = ids.astype(np.min_scalar_type(ids[-1]))[cluster]
+    return BlockCode(L, n, R, k, table, *_plan(L, n, size, table, levels, cluster))
+
+
+def _plan(L: int, n: int, size: int, table, levels: list, cluster: np.ndarray) -> tuple:
+    """The clusters a code holds whole, and the unranking walk of the head
+    of its boundary cluster.  Sequence counts carried forward over the
+    tables, in exact integers (Python integers from 2^63 sequences), give
+    each cluster's size and so the boundary cluster and `take`.  Each
+    state's completions into the boundary cluster, carried backward, and
+    their running total over the prefixes at h0 give the `cut` prefixes
+    the head covers whole; from the next one the walk takes each child
+    subtree whose completions still fit and descends into the first that
+    does not.  Each table is replaced by itself extended by the walked
+    path's row and the zero state's row.  Returns (levels, cluster,
+    boundary, take, cut)."""
+    exact = np.int64 if L ** n < 2 ** 63 else object
+    states = [len(inverse) // L for inverse in levels] + [len(cluster)]
+    count = np.ones(len(cluster), exact) if table is None else np.bincount(table).astype(exact)
+    for inverse, after in zip(levels, states[1:]):
+        spread = np.zeros(after, exact)
+        np.add.at(spread, inverse, np.repeat(count, L))
+        count = spread
+    totals = np.zeros(int(cluster.max()) + 1, exact)
+    np.add.at(totals, cluster, count)
+    ends = np.cumsum(totals)
+    boundary = int(np.searchsorted(ends, size, side="right"))
+    take = size - (int(ends[boundary - 1]) if boundary else 0)
+    cut, node = 0, None
+    if take:
+        completions = [np.where(cluster == boundary, 1, 0).astype(exact)]
+        for inverse in reversed(levels):
+            completions.insert(0, np.take(completions[0], inverse).reshape(-1, L).sum(axis=1))
+        ends = np.cumsum(completions[0] if table is None else np.take(completions[0], table))
+        cut = int(np.searchsorted(ends, take, side="right"))
+        remaining = take - (int(ends[cut - 1]) if cut else 0)
+        node = int(table[cut]) if remaining else None
+    for i, (inverse, after) in enumerate(zip(levels, states[1:])):
+        rows = np.full(2 * L, after + 1, dtype=np.int32)  # to the zero state
+        if node is not None:
+            children, node = inverse[node * L:(node + 1) * L], None
+            for a, child in enumerate(children):
+                if completions[i + 1][child] <= remaining:
+                    remaining -= completions[i + 1][child]
+                    rows[a] = child
+                else:
+                    if remaining:
+                        rows[a], node = after, int(child)  # the path state
+                    break
+        levels[i] = np.concatenate([inverse, rows])
+    return levels, cluster, boundary, take, cut
+
+
+def _measure_bytes(c: BlockCode, chi: int) -> int:
+    """Peak bytes of code_measure(p, c) for chi hidden states, beside the
+    final states' weights, 16 bytes each.  A site of the backward recursion
+    holds the vectors after it (16 chi bytes a state), its gathered
+    candidates (16 chi bytes each, 16 at the last site's scalar weights)
+    with the table's intp copy, and the vectors it makes; then the vectors
+    at h0 beside the prefix rows (8 chi (L^h0 + L^(h0-1)) while swept),
+    and the met vectors gathered by the table.  With no site after h0,
+    the prefix rows of n - 1 sites, then beside those the L^n masses.  On
+    top, the step matrix and the end sums, 8 L chi (chi + 1)."""
+    L, n = c.L, c.n
+    N, P = L ** n, L ** (n - len(c.levels))
+    fixed = 16 * (len(c.cluster) + 2) + 8 * L * chi * (chi + 1)
+    met = 0 if c.table is None else 8 * P + 16 * P * (chi if c.levels else 1)
+    if not c.levels:
+        return fixed + 8 * chi * (N // L) + max(8 * chi * (N // L ** 2), 8 * N + met)
+    states = [len(inverse) // L for inverse in c.levels]
+    peak, after = 0, 0
+    for inverse, before in zip(c.levels[::-1], states[::-1]):
+        width = 16 * chi if after else 16
+        peak = max(peak, after + (width + 8) * len(inverse) + 16 * chi * before)
+        after = 16 * chi * before
+    return fixed + max(peak, after + 8 * chi * (P + P // L), after + 8 * chi * P + met)
 
 
 def code_measure(p: ClassicalProcess, c: BlockCode) -> float:
-    """Exact probability mass the process assigns to the code set, from the
-    hidden-Markov form (initial, T); neither kind of code builds a marginal.
+    """Exact probability mass the process assigns to the code, from its
+    hidden-Markov form (initial, T), with no marginal and no member list.
 
-    A dense code meets in the middle (see _dense_measure): each member's
-    probability is its prefix's row vector by hidden state times its
-    suffix's column vector, in O(chi^2 (L^h + L^(n-h)) + chi |code|) for h =
-    n // 2.  A type-class code lists no sequence: suffix[t][j] is the mass,
-    by hidden state, of the n - t symbols after site t holding j ones, so
-    class j weighs initial . suffix[0][j], and the boundary walk carries the
-    walked prefix's mass by hidden state."""
+    One backward recursion over the code's graph: a final state's two
+    vectors by hidden state are its weights (in a whole cluster; in the
+    boundary cluster) times the all-ones vector, and a state's are the sum
+    over the symbols a of T[:, :, a] times its child's, one gather and one
+    matrix product a site; the walked path's state carries its taken
+    subtrees' boundary vectors.  At h0 the prefix rows initial . T[x_1] ...
+    T[x_h0] meet them: every prefix's whole-cluster vector, the boundary
+    vector of the first `cut`, and the path's vector of the next.  With no
+    site after h0, the sequences' masses meet the weights."""
     if p.L != c.L:
         raise ValidationError("alphabet size mismatch")
-    if c.dense:
-        return _dense_measure(p, c)
-    n, chi = c.n, len(p.initial)
-    # the suffix masses beside two steps' products and the site matrices
-    check_budget(8 * (n + 2) * (n + 5) * chi + 16 * chi ** 2,
-                 f"suffix masses of a type-class code over {n} sites with {chi} hidden states")
-    # steps[x] = T[:, :, x].T: masses times steps[x] prepend symbol x, and
-    # steps[x] times masses append it
-    steps = p.T.transpose(2, 1, 0).copy()
-    # row j + 1 of level t is suffix[t][j]; row 0 (j = -1) stays zero, so
-    # the shift that adds a 1 is a one-row offset
-    levels = np.zeros((n + 1, n + 2, chi))
-    levels[n, 1] = 1.0
-    after = levels[n]
-    for masses in levels[-2::-1]:
-        prepended = after @ steps
-        np.add(prepended[0, 1:], prepended[1, :-1], out=masses[1:])
-        after = masses
-    suffix = levels[:, 1:]
-    total = p.initial @ suffix[0, c.full_ones_counts].sum(axis=0)
-    if c.boundary_take:
-        total += _boundary_measure(c, p.initial, steps, suffix)
-    return float(total)
-
-
-def _dense_measure_bytes(L: int, n: int, chi: int, size: int) -> int:
-    """Peak bytes of _dense_measure with h = n // 2 prefix and m = n - h
-    suffix sites: the L^h x chi prefix rows (their sweep's last step, L^(h-1)
-    rows before L^h, is no larger than the suffix sweep's) held beside
-    either the suffix sweep's last step (L^(m-1) rows before, L^m after and
-    its transposed copy) or, with the L^m suffix rows, one block of at most
-    MEASURE_BLOCK members (their prefix and suffix indices with a product
-    of the two, and the two gathered rows, 24 + 16 chi bytes a member); on
-    top, the two chi x L chi step matrices."""
-    h = n // 2
-    m = n - h
-    block = min(size, MEASURE_BLOCK) * (24 + 16 * chi)
-    return (8 * chi * L ** h + max(8 * chi * (L ** (m - 1) + 2 * L ** m),
-                                   8 * chi * L ** m + block) + 16 * chi * chi * L)
-
-
-def _dense_measure(p: ClassicalProcess, c: BlockCode) -> float:
-    """Sum over the members x of left[x // L^m] . right[x mod L^m]: left
-    holds initial . T[x_1] ... T[x_h] for every prefix of h = n // 2 sites
-    (the process's prefix sweep), right holds T[x_(h+1)] ... T[x_n] . 1 for
-    every suffix of the other m sites, grown from the right one prepended
-    symbol at a time.  No L^n array is formed; members are taken
-    MEASURE_BLOCK at a time."""
     L, n, chi = c.L, c.n, len(p.initial)
-    h = n // 2
-    tail = L ** (n - h)
-    check_budget(_dense_measure_bytes(L, n, chi, c.size),
-                 f"measure of a dense code over {L}^{n} sequences with {chi} hidden states")
-    left = p.prefixes(h)
-    # back[j, (x, i)] = T[i, j, x]: rows times back prepend x to each suffix
-    back = p.T.transpose(1, 2, 0).reshape(chi, L * chi)
-    right = np.ones((1, chi))
-    for _ in range(n - h):
-        right = (right @ back).reshape(len(right), L, chi).transpose(1, 0, 2).reshape(-1, chi)
-    total = 0.0
-    for start in range(0, c.size, MEASURE_BLOCK):
-        block = c.members[start:start + MEASURE_BLOCK]
-        head = block // tail
-        rows = np.take(left, head, axis=0)
-        rows *= np.take(right, block - head * tail, axis=0)
-        total += rows.sum()
-    return float(total)
-
-
-def _boundary_measure(c: BlockCode, prefix: np.ndarray, steps: np.ndarray,
-                      suffix: np.ndarray) -> float:
-    """Measure of the `boundary_take` lexicographically-first sequences in
-    the union of the boundary classes, via the unranking walk (no
-    enumeration): where the rows still to take cover every completion with a
-    0 at position t, that whole 0-subtree is taken and the walk puts a 1;
-    otherwise it puts a 0.  `prefix` starts as the initial vector."""
-    n, measure, o, remaining = c.n, 0.0, 0, c.boundary_take
-    for t in range(n):
-        if remaining == 0:
-            break
-        rest = [j - o for j in c.boundary_ones_counts if j >= o]
-        zeros = sum(math.comb(n - t - 1, j) for j in rest)
-        zero, one = steps @ prefix
-        if zeros <= remaining:
-            measure += zero @ suffix[t + 1, rest].sum(axis=0)
-            remaining -= zeros
-            o += 1
-            prefix = one
-        else:
-            prefix = zero
-    return measure
-
-
-def superblock_code(c: BlockCode, i: int) -> BlockCode:
-    """Regroup a length-(i*j) code over L into a length-j code over L^i.  The
-    flat member indices are invariant under mixed-radix regrouping, so the
-    regrouped code holds member_indices() of either kind of code."""
-    if i == 1:
-        return c
-    if c.n % i != 0:
-        raise ValidationError(f"superblock size {i} does not divide length {c.n}")
-    return BlockCode(c.L ** i, c.n // i, c.R * i, c.k,
-                     members=c.member_indices().copy(), degenerate=c.degenerate)
+    check_budget(_measure_bytes(c, chi),
+                 f"measure of a code over {L}^{n} sequences with {chi} hidden states")
+    ends = p.T.sum(axis=1)  # ends[i, a] = T[i, :, a] . 1, the last site
+    vectors = np.zeros((2, len(c.cluster) + 2))
+    vectors[0, :-2] = c.cluster < c.boundary
+    vectors[1, :-2] = c.cluster == c.boundary
+    if c.levels:
+        # step[(a, j), i] = T[i, j, a]: gathered (symbol, hidden state)
+        # vectors times step prepend the symbol
+        step = p.T.transpose(2, 1, 0).reshape(L * chi, chi)
+        vectors = np.take(vectors, c.levels[-1], axis=1).reshape(2, -1, L) @ ends.T
+        for inverse in c.levels[-2::-1]:
+            vectors = np.take(vectors, inverse, axis=1).reshape(2, -1, L * chi) @ step
+        rows = p.prefixes(n - len(c.levels))
+    else:  # the final states meet the sequences' masses
+        rows = (p.prefixes(n - 1) @ ends).reshape(-1, 1)
+        vectors = vectors[:, :, None]
+    met = vectors[:, :-2] if c.table is None else np.take(vectors, c.table, axis=1)
+    cut = c.cut
+    return float(np.vdot(rows, met[0]) + np.vdot(rows[:cut], met[1, :cut])
+                 + rows[cut] @ vectors[1, -2])

@@ -103,6 +103,14 @@ def _join_bytes(D: int, n: int, size: int) -> int:
     return D ** n * (1 + 24 * n * D) + 512 * moves + 8 * size * largest
 
 
+def _svd_bytes(m: int, w: int) -> int:
+    """Peak bytes of _orthonormal over an m x w stack, r = min(m, w): the
+    stack, LAPACK's copy with U, S, V^T and its workspace (at most
+    4 r^2 + 8 r doubles and 64 (m + w) of panels), the returned U and V^T."""
+    r = min(m, w)
+    return 8 * (2 * m * w + 2 * m * r + 2 * r * w + 4 * r * r + 9 * r + 64 * (m + w))
+
+
 def _orthonormal(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(cols), cutting singular values at
     JOIN_RTOL * max(s_max, 1): a join direction has norm 1, so columns that
@@ -151,9 +159,10 @@ def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
     max_ab ||(1 - QQ^T) J_ab Q|| from above.
 
     The members are validated before any table is built.  The tables and the
-    start blocks are checked against the memory budget before they exist,
-    and the D^n x rank basis, with the class blocks and the tables the join
-    holds, before it is allocated.
+    start blocks are checked against the memory budget before they exist;
+    each class SVD, beside the tables and the class blocks the join holds
+    and the pushed block, before it runs; and the D^n x rank basis, with
+    the class blocks and the tables, before it is allocated.
     """
     members = np.asarray(members)
     if members.ndim != 1 or members.dtype.kind not in "iu":
@@ -172,6 +181,7 @@ def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
         block = np.zeros((len(seqs), len(rows)))
         block[rows, np.arange(len(rows))] = 1.0
         blocks.append(block)
+    held = up_front + sum(b.nbytes for b in blocks)
     grew = True
     while grew:
         grew, residual = False, 0.0
@@ -182,14 +192,18 @@ def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
             kept = blocks[target]
             leak = float(np.linalg.norm(pushed - kept @ (kept.T @ pushed)))
             if leak > JOIN_RTOL:
+                m, w = len(kept), kept.shape[1] + pushed.shape[1]
+                check_budget(held + pushed.nbytes + _svd_bytes(m, w),
+                             f"orbit join: SVD of a {m} x {w} class block")
                 grown = _orthonormal(np.hstack([kept, pushed]))
                 if grown.shape[1] > kept.shape[1]:
+                    held += grown.nbytes - kept.nbytes
                     blocks[target], grew = grown, True
                     continue
             residual = max(residual, leak)
         moves.reverse()
     rank = sum(b.shape[1] for b in blocks)
-    check_budget(up_front + sum(b.nbytes for b in blocks) + 8 * block_dim ** n * rank,
+    check_budget(held + 8 * block_dim ** n * rank,
                  f"orbit join basis of rank {rank} over {block_dim}^{n} sequences")
     basis = np.zeros((block_dim ** n, rank))
     col = 0

@@ -150,18 +150,19 @@ SITES = {
     "classical-marginal": lambda tmp_path: lambda: PeriodicProcess(
         [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]).marginal(16),
     "classical-block": lambda tmp_path: lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(16),
-    # at k = 1 the prefix ids and the gathered scores set the peak; at k = 3
-    # (two key chunks) the candidates of the last levels
-    "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 16, 1),
-    "code-enumeration": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
-    "typeclass-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
-    # the suffix masses of a 64-phase cycle at n = 64, 2.3 MiB
-    "typeclass-measure": lambda tmp_path: partial(
-        code_measure, PeriodicProcess(_cycle(64)), build_code(2, 0.5, 64)),
-    # the 2^14 members of a k = 1 code of a 16-phase cycle at n = 18: one
-    # block of gathered rows, 4.4 MiB
-    "dense-measure": lambda tmp_path: partial(
-        code_measure, PeriodicProcess(_cycle(16)), build_code(2, 0.8, 18, 1)),
+    # at k = 1 the gathered scores set the peak; at k = 3 (two key chunks)
+    # the candidates of the last sites
+    "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 18, 1),
+    "code-build": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
+    "code-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
+    # the backward recursion of a 200-phase cycle over the states of a k = 1
+    # code at n = 40, 18 MiB
+    "code-measure": lambda tmp_path: partial(
+        code_measure, PeriodicProcess(_cycle(200)), build_code(2, 0.5, 40, 1)),
+    # no state merges at k = 5: a 16-phase cycle's prefix rows of 15 sites
+    # meet the 2^16 sequences' weights, 7.0 MiB
+    "code-measure-unmerged": lambda tmp_path: partial(
+        code_measure, PeriodicProcess(_cycle(16)), build_code(2, 0.5, 16, 5)),
     "markov-transfer": lambda tmp_path: partial(
         MarkovProcess, np.full((60, 60), 1 / 60)),
     "periodic-transfer": lambda tmp_path: partial(PeriodicProcess, _cycle(400)),
@@ -246,10 +247,20 @@ def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypa
     _refused(lambda: empirical_entropy_scores(2, 20, 8))
 
 
+def _closure_checks(monkeypatch, members, D, n) -> list:
+    """The bytes of every class SVD check of the join, which runs whole."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(projectors, "check_budget", lambda nbytes, what: seen.append((nbytes, what)))
+        orbit_join_basis(members, D, n)
+    return [nbytes for nbytes, what in seen if "SVD" in what]
+
+
 def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
     # a budget below the join's up-front bytes refuses the join before its
     # tables and start blocks exist, called directly or from assemble_q; one
-    # between those and the assembled basis refuses the D^n x rank basis
+    # past the closure's class SVDs but short of the assembled basis refuses
+    # the D^n x rank basis
     code = build_code(2, 0.5, 10)
     members = code.member_indices()
     up_front = projectors._join_bytes(2, 10, code.size)
@@ -261,7 +272,7 @@ def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
         orbit_join_basis(members, 2, 10)
     monkeypatch.undo()
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", max(_closure_checks(monkeypatch, members, 2, 10)))
     zeros = np.zeros
 
     def no_basis(shape, *args, **kwargs):
@@ -271,6 +282,38 @@ def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", no_basis)
     with pytest.raises(SizeError, match="orbit join basis of rank 162"):
         orbit_join_basis(members, 2, 10)
+
+
+def test_join_closure_past_the_budget_is_refused_before_the_svd(monkeypatch):
+    # under a budget between the join's up-front bytes and its closure's
+    # largest class SVD, the join passes its first check and is then
+    # refused before an SVD whose operands, beside what the process holds,
+    # would pass the budget: called directly, and as an experiment row
+    code = build_code(2, 0.5, 10)
+    members = code.member_indices()
+    up_front = projectors._join_bytes(2, 10, code.size)
+    closure = max(_closure_checks(monkeypatch, members, 2, 10))
+    assert up_front < closure
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", (up_front + closure) // 2)
+    svd = np.linalg.svd
+
+    def bounded(a, *args, **kwargs):
+        # the stack, LAPACK's copy and U beside what the process holds
+        if tracemalloc.get_traced_memory()[0] + 3 * a.nbytes > errors.MEMORY_BUDGET:
+            raise AssertionError("class SVD past the memory budget")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", bounded)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="orbit join: SVD of a .* class block"):
+            orbit_join_basis(members, 2, 10)
+    finally:
+        tracemalloc.stop()
+    cfg = ExperimentConfig.from_dict({"sources": [{"kind": "iid", "probs": [0.9, 0.1]}],
+                                      "r": 0.5, "n_range": [10]})
+    rows = run_experiment(cfg)
+    assert rows[0].error.startswith("SizeError: orbit join: SVD of a")
 
 
 def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
@@ -389,20 +432,45 @@ def _first_check(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_dense_measure_admits_every_code_the_marginal_admitted(L, monkeypatch):
-    # the dense measure summed the marginal over the members; from the two
-    # halves it needs no more bytes wherever that marginal fit the budget,
-    # whatever the code's size (the members are a broadcast view here)
+    # a code measure is admitted wherever the marginal was, for every code
+    # that builds: where no state merges (the shape of such a code, a
+    # broadcast view here, at the first k where no state merges) the
+    # sequences' masses are the marginal's, beside the code's weights; k = 1
+    # codes hold few states a site
     for chi in (1, 2, 6, 16, 64):
         p = ClassicalProcess(np.full(chi, 1 / chi), np.full((chi, chi, L), 1 / (chi * L)))
         for n in range(1, 40):
-            marginal = _first_check(monkeypatch, lambda: p.marginal(n))
-            if marginal > MEMORY_BUDGET:
+            if _first_check(monkeypatch, lambda: p.marginal(n)) > MEMORY_BUDGET:
                 break
-            for size in {1, 2 ** (n // 2), L ** n}:
-                members = np.broadcast_to(np.zeros(1, dtype=np.int64), (size,))
-                c = codes.BlockCode(L, n, 0.5, 1, members=members)
+            k = next(k for k in range(n + 1) if codes._merge_from(L, n, k) is None)
+            if codes._build_bytes(L, n, k) <= MEMORY_BUDGET:
+                clusters = np.broadcast_to(np.zeros(1, np.uint8), (L ** n,))
+                unmerged = codes.BlockCode(L, n, 0.5, k, None, [], clusters, 1, 0, 0)
+                assert _first_check(monkeypatch, lambda: code_measure(p, unmerged)) \
+                    <= MEMORY_BUDGET, (chi, n, k)
+            if L ** n <= 2 ** 14:
+                c = build_code(L, 0.5, n, 1)
                 assert _first_check(monkeypatch, lambda: code_measure(p, c)) <= MEMORY_BUDGET
         assert n > 10
+
+
+# the largest n the type-class and enumerated builds admitted at each (L, k),
+# at R = 0.5: every binary k = 0 code up to n = 64, and every other code
+# while its enumeration of the L^n sequences fit the budget
+ENUMERATION_LIMITS = {
+    2: [64, 27, 27, 24, 23, 22, 21, 20],
+    3: [17, 17, 14, 13, 12, 11, 10, 9],
+    4: [13, 12, 11, 10, 9, 8, 7, 6],
+}
+
+
+@pytest.mark.parametrize("L", ENUMERATION_LIMITS)
+def test_build_admits_every_code_the_enumeration_admitted(L, monkeypatch):
+    # checked by formula, without building
+    for k, limit in enumerate(ENUMERATION_LIMITS[L]):
+        for n in range(1, limit + 1):
+            assert _first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) \
+                <= MEMORY_BUDGET, (L, n, k)
 
 
 def test_hidden_state_forms_past_the_budget_are_row_errors(monkeypatch):

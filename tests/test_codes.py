@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quclab import codes, errors
 from quclab.codes import (SCORE_TIE_TOL, all_sequences, build_code, code_measure, code_size,
-                          empirical_entropy_scores, superblock_code)
+                          empirical_entropy_scores)
 from quclab.errors import SizeError, ValidationError
 from quclab.processes import (ClassicalProcess, IIDProcess, MarkovProcess, MixtureProcess,
                               PeriodicProcess, index_sequence)
@@ -77,8 +77,8 @@ REFERENCE_GRID = ([(2, n, k) for n in range(1, 17) for k in range(7)]
 
 
 def assert_matches_the_reference(L, n, k):
-    """Scores, and the members of the largest code short of every sequence,
-    equal to the digit-matrix reference."""
+    """Scores, and the members of the largest code short of every sequence
+    in code order, equal to the digit-matrix reference."""
     scores = empirical_entropy_scores(L, n, k)
     assert np.array_equal(scores, reference_scores(all_sequences(L, n), L, k)), (L, n, k)
     bits = math.ceil(n * math.log2(L)) - 1
@@ -86,8 +86,7 @@ def assert_matches_the_reference(L, n, k):
         return
     c = build_code(L, bits / n, n, k)
     assert c.size == 2 ** bits < L ** n
-    if c.dense:
-        assert np.array_equal(c.members, reference_order(scores)[:c.size]), (L, n, k)
+    assert np.array_equal(c.member_indices(), reference_order(scores)[:c.size]), (L, n, k)
 
 
 def member_strings(c):
@@ -202,21 +201,20 @@ def _oracle_members(n, size):
 
 
 def test_typeclass_code_matches_enumeration():
-    # a binary k = 0 code is a type-class code; its members are the
-    # enumeration oracle's, ascending, and it measures every process, not
+    # a binary k = 0 code is a union of type classes; its members are the
+    # enumeration oracle's, in its order, and it measures every process, not
     # only i.i.d. ones
     proc = IIDProcess([0.85, 0.15])
     markov = MarkovProcess([[0.9, 0.1], [0.3, 0.7]])
     for n in (8, 12, 16):
         c = build_code(2, 0.6, n, 0)
         oracle = _oracle_members(n, code_size(n, 0.6))
-        assert not c.dense
-        assert np.array_equal(c.member_indices(), np.sort(oracle))
+        assert np.array_equal(c.member_indices(), oracle)
         for p in (proc, markov):
             assert abs(code_measure(p, c) - p.marginal(n).probs[oracle].sum()) < 1e-12
 
 
-# every kind fills the hidden-Markov form the type-class measure runs on:
+# every kind fills the hidden-Markov form the measure runs on:
 # a non-stationary initial vector, restricted phases and a raw chi = 3 form
 _RAW_T = np.random.default_rng(7).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
 MEASURED_PROCESSES = {
@@ -239,8 +237,7 @@ def test_typeclass_measure_matches_the_marginal_sum(kind):
         probs = p.marginal(n).probs
         for R in [x / 20 for x in range(1, 20)]:
             c = build_code(2, R, n, 0)
-            if not c.dense:
-                assert abs(code_measure(p, c) - probs[c.member_indices()].sum()) <= MEASURE_TOL
+            assert abs(code_measure(p, c) - probs[c.member_indices()].sum()) <= MEASURE_TOL
 
 
 @st.composite
@@ -265,15 +262,16 @@ def test_typeclass_measure_matches_the_marginal_sum_at_random_forms(case):
 
 
 def test_typeclass_measure_lists_no_sequence(monkeypatch):
-    # no marginal and no member list, so past n = 27 too
+    # no marginal and no member list, so past n = 27 too, and past the
+    # 2^63 sequences of n = 64
     for owner, name in ((ClassicalProcess, "marginal"), (codes.BlockCode, "member_indices")):
         def forbidden(*args, name=name, **kwargs):
-            raise AssertionError(f"{name} called to measure a type-class code")
+            raise AssertionError(f"{name} called to measure a binary k = 0 code")
         monkeypatch.setattr(owner, name, forbidden)
     for p in MEASURED_PROCESSES.values():
         for n in (12, 40, 64):
             c = build_code(2, 0.5, n)
-            assert not c.dense and 0 <= code_measure(p, c) <= 1
+            assert 0 <= code_measure(p, c) <= 1
 
 
 def test_typeclass_measure_oracle_large_n():
@@ -290,8 +288,7 @@ def test_typeclass_measure_oracle_large_n():
             c = build_code(2, R, n, 0)
             if c.degenerate:
                 continue
-            assert not c.dense
-            boundaries += c.boundary_take > 0
+            boundaries += c.take > 0
             oracle = _oracle_members(n, c.size)
             taken = np.bincount([bin(i).count("1") for i in oracle], minlength=n + 1)
             exact = sum(int(taken[j]) * p1 ** j * p0 ** (n - j) for j in range(n + 1))
@@ -300,10 +297,12 @@ def test_typeclass_measure_oracle_large_n():
 
 
 def test_binary_k0_codes_are_typeclass_codes_up_to_n64():
+    # from the first merging site on, a binary k = 0 state is a ones count:
+    # n + 1 final states, the type classes, scored once each
     for n in range(1, 65):
         for R in (0.3, 0.5, 0.9):
             c = build_code(2, R, n, 0)
-            assert c.degenerate or not c.dense
+            assert c.degenerate or c.table is None or len(c.cluster) == n + 1
 
 
 def test_universality_curve():
@@ -328,45 +327,17 @@ def test_code_size_law():
             assert c.size == code_size(n, R)
 
 
-def test_superblock_identity():
-    c = build_code(2, 0.5, 4, 1)
-    assert superblock_code(c, 1) is c
-
-
-def test_superblock_regrouping():
-    c = build_code(2, 0.5, 4, 1)
-    s = superblock_code(c, 2)
-    assert (s.L, s.n, s.R) == (4, 2, 1.0)
-    assert s.size == c.size
-    # flat indices are preserved by mixed-radix regrouping
-    assert np.array_equal(np.sort(s.members), np.sort(c.members))
-
-
 def test_superblock_contains_low_entropy_core():
-    # classical inclusion at the smallest instance: L=2, i=2, j=2, R=1/2
+    # classical inclusion at the smallest instance: L=2, i=2, j=2, R=1/2; a
+    # length-4 binary code read as a length-2 code over 4 symbols keeps its
+    # flat indices
     c = build_code(2, 0.5, 4, 1)
-    regrouped = set(int(i) for i in superblock_code(c, 2).members)
+    regrouped = set(int(i) for i in c.member_indices())
     direct = build_code(4, 1.0, 2, 0)
     # the regrouped set should contain the zero-entropy (constant-pair) core
-    core = {int(i) for i in direct.members
+    core = {int(i) for i in direct.member_indices()
             if len(set(divmod(int(i), 4))) == 1}
     assert core <= regrouped
-
-
-def test_superblock_divisibility_error():
-    with pytest.raises(ValidationError):
-        superblock_code(build_code(2, 0.5, 5, 0), 2)
-
-
-def test_superblock_of_a_typeclass_code():
-    # regrouping reads member_indices(), so a type-class code regroups too
-    c = build_code(2, 0.5, 6, 0)
-    assert not c.dense
-    s = superblock_code(c, 2)
-    assert (s.L, s.n, s.R, s.size) == (4, 3, 1.0, c.size)
-    assert set(s.member_indices().tolist()) == set(c.member_indices().tolist())
-    with pytest.raises(ValidationError, match="does not divide"):
-        superblock_code(c, 4)
 
 
 def test_scores_rotation_invariant():
@@ -411,11 +382,12 @@ def test_scores_match_the_digit_matrix_reference_at_random_sizes(case):
 @pytest.mark.parametrize("L, n, k", [(2, 12, 1), (2, 11, 2), (2, 12, 3), (3, 7, 1), (4, 5, 0),
                                      (2, 9, 4), (5, 6, 1)])
 def test_type_states_are_the_distinct_tails_and_counts(L, n, k):
-    # sequences share a state exactly when they share their last k symbols
-    # and the counts of the (k+1)-grams that do not wrap, and those fix the
-    # first k symbols too; each state's representative is one of its
-    # sequences
-    ids, reps = codes._type_states(L, n, k)
+    # sequences share a final state exactly when they share their last k
+    # symbols and the counts of the (k+1)-grams that do not wrap, and those
+    # fix the first k symbols too; each final state's counts are the cyclic
+    # counts of its sequences
+    table, levels, final = codes._type_states(L, n, k)
+    ids = codes._sequence_values(np.arange(len(final)), L, n, table, levels)
     digits, G = all_sequences(L, n), L ** (k + 1)
     gram = np.zeros((L ** n, n - k), dtype=np.int64)
     for j in range(k + 1):
@@ -424,20 +396,25 @@ def test_type_states_are_the_distinct_tails_and_counts(L, n, k):
     np.add.at(counts, (np.arange(L ** n)[:, None], gram), 1)
     index = np.arange(L ** n)
     rows = np.column_stack([index % L ** k, counts])
-    distinct, state = np.unique(rows, axis=0, return_inverse=True)
-    assert len(reps) == len(distinct)
-    assert np.array_equal(state[reps].ravel()[ids], state.ravel())
+    distinct = np.unique(rows, axis=0)
+    assert len(final) == len(distinct) == len(np.unique(ids))
+    assert len(np.unique(np.column_stack([ids, rows]), axis=0)) == len(distinct)
     with_heads = np.column_stack([index // L ** (n - k), rows])
     assert len(np.unique(with_heads, axis=0)) == len(distinct)
+    cyclic = np.zeros((L ** n, n), dtype=np.int64)
+    for j in range(k + 1):
+        cyclic = cyclic * L + digits[:, (np.arange(n) + j) % n]
+    expected = np.zeros((L ** n, G), dtype=np.int64)
+    np.add.at(expected, (index[:, None], cyclic), 1)
+    assert np.array_equal(final[ids], expected)
 
 
 def test_k1_enumeration_holds_no_float_a_sequence():
-    # the scores are computed once a state: beside the int32 prefix ids
-    # (and their intp copy) the build holds the sequences' one-byte
-    # clusters, 13 bytes a sequence under tracemalloc; the selection then
-    # sorts only the members (a stable sort of every sequence took 17 where
-    # numpy traces its radix buffer); a float score or gram count a sequence
-    # took 49
+    # the scores are computed once a state and the build holds nothing a
+    # sequence, only its type-state graph; the int32 prefix ids with the
+    # sequences' one-byte clusters took 13 bytes a sequence under
+    # tracemalloc, a stable sort of every sequence 17, and a float score or
+    # gram count a sequence 49
     build_code(2, 0.6, 18, 1)
     tracemalloc.start()
     try:
@@ -449,20 +426,25 @@ def test_k1_enumeration_holds_no_float_a_sequence():
 
 
 def test_dense_members_do_not_hold_the_whole_order():
-    # a cached code keeps its 2^7 members, not a view of the 2^12-entry sort
+    # the member list keeps its 2^7 members, not a view of an order of all
+    # 2^12 sequences, and the code itself holds less than one int32 a
+    # sequence
     c = build_code(2, 0.6, 12, 1)
-    assert c.dense and c.size == 2 ** 7
-    assert c.members.base is None
+    members = c.member_indices()
+    assert c.size == len(members) == 2 ** 7
+    assert members.base is None
+    held = c.table.nbytes + sum(t.nbytes for t in c.levels) + c.cluster.nbytes
+    assert held < 4 * 2 ** 12
 
 
 def test_code_measure_markov():
     mk = MarkovProcess([[0.95, 0.05], [0.3, 0.7]])
     c = build_code(2, 0.7, 8, 1)
     mu = mk.marginal(8).probs
-    assert abs(code_measure(mk, c) - mu[c.members].sum()) < 1e-15
+    assert abs(code_measure(mk, c) - mu[c.member_indices()].sum()) < 1e-15
 
 
-# the dense measure's processes over two and three symbols: a chain with a
+# the measure's processes over two and three symbols: a chain with a
 # non-stationary initial vector, a cycle, a mixture and raw chi = 3 forms
 _RAW_T3 = np.random.default_rng(11).dirichlet(np.ones(9), size=3).reshape(3, 3, 3)
 DENSE_MEASURED = {
@@ -499,23 +481,18 @@ def exact_measure(p, members, n):
 
 @pytest.mark.parametrize("L, kind", DENSE_MEASURED)
 def test_dense_measure_matches_the_rational_oracle(L, kind, monkeypatch):
-    # odd n, so the prefix and suffix halves differ, and n = 1 (no prefix
-    # site); R = log2 L is the degenerate code of every sequence, of measure
-    # 1; a binary k = 0 code is a type-class code, measured here through a
-    # dense code of its members.  Blocks of 7 members: most codes take
-    # several, the last one partial
+    # n = 1 (no prefix site), codes where no site merges, where only the
+    # last one does (L = 3, n = 6, k = 0) and where several do (n = 9); R =
+    # log2 L is the degenerate code of every sequence, of measure 1
     def forbidden(*args, **kwargs):
-        raise AssertionError("marginal built to measure a dense code")
+        raise AssertionError("marginal built to measure a code")
     monkeypatch.setattr(ClassicalProcess, "marginal", forbidden)
-    monkeypatch.setattr(codes, "MEASURE_BLOCK", 7)
     p = DENSE_MEASURED[L, kind]
-    for n in (1, 4, 5) if L == 3 else (1, 6, 9):
+    for n in (1, 4, 6) if L == 3 else (1, 6, 9):
         for k in range(3):
             for R in (0.6 * math.log2(L), math.log2(L)):
                 c = build_code(L, R, n, k)
-                if not c.dense:
-                    c = codes.BlockCode(L, n, R, k, members=c.member_indices())
-                exact = exact_measure(p, c.members, n)
+                exact = exact_measure(p, c.member_indices(), n)
                 assert abs(code_measure(p, c) - float(exact)) <= 1e-14, (n, k, R)
                 if c.degenerate:
                     assert abs(code_measure(p, c) - 1.0) <= 1e-14
@@ -530,8 +507,8 @@ def test_first_members_match_a_full_stable_sort(L, n, k):
     # clusters are one byte a sequence, as build_code holds them
     scores = empirical_entropy_scores(L, n, k)
     cluster = reference_clusters(scores).astype(np.uint8)
-    ids = codes._type_states(L, n, k)[0]
-    states = np.arange(L ** n) if ids is None else ids
+    table, levels, final = codes._type_states(L, n, k)
+    states = codes._sequence_values(np.arange(len(final)), L, n, table, levels)
     order = reference_order(scores)
     ends = np.cumsum(np.bincount(cluster))
     seen = set()
@@ -577,7 +554,7 @@ def test_build_code_exact_ties(L, n, k, R):
     size = 2 ** math.floor(n * Fraction(str(R)))
     seqs = list(itertools.product(range(L), repeat=n))
     order = sorted(range(L ** n), key=lambda i: (exact_order_key(seqs[i], L, k), i))
-    assert sorted(build_code(L, R, n, k).members.tolist()) == sorted(order[:size])
+    assert sorted(build_code(L, R, n, k).member_indices().tolist()) == sorted(order[:size])
 
 
 @st.composite
@@ -600,6 +577,40 @@ def test_code_is_a_prefix_of_the_exact_order(case):
     assert set(c.member_indices().tolist()) == set(order[:2 ** b])
 
 
+@st.composite
+def measured_code_cases(draw):
+    """A random hidden-Markov form with chi <= 3 hidden states over L <= 3
+    symbols (a zero entry is a forbidden step), and a code of it at n <= 7,
+    k <= 2 and R = b / n for b >= 1 bits, degenerate codes included."""
+    L, chi = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    n, k = draw(st.integers(1, 7)), draw(st.integers(0, 2))
+    b = draw(st.integers(1, math.floor(n * math.log2(L))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = rng.dirichlet(np.ones(L * chi), size=chi) * (rng.random((chi, L * chi)) < 0.8)
+    T[:, 0] += T.sum(axis=1) == 0
+    T /= T.sum(axis=1, keepdims=True)
+    return ClassicalProcess(rng.dirichlet(np.ones(chi)), T.reshape(chi, chi, L)), n, k, b
+
+
+@given(measured_code_cases())
+def test_members_and_measure_match_the_brute_force_order_and_the_rational_oracle(case):
+    # one code form for every (L, n, k): the members are the head of the
+    # exact (score, index) order, in that order, and the measure is the
+    # rational sum over them; the code of every sequence, one cluster with
+    # no scores, lists them in index order and measures 1
+    p, n, k, b = case
+    L = p.L
+    c = build_code(L, b / n, n, k)
+    seqs = list(itertools.product(range(L), repeat=n))
+    order = sorted(range(L ** n), key=lambda i: (exact_order_key(seqs[i], L, k), i))
+    members = c.member_indices()
+    assert np.array_equal(members, np.arange(L ** n) if c.degenerate else order[:c.size])
+    measure = code_measure(p, c)
+    assert abs(measure - float(exact_measure(p, members, n))) <= 1e-14
+    if c.degenerate:
+        assert abs(measure - 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("L, n, k", [(1, 3, 0), (0, 3, 0), (2, 0, 0), (2, -1, 0),
                                      (2, 3, -1)])
 def test_build_code_rejects_bad_parameters(L, n, k):
@@ -608,16 +619,19 @@ def test_build_code_rejects_bad_parameters(L, n, k):
 
 
 def test_degenerate_code_enumerates_nothing(monkeypatch):
-    # the full-rate code at the dense cap is every index, with no sequence
-    # enumerated or scored; an enumerated code trips the same guards
+    # the full-rate code is one state a site and one cluster, with no
+    # sequence enumerated or scored, at n = 40 too; it measures 1 and lists
+    # every index.  A code short of every sequence trips the same guards
     def forbidden(*args, **kwargs):
         raise AssertionError("sequences enumerated")
 
-    monkeypatch.setattr(np, "zeros", forbidden)
-    monkeypatch.setattr(np, "repeat", forbidden)
-    c = build_code(2, 1.0, 20, 0)
-    assert c.degenerate and c.size == 2 ** 20
-    assert np.array_equal(c.members, np.arange(2 ** 20))
+    monkeypatch.setattr(codes, "_prefix_counts", forbidden)
+    monkeypatch.setattr(codes, "_scores_of_counts", forbidden)
+    for n in (20, 40):
+        c = build_code(2, 1.0, n, 3)
+        assert c.degenerate and c.size == 2 ** n and len(c.cluster) == 1
+        assert abs(code_measure(MEASURED_PROCESSES["mixture"], c) - 1.0) <= 1e-14
+    assert np.array_equal(build_code(2, 1.0, 20, 0).member_indices(), np.arange(2 ** 20))
     with pytest.raises(AssertionError, match="sequences enumerated"):
         build_code(2, 0.5, 4, 1)
 
@@ -631,7 +645,7 @@ def test_gram_count_past_the_cap_is_refused_before_allocation(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", forbidden)
     monkeypatch.setattr(np, "repeat", forbidden)
-    with pytest.raises(SizeError, match=r"type-class mode needs L = 2.*memory budget"):
+    with pytest.raises(SizeError, match=r"type-state graph of the 2\^16 sequences.*memory budget"):
         build_code(2, 0.5, 16, 12)
 
 
@@ -643,10 +657,9 @@ def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
     # L = 2, n = 20 stays buildable up to k = 7 and is refused from k = 8
     # on (4872 MiB), as before: from k = 5 a state's key takes more than
     # four chunks, so every sequence is its own state and the peak is the
-    # 2^28 gathered float terms beside the byte counts, the context counts
-    # and the sums (2440 MiB), plus the log table and the gather's index
-    # buffers (no G x G identity any more); checked by formula, without
-    # building
+    # 2^28 gathered float terms beside the byte counts, the context counts,
+    # the sums and the scores (2448 MiB), plus the log table and the chunk
+    # and weight tables; checked by formula, without building
     def admit(nbytes, what):
         errors.check_budget(nbytes, what)
         raise _Admitted(nbytes)
@@ -655,11 +668,11 @@ def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
         m.setattr(codes, "check_budget", admit)
         with pytest.raises(_Admitted) as admitted:
             build_code(2, 0.5, 20, 7)
-        assert admitted.value.args[0] == 2440 * 2 ** 20 + 32 * 21 ** 2 + 2 ** 17
+        assert admitted.value.args[0] == 2448 * 2 ** 20 + 32 * 21 ** 2 + 16 * 2 ** 8
         with pytest.raises(SizeError):
             build_code(2, 0.5, 20, 8)
-    # the same boundary at n = 6, built: the k = 5 enumeration fits exactly
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._scores_bytes(2, 6, 5))
+    # the same boundary at n = 6, built: the k = 5 graph fits exactly
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._build_bytes(2, 6, 5))
     assert build_code(2, 0.5, 6, 5).size == 8
     with pytest.raises(SizeError):
         build_code(2, 0.5, 6, 6)

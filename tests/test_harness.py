@@ -769,20 +769,22 @@ def test_mixture_rows_at_block_length_two(mode):
 def test_dense_cap_limits_of_code_mode_are_row_errors():
     markov = {"id": "markov", "kind": "classical",
               "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
-    # binary k = 0 codes are type classes up to n = 64, measured for every
-    # process with no marginal; at n = 65 the code is enumerated, past the
-    # memory budget
+    # code-mode rows hold no L^n array: binary k = 0 codes run past n = 64
+    # and k = 1 codes past n = 27, where enumerating every sequence stopped,
+    # each measured for every process with no marginal
     fields = {"n_range": [21, 28, 64, 65], "projector_mode": "code"}
     rows = _rows([GOOD_IID, markov], **fields)
-    assert [r.error.split(":")[0] for r in rows] == ["", "", "", "SizeError"] * 2
-    assert all(0 < r.accept_prob < 1 for r in rows[4:7]) and rows[7].accept_prob is None
+    assert [r.error for r in rows] == [""] * 8
+    assert all(0 < r.accept_prob < 1 for r in rows[4:])
     assert report_csv(rows[:4]) == report_csv(_rows([GOOD_IID], **fields))
-    # n = 28 is the first block length whose binary k = 1 state recursion
-    # (20 bytes a sequence at n = 27) is past the memory budget, and k = 1
-    # has no type-class mode
-    enumeration = [codes._scores_bytes(2, n, 1) for n in (27, 28)]
-    assert enumeration[0] <= errors.MEMORY_BUDGET < enumeration[1]
     fields = {"n_range": [4, 28], "projector_mode": "code", "k_order": 1}
+    rows = _rows([GOOD_IID, markov], **fields)
+    assert [r.error for r in rows] == [""] * 4
+    assert all(0 < r.accept_prob < 1 for r in rows[2:])
+    # where no state merges every sequence is its own state: at k = 8 and
+    # n = 20 its counts and scores are past the memory budget
+    assert codes._build_bytes(2, 20, 8) > errors.MEMORY_BUDGET
+    fields = {"n_range": [4, 20], "projector_mode": "code", "k_order": 8}
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
     assert report_csv(rows[::2]) == report_csv(

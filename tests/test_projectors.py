@@ -72,13 +72,14 @@ def test_code_projector_diagonal():
 
 
 def test_code_projector_of_a_typeclass_code():
-    # a binary k = 0 code is a type-class code; its orbit join is that of the
-    # enumeration oracle's members, the first 2^floor(nR) indices by
-    # (min(ones, zeros), index), taken in that order
+    # a binary k = 0 code is a union of type classes; its members are the
+    # enumeration oracle's, the first 2^floor(nR) indices by
+    # (min(ones, zeros), index), taken in that order, and so is its orbit
+    # join
     typeclass = build_code(2, 0.6, 10, 0)
-    assert not typeclass.dense
     ones = np.array([bin(i).count("1") for i in range(2 ** 10)])
     oracle = np.lexsort((np.arange(2 ** 10), np.minimum(ones, 10 - ones)))[:typeclass.size]
+    assert np.array_equal(typeclass.member_indices(), oracle)
     join = orbit_join_basis(typeclass.member_indices(), 2, 10)
     join_oracle = orbit_join_basis(oracle, 2, 10)
     assert join.rank == join_oracle.rank
