@@ -50,54 +50,48 @@ def schedule(m: int, d: int, r: float) -> Schedule:
 
 
 def _type_classes(D: int, n: int):
-    """Type classes (weight spaces) of the D^n computational basis, and how
-    the collective generators J_ab = sum_i E_ab^(i), a != b, move between them.
-
-    Returns each class's symbol counts and member indices (ascending), and the
-    moves (class, target class, src): J_ab maps the class with counts c into
-    the one with counts c + e_a - e_b, and row y of the |target| x c_a table
-    src holds the positions, within the class, of the sequences that J_ab
-    sends onto target member y (one per site where y reads a), so
-    J_ab B = sum_j B[src[:, j]].
-    """
+    """Type classes (weight spaces) of the D^n computational basis: each
+    class's symbol counts and member indices (ascending), and the moves
+    (class, target class, src) of the Chevalley generators J_{b+1,b} in
+    descending height h(c) = sum_a (D - a) c_a (lowering), then J_{b-1,b}
+    in ascending height (raising), one a symbol b the class holds.  J_ab =
+    sum_i E_ab^(i) maps counts c to c + e_a - e_b, and row y of the
+    |target| x c_a table src holds the positions, within the class, of the
+    sequences J_ab sends onto target member y: J_ab B = sum_j B[src[:, j]]."""
     digits = all_sequences(D, n)
     counts = np.stack([(digits == a).sum(axis=1) for a in range(D)], axis=1)
     order = np.lexsort(counts.T)
     starts = np.flatnonzero(np.diff(counts[order], axis=0, prepend=-1).any(axis=1))
     members = np.split(order, starts[1:])
-    classes = [tuple(int(c) for c in counts[idx[0]]) for idx in members]
-    index = {c: t for t, c in enumerate(classes)}
-    position = np.empty(D ** n, dtype=np.int64)
-    for idx in members:
+    classes = [tuple(c) for c in counts[order[starts]].tolist()]
+    position, class_of = np.empty((2, D ** n), dtype=np.int64)
+    for t, idx in enumerate(members):
         position[idx] = np.arange(len(idx))
+        class_of[idx] = t
     weight = D ** np.arange(n - 1, -1, -1)
-    moves = []
-    for t, held in enumerate(classes):
-        symbols = [b for b, c in enumerate(held) if c]
-        for a in range(D):
-            for b in symbols:
-                if b != a:
-                    counts_after = list(held)
-                    counts_after[a] += 1
-                    counts_after[b] -= 1
-                    target = index[tuple(counts_after)]
-                    dst = members[target]
-                    rows, sites = np.nonzero(digits[dst] == a)
-                    src = position[dst[rows] + (b - a) * weight[sites]]
-                    moves.append((t, target, src.reshape(len(dst), -1)))
-    return classes, members, moves
+
+    def move(t, a, b):  # the target holds class t's first member with one b read as a
+        first = members[t][0]
+        target = class_of[first + (a - b) * weight[np.argmax(digits[first] == b)]]
+        dst = members[target]
+        rows, sites = np.nonzero(digits[dst] == a)
+        return t, int(target), position[dst[rows] + (b - a) * weight[sites]].reshape(len(dst), -1)
+
+    down = np.argsort(digits[order[starts]].sum(axis=1), kind="stable")  # h = n D - digit sum
+    held = [np.flatnonzero(counts[idx[0]]).tolist() for idx in members]
+    return classes, members, ([move(t, b + 1, b) for t in down for b in held[t] if b < D - 1],
+                              [move(t, b - 1, b) for t in down[::-1] for b in held[t] if b])
 
 
 def _join_bytes(D: int, n: int, size: int) -> int:
     """Bytes the join of a size-member code over D^n sequences holds before
     its class blocks grow: the code's membership mask, one byte a sequence;
     the type-class tables with their temporaries, at most 3 n D int64 a
-    sequence and 512 bytes of Python objects a move, one a (class, a, b)
-    with b a symbol the class holds and a != b; and the start blocks, one
-    float64 unit column a member over the rows of its class, which holds at
-    most the largest class's multinomial(n; n/D, ..., n/D) sequences."""
-    # D (D - 1) pairs, and C(n + D - 2, D - 1) classes hold each symbol b
-    moves = D * (D - 1) * math.comb(n + D - 2, D - 1)
+    sequence and 512 bytes of Python objects a move, one a J_{b+-1,b} and
+    class holding b; and the start blocks, one float64 unit column a member
+    over its class, at most multinomial(n; n/D, ..., n/D) rows."""
+    # 2 (D - 1) generators, and C(n + D - 2, D - 1) classes hold each symbol b
+    moves = 2 * (D - 1) * math.comb(n + D - 2, D - 1)
     largest = math.factorial(n) // math.prod(math.factorial(n // D + (a < n % D))
                                              for a in range(D))
     return D ** n * (1 + 24 * n * D) + 512 * moves + 8 * size * largest
@@ -111,19 +105,25 @@ def _svd_bytes(m: int, w: int) -> int:
     return 8 * (2 * m * w + 2 * m * r + 2 * r * w + 4 * r * r + 9 * r + 64 * (m + w))
 
 
-def _orthonormal(cols: np.ndarray) -> np.ndarray:
+def _orthonormal(cols: np.ndarray) -> tuple[np.ndarray, float]:
     """Orthonormal basis of span(cols), cutting singular values at
     JOIN_RTOL * max(s_max, 1): a join direction has norm 1, so columns that
-    are numerically zero add nothing."""
+    are numerically zero add nothing (and need no SVD).  Also returns the
+    Frobenius norm of the part cut off, the distance of cols from that span."""
+    norm = float(np.linalg.norm(cols))
+    if norm <= JOIN_RTOL:
+        return cols[:, :0], norm
     with solving("orbit join: SVD of a class block"):
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > JOIN_RTOL * max(s[0], 1.0)]
+    keep = s > JOIN_RTOL * max(s[0], 1.0)
+    return u[:, keep], float(np.linalg.norm(s[~keep]))
 
 
 @dataclass
 class JoinResult:
     """Orthonormal basis of the unitary-orbit join, the rank of each type
-    class (keyed by symbol counts) and the invariance certificate."""
+    class (keyed by symbol counts) and the invariance certificate of the
+    2 (D - 1) Chevalley generators, whose commutators give every J_ab."""
 
     basis: np.ndarray
     class_ranks: dict[tuple[int, ...], int]
@@ -146,23 +146,24 @@ def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
     [0, block_dim^n)) and invariant under U^{(x)n} for every block unitary U.
 
     By Schur-Weyl duality that is the smallest such subspace invariant under
-    the collective generators J_ab, a != b.  The type-class projectors lie in
-    the same algebra, and each J_ab maps one class into one other.  So the
-    closure is built one class at a time, each class block starting as the
-    unit columns of the members in that class, which are orthonormal: each
-    J_ab B_t that leaks out of its target class block is added by
-    re-orthonormalising the whole target block, in passes of alternating
-    direction, until a pass adds nothing.  The basis is real.
+    the collective generators J_ab, a != b, which represent gl_D.  As
+    [J_ab, J_bc] = J_ac the Chevalley generators J_{a+1,a} and J_{a,a+1}
+    suffice, and as U(gl_D) = U(n+) U(h) U(n-) (Poincare-Birkhoff-Witt) with
+    U(h) keeping each type class, the join is the raising closure of the
+    code's lowering closure.  A generator moves a class one step in height,
+    so each closure is one sweep of class blocks, started as the unit
+    columns of each class's members: a class pushes each move once, its
+    block final, and the push, projected twice off the target block, extends
+    it by an orthonormal basis of what is left.  The basis is real.
 
-    The certificate `invariance_residual` is the largest Frobenius norm of a
-    class block of (1 - QQ^T) J_ab Q in that last pass; it bounds
-    max_ab ||(1 - QQ^T) J_ab Q|| from above.
+    `invariance_residual` bounds max_J ||(1 - QQ^T) J Q|| over the Chevalley
+    J: each lowering move pushed again on the final blocks, each raising move
+    by what its SVD cut off (its target only grows after that).
 
-    The members are validated before any table is built.  The tables and the
+    The members are validated before any table is built.  The tables and
     start blocks are checked against the memory budget before they exist;
-    each class SVD, beside the tables and the class blocks the join holds
-    and the pushed block, before it runs; and the D^n x rank basis, with
-    the class blocks and the tables, before it is allocated.
+    each class SVD or certificate push, beside the blocks the join holds,
+    before the push is formed; the D^n x rank basis before it is allocated.
     """
     members = np.asarray(members)
     if members.ndim != 1 or members.dtype.kind not in "iu":
@@ -174,44 +175,43 @@ def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
     check_budget(up_front, f"orbit join over {block_dim}^{n} sequences")
     in_code = np.zeros(block_dim ** n, dtype=bool)
     in_code[members] = True
-    classes, class_seqs, moves = _type_classes(block_dim, n)
-    blocks = []
-    for seqs in class_seqs:
-        rows = np.flatnonzero(in_code[seqs])
-        block = np.zeros((len(seqs), len(rows)))
-        block[rows, np.arange(len(rows))] = 1.0
-        blocks.append(block)
+    classes, class_seqs, (lowering, raising) = _type_classes(block_dim, n)
+    blocks = [np.equal.outer(seqs, seqs[in_code[seqs]]).astype(float) for seqs in class_seqs]
     held = up_front + sum(b.nbytes for b in blocks)
-    grew = True
-    while grew:
-        grew, residual = False, 0.0
-        for t, target, src in moves:
-            pushed = blocks[t][src[:, 0]]
-            for j in range(1, src.shape[1]):
-                pushed += blocks[t][src[:, j]]
-            kept = blocks[target]
-            leak = float(np.linalg.norm(pushed - kept @ (kept.T @ pushed)))
-            if leak > JOIN_RTOL:
-                m, w = len(kept), kept.shape[1] + pushed.shape[1]
-                check_budget(held + pushed.nbytes + _svd_bytes(m, w),
-                             f"orbit join: SVD of a {m} x {w} class block")
-                grown = _orthonormal(np.hstack([kept, pushed]))
-                if grown.shape[1] > kept.shape[1]:
-                    held += grown.nbytes - kept.nbytes
-                    blocks[target], grew = grown, True
-                    continue
-            residual = max(residual, leak)
-        moves.reverse()
-    rank = sum(b.shape[1] for b in blocks)
+
+    def residual(t, target, src, passes):  # J B_t, projected off the target block
+        pushed = blocks[t][src[:, 0]]
+        for j in range(1, src.shape[1]):
+            pushed += blocks[t][src[:, j]]
+        for _ in range(passes):
+            pushed -= blocks[target] @ (blocks[target].T @ pushed)
+        return pushed
+
+    for sweep in (lowering, raising):
+        cut = 0.0
+        for t, target, src in sweep:
+            (m, w), p = blocks[target].shape, blocks[t].shape[1]
+            if p and w < m:  # an empty block pushes nothing, a full one takes nothing
+                check_budget(held + 8 * m * p + _svd_bytes(m, p) + 8 * m * (w + p),
+                             f"orbit join: SVD of a {m} x {p} class block")
+                new, dropped = _orthonormal(residual(t, target, src, 2))
+                blocks[target] = np.hstack([blocks[target], new])
+                held, cut = held + new.nbytes, max(cut, dropped)
+    # cut holds the raising sweep's bounds; each lowering move is pushed again
+    for t, target, src in lowering:
+        (m, w), p = blocks[target].shape, blocks[t].shape[1]
+        if p and w < m:
+            check_budget(held + 16 * m * p, f"orbit join: certificate push of {m} x {p}")
+            cut = max(cut, float(np.linalg.norm(residual(t, target, src, 1))))
+    widths = [b.shape[1] for b in blocks]
+    rank = sum(widths)
     check_budget(held + 8 * block_dim ** n * rank,
                  f"orbit join basis of rank {rank} over {block_dim}^{n} sequences")
     basis = np.zeros((block_dim ** n, rank))
-    col = 0
-    for seqs, block in zip(class_seqs, blocks):
+    for seqs, block, col in zip(class_seqs, blocks, np.cumsum([0] + widths)):
         basis[seqs, col:col + block.shape[1]] = block
-        col += block.shape[1]
-    return JoinResult(basis=basis, invariance_residual=residual, class_ranks={
-        c: b.shape[1] for c, b in zip(classes, blocks) if b.shape[1]})
+    return JoinResult(basis=basis, invariance_residual=cut, class_ranks={
+        c: w for c, w in zip(classes, widths) if w})
 
 
 def rate_upper_bound(d: int, l: int, n: int | None = None) -> float:

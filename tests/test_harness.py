@@ -461,12 +461,16 @@ def test_block_dimension_32_row_is_recorded():
 
 
 def test_diagonal_row_past_block_dimension_1024_is_the_joins_size_error():
-    # l = 12 gives block dimension 4096: the join's D (D - 1) moves are
-    # refused before any path is taken, so a diagonal row never reaches
-    # trace_q_rho's classical path
-    row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], n_range=[12],
-                override_schedule={"l": 12})[0]
-    assert row.error.startswith("SizeError: orbit join over 4096^1 sequences")
+    # l = 14 gives block dimension 16384: the join's per-sequence type-class
+    # tables, 24 n D bytes a sequence (about 6 GiB), are refused before any
+    # path is taken, so a diagonal row never reaches trace_q_rho's classical
+    # path.  l = 12 (D = 4096, about 0.4 GB) is admitted since the join
+    # makes only the 2 (D - 1) C(n + D - 2, D - 1) Chevalley moves.  At
+    # r = 1 the code holds every sequence and is built without a type-state
+    # graph, whose start table at n = 1 would hold 16384^2 counts
+    row = _rows([{"kind": "iid", "probs": [0.9, 0.1]}], r=1.0, n_range=[14],
+                override_schedule={"l": 14})[0]
+    assert row.error.startswith("SizeError: orbit join over 16384^1 sequences")
     assert row.path is None and row.accept_prob is None
 
 

@@ -199,7 +199,7 @@ def per_site_join(base, D, n):
                 srcs = [np.flatnonzero(digits[idx, i] == b) for i in range(n)]
                 moves.append((t, target, [(src, position[idx[src] + (a - b) * D ** (n - 1 - i)])
                                           for i, src in enumerate(srcs)]))
-    blocks = [_orthonormal(base[idx]) for idx in members]
+    blocks = [_orthonormal(base[idx])[0] for idx in members]
     grew = True
     while grew:
         grew, residual = False, 0.0
@@ -210,7 +210,7 @@ def per_site_join(base, D, n):
             kept = blocks[target]
             leak = float(np.linalg.norm(pushed - kept @ (kept.T @ pushed)))
             if leak > JOIN_RTOL:
-                grown = _orthonormal(np.hstack([kept, pushed]))
+                grown = _orthonormal(np.hstack([kept, pushed]))[0]
                 if grown.shape[1] > kept.shape[1]:
                     blocks[target], grew = grown, True
                     continue
@@ -227,8 +227,8 @@ def per_site_join(base, D, n):
 
 @st.composite
 def join_cases(draw):
-    D = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 5))
+    D = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5 if D < 5 else 3))
     members = draw(st.lists(st.integers(0, D ** n - 1), min_size=1, max_size=8, unique=True))
     return D, n, members
 
@@ -236,8 +236,9 @@ def join_cases(draw):
 @settings(max_examples=30)
 @given(join_cases())
 def test_orbit_join_matches_per_site_push(case):
-    # random member sets: the unit-column start against the SVD start of the
-    # dense unit columns it replaces
+    # random member sets: the two sweeps over the Chevalley moves, from unit
+    # columns, against the fixed-point closure under every J_ab from the SVD
+    # start of the dense unit columns
     D, n, members = case
     res = orbit_join_basis(members, D, n)
     ref = per_site_join(unit_columns(members, D ** n), D, n)
@@ -247,35 +248,77 @@ def test_orbit_join_matches_per_site_push(case):
 
 
 def test_move_tables_reproduce_dense_generator_blocks():
-    D, n = 3, 4
-    classes, members, moves = _type_classes(D, n)
-    gens = {(a, b): collective_generator(D, n, a, b)
-            for a, b in itertools.permutations(range(D), 2)}
-    seen = set()
-    for t, target, src in moves:
-        step = np.subtract(classes[target], classes[t])
-        a, b = int(np.argmax(step)), int(np.argmin(step))
-        assert src.shape == (len(members[target]), classes[target][a])
-        table = np.zeros((len(members[target]), len(members[t])))
-        np.add.at(table, (np.arange(len(src))[:, None], src), 1.0)
-        assert np.array_equal(table, gens[a, b][np.ix_(members[target], members[t])])
-        seen.add((t, target, a, b))
-    # and every nonzero class block of every J_ab is a move
-    assert seen == {(t, target, a, b) for (a, b), g in gens.items()
-                    for t, target in itertools.product(range(len(classes)), repeat=2)
-                    if g[np.ix_(members[target], members[t])].any()}
+    for D, n in [(2, 5), (3, 4), (4, 3)]:
+        classes, members, (lowering, raising) = _type_classes(D, n)
+        gens = {(a, b): collective_generator(D, n, a, b)
+                for a, b in itertools.permutations(range(D), 2)}
+        height = [sum((D - a) * c for a, c in enumerate(counts)) for counts in classes]
+        seen = []
+        for sweep, step in ((lowering, 1), (raising, -1)):
+            for t, target, src in sweep:
+                b = int(np.argmin(np.subtract(classes[target], classes[t])))
+                a = b + step
+                assert classes[target] == tuple(c + (s == a) - (s == b)
+                                                for s, c in enumerate(classes[t]))
+                assert src.shape == (len(members[target]), classes[target][a])
+                table = np.zeros((len(members[target]), len(members[t])))
+                np.add.at(table, (np.arange(len(src))[:, None], src), 1.0)
+                assert np.array_equal(table, gens[a, b][np.ix_(members[target], members[t])])
+                seen.append((t, target, a, b))
+            # lowering goes down in height and raising up, one step a move,
+            # the classes in that order
+            assert all(height[target] == height[t] - step for t, target, _ in sweep)
+            heights = [height[t] for t, _, _ in sweep]
+            assert heights == sorted(heights, reverse=step == 1)
+        # every nonzero class block of a Chevalley J_{b+-1,b} is a move, once,
+        # and no other J_ab has a move
+        pairs = itertools.product(range(len(classes)), repeat=2)
+        assert sorted(seen) == sorted((t, target, a, b) for t, target in pairs
+                                      for (a, b), g in gens.items() if abs(a - b) == 1
+                                      if g[np.ix_(members[target], members[t])].any())
+
+
+def test_invariance_residual_catches_a_lowering_sweep_out_of_order(monkeypatch):
+    # with the lowering sweep run upwards, each class pushes before the moves
+    # into it: from |000> the join holds only the classes with 0 and 1 ones,
+    # and the certificate, pushing the lowering moves again, sees J_10 leak
+    # out of the 1-ones class
+    type_classes = projectors._type_classes
+
+    def upwards(D, n):
+        classes, members, (lowering, raising) = type_classes(D, n)
+        return classes, members, (lowering[::-1], raising)
+    monkeypatch.setattr(projectors, "_type_classes", upwards)
+    res = orbit_join_basis([0], 2, 3)
+    assert res.class_ranks == {(3, 0): 1, (2, 1): 1}
+    assert res.invariance_residual > 1
+
+
+def test_invariance_residual_counts_what_the_cuts_leave_out(monkeypatch):
+    # under a cut of JOIN_RTOL = 1 no push of |000> or |111> at n = 3 adds a
+    # direction, and each leaks (|001> + |010> + |100>) or its complement,
+    # of norm sqrt(3): |000>'s J_10 is found by pushing the lowering moves
+    # again, |111>'s J_01 by the part the raising sweep's SVD cut off
+    monkeypatch.setattr(projectors, "JOIN_RTOL", 1.0)
+    for member, counts in [(0, (3, 0)), (7, (0, 3))]:
+        res = orbit_join_basis([member], 2, 3)
+        assert res.class_ranks == {counts: 1}
+        assert abs(res.invariance_residual - math.sqrt(3)) < 1e-12
 
 
 def test_join_bytes_count_the_moves_the_type_classes_make():
-    # one move a (class, a, b) with b a symbol the class holds and a != b:
-    # D (D - 1) C(n + D - 2, D - 1) of them at 512 bytes each, beside the
+    # one move a (class, b +- 1, b) with b a symbol the class holds:
+    # 2 (D - 1) C(n + D - 2, D - 1) of them at 512 bytes each, beside the
     # per-sequence tables (size 0: no start blocks)
-    for D, n in [(2, 1), (2, 7), (3, 1), (3, 5), (4, 3), (5, 2), (8, 2)]:
-        moves = _type_classes(D, n)[2]
-        assert projectors._join_bytes(D, n, 0) - D ** n * (1 + 24 * n * D) == 512 * len(moves)
+    for D, n in [(2, 1), (2, 7), (3, 1), (3, 5), (4, 3), (5, 2), (8, 2), (1024, 1)]:
+        lowering, raising = _type_classes(D, n)[2]
+        moves = len(lowering) + len(raising)
+        assert len(lowering) == len(raising) == (D - 1) * math.comb(n + D - 2, D - 1)
+        assert projectors._join_bytes(D, n, 0) - D ** n * (1 + 24 * n * D) == 512 * moves
     # so a one-block join over D = 256 symbols (l = 8 at d = 2, a 16-member
-    # code) is about 35 MB up front, not the 8 GiB of D^2 (D - 1) moves
-    assert 34e6 < projectors._join_bytes(256, 1, 16) < 36e6
+    # code) is about 1.8 MB up front: 35 MB with the D (D - 1) moves of
+    # every J_ab, and 8 GiB with D^2 (D - 1)
+    assert 1.8e6 < projectors._join_bytes(256, 1, 16) < 1.9e6
 
 
 def test_rate_upper_bound_paper_schedule():
