@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 
 import numpy as np
 
-from .errors import ConfigError, QuclabError, ValidationError
-from .harness import (ExperimentConfig, _basis_row, build_channel, build_source,
+from .errors import QuclabError, ValidationError
+from .harness import (ExperimentConfig, _orbit_row, build_channel, build_source,
                       report_csv, run_experiment)
 from .info import mean_entropy
-from .operators import validate_projector
 from .projectors import assemble_q, export_projector, load_projector_matrix
 from .sources import ChannelTransformedSource, lag_scan, transfer_observable
 
@@ -63,28 +63,24 @@ def _cmd_build_projector(args) -> int:
     q = assemble_q(args.l * args.n, args.d, None, k_order=args.k,
                    override=(args.l, args.n, args.R))
     export_projector(q, args.out)
-    print(f"wrote {args.out}.real.csv / .imag.csv / .json  "
+    print(f"wrote {args.out}.real.csv / .imag.csv / .npz / .json  "
           f"(rank {q.join.rank}, trace-rate {q.trace_log_rate:.6f})")
     return 0
 
 
 def _cmd_compress(args) -> int:
-    p, meta = load_projector_matrix(args.projector)
+    b, meta = load_projector_matrix(args.projector)
     source = build_source(_load_spec(args.source))
-    n = args.n if args.n is not None else meta.get("m")
-    if n is None:
-        raise ConfigError("projector sidecar missing; pass --n")
-    rho = source.marginal(int(n))
-    if p.shape != rho.shape:
-        raise ValidationError("projector / state dimension mismatch")
-    validate_projector(p)  # p is its own range basis (p p^dagger = p) for _basis_row
-    accept, fe = _basis_row(p, rho.__matmul__, args.scheme, float(np.vdot(p, rho).real))
+    accept, fe, _ = _orbit_row(b, meta["d"], meta["l"] * meta["n"], meta["pad"], source,
+                               args.scheme)
     if args.scheme == "c2" and accept <= 1e-12:
         raise ValidationError("state has (numerically) zero overlap with the projector")
     print(f"accept_prob = {accept:.10f}")
     if args.scheme == "c1":
         print(f"entanglement_fidelity = {fe:.10f}")
-        out_trace = float(np.trace(rho).real)  # scheme 1 is trace preserving
+        # scheme 1 is trace preserving: tr rho_m = l T^m 1, from the chi x chi transfer matrix
+        out_trace = float((source.left @ np.linalg.matrix_power(
+            source.transfer_matrix(), meta["m"])).sum().real)
     else:
         # F(rho, p rho p / tr(p rho))^2 = tr(p rho) for every projector p
         print(f"fidelity^2 = {fe:.10f}")
@@ -135,7 +131,6 @@ def main(argv=None) -> int:
     p.add_argument("--scheme", choices=["c1", "c2"], required=True)
     p.add_argument("--projector", required=True)
     p.add_argument("--source", required=True)
-    p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("experiment", help="batch runs from a JSON config")
@@ -147,7 +142,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuclabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (QuclabError, OSError, json.JSONDecodeError, KeyError, ValueError, EOFError,
+            zipfile.BadZipFile) as exc:  # the last two: an empty or cut-off .npz
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

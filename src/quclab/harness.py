@@ -3,9 +3,10 @@
 Scheme 1 measures against the projector and dumps the rejected weight onto a
 flag vector (trace preserving, Kraus form).  Scheme 2 projects and
 renormalizes (state-dependent postselection, not linear).  Experiment rows
-and `quclab compress` report through `_diag_row` (diagonal sources) or
-`_basis_row` (a range basis and rho V); `compress_c1` and `compress_c2` are
-the dense scheme maps, kept as library and test references.
+report through `_diag_row` (diagonal sources: the code's measure) or
+`_orbit_row` (the join basis B and rho B); `quclab compress` reads B from
+disk and reports through `_orbit_row` too.  `compress_c1` and `compress_c2`
+are the dense scheme maps, kept as library and test references.
 """
 
 from __future__ import annotations
@@ -273,19 +274,21 @@ def _diag_row(source: QuantumSource, code: BlockCode, l: int,
     return accept, (accept ** 2 if scheme == "c1" else accept)
 
 
-def _basis_row(b: np.ndarray, rho_times, scheme: str, accept: float,
-               pad_dim: int = 1) -> tuple[float, float]:
-    """Non-diagonal path, from accept = tr(q rho), a basis b with q = b b^dagger
-    (x) 1_{pad_dim} (the join basis in rows, padded sites last; q itself in
-    `quclab compress`) and rho_times(V) = rho V: scheme 1's F_e with the flag
-    compress_c1 picks, range_flag(b) (x) e_0, which needs rho times that one
-    column, with q v = b (b^dagger X) for X = v as a len(b) x pad_dim matrix;
-    scheme 2's F_e equals accept, as in _diag_row."""
+def _orbit_row(b: np.ndarray, d: int, sites: int, pad: int, source: QuantumSource,
+               scheme: str) -> tuple[float, float, str]:
+    """Non-diagonal path for q = b b^dagger (x) 1, the join basis b on the
+    first `sites` sites and `pad` padded sites last: accept = tr(q rho) and
+    its path from trace_q_rho; scheme 1's F_e with the flag compress_c1
+    picks, range_flag(b) (x) e_0, which needs rho times that one column,
+    with q v = b (b^dagger X) for X = v as a len(b) x d^pad matrix; scheme
+    2's F_e equals accept, as in _diag_row.  Orbit rows of non-diagonal
+    sources and `quclab compress` both report through it."""
+    accept, path = trace_q_rho(b, d, sites, source)
     if scheme == "c2":
-        return accept, accept
-    f = np.outer(range_flag(b), np.eye(pad_dim)[0]).ravel()
-    return accept, _c1_fidelity(accept, rho_times(f), f, lambda v: (
-        b @ (b.conj().T @ v.reshape(len(b), pad_dim))).reshape(v.shape))
+        return accept, accept, path
+    f = np.outer(range_flag(b), np.eye(d ** pad)[0]).ravel()
+    return accept, _c1_fidelity(accept, source.apply(sites + pad, f), f, lambda v: (
+        b @ (b.conj().T @ v.reshape(len(b), d ** pad))).reshape(v.shape)), path
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -329,10 +332,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                         row.accept_prob, row.entanglement_fidelity = _diag_row(
                             source, up.code, l, cfg.scheme)
                     else:
-                        accept, row.path = trace_q_rho(up, source)
-                        row.accept_prob, row.entanglement_fidelity = _basis_row(
-                            up.join.basis, lambda v: source.apply(n, v), cfg.scheme,
-                            accept, d ** up.pad)
+                        row.accept_prob, row.entanglement_fidelity, row.path = _orbit_row(
+                            up.join.basis, d, l * n_blocks, pad, source, cfg.scheme)
                 else:
                     if not diagonal:
                         raise ConfigError("projector_mode=code needs a diagonal source")
@@ -346,6 +347,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                     row.achieved_rate = (np.log2(float(code.size)) + pad * np.log2(d)) / n
             except QuclabError as exc:
                 row.error = f"{type(exc).__name__}: {exc}"
+            except MemoryError as exc:  # an allocation no budget check foresaw
+                row.error = f"SizeError: {exc}"
             wall = (time.perf_counter() - t0) * 1000.0
             wall_times.append(wall)
             # wall_ms stays 0 in the row so reports are byte-reproducible;

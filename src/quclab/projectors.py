@@ -14,7 +14,7 @@ import numpy as np
 
 from .codes import BlockCode, all_sequences, build_code
 from .errors import ConfigError, ValidationError, check_budget, solving
-from .operators import hermitian_eig
+from .operators import IDEMPOTENT_TOL, hermitian_eig
 from .processes import IIDProcess
 from .sources import QuantumSource
 
@@ -135,9 +135,6 @@ class JoinResult:
 
     def matrix(self) -> np.ndarray:
         return self.basis @ self.basis.T
-
-    def diagonal(self) -> np.ndarray:
-        return (self.basis ** 2).sum(axis=1)
 
 
 def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
@@ -280,11 +277,11 @@ def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
                               join=join, pad=pad, code=code)
 
 
-def trace_q_rho(q: UniversalProjector, s: QuantumSource) -> tuple[float, str]:
-    """tr(q rho_m) and the path that computed it.  q is q_J (x) 1, with
-    q_J = B B^dagger the join on the first ln = l n sites, and every source is
-    consistent (its last bond sums out), so tr(q rho_m) = tr(q_J rho_{ln}),
-    computed from B alone:
+def trace_q_rho(b: np.ndarray, d: int, sites: int, s: QuantumSource) -> tuple[float, str]:
+    """tr(q rho_m) and the path that computed it, for q = q_J (x) 1 with
+    q_J = b b^dagger the join on the first `sites` = l n of the m sites of
+    dimension d.  Every source is consistent (its last bond sums out), so
+    tr(q rho_m) = tr(q_J rho_{ln}), computed from the real basis b alone:
 
     - "classical": the source is diagonal in the computational basis, so
       this is diag(q_J) against its classical marginal;
@@ -292,27 +289,25 @@ def trace_q_rho(q: UniversalProjector, s: QuantumSource) -> tuple[float, str]:
       rho_1^{(x)ln}, and q_J commutes with every U^{(x)ln} (for l > 1 too:
       U^{(x)l} is a block unitary).  With U diagonalising rho_1, this is
       the classical case for the i.i.d. process of rho_1's spectrum;
-    - "dense": Re sum B (rho_{ln} B), from the source's sweep (B is real).
-      The sweep returns rho B as the transpose of a C-ordered array, so each
-      column's dot product with B reads it in place; vdot would first copy
-      the whole product into B's layout.
+    - "dense": Re sum b (rho_{ln} b), from the source's sweep.
+      The sweep returns rho b as the transpose of a C-ordered array, so each
+      column's dot product with b reads it in place; vdot would first copy
+      the whole product into b's layout.
     """
-    if s.d != q.d:
+    if s.d != d:
         raise ValidationError("source dimension != projector site dimension")
-    sites = q.l * q.n
     view, path = s.classical_view(), "classical"
     if view is None and len(s.left) == 1:
         view, path = IIDProcess(hermitian_eig(s.sites[0, 0])[0]), "invariant"
     if view is not None:
-        return float(np.dot(q.join.diagonal(), view.marginal(sites).probs)), path
-    b = q.join.basis
+        return float(np.dot((b ** 2).sum(axis=1), view.marginal(sites).probs)), path
     products = s.apply(sites, b).real.T
     return float(np.matmul(products[:, None, :], b.T[:, :, None]).sum()), "dense"
 
 
 def acceptance_probability(q: UniversalProjector, s: QuantumSource) -> float:
     """tr(q rho_m), as `trace_q_rho` computes it."""
-    return trace_q_rho(q, s)[0]
+    return trace_q_rho(q.join.basis, q.d, q.l * q.n, s)[0]
 
 
 # Cells per row block of the grid writer: bounds its working arrays.
@@ -340,7 +335,9 @@ def _write_grid(path: str, a: np.ndarray) -> None:
 
 
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:
-    """CSV real/imag grids plus a JSON sidecar for reproducibility.
+    """The join basis B (<prefix>.npz, one float64 array `basis`), the JSON
+    sidecar and, for people and reference checks to read, q's CSV real/imag
+    grids.
 
     The dense d^m x d^m grid is checked against the memory budget before it
     exists: 16 bytes a cell, as the real join matrix with its zero .imag
@@ -355,6 +352,7 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     mat = q.matrix()
     _write_grid(path_prefix + ".real.csv", mat.real)
     _write_grid(path_prefix + ".imag.csv", mat.imag)
+    np.savez(path_prefix + ".npz", basis=q.join.basis)  # a float64 array is never pickled
     sidecar = {
         "m": q.m, "d": q.d, "r": q.r, "l": q.l, "n": q.n, "R": q.R,
         "k_order": q.k_order, "pad": q.pad, "trace": q.trace,
@@ -369,24 +367,37 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
 
 
 def load_projector_matrix(path_prefix: str) -> tuple[np.ndarray, dict]:
-    """Read the grids back as one complex matrix, with the sidecar.  A
-    sidecar with d and m sizes `quclab compress`, the one command that loads
-    grids, before either is read: its peak is validate_projector's
-    Hermiticity check beside the grid and the marginal, four complex arrays
-    of the grid's shape, plus 256 KiB of parser and ufunc buffers."""
-    re_path = path_prefix + ".real.csv"
-    im_path = path_prefix + ".imag.csv"
-    js_path = path_prefix + ".json"
-    if not (os.path.exists(re_path) and os.path.exists(im_path)):
-        raise ConfigError(f"projector files {path_prefix}.{{real,imag}}.csv not found")
-    meta = {}
-    if os.path.exists(js_path):
-        with open(js_path) as fh:
-            meta = json.load(fh)
-    if "m" in meta and "d" in meta:
-        m, d = meta["m"], meta["d"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, d)):
-            raise ConfigError(f"sidecar d and m must be integers >= 1, got d = {d!r}, m = {m!r}")
-        check_budget(64 * d ** (2 * m) + 2 ** 18, f"compressing with a {d}^{m} x {d}^{m} grid")
-    mat = np.loadtxt(re_path, delimiter=",") + 1j * np.loadtxt(im_path, delimiter=",")
-    return np.atleast_2d(mat), meta
+    """The join basis B that export_projector wrote, with the sidecar, which
+    sizes it before anything else is read: d, m, l, n, pad and rank are
+    integers with l n + pad = m, and B is a real d^(l n) x rank array.  The
+    check counts B, its rank x rank Gram matrix B^T B with one temporary of
+    that size, and 512 KiB of reader buffers.  B^T B = 1 to IDEMPOTENT_TOL;
+    a non-finite entry makes its column's Gram diagonal non-finite, so that
+    check refuses it too.  Grid-only exports of earlier releases carry no B:
+    build-projector writes one."""
+    names = ("d", "m", "l", "n", "pad", "rank")
+    js_path, npz_path = path_prefix + ".json", path_prefix + ".npz"
+    for path in (js_path, npz_path):
+        if not os.path.exists(path):
+            raise ConfigError(f"projector file {path} not found; re-run quclab build-projector")
+    with open(js_path) as fh:
+        meta = json.load(fh)
+    d, m, l, n, pad, rank = sizes = [meta.get(k) if isinstance(meta, dict) else None
+                                     for k in names]
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in sizes) \
+            or min(d, l, n) < 1 or l * n + pad != m:
+        raise ConfigError(f"sidecar d, m, l, n, pad and rank must be integers >= 0, with d, "
+                          f"l, n >= 1 and l n + pad = m, got {dict(zip(names, sizes))}")
+    check_budget(8 * d ** (l * n) * rank + 16 * rank ** 2 + 2 ** 19,
+                 f"projector basis of {d}^{l * n} x {rank}")
+    with np.load(npz_path, allow_pickle=False) as archive:
+        b = archive["basis"]
+    if b.dtype != float or b.shape != (d ** (l * n), rank):
+        raise ValidationError(f"projector basis must be a real {d}^{l * n} x {rank} array, "
+                              f"got {b.dtype} {b.shape}")
+    gram = b.T @ b
+    gram.flat[::rank + 1] -= 1.0
+    dev = float(np.abs(gram).max(initial=0.0))
+    if not dev <= IDEMPOTENT_TOL:
+        raise ValidationError(f"projector basis is not orthonormal (deviation {dev:.3e})")
+    return b, meta

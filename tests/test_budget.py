@@ -111,14 +111,22 @@ def _padded_row(tmp_path):
     # one flag column
     q = assemble_q(11, 2, None, override=(2, 5, 1.0))
     s = build_source(DEPOLARIZED_MARKOV)
-    return lambda: harness._basis_row(q.join.basis, lambda v: s.apply(11, v), "c1",
-                                      acceptance_probability(q, s), 2 ** q.pad)
+    return lambda: harness._orbit_row(q.join.basis, 2, 10, q.pad, s, "c1")
+
+
+def _basis_export(tmp_path, m: int) -> str:
+    """An m-site export of B and the sidecar; the grids, 2^m x 2^m cells of
+    text that nothing here reads, are left unwritten."""
+    prefix = str(tmp_path / "q")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projectors, "_write_grid", lambda path, a: None)
+        export_projector(assemble_q(m, 2, None, override=(1, m, 0.5)), prefix)
+    return prefix
 
 
 def _compress(tmp_path):
-    prefix = str(tmp_path / "q")
-    export_projector(assemble_q(8, 2, None, override=(1, 8, 0.5)), prefix)
-    argv = ["compress", "--scheme", "c1", "--projector", prefix,
+    # compress reads B (2^11 x 176, 2.9 MB) and the sidecar
+    argv = ["compress", "--scheme", "c1", "--projector", _basis_export(tmp_path, 11),
             "--source", json.dumps(DEPOLARIZED_MARKOV)]
     return lambda: main(argv)
 
@@ -179,6 +187,7 @@ SITES = {
     "export-load-padded": _export_and_load(9, 2),
     "export-padded": _export_padded,
     "padded-row": _padded_row,
+    "load": lambda tmp_path: partial(load_projector_matrix, _basis_export(tmp_path, 11)),
     "compress": _compress,
     "lag-terms": _lag_terms,
 }
@@ -357,34 +366,42 @@ def test_build_projector_past_the_budget_writes_nothing(monkeypatch, tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+# the sidecar of the n = 14 row's join, rank 1031 (the apply test above);
+# the .npz beside it is never opened
+N14 = {"d": 2, "m": 14, "l": 1, "n": 14, "pad": 0, "rank": 1031}
+
+
+def _sidecar(tmp_path, **sizes) -> str:
+    (tmp_path / "q.npz").write_bytes(b"")
+    (tmp_path / "q.json").write_text(json.dumps({**N14, **sizes}))
+    return str(tmp_path / "q")
+
+
 def test_load_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path):
-    prefix = str(tmp_path / "q")
-    for part in ("real", "imag"):
-        (tmp_path / f"q.{part}.csv").write_text("0\n")
-    (tmp_path / "q.json").write_text('{"m": 14, "d": 2}')
-    _forbid(monkeypatch, np, "loadtxt")
+    _forbid(monkeypatch, np, "load")
+    prefix = _sidecar(tmp_path, m=24, n=24)
     _refused(lambda: load_projector_matrix(prefix))
-    (tmp_path / "q.json").write_text('{"m": 1.5, "d": 2}')
-    with pytest.raises(errors.ConfigError, match="sidecar d and m"):
-        load_projector_matrix(prefix)
+    for bad in ({"m": 1.5}, {"rank": True}, {"rank": None}, {"pad": -1}, {"d": 0},
+                {"m": 15}):
+        _sidecar(tmp_path, **bad)
+        with pytest.raises(errors.ConfigError, match="sidecar d, m, l, n, pad and rank"):
+            load_projector_matrix(prefix)
 
 
 def test_compress_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path, capsys):
-    # the whole command peaks at 64 bytes a cell: m = 12 is admitted at
-    # 1 GiB, and m = 13 (4 GiB) is refused before either grid is read
-    prefix = str(tmp_path / "q")
-    for part in ("real", "imag"):
-        (tmp_path / f"q.{part}.csv").write_text("0\n")
-    (tmp_path / "q.json").write_text('{"m": 12, "d": 2}')
+    # B and its Gram matrix with one temporary, beside the reader's buffers:
+    # the n = 14 basis is admitted at 129 MiB, and a 2^20 x 20000 one
+    # (162 GiB) is refused before the .npz is opened
+    prefix = _sidecar(tmp_path)
     assert _admitted_bytes(monkeypatch, lambda: load_projector_matrix(prefix)) \
-        == 64 * 2 ** 24 + 2 ** 18
+        == 8 * 2 ** 14 * 1031 + 16 * 1031 ** 2 + 2 ** 19
     monkeypatch.undo()
-    (tmp_path / "q.json").write_text('{"m": 13, "d": 2}')
-    _forbid(monkeypatch, np, "loadtxt")
+    _sidecar(tmp_path, m=20, n=20, rank=20000)
+    _forbid(monkeypatch, np, "load")
     assert main(["compress", "--scheme", "c1", "--projector", prefix,
                  "--source", '{"kind": "iid", "probs": [0.9, 0.1]}']) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: compressing with a 2^13 x 2^13 grid needs 4097 MiB")
+    assert err.startswith("error: projector basis of 2^20 x 20000 needs 166105 MiB")
     assert "memory budget" in err
 
 

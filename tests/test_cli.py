@@ -7,7 +7,9 @@ from quclab import harness, operators
 from quclab.cli import main
 from quclab.harness import (ExperimentConfig, build_source, compress_c2,
                             run_experiment)
-from quclab.projectors import load_projector_matrix
+from quclab.projectors import (UniversalProjector, acceptance_probability, assemble_q,
+                               export_projector)
+from quclab.sources import QuantumSource
 
 BERN = '{"kind":"iid","probs":[0.9,0.1]}'
 BERN_SPEC = json.loads(BERN)
@@ -175,7 +177,7 @@ def test_compress_c2_matches_library_scheme(name, tmp_path, capsys):
     assert main(["compress", "--scheme", "c2", "--projector", out,
                  "--source", json.dumps(spec)]) == 0
     printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
-    p, _ = load_projector_matrix(out)
+    p = assemble_q(8, 2, None, override=(1, 8, 0.5)).matrix()
     rho = build_source(spec).marginal(8)
     accept = float(np.einsum("ij,ji->", p, rho).real)
     assert printed == {"accept_prob": f"{accept:.10f}", "fidelity^2": f"{accept:.10f}",
@@ -187,12 +189,20 @@ def test_compress_c2_dimension_mismatch_exit_code(tmp_path, capsys):
     assert main(["build-projector", "--l", "1", "--n", "3", "--R", "0.5",
                  "--out", out]) == 0
     capsys.readouterr()
-    assert main(["compress", "--scheme", "c2", "--projector", out,
-                 "--source", BERN, "--n", "2"]) == 1
-    assert capsys.readouterr().err == "error: projector / state dimension mismatch\n"
+    qutrit = '{"kind":"iid","probs":[0.5,0.3,0.2]}'
+    assert main(["compress", "--scheme", "c2", "--projector", out, "--source", qutrit]) == 1
+    assert capsys.readouterr().err == "error: source dimension != projector site dimension\n"
+    # an empty or cut-off .npz is one error line, not a traceback
+    for damaged in (b"", (tmp_path / "q.npz").read_bytes()[:200]):
+        (tmp_path / "q.npz").write_bytes(damaged)
+        assert main(["compress", "--scheme", "c1", "--projector", out, "--source", BERN]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
     (tmp_path / "q.json").unlink()
     assert main(["compress", "--scheme", "c1", "--projector", out, "--source", BERN]) == 1
-    assert capsys.readouterr().err == "error: projector sidecar missing; pass --n\n"
+    assert capsys.readouterr().err == (f"error: projector file {out}.json not found; "
+                                       "re-run quclab build-projector\n")
 
 
 def _compress(args, capsys) -> dict:
@@ -204,21 +214,28 @@ def _compress(args, capsys) -> dict:
 @pytest.mark.parametrize("name", sorted(C2_SOURCES))
 @pytest.mark.parametrize("scheme", ["c1", "c2"])
 def test_compress_matches_experiment_row(name, scheme, tmp_path, capsys):
-    # the printed numbers are the row's: one _basis_row computes both, the
-    # i.i.d. row with tr(q rho) by U^{(x)n} invariance
-    out = str(tmp_path / "q")
-    assert main(["build-projector", "--l", "1", "--n", "8", "--R", "0.5",
-                 "--out", out]) == 0
+    # the printed numbers are the row's: one _orbit_row computes both, the
+    # i.i.d. row with tr(q rho) by U^{(x)n} invariance; the l = 2 join at
+    # m = 11 leaves one identity-padded site.  A diagonal source prints q's
+    # acceptance, where its experiment row reports the code's measure
     spec = C2_SOURCES[name]
-    printed = _compress(["--scheme", scheme, "--projector", out,
-                         "--source", json.dumps(spec)], capsys)
-    row, = run_experiment(ExperimentConfig.from_dict(
-        {"sources": [spec], "r": 0.5, "n_range": [8], "scheme": scheme}))
-    assert row.path == C2_PATHS[name] and not row.error
     fe = "entanglement_fidelity" if scheme == "c1" else "fidelity^2"
-    assert printed["accept_prob"] == f"{row.accept_prob:.10f}"
-    assert printed[fe] == f"{row.entanglement_fidelity:.10f}"
-    assert printed["output_trace"] == "1.0000000000"
+    for l, m in [(1, 8), (2, 11)]:
+        out = str(tmp_path / f"q{m}")
+        q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
+        export_projector(q, out)
+        printed = _compress(["--scheme", scheme, "--projector", out,
+                             "--source", json.dumps(spec)], capsys)
+        row, = run_experiment(ExperimentConfig.from_dict(
+            {"sources": [spec], "r": 0.5, "n_range": [m], "scheme": scheme,
+             "override_schedule": {"l": l}}))
+        assert row.path == C2_PATHS[name] and not row.error
+        assert printed["accept_prob"] == f"{row.accept_prob:.10f}"
+        assert printed[fe] == f"{row.entanglement_fidelity:.10f}"
+        assert printed["output_trace"] == "1.0000000000"
+        diagonal = _compress(["--scheme", scheme, "--projector", out, "--source", BERN], capsys)
+        assert diagonal["accept_prob"] == \
+            f"{acceptance_probability(q, build_source(BERN_SPEC)):.10f}"
 
 
 def test_compress_needs_no_eigendecomposition_or_dense_scheme(tmp_path, capsys,
@@ -230,9 +247,14 @@ def test_compress_needs_no_eigendecomposition_or_dense_scheme(tmp_path, capsys,
     def forbidden(*args, **kwargs):
         raise AssertionError("compress must not call this")
 
+    # no grid is read, and no d^m x d^m projector or marginal is formed
     monkeypatch.setattr(operators, "hermitian_eig", forbidden)
     monkeypatch.setattr(harness, "compress_c1", forbidden)
     monkeypatch.setattr(harness, "compress_c2", forbidden)
+    monkeypatch.setattr(np, "loadtxt", forbidden)
+    monkeypatch.setattr(operators, "validate_projector", forbidden)
+    monkeypatch.setattr(QuantumSource, "marginal", forbidden)
+    monkeypatch.setattr(UniversalProjector, "matrix", forbidden)
     spec = json.dumps(C2_SOURCES["depolarized-markov"])
     for scheme in ("c1", "c2"):
         printed = _compress(["--scheme", scheme, "--projector", out, "--source", spec],
@@ -240,19 +262,25 @@ def test_compress_needs_no_eigendecomposition_or_dense_scheme(tmp_path, capsys,
         assert printed["output_trace"] == "1.0000000000"
 
 
+def _write_basis(tmp_path, basis) -> str:
+    """A hand-written one-site projector B B^T: its .npz and sidecar."""
+    basis = np.array(basis, dtype=float)
+    np.savez(tmp_path / "q.npz", basis=basis)
+    (tmp_path / "q.json").write_text(json.dumps(
+        {"m": 1, "d": 2, "l": 1, "n": 1, "pad": 0, "rank": basis.shape[1]}))
+    return str(tmp_path / "q")
+
+
 def test_compress_c2_zero_overlap_exit_code(tmp_path, capsys):
     # a hand-written one-site projector |0><0| against the state |1><1|
-    out = tmp_path / "q"
-    (tmp_path / "q.real.csv").write_text("1,0\n0,0\n")
-    (tmp_path / "q.imag.csv").write_text("0,0\n0,0\n")
-    (tmp_path / "q.json").write_text(json.dumps({"m": 1}))
+    out = _write_basis(tmp_path, [[1.0], [0.0]])
     src = '{"kind":"iid","probs":[0,1]}'
-    assert main(["compress", "--scheme", "c2", "--projector", str(out),
+    assert main(["compress", "--scheme", "c2", "--projector", out,
                  "--source", src]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: state has (numerically) zero overlap with the projector\n"
-    printed = _compress(["--scheme", "c1", "--projector", str(out), "--source", src],
+    printed = _compress(["--scheme", "c1", "--projector", out, "--source", src],
                         capsys)
     assert printed == {"accept_prob": "0.0000000000",
                        "entanglement_fidelity": "0.0000000000",
@@ -284,30 +312,29 @@ def test_experiment_bad_block_lengths_exit_code(fields, tmp_path, capsys):
     assert err.startswith("error: ") and next(iter(fields)) in err
 
 
-@pytest.mark.parametrize("real, err", [("1,1\n0,0\n", "not Hermitian"),
-                                       ("1,nan\nnan,0\n", "non-finite entries")])
-def test_compress_rejects_a_grid_that_is_not_hermitian(real, err, tmp_path, capsys):
-    # _basis_row reads p as its own basis, which needs p = p^dagger
-    (tmp_path / "q.real.csv").write_text(real)
-    (tmp_path / "q.imag.csv").write_text("0,0\n0,0\n")
+@pytest.mark.parametrize("basis", [[[1.0, np.nan], [0.0, 1.0]], [[1.0, 0.6], [0.0, 0.8]]],
+                         ids=["non-finite", "not-orthogonal"])
+def test_compress_rejects_a_basis_that_is_not_finite_and_orthonormal(basis, tmp_path, capsys):
+    # _orbit_row reads B B^T as q, which needs B^T B = 1
+    out = _write_basis(tmp_path, basis)
     for scheme in ("c1", "c2"):
-        assert main(["compress", "--scheme", scheme, "--projector", str(tmp_path / "q"),
-                     "--source", BERN, "--n", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and err in captured.err
-
-
-def test_compress_rejects_a_grid_that_is_not_a_projector(tmp_path, capsys):
-    # diag(0.5, 0.5) is Hermitian but not idempotent: c2 used to print
-    # accept_prob 0.25 and exit 0, c1 to blame the flag vector
-    (tmp_path / "q.real.csv").write_text("0.5,0\n0,0.5\n")
-    (tmp_path / "q.imag.csv").write_text("0,0\n0,0\n")
-    (tmp_path / "q.json").write_text(json.dumps({"m": 1}))
-    for scheme in ("c1", "c2"):
-        assert main(["compress", "--scheme", scheme, "--projector", str(tmp_path / "q"),
+        assert main(["compress", "--scheme", scheme, "--projector", out,
                      "--source", BERN]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "not idempotent" in captured.err
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "not orthonormal" in captured.err
+
+
+def test_compress_rejects_a_basis_that_is_not_a_projector(tmp_path, capsys):
+    # a column of norm 1/2 makes B B^T = diag(0.25, 0), Hermitian but not
+    # idempotent: c2 used to print accept_prob 0.25 and exit 0, c1 to blame
+    # the flag vector
+    out = _write_basis(tmp_path, [[0.5], [0.0]])
+    for scheme in ("c1", "c2"):
+        assert main(["compress", "--scheme", scheme, "--projector", out,
+                     "--source", BERN]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not orthonormal (deviation 7.500e-01)" in captured.err
 
 
 @pytest.mark.parametrize("raw, named", [([1, 2], "config must be a JSON object"),

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from quclab import codes, errors, projectors
+from quclab import codes, errors, harness, projectors
 from quclab.errors import ConfigError, ValidationError
-from quclab.harness import (ExperimentConfig, _basis_row, build_process, build_source,
+from quclab.harness import (ExperimentConfig, _orbit_row, build_process, build_source,
                             compress_c1, compress_c2, report_csv,
                             run_experiment, CSV_HEADER)
 from quclab.processes import MarkovProcess, PeriodicProcess
@@ -623,10 +623,9 @@ def test_invariant_rows_match_the_sweep(d, l, n_blocks, m, scheme):
     b = up.join.basis
     for source in _iid_sources(d):
         assert len(source.left) == 1 and source.classical_view() is None
-        accept, path = trace_q_rho(up, source)
+        *row, path = _orbit_row(b, d, l * n_blocks, up.pad, source, scheme)
         assert path == "invariant"
-        assert abs(accept - np.vdot(b, source.apply(l * n_blocks, b)).real) <= 1e-12
-        row = _basis_row(b, lambda v: source.apply(m, v), scheme, accept, d ** up.pad)
+        assert abs(row[0] - np.vdot(b, source.apply(l * n_blocks, b)).real) <= 1e-12
         dense = _dense_row(up, source.marginal(m), scheme)
         assert np.max(np.abs(np.subtract(row, dense))) <= 1e-12
         assert abs(acceptance_probability(up, source) - dense[0]) <= 1e-12
@@ -634,7 +633,7 @@ def test_invariant_rows_match_the_sweep(d, l, n_blocks, m, scheme):
 
 def test_acceptance_probability_takes_the_row_paths(monkeypatch):
     up = assemble_q(7, 2, None, override=(2, 3, 1.0))
-    paths = [trace_q_rho(up, build_source(spec))[1]
+    paths = [trace_q_rho(up.join.basis, 2, 6, build_source(spec))[1]
              for spec in DENSE_SOURCES + [{"kind": "iid", "probs": [0.9, 0.1]}]]
     assert paths == ["dense", "invariant", "classical"]
     source = build_source(DENSE_SOURCES[1])
@@ -668,10 +667,8 @@ def test_padded_rows_match_the_dense_row(l, m, scheme, monkeypatch):
     # the classical path: a diagonal source's rows take the code measure, so
     # its q row is computed here as run_experiment computes the others
     markov = build_source(MARKOV)
-    accept, path = trace_q_rho(up, markov)
+    *row, path = _orbit_row(up.join.basis, 2, l * up.n, up.pad, markov, scheme)
     assert path == "classical"
-    row = _basis_row(up.join.basis, lambda v: markov.apply(m, v), scheme, accept,
-                     2 ** up.pad)
     assert np.max(np.abs(np.subtract(row, dense["markov"]))) <= 1e-12
     # no row forms the padded basis, a 2^m x rank 2^pad Kronecker product:
     # the only Kronecker products left are the channels' d^2 x d^2 ones
@@ -732,6 +729,25 @@ def test_source_linalg_failure_is_a_row_error(call, bad, good, message, monkeypa
         assert row.accept_prob is None and row.entanglement_fidelity is None
     assert report_csv(rows[2:]) == report_csv(alone)
     assert [r.error for r in alone] == ["", ""]
+
+
+def test_memory_error_in_a_row_is_that_rows_size_error(monkeypatch, tmp_path):
+    # an allocation no budget check foresaw fails at n = 5 only: that row
+    # records a SizeError, and the rows around it are as alone
+    alone = _rows([BERNOULLI], n_range=[4, 6])
+    assemble = harness.assemble_q
+
+    def failing(m, *args, **kwargs):
+        if m == 5:
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        return assemble(m, *args, **kwargs)
+    monkeypatch.setattr(harness, "assemble_q", failing)
+    out = str(tmp_path / "rep")
+    rows = _rows([BERNOULLI], n_range=[4, 5, 6], output=out)
+    assert [r.error for r in rows] == [
+        "", "SizeError: Unable to allocate 8.00 GiB for an array", ""]
+    assert report_csv(rows[::2]) == report_csv(alone)
+    assert len((tmp_path / "rep.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_mirror_names_the_invariant_path(tmp_path):

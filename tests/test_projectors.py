@@ -403,8 +403,9 @@ def test_export_load_roundtrip(tmp_path):
     q = assemble_q(3, 2, 0.7, override=(1, 3, 0.7))
     prefix = str(tmp_path / "q")
     export_projector(q, prefix)
-    mat, meta = load_projector_matrix(prefix)
-    assert np.max(np.abs(mat - q.matrix())) < 1e-12
+    b, meta = load_projector_matrix(prefix)
+    assert np.array_equal(b, q.join.basis)
+    assert np.max(np.abs(b @ b.T - q.matrix())) < 1e-12
     assert meta["m"] == 3 and meta["rank"] == q.join.rank
     with open(prefix + ".json") as fh:
         sidecar = json.load(fh)
@@ -415,6 +416,22 @@ def test_export_load_roundtrip(tmp_path):
         "invariance_residual": q.join.invariance_residual,
         "class_ranks": [[list(c), k] for c, k in q.join.class_ranks.items()]}
     assert sidecar["metadata"]["invariance_residual"] <= 1e-10
+
+
+def test_load_refuses_a_basis_of_the_wrong_type_or_shape(tmp_path):
+    # the sidecar fixes B's shape and B is real; an object array is refused
+    # unread, as pickled data
+    q = assemble_q(3, 2, 0.7, override=(1, 3, 0.7))
+    prefix = str(tmp_path / "q")
+    export_projector(q, prefix)
+    b = q.join.basis
+    for bad in (b.astype(complex), b.astype(np.float32), b[:, 1:], b[:4], b.ravel()):
+        np.savez(prefix + ".npz", basis=bad)
+        with pytest.raises(ValidationError, match="must be a real 2\\^3 x 8 array"):
+            load_projector_matrix(prefix)
+    np.savez(prefix + ".npz", basis=np.array([None, 1.0], dtype=object))
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        load_projector_matrix(prefix)
 
 
 def _savetxt_bytes(path, a):
@@ -442,15 +459,3 @@ def test_grid_writer_matches_savetxt_on_special_values(tmp_path):
     text = path.read_bytes()
     assert text == _savetxt_bytes(tmp_path / "ref.csv", a)
     assert b"-0.000000000000000000e+00" in text and b"e-300" in text and b"nan" in text
-
-
-def test_savetxt_grid_loads_to_same_matrix(tmp_path):
-    # grids written by earlier releases (numpy's savetxt) still load
-    q = assemble_q(4, 2, 0.5, override=(1, 4, 0.5))
-    mat = q.matrix()
-    prefix = tmp_path / "old"
-    np.savetxt(f"{prefix}.real.csv", mat.real, delimiter=",")
-    np.savetxt(f"{prefix}.imag.csv", mat.imag, delimiter=",")
-    loaded, meta = load_projector_matrix(str(prefix))
-    assert meta == {}
-    assert np.array_equal(loaded, mat)
