@@ -17,8 +17,9 @@ unranking walk finds those (see _plan) and is stored in the tables.
 Every process (initial, T) measures a code by one backward recursion over
 the graph, one gather and one matrix product a site, met at h0 by the
 process's prefix rows (see code_measure).  Member lists and per-sequence
-scores are composed from the tables on demand.  A build, a measure or a
-member list past the memory budget is a SizeError before it allocates.
+scores are composed from the tables on demand.  A measure or a member
+list past the memory budget is a SizeError before it allocates; a build
+checks each step against the states it holds (see _type_states).
 """
 
 from __future__ import annotations
@@ -80,52 +81,11 @@ def _merge_from(L: int, n: int, k: int) -> int | None:
     return next((s for s in range(2 * k + 1, n + 1) if L ** s >= MERGE_FROM), None)
 
 
-def _state_bound(L: int, k: int, site: int) -> int:
-    """At most this many states at a merging site: a pair of k symbols
-    (head, tail) and site - k gram counts, a path from head to tail in the
-    order-k de Bruijn graph, fixed by D - 1 of its D = L^(k+1) - L^k + 1
-    counts off a spanning tree (the last, a self-loop's, by their sum)."""
-    D = L ** (k + 1) - L ** k + 1
-    return min(L ** site, L ** (2 * k) * math.comb(site - k + D - 1, D - 1))
-
-
-@lru_cache(maxsize=256)
-def _build_bytes(L: int, n: int, k: int) -> int:
-    """Peak bytes of build_code(L, R, n, k) short of every sequence, from
-    the most states each site can hold.  With no merge (S = L^n states):
-    the index and ends, and the grams of the w = n - k windows with two
-    temporaries, 24 (w + 1) bytes a sequence, beside the G = L^(k+1)
-    counts of c bytes.  With C key chunks: the prefix table counted so at
-    h0, and its keys, 8 (C + 16) bytes a prefix; a site, 8 (C + 12) bytes
-    a candidate (grams, tails, key, np.unique's copies, permutation, mask,
-    cumsum and inverse) and 8 (C + 3) a state before, beside the tables so
-    far, 4 bytes a candidate; the final decoded counts beside their keys.  Then beside
-    the tables: the scoring, 9 G + G / L + 16 bytes a state (counts,
-    context counts, float terms, sums, scores), or np.unique and the
-    clusters, 57; or the plan, all sites' completions and the widest site's
-    counts and spread, one exact count each (int64, or a Python integer and
-    its pointer).  On top, the (n+1)^2 log table and the G-entry tables."""
-    G, c = L ** (k + 1), 1 if n < 256 else 2
-    fixed = 32 * (n + 1) ** 2 + 16 * G
-    scoring = max(9 * G + G // L + 16, 57)
-    exact = 8 if L ** n < 2 ** 63 else 48
-    h0 = _merge_from(L, n, k)
-    if h0 is None:
-        S = L ** n
-        return S * max(24 * (n - k + 1) + c * G, scoring, (L + 3) * exact) + fixed
-    chunks = _key_layout(L, n, k)[2]
-    states = min(L ** h0, _state_bound(L, k, h0))
-    peak = (24 * (h0 - k + 1) + c * G + 8 * (chunks + 16)) * L ** h0
-    tables, counted, widest = 4 * L ** h0, states, states
-    for site in range(h0 + 1, n + 1):
-        candidates = states * L
-        peak = max(peak, tables + 8 * (chunks + 12) * candidates + 8 * (chunks + 3) * states)
-        tables += 4 * candidates + 8 * L
-        states = min(candidates, _state_bound(L, k, site))
-        counted, widest = counted + states, max(widest, states)
-    final = max(c * G + 8 * chunks + 16, scoring)
-    plan = exact * (counted + (L + 2) * widest)
-    return max(peak, tables + states * final, tables + plan) + fixed
+def _check_graph(nbytes: int, L: int, n: int, k: int) -> None:
+    """check_budget of a build step's nbytes, beside the (n+1)^2 log table
+    and the G-entry tables."""
+    check_budget(nbytes + 32 * (n + 1) ** 2 + 16 * L ** (k + 1),
+                 f"the type-state graph of the {L}^{n} sequences at k = {k}")
 
 
 def _distinct(tails: np.ndarray, counts: np.ndarray, radices: list) -> tuple:
@@ -168,12 +128,27 @@ def _type_states(L: int, n: int, k: int) -> tuple:
     order-k de Bruijn graph), and all of a prefix up to 2k long.  A merging
     site keeps one state a distinct key (the last k symbols and the counts
     as radix-(n+1) digits, split by _key_layout); the final counts are
-    decoded from it, plus the grams that wrap round to the first k."""
-    G, Lk = L ** (k + 1), L ** k
+    decoded from it, plus the grams that wrap round to the first k.
+
+    Each step is checked against the states it holds.  With no merge, once
+    before anything is allocated, for L^n states: 24 (n - k + 1) bytes a
+    sequence (index, ends, window grams) beside its c-byte counts of the
+    G = L^(k+1) grams; or the scoring, 9 G + G / L + 16 bytes a state, or
+    np.unique and the clusters, 57; or _plan's L + 3 exact counts.  With C
+    key chunks: the prefix table at h0 and its keys, 8 (C + 16) bytes a
+    prefix; before each site, beside the tables so far, 8 (C + 12) bytes a
+    candidate and 8 (C + 3) a state; the final states' decoded counts
+    beside their keys, or their scoring.  So a merged build past the budget
+    is refused at the first site that outgrows it."""
+    G, Lk, c = L ** (k + 1), L ** k, 1 if n < 256 else 2
+    scoring = max(9 * G + G // L + 16, 57)
     h0 = _merge_from(L, n, k)
     if h0 is None:
+        exact = 8 if L ** n < 2 ** 63 else 48
+        _check_graph(L ** n * max(24 * (n - k + 1) + c * G, scoring, (L + 3) * exact), L, n, k)
         return None, [], _wrap(*_prefix_counts(L, n, k), L, n, k)
     first, rest, chunks = _key_layout(L, n, k)
+    _check_graph((24 * (h0 - k + 1) + c * G + 8 * (chunks + 16)) * L ** h0, L, n, k)
     g = np.arange(G)
     later = np.maximum(g - first, 0)
     chunk = np.where(g < first, 0, 1 + later // rest)
@@ -185,8 +160,9 @@ def _type_states(L: int, n: int, k: int) -> tuple:
     keys = counts @ adds
     kept, table = _distinct(tails, keys, radices)
     tails, heads, keys, table = tails[kept], heads[kept], keys[kept], table.astype(np.int32)
-    levels, symbols = [], np.arange(L)
+    levels, symbols, tables = [], np.arange(L), table.nbytes
     for _ in range(h0, n):
+        _check_graph(tables + 8 * ((chunks + 12) * L + chunks + 3) * len(keys), L, n, k)
         # candidate i * L + a is state i followed by a, and its new gram
         grams = np.add.outer(tails * L, symbols).ravel()
         keys = keys[:, None] + np.take(adds, grams, axis=0).reshape(-1, L, chunks)
@@ -195,6 +171,8 @@ def _type_states(L: int, n: int, k: int) -> tuple:
         kept, inverse = _distinct(tails, keys, radices)
         tails, heads, keys = tails[kept], heads[kept // L], keys[kept]
         levels.append(inverse.astype(np.int32))
+        tables += levels[-1].nbytes
+    _check_graph(tables + len(keys) * max(c * G + 8 * chunks + 16, scoring), L, n, k)
     counts = np.empty((len(keys), G), dtype=np.min_scalar_type(n))
     for gram in range(G):
         counts[:, gram] = keys[:, chunk[gram]] // weight[gram] % (n + 1)
@@ -261,12 +239,11 @@ def empirical_entropy_scores(L: int, n: int, k: int) -> np.ndarray:
     a periodic sequence receive the same score.  Scores that tie in exact
     arithmetic may differ in the last bits; build_code counts scores within
     SCORE_TIE_TOL as equal.  Each state is scored once and its score
-    gathered by its sequences; past the memory budget (the graph, or the
-    int32 ids before the last site with their intp copy beside the
-    scores) this is a SizeError before anything is allocated.
+    gathered by its sequences.  A gather past the memory budget (the int32
+    ids before the last site with their intp copy beside the scores) is a
+    SizeError before anything is allocated; the graph checks its own steps.
     """
-    check_budget(max(_build_bytes(L, n, k), 12 * L ** (n - 1) + 8 * L ** n),
-                 f"scoring the {L}^{n} sequences at k = {k}")
+    check_budget(12 * L ** (n - 1) + 8 * L ** n, f"scoring the {L}^{n} sequences at k = {k}")
     table, levels, counts = _type_states(L, n, k)
     return _sequence_values(_scores_of_counts(counts, L, n, k), L, n, table, levels)
 
@@ -348,8 +325,6 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
         table, cluster = np.zeros(1, np.int32), np.zeros(1, np.uint8)
         levels = [np.zeros(L, np.int32)] * n
     else:
-        check_budget(_build_bytes(L, n, k), f"the type-state graph of the {L}^{n} sequences "
-                     f"at k = {k}")
         table, levels, counts = _type_states(L, n, k)
         # cluster of each state: a new one at every gap past SCORE_TIE_TOL
         # between the sorted distinct scores, in the narrowest unsigned type
@@ -357,10 +332,10 @@ def build_code(L: int, R: float, n: int, k: int = 0) -> BlockCode:
         del counts
         ids = np.concatenate([[0], np.cumsum(np.diff(values) > SCORE_TIE_TOL)])
         cluster = ids.astype(np.min_scalar_type(ids[-1]))[cluster]
-    return BlockCode(L, n, R, k, table, *_plan(L, n, size, table, levels, cluster))
+    return BlockCode(L, n, R, k, table, *_plan(L, n, k, size, table, levels, cluster))
 
 
-def _plan(L: int, n: int, size: int, table, levels: list, cluster: np.ndarray) -> tuple:
+def _plan(L: int, n: int, k: int, size: int, table, levels: list, cluster: np.ndarray) -> tuple:
     """The clusters a code holds whole, and the unranking walk of the head
     of its boundary cluster.  Sequence counts carried forward over the
     tables, in exact integers (Python integers from 2^63 sequences), give
@@ -371,9 +346,14 @@ def _plan(L: int, n: int, size: int, table, levels: list, cluster: np.ndarray) -
     subtree whose completions still fit and descends into the first that
     does not.  Each table is replaced by itself extended by the walked
     path's row and the zero state's row.  Returns (levels, cluster,
-    boundary, take, cut)."""
+    boundary, take, cut).  Checked first: beside the tables, every site's
+    completions and the widest site's counts and spread, one exact count
+    each (8 bytes, or 48 for a Python integer and its pointer)."""
     exact = np.int64 if L ** n < 2 ** 63 else object
     states = [len(inverse) // L for inverse in levels] + [len(cluster)]
+    tables = sum(a.nbytes for a in [table, *levels] if a is not None)
+    width = 8 if exact is np.int64 else 48
+    _check_graph(tables + width * (sum(states) + (L + 2) * max(states)), L, n, k)
     count = np.ones(len(cluster), exact) if table is None else np.bincount(table).astype(exact)
     for inverse, after in zip(levels, states[1:]):
         spread = np.zeros(after, exact)

@@ -40,11 +40,9 @@ def schedule(m: int, d: int, r: float) -> Schedule:
         raise ValidationError(f"site dimension d = {d} must be >= 2")
     if m < d ** 3:
         raise ValidationError(f"m = {m} below the admissible minimum {d ** 3}")
-    i = 0
-    while not (2 ** i * d ** (3 * 2 ** i) <= m < 2 ** (i + 1) * d ** (3 * 2 ** (i + 1))):
+    i = 0  # the brackets tile [d^3, oo): step to the one that holds m
+    while m >= 2 ** (i + 1) * d ** (3 * 2 ** (i + 1)):
         i += 1
-        if 2 ** i * d ** (3 * 2 ** i) > m:
-            raise ValidationError(f"no admissible schedule index for m = {m}")
     l = 2 ** i
     return Schedule(m=m, d=d, r=r, i=i, l=l, n=m // l, R=l * r)
 

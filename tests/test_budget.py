@@ -51,19 +51,27 @@ def _peak(run) -> int:
         tracemalloc.stop()
 
 
-def _checked_bytes(monkeypatch, run) -> tuple[int, int]:
-    """The largest working set any check passed during run(), and run()'s
-    tracemalloc peak; run() goes once unmeasured to warm numpy up."""
+def _checks(monkeypatch, run) -> list:
+    """The working set of every check during run(), each one enforced."""
     seen = []
 
     def record(nbytes, what):
         seen.append(nbytes)
         errors.check_budget(nbytes, what)
 
+    with monkeypatch.context() as m:
+        for module in CHECKED:
+            m.setattr(module, "check_budget", record)
+        run()
+    return seen
+
+
+def _checked_bytes(monkeypatch, run) -> tuple[int, int]:
+    """The largest working set any check passed during run(), and run()'s
+    tracemalloc peak; run() goes once unmeasured to warm numpy up."""
     run()
-    for module in CHECKED:
-        monkeypatch.setattr(module, "check_budget", record)
-    peak = _peak(run)
+    seen = []
+    peak = _peak(lambda: seen.extend(_checks(monkeypatch, run)))
     return max(seen), peak
 
 
@@ -162,6 +170,9 @@ SITES = {
     # the candidates of the last sites
     "entropy-scores": lambda tmp_path: lambda: empirical_entropy_scores(2, 18, 1),
     "code-build": lambda tmp_path: lambda: build_code(2, 0.5, 14, 3),
+    # a merged k = 2 graph at n = 40, checked site by site from the states
+    # each holds
+    "code-build-k2": lambda tmp_path: lambda: build_code(2, 0.5, 40, 2),
     "code-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
     # the backward recursion of a 200-phase cycle over the states of a k = 1
     # code at n = 40, 18 MiB
@@ -451,16 +462,17 @@ def _first_check(monkeypatch, run) -> int:
 def test_dense_measure_admits_every_code_the_marginal_admitted(L, monkeypatch):
     # a code measure is admitted wherever the marginal was, for every code
     # that builds: where no state merges (the shape of such a code, a
-    # broadcast view here, at the first k where no state merges) the
-    # sequences' masses are the marginal's, beside the code's weights; k = 1
-    # codes hold few states a site
+    # broadcast view here, at the first k where no state merges, whose
+    # build's first check is the whole build's) the sequences' masses are
+    # the marginal's, beside the code's weights; k = 1 codes hold few states
+    # a site
     for chi in (1, 2, 6, 16, 64):
         p = ClassicalProcess(np.full(chi, 1 / chi), np.full((chi, chi, L), 1 / (chi * L)))
         for n in range(1, 40):
             if _first_check(monkeypatch, lambda: p.marginal(n)) > MEMORY_BUDGET:
                 break
             k = next(k for k in range(n + 1) if codes._merge_from(L, n, k) is None)
-            if codes._build_bytes(L, n, k) <= MEMORY_BUDGET:
+            if _first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) <= MEMORY_BUDGET:
                 clusters = np.broadcast_to(np.zeros(1, np.uint8), (L ** n,))
                 unmerged = codes.BlockCode(L, n, 0.5, k, None, [], clusters, 1, 0, 0)
                 assert _first_check(monkeypatch, lambda: code_measure(p, unmerged)) \
@@ -483,10 +495,19 @@ ENUMERATION_LIMITS = {
 
 @pytest.mark.parametrize("L", ENUMERATION_LIMITS)
 def test_build_admits_every_code_the_enumeration_admitted(L, monkeypatch):
-    # checked by formula, without building
+    # where no state merges the first check covers the whole build: checked
+    # by formula, without building.  A merged build checks each site against
+    # the states it holds, so the largest merged n at each k is built with
+    # every check recorded
     for k, limit in enumerate(ENUMERATION_LIMITS[L]):
+        merged = [n for n in range(1, limit + 1) if codes._merge_from(L, n, k) is not None]
         for n in range(1, limit + 1):
-            assert _first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) \
+            if n not in merged:
+                assert _first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) \
+                    <= MEMORY_BUDGET, (L, n, k)
+        if merged:
+            n = merged[-1]
+            assert max(_checks(monkeypatch, lambda: build_code(L, 0.5, n, k))) \
                 <= MEMORY_BUDGET, (L, n, k)
 
 

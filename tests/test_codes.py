@@ -655,7 +655,7 @@ class _Admitted(Exception):
 
 def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
     # L = 2, n = 20 stays buildable up to k = 7 and is refused from k = 8
-    # on (4872 MiB), as before: from k = 5 a state's key takes more than
+    # on (4881 MiB), as before: from k = 5 a state's key takes more than
     # four chunks, so every sequence is its own state and the peak is the
     # 2^28 gathered float terms beside the byte counts, the context counts,
     # the sums and the scores (2448 MiB), plus the log table and the chunk
@@ -672,7 +672,11 @@ def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
         with pytest.raises(SizeError):
             build_code(2, 0.5, 20, 8)
     # the same boundary at n = 6, built: the k = 5 graph fits exactly
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", codes._build_bytes(2, 6, 5))
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(codes, "check_budget", lambda nbytes, what: seen.append(nbytes))
+        build_code(2, 0.5, 6, 5)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", max(seen))
     assert build_code(2, 0.5, 6, 5).size == 8
     with pytest.raises(SizeError):
         build_code(2, 0.5, 6, 6)

@@ -801,11 +801,17 @@ def test_dense_cap_limits_of_code_mode_are_row_errors():
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error for r in rows] == [""] * 4
     assert all(0 < r.accept_prob < 1 for r in rows[2:])
+    # k = 3 graphs are checked site by site from the states they hold, so
+    # n = 25 and 28 build
+    fields = {"n_range": [25, 28], "projector_mode": "code", "k_order": 3}
+    rows = _rows([GOOD_IID, markov], **fields)
+    assert [r.error for r in rows] == [""] * 4
+    assert all(0 < r.accept_prob < 1 for r in rows)
     # where no state merges every sequence is its own state: at k = 8 and
     # n = 20 its counts and scores are past the memory budget
-    assert codes._build_bytes(2, 20, 8) > errors.MEMORY_BUDGET
     fields = {"n_range": [4, 20], "projector_mode": "code", "k_order": 8}
     rows = _rows([GOOD_IID, markov], **fields)
     assert [r.error.split(":")[0] for r in rows] == ["", "SizeError"] * 2
+    assert "k = 8 needs 4881 MiB" in rows[1].error
     assert report_csv(rows[::2]) == report_csv(
         _rows([GOOD_IID, markov], **{**fields, "n_range": [4]}))

@@ -354,6 +354,18 @@ def test_assemble_q_rate_defaults_to_override():
     assert q.join.invariance_residual == explicit.join.invariance_residual
 
 
+@pytest.mark.parametrize("m, r, rank", [(8, 0.25, 23), (9, 0.5, 74), (12, 0.5, 476)])
+def test_assemble_q_follows_the_paper_schedule(m, r, rank):
+    # with no override the blocks are schedule()'s, and q is the one those
+    # blocks give
+    s = schedule(m, 2, r)
+    q = assemble_q(m, 2, r)
+    given = assemble_q(m, 2, r, override=(s.l, s.n, s.R))
+    assert (q.l, q.n, q.R, q.pad, q.join.rank) == (s.l, s.n, s.R, m - s.l * s.n, rank)
+    assert q.join.class_ranks == given.join.class_ranks
+    assert np.array_equal(q.join.basis, given.join.basis)
+
+
 def test_assemble_q_padding():
     q = assemble_q(5, 2, 0.7, override=(1, 4, 0.7))
     assert q.pad == 1
