@@ -1,8 +1,7 @@
 """Numerical laboratory for universal compression of stationary quantum sources."""
 
 from .errors import ConfigError, QuclabError, SizeError, ValidationError
-from .operators import (hermitian_eig, partial_trace, projector_leq,
-                        validate_density, validate_projector)
+from .operators import hermitian_eig, partial_trace, validate_density
 from .processes import (Distribution, IIDProcess, MarkovProcess,
                         MixtureProcess, PeriodicProcess,
                         ergodic_decomposition_l, high_entropy_components)

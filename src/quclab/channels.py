@@ -40,18 +40,6 @@ class KrausChannel:
                 raise ValidationError(
                     f"Choi matrix not PSD (min eigenvalue {rep['min_choi_eigenvalue']:.3e})")
 
-    def apply_single(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for a in self.kraus:
-            out += a @ rho @ a.conj().T
-        return out
-
-    def dual_single(self, obs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(obs)
-        for a in self.kraus:
-            out += a.conj().T @ obs @ a
-        return out
-
     def superoperator(self) -> np.ndarray:
         """sum_i A_i kron conj(A_i), the map on the row-major vec."""
         return sum(np.kron(a, a.conj()) for a in self.kraus)

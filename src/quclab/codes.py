@@ -138,8 +138,9 @@ def _type_states(L: int, n: int, k: int) -> tuple:
     key chunks: the prefix table at h0 and its keys, 8 (C + 16) bytes a
     prefix; before each site, beside the tables so far, 8 (C + 12) bytes a
     candidate and 8 (C + 3) a state; the final states' decoded counts
-    beside their keys, or their scoring.  So a merged build past the budget
-    is refused at the first site that outgrows it."""
+    beside their keys, or their scoring with the buffers of its gather's
+    index iterator (under 256 KiB).  So a merged build past the budget is
+    refused at the first site that outgrows it."""
     G, Lk, c = L ** (k + 1), L ** k, 1 if n < 256 else 2
     scoring = max(9 * G + G // L + 16, 57)
     h0 = _merge_from(L, n, k)
@@ -172,7 +173,8 @@ def _type_states(L: int, n: int, k: int) -> tuple:
         tails, heads, keys = tails[kept], heads[kept // L], keys[kept]
         levels.append(inverse.astype(np.int32))
         tables += levels[-1].nbytes
-    _check_graph(tables + len(keys) * max(c * G + 8 * chunks + 16, scoring), L, n, k)
+    _check_graph(tables + len(keys) * max(c * G + 8 * chunks + 16, scoring) + 2 ** 18,
+                 L, n, k)
     counts = np.empty((len(keys), G), dtype=np.min_scalar_type(n))
     for gram in range(G):
         counts[:, gram] = keys[:, chunk[gram]] // weight[gram] % (n + 1)

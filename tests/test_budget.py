@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from quclab import channels, codes, errors, harness, processes, projectors, sources
+from quclab import codes, errors, harness, projectors, sources
 from quclab.channels import apply_per_site, depolarizing
 from quclab.cli import main
 from quclab.codes import build_code, code_measure, empirical_entropy_scores
@@ -23,8 +23,9 @@ from quclab.projectors import (JoinResult, UniversalProjector, acceptance_probab
                                orbit_join_basis)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet, ergodicity_gap, lag_scan, transfer_observable)
+from reference import (admitted_bytes, checked_bytes, checks, export_basis, first_check, forbid,
+                       peak)
 
-CHECKED = (channels, codes, processes, projectors, sources)
 # The formulas count array bytes; the interpreter's own objects (array
 # headers, the check's message) add a few KiB on top.
 OBJECTS = 2 ** 16
@@ -36,57 +37,6 @@ DEPOLARIZED_MARKOV = {
               "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]},
               "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}},
     "channel": {"name": "depolarizing", "p": 0.2}}
-
-
-class Admitted(Exception):
-    pass
-
-
-def _peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _checks(monkeypatch, run) -> list:
-    """The working set of every check during run(), each one enforced."""
-    seen = []
-
-    def record(nbytes, what):
-        seen.append(nbytes)
-        errors.check_budget(nbytes, what)
-
-    with monkeypatch.context() as m:
-        for module in CHECKED:
-            m.setattr(module, "check_budget", record)
-        run()
-    return seen
-
-
-def _checked_bytes(monkeypatch, run) -> tuple[int, int]:
-    """The largest working set any check passed during run(), and run()'s
-    tracemalloc peak; run() goes once unmeasured to warm numpy up."""
-    run()
-    seen = []
-    peak = _peak(lambda: seen.extend(_checks(monkeypatch, run)))
-    return max(seen), peak
-
-
-def _admitted_bytes(monkeypatch, run) -> int:
-    """The working set of the first check in run(), which must pass; run()
-    stops there, before it allocates."""
-    def admit(nbytes, what):
-        errors.check_budget(nbytes, what)
-        raise Admitted(nbytes)
-
-    for module in CHECKED:
-        monkeypatch.setattr(module, "check_budget", admit)
-    with pytest.raises(Admitted) as admitted:
-        run()
-    return admitted.value.args[0]
 
 
 def _apply(phase):
@@ -123,13 +73,7 @@ def _padded_row(tmp_path):
 
 
 def _basis_export(tmp_path, m: int) -> str:
-    """An m-site export of B and the sidecar; the grids, 2^m x 2^m cells of
-    text that nothing here reads, are left unwritten."""
-    prefix = str(tmp_path / "q")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(projectors, "_write_grid", lambda path, a: None)
-        export_projector(assemble_q(m, 2, None, override=(1, m, 0.5)), prefix)
-    return prefix
+    return export_basis(assemble_q(m, 2, None, override=(1, m, 0.5)), str(tmp_path / "q"))
 
 
 def _compress(tmp_path):
@@ -173,6 +117,10 @@ SITES = {
     # a merged k = 2 graph at n = 40, checked site by site from the states
     # each holds
     "code-build-k2": lambda tmp_path: lambda: build_code(2, 0.5, 40, 2),
+    # merged graphs of about 4000 final states, scored in one gather
+    # whose index buffers are a constant beside 1.3 and 2.5 MiB of arrays
+    "code-build-k4": lambda tmp_path: lambda: build_code(2, 0.5, 12, 4),
+    "code-build-L4": lambda tmp_path: lambda: build_code(4, 0.5, 6, 2),
     "code-members": lambda tmp_path: build_code(2, 0.9, 21).member_indices,
     # the backward recursion of a 200-phase cycle over the states of a k = 1
     # code at n = 40, 18 MiB
@@ -206,15 +154,9 @@ SITES = {
 
 @pytest.mark.parametrize("site", SITES)
 def test_checked_bytes_cover_the_peak(site, monkeypatch, tmp_path):
-    checked, peak = _checked_bytes(monkeypatch, SITES[site](tmp_path))
+    checked, peak = checked_bytes(monkeypatch, SITES[site](tmp_path))
     assert peak > 2 ** 20  # arrays, not interpreter objects, dominate
     assert checked + OBJECTS >= peak
-
-
-def _forbid(monkeypatch, owner, name):
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"{name} called past the memory budget")
-    monkeypatch.setattr(owner, name, forbidden)
 
 
 def _refused(run, match="memory budget"):
@@ -222,21 +164,21 @@ def _refused(run, match="memory budget"):
     def refuse():
         with pytest.raises(SizeError, match=match):
             run()
-    assert _peak(refuse) < 2 ** 20
+    assert peak(refuse) < 2 ** 20
 
 
 def test_marginal_at_n14_is_refused_before_allocation(monkeypatch):
     # 16 (4^13 + 4^14) bytes = 5 GiB; n = 13 needs 1280 MiB and is admitted
-    _forbid(monkeypatch, np, "einsum")
+    forbid(monkeypatch, np, "einsum")
     _refused(lambda: IIDSource(np.diag([0.9, 0.1])).marginal(14))
     monkeypatch.undo()
-    assert _admitted_bytes(monkeypatch, lambda: IIDSource(np.diag([0.9, 0.1])).marginal(13)) \
+    assert admitted_bytes(monkeypatch, lambda: IIDSource(np.diag([0.9, 0.1])).marginal(13)) \
         == 1280 * 2 ** 20 + 2 ** 18
 
 
 def test_apply_per_site_at_m14_is_refused_before_allocation(monkeypatch):
     # four complex 2^14 x 2^14 arrays, 16 GiB; the operand is a broadcast view
-    _forbid(monkeypatch, np, "tensordot")
+    forbid(monkeypatch, np, "tensordot")
     op = np.broadcast_to(np.zeros(1, complex), (2 ** 14, 2 ** 14))
     _refused(lambda: apply_per_site(depolarizing(0.2).superoperator(), op, 14))
 
@@ -248,22 +190,21 @@ def test_apply_of_an_n14_row_is_admitted_and_past_the_budget_refused(monkeypatch
     # the sweep complex (3876 MiB)
     s = build_source(DEPOLARIZED_MARKOV)
     basis = np.broadcast_to(np.zeros(1), (2 ** 14, 1031))
-    assert _admitted_bytes(monkeypatch, lambda: s.apply(14, basis)) == 24 * 2 * 2 ** 14 * 1031
+    assert admitted_bytes(monkeypatch, lambda: s.apply(14, basis)) == 24 * 2 * 2 ** 14 * 1031
     basis = np.broadcast_to(np.zeros(1), (2 ** 15, 1292))
-    assert _admitted_bytes(monkeypatch, lambda: s.apply(15, basis)) == 24 * 2 * 2 ** 15 * 1292
-    monkeypatch.undo()
+    assert admitted_bytes(monkeypatch, lambda: s.apply(15, basis)) == 24 * 2 * 2 ** 15 * 1292
     # np.matmul is the sweep's per-site product
-    _forbid(monkeypatch, np, "matmul")
+    forbid(monkeypatch, np, "matmul")
     _refused(lambda: s.apply(15, np.broadcast_to(np.zeros(1, complex), (2 ** 15, 1292))))
     wide = np.broadcast_to(np.zeros(1), (2 ** 16, 2 ** 11))
     _refused(lambda: s.apply(16, wide))
 
 
 def test_block_and_scores_past_the_budget_are_refused_before_allocation(monkeypatch):
-    _forbid(monkeypatch, np, "einsum")
+    forbid(monkeypatch, np, "einsum")
     _refused(lambda: MarkovProcess([[0.9, 0.1], [0.2, 0.8]]).block(27))
     for name in ("zeros", "eye", "repeat"):
-        _forbid(monkeypatch, np, name)
+        forbid(monkeypatch, np, name)
     _refused(lambda: empirical_entropy_scores(2, 20, 8))
 
 
@@ -285,10 +226,10 @@ def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
     members = code.member_indices()
     up_front = projectors._join_bytes(2, 10, code.size)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front - 1)
-    _forbid(monkeypatch, projectors, "all_sequences")
+    forbid(monkeypatch, projectors, "all_sequences")
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
         assemble_q(10, 2, 0.5, override=(1, 10, 0.5))
-    _forbid(monkeypatch, np, "zeros")
+    forbid(monkeypatch, np, "zeros")
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
         orbit_join_basis(members, 2, 10)
     monkeypatch.undo()
@@ -346,7 +287,7 @@ def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
                            join=JoinResult(basis, {}, 0.0), pad=1,
                            code=build_code(4, 1.0, 7))
     source = build_source(DEPOLARIZED_MARKOV)
-    _forbid(monkeypatch, np, "matmul")
+    forbid(monkeypatch, np, "matmul")
     _refused(lambda: acceptance_probability(q, source),
              match="rho_14 V over 4552 columns needs 3414 MiB")
     # in an experiment the refusal is that row's error, and the batch goes on
@@ -364,11 +305,10 @@ def test_build_projector_past_the_budget_writes_nothing(monkeypatch, tmp_path, c
     # the n = 14 grid is 2 GiB with a 2 GiB zero .imag (two CSV files of
     # about 6.7 GB); n = 13 is admitted
     q = assemble_q(13, 2, None, override=(1, 13, 0.5))
-    assert _admitted_bytes(monkeypatch, lambda: export_projector(q, str(tmp_path / "q13"))) \
+    assert admitted_bytes(monkeypatch, lambda: export_projector(q, str(tmp_path / "q13"))) \
         < MEMORY_BUDGET
-    monkeypatch.undo()
-    _forbid(monkeypatch, UniversalProjector, "matrix")
-    _forbid(monkeypatch, projectors, "_write_grid")
+    forbid(monkeypatch, UniversalProjector, "matrix")
+    forbid(monkeypatch, projectors, "_write_grid")
     out = str(tmp_path / "q14")
     assert main(["build-projector", "--l", "1", "--n", "14", "--R", "0.5", "--out", out]) == 1
     err = capsys.readouterr().err
@@ -389,7 +329,7 @@ def _sidecar(tmp_path, **sizes) -> str:
 
 
 def test_load_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path):
-    _forbid(monkeypatch, np, "load")
+    forbid(monkeypatch, np, "load")
     prefix = _sidecar(tmp_path, m=24, n=24)
     _refused(lambda: load_projector_matrix(prefix))
     for bad in ({"m": 1.5}, {"rank": True}, {"rank": None}, {"pad": -1}, {"d": 0},
@@ -404,11 +344,10 @@ def test_compress_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path, cap
     # the n = 14 basis is admitted at 129 MiB, and a 2^20 x 20000 one
     # (162 GiB) is refused before the .npz is opened
     prefix = _sidecar(tmp_path)
-    assert _admitted_bytes(monkeypatch, lambda: load_projector_matrix(prefix)) \
+    assert admitted_bytes(monkeypatch, lambda: load_projector_matrix(prefix)) \
         == 8 * 2 ** 14 * 1031 + 16 * 1031 ** 2 + 2 ** 19
-    monkeypatch.undo()
     _sidecar(tmp_path, m=20, n=20, rank=20000)
-    _forbid(monkeypatch, np, "load")
+    forbid(monkeypatch, np, "load")
     assert main(["compress", "--scheme", "c1", "--projector", prefix,
                  "--source", '{"kind": "iid", "probs": [0.9, 0.1]}']) == 1
     err = capsys.readouterr().err
@@ -417,7 +356,7 @@ def test_compress_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path, cap
 
 
 def test_lag_terms_past_the_budget_are_refused_before_allocation(monkeypatch, capsys):
-    _forbid(monkeypatch, np, "empty")
+    forbid(monkeypatch, np, "empty")
     assert main(["check-ergodic", '{"kind": "iid", "probs": [0.9, 0.1]}',
                  "--N", "1000000000000"]) == 1
     err = capsys.readouterr().err
@@ -432,30 +371,15 @@ def test_lag_terms_past_the_budget_are_refused_before_allocation(monkeypatch, ca
     _refused(lambda: ergodicity_gap(s, a, a, 1, most + 1))
     monkeypatch.undo()
     A = transfer_observable(s, a, 1)
-    assert _admitted_bytes(monkeypatch, lambda: lag_scan(s, A, A, 1, most)) == MEMORY_BUDGET
+    assert admitted_bytes(monkeypatch, lambda: lag_scan(s, A, A, 1, most)) == MEMORY_BUDGET
 
 
 def test_classical_marginals_are_sized_in_bytes(monkeypatch):
     # a 16 MiB marginal at n = 21 is admitted; n = 28 of an i.i.d. process
     # (3.3 GiB) is refused
-    assert _admitted_bytes(monkeypatch, lambda: IIDProcess([0.9, 0.1]).marginal(21)) \
+    assert admitted_bytes(monkeypatch, lambda: IIDProcess([0.9, 0.1]).marginal(21)) \
         == 8 * 2 ** 20 + 9 * 2 ** 21
-    monkeypatch.undo()
     _refused(lambda: IIDProcess([0.9, 0.1]).marginal(28))
-
-
-def _first_check(monkeypatch, run) -> int:
-    """The bytes of the first check in run(), admitted or not; run() stops
-    there, before it allocates."""
-    def record(nbytes, what):
-        raise Admitted(nbytes)
-
-    with monkeypatch.context() as m:
-        for module in CHECKED:
-            m.setattr(module, "check_budget", record)
-        with pytest.raises(Admitted) as admitted:
-            run()
-    return admitted.value.args[0]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -469,17 +393,17 @@ def test_dense_measure_admits_every_code_the_marginal_admitted(L, monkeypatch):
     for chi in (1, 2, 6, 16, 64):
         p = ClassicalProcess(np.full(chi, 1 / chi), np.full((chi, chi, L), 1 / (chi * L)))
         for n in range(1, 40):
-            if _first_check(monkeypatch, lambda: p.marginal(n)) > MEMORY_BUDGET:
+            if first_check(monkeypatch, lambda: p.marginal(n)) > MEMORY_BUDGET:
                 break
             k = next(k for k in range(n + 1) if codes._merge_from(L, n, k) is None)
-            if _first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) <= MEMORY_BUDGET:
+            if first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) <= MEMORY_BUDGET:
                 clusters = np.broadcast_to(np.zeros(1, np.uint8), (L ** n,))
                 unmerged = codes.BlockCode(L, n, 0.5, k, None, [], clusters, 1, 0, 0)
-                assert _first_check(monkeypatch, lambda: code_measure(p, unmerged)) \
+                assert first_check(monkeypatch, lambda: code_measure(p, unmerged)) \
                     <= MEMORY_BUDGET, (chi, n, k)
             if L ** n <= 2 ** 14:
                 c = build_code(L, 0.5, n, 1)
-                assert _first_check(monkeypatch, lambda: code_measure(p, c)) <= MEMORY_BUDGET
+                assert first_check(monkeypatch, lambda: code_measure(p, c)) <= MEMORY_BUDGET
         assert n > 10
 
 
@@ -503,11 +427,11 @@ def test_build_admits_every_code_the_enumeration_admitted(L, monkeypatch):
         merged = [n for n in range(1, limit + 1) if codes._merge_from(L, n, k) is not None]
         for n in range(1, limit + 1):
             if n not in merged:
-                assert _first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) \
+                assert first_check(monkeypatch, lambda: build_code(L, 0.5, n, k)) \
                     <= MEMORY_BUDGET, (L, n, k)
         if merged:
             n = merged[-1]
-            assert max(_checks(monkeypatch, lambda: build_code(L, 0.5, n, k))) \
+            assert max(checks(monkeypatch, lambda: build_code(L, 0.5, n, k))) \
                 <= MEMORY_BUDGET, (L, n, k)
 
 
@@ -526,8 +450,29 @@ def test_hidden_state_forms_past_the_budget_are_row_errors(monkeypatch):
         "sources": [{"kind": "classical", "process": spec} for spec in specs],
         "r": 0.5, "n_range": [16], "projector_mode": "code"})
     rows = []
-    assert _peak(lambda: rows.extend(run_experiment(cfg))) < 2 ** 20
+    assert peak(lambda: rows.extend(run_experiment(cfg))) < 2 ** 20
     assert [r.error.split(" needs")[0] for r in rows] == [
         "SizeError: periodic transfer tensor of 1500 x 1500 x 2",
         "SizeError: site tensor of 20 hidden states over 20-dimensional sites",
         "SizeError: mixture transfer tensor of 303 x 303 x 2"]
+
+
+@pytest.mark.parametrize("mode, build", [("orbit", "assemble_q"), ("code", "build_code")])
+def test_a_refused_construction_is_refused_once_per_batch(mode, build, monkeypatch):
+    # under a 64 KiB budget the n = 12 code is refused at its first merging
+    # site; two sources at that n build it (or the projector carrying it)
+    # once, and both rows carry the one refusal
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 2 ** 16)
+    calls = []
+    real = getattr(harness, build)
+    monkeypatch.setattr(harness, build, lambda *args, **kwargs: (
+        calls.append(args), real(*args, **kwargs))[1])
+    cfg = ExperimentConfig.from_dict({
+        "sources": [{"kind": "iid", "probs": [0.9, 0.1]},
+                    {"kind": "classical",
+                     "process": {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}}],
+        "r": 0.5, "n_range": [12], "projector_mode": mode})
+    rows = run_experiment(cfg)
+    assert len(calls) == 1
+    assert rows[0].error == rows[1].error
+    assert rows[0].error.startswith("SizeError: the type-state graph of the 2^12 sequences")

@@ -7,9 +7,9 @@ from quclab import harness, operators
 from quclab.cli import main
 from quclab.harness import (ExperimentConfig, build_source, compress_c2,
                             run_experiment)
-from quclab.projectors import (UniversalProjector, acceptance_probability, assemble_q,
-                               export_projector)
+from quclab.projectors import UniversalProjector, acceptance_probability, assemble_q
 from quclab.sources import QuantumSource
+from reference import export_basis, forbid
 
 BERN = '{"kind":"iid","probs":[0.9,0.1]}'
 BERN_SPEC = json.loads(BERN)
@@ -211,19 +211,28 @@ def _compress(args, capsys) -> dict:
     return dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
 
 
+@pytest.fixture(scope="module")
+def exports(tmp_path_factory) -> dict:
+    """The m = 8 join and the l = 2 join at m = 11, with one identity-padded
+    site, each exported once (B and the sidecar, which compress reads)."""
+    out = tmp_path_factory.mktemp("exports")
+    joins = {}
+    for l, m in [(1, 8), (2, 11)]:
+        q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
+        joins[l, m] = q, export_basis(q, str(out / f"q{m}"))
+    return joins
+
+
 @pytest.mark.parametrize("name", sorted(C2_SOURCES))
 @pytest.mark.parametrize("scheme", ["c1", "c2"])
-def test_compress_matches_experiment_row(name, scheme, tmp_path, capsys):
+def test_compress_matches_experiment_row(name, scheme, exports, capsys):
     # the printed numbers are the row's: one _orbit_row computes both, the
     # i.i.d. row with tr(q rho) by U^{(x)n} invariance; the l = 2 join at
     # m = 11 leaves one identity-padded site.  A diagonal source prints q's
     # acceptance, where its experiment row reports the code's measure
     spec = C2_SOURCES[name]
     fe = "entanglement_fidelity" if scheme == "c1" else "fidelity^2"
-    for l, m in [(1, 8), (2, 11)]:
-        out = str(tmp_path / f"q{m}")
-        q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
-        export_projector(q, out)
+    for (l, m), (q, out) in exports.items():
         printed = _compress(["--scheme", scheme, "--projector", out,
                              "--source", json.dumps(spec)], capsys)
         row, = run_experiment(ExperimentConfig.from_dict(
@@ -244,17 +253,12 @@ def test_compress_needs_no_eigendecomposition_or_dense_scheme(tmp_path, capsys,
     assert main(["build-projector", "--l", "1", "--n", "6", "--R", "0.5",
                  "--out", out]) == 0
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("compress must not call this")
-
     # no grid is read, and no d^m x d^m projector or marginal is formed
-    monkeypatch.setattr(operators, "hermitian_eig", forbidden)
-    monkeypatch.setattr(harness, "compress_c1", forbidden)
-    monkeypatch.setattr(harness, "compress_c2", forbidden)
-    monkeypatch.setattr(np, "loadtxt", forbidden)
-    monkeypatch.setattr(operators, "validate_projector", forbidden)
-    monkeypatch.setattr(QuantumSource, "marginal", forbidden)
-    monkeypatch.setattr(UniversalProjector, "matrix", forbidden)
+    forbid(monkeypatch, operators, "hermitian_eig", why="called by compress")
+    forbid(monkeypatch, harness, "compress_c1", "compress_c2", why="called by compress")
+    forbid(monkeypatch, np, "loadtxt", why="called by compress")
+    forbid(monkeypatch, QuantumSource, "marginal", why="called by compress")
+    forbid(monkeypatch, UniversalProjector, "matrix", why="called by compress")
     spec = json.dumps(C2_SOURCES["depolarized-markov"])
     for scheme in ("c1", "c2"):
         printed = _compress(["--scheme", scheme, "--projector", out, "--source", spec],

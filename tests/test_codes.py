@@ -13,8 +13,9 @@ from quclab.codes import (SCORE_TIE_TOL, all_sequences, build_code, code_measure
                           empirical_entropy_scores)
 from quclab.errors import SizeError, ValidationError
 from quclab.processes import (ClassicalProcess, IIDProcess, MarkovProcess, MixtureProcess,
-                              PeriodicProcess, index_sequence)
+                              PeriodicProcess)
 from cycles import phase_subset
+from reference import admitted_bytes, checks, forbid, index_sequence
 
 
 def brute_order(L, n, k):
@@ -265,9 +266,7 @@ def test_typeclass_measure_lists_no_sequence(monkeypatch):
     # no marginal and no member list, so past n = 27 too, and past the
     # 2^63 sequences of n = 64
     for owner, name in ((ClassicalProcess, "marginal"), (codes.BlockCode, "member_indices")):
-        def forbidden(*args, name=name, **kwargs):
-            raise AssertionError(f"{name} called to measure a binary k = 0 code")
-        monkeypatch.setattr(owner, name, forbidden)
+        forbid(monkeypatch, owner, name, why="called to measure a binary k = 0 code")
     for p in MEASURED_PROCESSES.values():
         for n in (12, 40, 64):
             c = build_code(2, 0.5, n)
@@ -484,9 +483,7 @@ def test_dense_measure_matches_the_rational_oracle(L, kind, monkeypatch):
     # n = 1 (no prefix site), codes where no site merges, where only the
     # last one does (L = 3, n = 6, k = 0) and where several do (n = 9); R =
     # log2 L is the degenerate code of every sequence, of measure 1
-    def forbidden(*args, **kwargs):
-        raise AssertionError("marginal built to measure a code")
-    monkeypatch.setattr(ClassicalProcess, "marginal", forbidden)
+    forbid(monkeypatch, ClassicalProcess, "marginal", why="built to measure a code")
     p = DENSE_MEASURED[L, kind]
     for n in (1, 4, 6) if L == 3 else (1, 6, 9):
         for k in range(3):
@@ -622,11 +619,7 @@ def test_degenerate_code_enumerates_nothing(monkeypatch):
     # the full-rate code is one state a site and one cluster, with no
     # sequence enumerated or scored, at n = 40 too; it measures 1 and lists
     # every index.  A code short of every sequence trips the same guards
-    def forbidden(*args, **kwargs):
-        raise AssertionError("sequences enumerated")
-
-    monkeypatch.setattr(codes, "_prefix_counts", forbidden)
-    monkeypatch.setattr(codes, "_scores_of_counts", forbidden)
+    forbid(monkeypatch, codes, "_prefix_counts", "_scores_of_counts", why="sequences enumerated")
     for n in (20, 40):
         c = build_code(2, 1.0, n, 3)
         assert c.degenerate and c.size == 2 ** n and len(c.cluster) == 1
@@ -640,17 +633,9 @@ def test_gram_count_past_the_cap_is_refused_before_allocation(monkeypatch):
     # k = 12 at n = 16 needs 2^16 x 2^13 counts (512 MiB as bytes, 4.8 GiB
     # with the gathered float terms); the check comes before the count rows
     # exist
-    def forbidden(*args, **kwargs):
-        raise AssertionError("allocation called")
-
-    monkeypatch.setattr(np, "zeros", forbidden)
-    monkeypatch.setattr(np, "repeat", forbidden)
+    forbid(monkeypatch, np, "zeros", "repeat", why="allocation called")
     with pytest.raises(SizeError, match=r"type-state graph of the 2\^16 sequences.*memory budget"):
         build_code(2, 0.5, 16, 12)
-
-
-class _Admitted(Exception):
-    pass
 
 
 def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
@@ -660,23 +645,13 @@ def test_gram_count_cap_admits_k7_at_n20(monkeypatch):
     # 2^28 gathered float terms beside the byte counts, the context counts,
     # the sums and the scores (2448 MiB), plus the log table and the chunk
     # and weight tables; checked by formula, without building
-    def admit(nbytes, what):
-        errors.check_budget(nbytes, what)
-        raise _Admitted(nbytes)
-
-    with monkeypatch.context() as m:
-        m.setattr(codes, "check_budget", admit)
-        with pytest.raises(_Admitted) as admitted:
-            build_code(2, 0.5, 20, 7)
-        assert admitted.value.args[0] == 2448 * 2 ** 20 + 32 * 21 ** 2 + 16 * 2 ** 8
-        with pytest.raises(SizeError):
-            build_code(2, 0.5, 20, 8)
+    assert admitted_bytes(monkeypatch, lambda: build_code(2, 0.5, 20, 7)) \
+        == 2448 * 2 ** 20 + 32 * 21 ** 2 + 16 * 2 ** 8
+    with pytest.raises(SizeError):
+        admitted_bytes(monkeypatch, lambda: build_code(2, 0.5, 20, 8))
     # the same boundary at n = 6, built: the k = 5 graph fits exactly
-    seen = []
-    with monkeypatch.context() as m:
-        m.setattr(codes, "check_budget", lambda nbytes, what: seen.append(nbytes))
-        build_code(2, 0.5, 6, 5)
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", max(seen))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET",
+                        max(checks(monkeypatch, lambda: build_code(2, 0.5, 6, 5))))
     assert build_code(2, 0.5, 6, 5).size == 8
     with pytest.raises(SizeError):
         build_code(2, 0.5, 6, 6)

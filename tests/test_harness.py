@@ -12,6 +12,7 @@ from quclab.processes import MarkovProcess, PeriodicProcess
 from quclab.projectors import acceptance_probability, assemble_q, trace_q_rho
 from quclab.sources import IIDSource, QuantumSource
 from randmat import random_density, random_projector
+from reference import forbid, range_basis
 
 
 def test_c1_identity():
@@ -178,6 +179,15 @@ def test_fewer_than_one_block_is_a_row_error(mode):
     assert not rows[1].error and rows[1].achieved_rate is not None
 
 
+@pytest.mark.parametrize("mode, r", [("orbit", -0.5), ("code", 0.0)])
+def test_a_rate_at_most_zero_is_a_row_error(mode, r):
+    # the config admits any finite r; every row's code refuses it
+    rows = run_experiment(ExperimentConfig.from_dict(
+        {"sources": [{"kind": "iid", "probs": [0.9, 0.1]}], "r": r, "n_range": [4, 5],
+         "projector_mode": mode}))
+    assert [row.error for row in rows] == [f"ValidationError: rate {r} outside (0, log2 2]"] * 2
+
+
 def test_config_override_schedule_accepted():
     cfg = ExperimentConfig.from_dict({"sources": [], "r": 0.7, "n_range": [4],
                                       "override_schedule": {"l": 2, "R": 1}})
@@ -250,6 +260,9 @@ def test_per_row_error_recorded():
     assert rows[1].error == ""
 
 
+MARKOV_PROCESS = {"kind": "markov", "transition": [[0.9, 0.1], [0.2, 0.8]]}
+
+
 def _classical(process, **fields):
     return {"kind": "classical", "process": process, **fields}
 
@@ -286,10 +299,54 @@ def _channel(channel):
     (_channel({"name": "dephasing", "p": True}), "ConfigError", "'p'"),
     (_channel({"name": "amplitude-damping", "gamma": "0.1"}), "ConfigError", "'gamma'"),
     (_channel({"name": "amplitude-damping", "gamma": True}), "ConfigError", "'gamma'"),
+    # each remaining raise a spec reaches, with its whole message
+    (_channel({"name": "custom", "kraus": []}), "ValidationError",
+     "channel needs at least one Kraus operator"),
+    (_channel({"name": "custom", "kraus": [[[[1, 0, 0], [0, 1, 0]], [[0] * 3] * 2]]}),
+     "ValidationError", "Kraus operators must be square with equal dims"),
+    (_channel({"name": "custom", "kraus": [[[[1, 0], [0, 0.5]], [[0, 0], [0, 0]]]]}),
+     "ValidationError", "Kraus family not trace-preserving (deviation 7.500e-01)"),
+    (_channel({"name": "identity", "d": 0}), "ValidationError",
+     "channel dimension d = 0 must be >= 1"),
+    (_channel({"name": "depolarizing", "p": 1.5}), "ValidationError",
+     "depolarizing strength must be in [0, 1]"),
+    (_channel({"name": "dephasing", "p": -0.1}), "ValidationError",
+     "dephasing strength must be in [0, 1]"),
+    (_channel({"name": "amplitude-damping", "gamma": 2.0}), "ValidationError",
+     "damping strength must be in [0, 1]"),
+    (_channel({"name": "identity", "d": 3}), "ValidationError",
+     "channel dimension != source site dimension"),
+    (_classical({"kind": "iid", "probs": [1.2, -0.2]}), "ValidationError",
+     "probability vector has negative entries"),
+    (_classical({"kind": "markov", "transition": [[0.5, 0.5]]}), "ValidationError",
+     "transition matrix must be square"),
+    (_classical({"kind": "periodic", "cycle": []}), "ValidationError", "cycle must be nonempty"),
+    (_classical({"kind": "mixture", "weights": [0.5, 0.5], "components": [MARKOV_PROCESS]}),
+     "ValidationError", "weights / components length mismatch"),
+    (_classical({"kind": "mixture", "weights": [0.5, 0.5],
+                 "components": [MARKOV_PROCESS, {"kind": "iid", "probs": [0.2, 0.3, 0.5]}]}),
+     "ValidationError", "mixture components must share the alphabet"),
+    (_classical(MARKOV_PROCESS, alphabet={"re": [1.0, 0.0]}), "ValidationError",
+     "alphabet must be a (d, count) column matrix"),
+    (_classical(MARKOV_PROCESS, alphabet={"re": np.eye(3).tolist()}), "ValidationError",
+     "process alphabet size != quantum alphabet size"),
+    ({"kind": "iid", "rho_re": [[1.0, 0.0]]}, "ValidationError",
+     "expected a square matrix, got shape (1, 2)"),
+    ({"kind": "iid", "rho_re": [[float("nan"), 0.0], [0.0, 1.0]]}, "ValidationError",
+     "matrix has non-finite entries"),
+    ({"kind": "iid", "rho_re": [[0.5, 0.3], [0.0, 0.5]]}, "ValidationError",
+     "density operator not Hermitian (deviation 3.000e-01)"),
+    ({"kind": "iid", "rho_re": [[1.5, 0.0], [0.0, -0.5]]}, "ValidationError",
+     "density operator not PSD (min eigenvalue -5.000e-01)"),
 ], ids=["iid-nan", "markov-nan", "mixture-nan", "alphabet-nan", "reducible-markov",
         "kraus-nan", "cycle-float", "cycle-bool", "alphabet-size-float", "identity-d-float",
         "depolarizing-p-string", "dephasing-p-bool", "damping-gamma-string",
-        "damping-gamma-bool"])
+        "damping-gamma-bool", "kraus-empty", "kraus-non-square", "kraus-not-trace-preserving",
+        "identity-d-0", "depolarizing-p-past-1", "dephasing-p-negative",
+        "damping-gamma-past-1", "channel-dimension", "iid-negative", "transition-non-square",
+        "cycle-empty", "mixture-count", "mixture-alphabets", "alphabet-not-a-matrix",
+        "alphabet-size", "rho-non-square", "rho-non-finite", "rho-non-hermitian",
+        "rho-not-psd"])
 def test_invalid_source_values_are_row_errors(bad, error, named):
     good = {"id": "good", "kind": "iid", "probs": [0.9, 0.1]}
     cfg = {"r": 0.5, "n_range": [4], "seed": 3}
@@ -513,7 +570,6 @@ DENSE_PATHS = {"depolarized-markov": "dense", "damped-iid": "invariant"}
 
 
 def _flag_reference(b):
-    from quclab.operators import range_basis
     return range_basis(b @ b.conj().T)[:, 0]
 
 
@@ -563,10 +619,8 @@ def test_dense_rows_build_no_dense_projector(monkeypatch):
     from quclab import operators
     from quclab.projectors import UniversalProjector
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense projector or eigendecomposition built")
-    monkeypatch.setattr(UniversalProjector, "matrix", forbidden)
-    monkeypatch.setattr(operators, "hermitian_eig", forbidden)
+    forbid(monkeypatch, UniversalProjector, "matrix", why="dense projector built")
+    forbid(monkeypatch, operators, "hermitian_eig", why="eigendecomposition built")
     for scheme in ("c1", "c2"):
         # l = 2: n = 7 is three blocks and one padded site
         rows = _rows(DENSE_SOURCES, n_range=[6, 7], scheme=scheme,
@@ -581,9 +635,7 @@ def test_dense_rows_form_no_dense_state(monkeypatch):
     q = assemble_q(5, 2, 0.5, override=(1, 5, 0.5))
     dense = float(np.trace(q.matrix() @ build_source(DENSE_SOURCES[0]).marginal(5)).real)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense source marginal formed")
-    monkeypatch.setattr(QuantumSource, "marginal", forbidden)
+    forbid(monkeypatch, QuantumSource, "marginal", why="dense source marginal formed")
     for scheme in ("c1", "c2"):
         # l = 2: n = 7 is three blocks and one padded site
         rows = _rows(DENSE_SOURCES, n_range=[6, 7], scheme=scheme,
@@ -639,9 +691,7 @@ def test_acceptance_probability_takes_the_row_paths(monkeypatch):
     source = build_source(DENSE_SOURCES[1])
     dense = float(np.trace(up.matrix() @ source.marginal(7)).real)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("rho B swept for an i.i.d. source")
-    monkeypatch.setattr(QuantumSource, "apply", forbidden)
+    forbid(monkeypatch, QuantumSource, "apply", why="rho B swept for an i.i.d. source")
     assert abs(acceptance_probability(up, source) - dense) <= 1e-12
 
 

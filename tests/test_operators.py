@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from quclab.errors import ValidationError
-from quclab.operators import (hermitian_eig, partial_trace, projector_leq,
-                              range_basis, span_basis, validate_density,
-                              validate_projector)
+from quclab.operators import hermitian_eig, partial_trace, span_basis, validate_density
 from randmat import haar_unitary, random_density, random_hermitian, random_projector
+from reference import projector_leq, range_basis, validate_projector
 
 
 def test_hermitian_eig_diagonal():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quclab import projectors
 from quclab.codes import all_sequences, build_code
 from quclab.errors import ValidationError
-from quclab.operators import span_basis, validate_projector
+from quclab.operators import span_basis
 from quclab.processes import IIDProcess
 from quclab.projectors import (JOIN_RTOL, JoinResult, _orthonormal, _type_classes,
                                _write_grid, assemble_q, acceptance_probability,
@@ -19,6 +19,7 @@ from quclab.projectors import (JOIN_RTOL, JoinResult, _orthonormal, _type_classe
                                rate_upper_bound, schedule)
 from quclab.sources import IIDSource
 from randmat import haar_unitary
+from reference import forbid, validate_projector
 
 
 def test_schedule_examples():
@@ -126,9 +127,7 @@ def test_orbit_join_invariance():
     (np.array([-1, 2]), "outside \\[0, 2\\^3\\)")],
     ids=["2-D", "0-D", "float", "bool", "past-the-end", "negative"])
 def test_orbit_join_rejects_bad_members_before_any_table(members, match, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("type-class tables built for invalid members")
-    monkeypatch.setattr(projectors, "_type_classes", forbidden)
+    forbid(monkeypatch, projectors, "_type_classes", why="built for invalid members")
     with pytest.raises(ValidationError, match=match):
         orbit_join_basis(members, 2, 3)
 

@@ -1,5 +1,5 @@
 """Every source kind in one transfer form: marginals, matrix-free products
-and the ergodicity scan against references built here from each process's
+and the ergodicity scan against references built from each process's
 own sequence probabilities `prob`, the alphabet vectors and the Kraus
 operators."""
 
@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quclab.channels import KrausChannel, amplitude_damping, depolarizing
+from quclab.channels import amplitude_damping, depolarizing
 from quclab.errors import ValidationError
 from quclab.processes import (IIDProcess, MarkovProcess, MixtureProcess,
-                              PeriodicProcess, index_sequence)
+                              PeriodicProcess)
 from quclab.sources import (ChannelTransformedSource, ClassicallyCorrelatedSource,
                             IIDSource, QuantumAlphabet, QuantumSource, ergodicity_gap)
 from cycles import phase_subset
-from randmat import haar_unitary, random_density, random_hermitian
-
-
-def _random_channel(d, n_kraus, rng):
-    iso = haar_unitary(d * n_kraus, rng)[:, :d]
-    return KrausChannel([iso[i * d:(i + 1) * d] for i in range(n_kraus)])
+from randmat import random_density, random_hermitian
+from reference import random_channel, sequence_probs
 
 
 def _random_vectors(d, L, rng):
@@ -33,19 +29,12 @@ def _random_stochastic(L, rng):
     return P / P.sum(axis=1, keepdims=True)
 
 
-def _probs(process, n):
-    """mu(x) for every x of length n, from the kind's own `prob`, which does
-    not use the transfer form."""
-    return np.array([process.prob(index_sequence(i, process.L, n))
-                     for i in range(process.L ** n)])
-
-
 def _enumerated(process, vectors, n):
     """sum over all L^n sequences x of mu(x) |psi_x><psi_x|."""
     w = np.ones((1, 1))
     for _ in range(n):
         w = np.kron(w, vectors)
-    return (w * _probs(process, n)) @ w.conj().T
+    return (w * sequence_probs(process, n)) @ w.conj().T
 
 
 def _kraus_by_site(rho, kraus, n):
@@ -121,7 +110,7 @@ def _gate_source(d, kind, flag, rng):
 def test_marginal_and_ergodicity_match_references(d, kind, flag):
     rng = np.random.default_rng([d, GATE_CASES.index((d, kind, flag))])
     source, reference = _gate_source(d, kind, flag, rng)
-    channels = [_random_channel(d, 2, rng), _random_channel(d, 3, rng)]
+    channels = [random_channel(d, 2, rng), random_channel(d, 3, rng)]
     refs = {n: reference(n) for n in range(1, 7)}
     a, b = random_hermitian(d, rng), random_hermitian(d, rng)
     a2, b2 = random_hermitian(d * d, rng), random_hermitian(d * d, rng)
@@ -237,7 +226,7 @@ def chains(draw):
     process = {"iid": IIDProcess(rng.dirichlet(np.ones(L))), "markov": markov,
                "periodic": periodic,
                "mixture": MixtureProcess([0.3, 0.7], [periodic, markov])}[kind]
-    return process, _random_vectors(d, L, rng), _random_channel(d, n_kraus, rng), n, rng
+    return process, _random_vectors(d, L, rng), random_channel(d, n_kraus, rng), n, rng
 
 
 @given(chains())
@@ -253,7 +242,7 @@ def test_random_chain_matches_enumeration_and_kraus_sum(chain):
     assert np.max(np.abs(source.apply(n, v) - rho @ v)) < 1e-12
     assert np.max(np.abs(source.apply(n, v[:, 0]) - rho @ v[:, 0])) < 1e-12
     # scalar emissions: the hidden-Markov form alone gives the classical marginal
-    probs = _probs(process, n)
+    probs = sequence_probs(process, n)
     T = process.T
     x = process.initial[:, None]
     for _ in range(n):
