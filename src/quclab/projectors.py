@@ -316,20 +316,28 @@ def _write_grid(path: str, a: np.ndarray) -> None:
     """Write the real 2-D array `a` byte for byte as numpy's
     savetxt(path, a, delimiter=",") does: '%.18e' per cell, ',' between
     cells, one line per row.  A projector grid holds few distinct values, so
-    each distinct bit pattern (-0.0 and NaNs included) is formatted once and
-    the lines are joined from those tokens, one block of rows at a time."""
-    step = max(1, _GRID_BLOCK_CELLS // max(1, a.shape[1]))
-
-    def blocks():
-        for i in range(0, a.shape[0], step):
-            yield np.ascontiguousarray(a[i:i + step], dtype=float).view(np.int64)
-
-    bits = np.unique(np.concatenate([np.unique(b) for b in blocks()]))
-    tokens = np.array(["%.18e" % v for v in bits.view(float).tolist()], dtype=object)
-    with open(path, "w", encoding="latin1") as fh:
-        for b in blocks():
-            fh.writelines([",".join(row) + "\n"
-                           for row in tokens[np.searchsorted(bits, b)].tolist()])
+    each distinct bit pattern (-0.0 and NaNs included) is formatted once,
+    into one table of fixed-width byte strings that holds every token twice,
+    followed by ',' and by a newline.  A block of rows is then one gather of
+    table rows by token id, its NUL padding removed.  +0.0 (bit pattern 0),
+    most cells of a projector grid, has the last token and is never searched."""
+    cells = np.asarray(a, dtype=float).view(np.int64)
+    step = max(1, _GRID_BLOCK_CELLS // max(1, cells.shape[1]))
+    blocks = [cells[i:i + step] for i in range(0, len(cells), step)]
+    bits = np.zeros(0, dtype=np.int64)
+    for b in blocks:  # the sorted distinct patterns other than 0, a block at a time
+        merged = np.sort(np.concatenate([bits, b[b != 0]]))
+        bits = merged[np.diff(merged, prepend=~merged[:1]) != 0]  # ~x != x keeps the first
+    tokens = np.char.mod(b"%.18e", np.append(bits, 0).view(float))
+    table = np.char.add(tokens, np.array([[b","], [b"\n"]])).ravel()
+    with open(path, "wb") as fh:
+        for b in blocks:
+            nonzero = b != 0
+            found, inverse = np.unique(b[nonzero], return_inverse=True)
+            ids = np.full(b.shape, len(bits))
+            ids[nonzero] = np.searchsorted(bits, found)[inverse]
+            ids[:, -1] += len(tokens)  # the newline copy ends each row
+            fh.write(table[ids].tobytes().replace(b"\0", b""))
 
 
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:
@@ -340,13 +348,20 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     The dense d^m x d^m grid is checked against the memory budget before it
     exists: 16 bytes a cell, as the real join matrix with its zero .imag
     copy or, with padding, as the complex Kronecker product beside the
-    join's real D^n x D^n matrix; plus the writer's block of rows, under 64
-    bytes a cell.
+    join's real D^n x D^n matrix.  The writer adds under 96 bytes a cell of
+    its block of rows (mask, ids, search arrays, gathered table rows, their
+    bytes and the unpadded copy) and under 144 bytes a distinct value for
+    its token table (patterns, formatted tokens and both copies).  B B^T is
+    block diagonal over the type classes of nonzero rank, every other cell
+    +-0.0, and the padding's identity repeats its values, so a grid holds at
+    most sum_c |c|^2 + 2 distinct values.
     """
     dim = q.d ** q.m
     join_cells = (q.d ** (q.l * q.n)) ** 2 if q.pad else 0
-    check_budget(16 * dim ** 2 + 8 * join_cells + 64 * _GRID_BLOCK_CELLS,
-                 f"projector grid of {dim} x {dim}")
+    distinct = 2 + sum((math.factorial(q.n) // math.prod(map(math.factorial, c))) ** 2
+                       for c in q.join.class_ranks)
+    check_budget(16 * dim ** 2 + 8 * join_cells + 96 * max(_GRID_BLOCK_CELLS, dim)
+                 + 144 * distinct, f"projector grid of {dim} x {dim}")
     mat = q.matrix()
     _write_grid(path_prefix + ".real.csv", mat.real)
     _write_grid(path_prefix + ".imag.csv", mat.imag)

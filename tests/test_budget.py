@@ -64,6 +64,12 @@ def _export_padded(tmp_path):
     return lambda: export_projector(q, str(tmp_path / "q"))
 
 
+def _export_unpadded(tmp_path):
+    # the n = 11 join's 35642 distinct values: the largest token table here
+    q = assemble_q(11, 2, 0.5, override=(1, 11, 0.5))
+    return lambda: export_projector(q, str(tmp_path / "q"))
+
+
 def _padded_row(tmp_path):
     # a padded c1 row: rho_10 B over the join's sites, then rho_11 f for the
     # one flag column
@@ -145,6 +151,7 @@ SITES = {
     "export-load": _export_and_load(8, 1),
     "export-load-padded": _export_and_load(9, 2),
     "export-padded": _export_padded,
+    "export-unpadded": _export_unpadded,
     "padded-row": _padded_row,
     "load": lambda tmp_path: partial(load_projector_matrix, _basis_export(tmp_path, 11)),
     "compress": _compress,

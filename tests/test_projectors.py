@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quclab import projectors
@@ -470,3 +470,60 @@ def test_grid_writer_matches_savetxt_on_special_values(tmp_path):
     text = path.read_bytes()
     assert text == _savetxt_bytes(tmp_path / "ref.csv", a)
     assert b"-0.000000000000000000e+00" in text and b"e-300" in text and b"nan" in text
+
+
+# bit patterns the writer must keep apart: +-0.0, NaNs with either sign bit
+# (quiet, signalling, with a payload), +-inf, subnormals, the extremes and
+# three-digit exponents
+SPECIAL_BITS = [int(x) for x in np.array(
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+     1.7976931348623157e308, -1e300, 1e-100, 1.0, -1.0], dtype=float).view(np.int64)] + [
+    0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001, -0x000FFFFFFFFFFFFF,
+    0x7FF80000DEADBEEF]
+
+
+@st.composite
+def grid_cases(draw):
+    """A grid over a few drawn bit patterns (the values of a projector grid
+    repeat) and, in some, a share of fresh random floats, one per cell.
+    Shapes are small, several 2^16-cell blocks of rows, or one row wider
+    than a block; the layout is C-ordered, a transposed view, or the .real
+    or .imag of a complex array (both strided)."""
+    rows, cols = draw(st.one_of(
+        st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        st.tuples(st.integers(2, 7), st.sampled_from([20000, 30000])),
+        st.tuples(st.integers(1, 2), st.integers(65537, 70000))))
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS),
+                                   st.integers(-2 ** 63, 2 ** 63 - 1),
+                                   st.floats(-1e3, 1e3).map(
+                                       lambda v: int(np.float64(v).view(np.int64)))),
+                         min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.choice(np.array(pool, dtype=np.int64), size=(rows, cols))
+    fresh = draw(st.sampled_from([0.0, 0.0, 0.05, 1.0]))
+    cells = rng.random((rows, cols)) < fresh
+    bits[cells] = rng.integers(-2 ** 63, 2 ** 63 - 1, size=int(cells.sum()), endpoint=True)
+    a = bits.view(float)
+    layout = draw(st.sampled_from(["c", "transposed", "real", "imag"]))
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout in ("real", "imag"):
+        z = np.zeros((rows, cols), dtype=complex)
+        getattr(z, layout)[...] = a
+        return getattr(z, layout)
+    return a
+
+
+def _constant_grid(bits: int) -> np.ndarray:
+    return np.full((70, 1000), bits, dtype=np.int64).view(float)  # two row blocks
+
+
+@settings(max_examples=25)
+@given(grid_cases())
+@example(_constant_grid(0))  # all +0.0: no token searched
+@example(_constant_grid(SPECIAL_BITS[1]))  # all -0.0
+@example(_constant_grid(-0x0008000000000000))  # all NaN with the sign bit set
+def test_grid_writer_matches_savetxt_on_drawn_grids(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    _write_grid(str(path), a)
+    assert path.read_bytes() == _savetxt_bytes(path.with_suffix(".ref"), a)
