@@ -482,48 +482,57 @@ SPECIAL_BITS = [int(x) for x in np.array(
     0x7FF80000DEADBEEF]
 
 
+def _grid(pool: list, shape: tuple, fresh: float, seed: int) -> np.ndarray:
+    """A grid over the bit patterns in `pool` (a projector grid's values
+    repeat), with a `fresh` share of its cells random patterns."""
+    rng = np.random.default_rng(seed)
+    bits = rng.choice(np.array(pool, dtype=np.int64), size=shape)
+    cells = rng.random(shape) < fresh
+    bits[cells] = rng.integers(-2 ** 63, 2 ** 63 - 1, size=int(cells.sum()), endpoint=True)
+    return bits.view(float)
+
+
 @st.composite
 def grid_cases(draw):
-    """A grid over a few drawn bit patterns (the values of a projector grid
-    repeat) and, in some, a share of fresh random floats, one per cell.
-    Shapes are small, several 2^16-cell blocks of rows, or one row wider
-    than a block; the layout is C-ordered, a transposed view, or the .real
-    or .imag of a complex array (both strided)."""
-    rows, cols = draw(st.one_of(
-        st.tuples(st.integers(1, 30), st.integers(1, 30)),
-        st.tuples(st.integers(2, 7), st.sampled_from([20000, 30000])),
-        st.tuples(st.integers(1, 2), st.integers(65537, 70000))))
+    """A small grid and a writer block of a few cells, so that the grid spans
+    several blocks and its rows can be wider than one.  The layout is
+    C-ordered, a transposed view, or the .real or .imag of a complex array
+    (both strided)."""
+    block = draw(st.sampled_from([1, 5, 64]))
+    shape = draw(st.tuples(st.integers(1, 30), st.integers(1, 30)))
     pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS),
                                    st.integers(-2 ** 63, 2 ** 63 - 1),
                                    st.floats(-1e3, 1e3).map(
                                        lambda v: int(np.float64(v).view(np.int64)))),
                          min_size=1, max_size=12))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    bits = rng.choice(np.array(pool, dtype=np.int64), size=(rows, cols))
-    fresh = draw(st.sampled_from([0.0, 0.0, 0.05, 1.0]))
-    cells = rng.random((rows, cols)) < fresh
-    bits[cells] = rng.integers(-2 ** 63, 2 ** 63 - 1, size=int(cells.sum()), endpoint=True)
-    a = bits.view(float)
+    a = _grid(pool, shape, draw(st.sampled_from([0.0, 0.0, 0.05, 1.0])),
+              draw(st.integers(0, 2 ** 32 - 1)))
     layout = draw(st.sampled_from(["c", "transposed", "real", "imag"]))
     if layout == "transposed":
-        return np.ascontiguousarray(a.T).T
-    if layout in ("real", "imag"):
-        z = np.zeros((rows, cols), dtype=complex)
+        a = np.ascontiguousarray(a.T).T
+    elif layout in ("real", "imag"):
+        z = np.zeros(shape, dtype=complex)
         getattr(z, layout)[...] = a
-        return getattr(z, layout)
-    return a
+        a = getattr(z, layout)
+    return a, block
 
 
-def _constant_grid(bits: int) -> np.ndarray:
-    return np.full((70, 1000), bits, dtype=np.int64).view(float)  # two row blocks
+# the writer's own 2^16-cell blocks: constant grids of two blocks, rows over
+# two blocks, and rows wider than a block
+BLOCK = 1 << 16
 
 
-@settings(max_examples=25)
+@settings(max_examples=40)
 @given(grid_cases())
-@example(_constant_grid(0))  # all +0.0: no token searched
-@example(_constant_grid(SPECIAL_BITS[1]))  # all -0.0
-@example(_constant_grid(-0x0008000000000000))  # all NaN with the sign bit set
-def test_grid_writer_matches_savetxt_on_drawn_grids(tmp_path_factory, a):
+@example((_grid([0], (70, 1000), 0.0, 0), BLOCK))  # all +0.0: no token searched
+@example((_grid([SPECIAL_BITS[1]], (70, 1000), 0.0, 0), BLOCK))  # all -0.0
+@example((_grid([-0x0008000000000000], (70, 1000), 0.0, 0), BLOCK))  # all NaN, sign bit set
+@example((_grid(SPECIAL_BITS, (4, 16400), 0.05, 1), BLOCK))
+@example((_grid(SPECIAL_BITS, (2, 65537), 0.05, 2), BLOCK))
+def test_grid_writer_matches_savetxt_on_drawn_grids(tmp_path_factory, case):
+    a, block = case
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
-    _write_grid(str(path), a)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projectors, "_GRID_BLOCK_CELLS", block)
+        _write_grid(str(path), a)
     assert path.read_bytes() == _savetxt_bytes(path.with_suffix(".ref"), a)
