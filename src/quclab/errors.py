@@ -33,7 +33,9 @@ def check_budget(nbytes: int, what: str) -> None:
     to allocate, temporaries included, computed from the shapes alone.
     """
     if nbytes > MEMORY_BUDGET:
-        raise SizeError(f"{what} needs {-(-nbytes // 2 ** 20)} MiB, over the "
+        mib = -(-nbytes // 2 ** 20)  # past 2^64 a power of two: str() stops at 4300 digits
+        size = mib if mib <= 2 ** 64 else f"over 2^{(mib - 1).bit_length() - 1}"
+        raise SizeError(f"{what} needs {size} MiB, over the "
                         f"{MEMORY_BUDGET // 2 ** 20} MiB memory budget")
 
 

@@ -286,7 +286,7 @@ def _orbit_row(b: np.ndarray, d: int, sites: int, pad: int, source: QuantumSourc
     accept, path = trace_q_rho(b, d, sites, source)
     if scheme == "c2":
         return accept, accept, path
-    f = np.outer(range_flag(b), np.eye(d ** pad)[0]).ravel()
+    f = np.outer(range_flag(b), np.eye(1, d ** pad)).ravel()  # e_0, a 1 x d^pad row
     return accept, _c1_fidelity(accept, source.apply(sites + pad, f), f, lambda v: (
         b @ (b.conj().T @ v.reshape(len(b), d ** pad))).reshape(v.shape)), path
 

@@ -242,9 +242,10 @@ class UniversalProjector:
         return math.log2(self.trace) / self.m
 
     def matrix(self) -> np.ndarray:
+        """q = B B^T (x) 1, real (float64) as B and the padding's identity."""
         q = self.join.matrix()
         if self.pad:
-            q = np.kron(q, np.eye(self.d ** self.pad, dtype=complex))
+            q = np.kron(q, np.eye(self.d ** self.pad))
         return q
 
 
@@ -320,14 +321,22 @@ def _write_grid(path: str, a: np.ndarray) -> None:
     into one table of fixed-width byte strings that holds every token twice,
     followed by ',' and by a newline.  A block of rows is then one gather of
     table rows by token id, its NUL padding removed.  +0.0 (bit pattern 0),
-    most cells of a projector grid, has the last token and is never searched."""
+    most cells of a projector grid, has the last token and is never searched.
+    The checks count 8 bytes a cell of a (a broadcast view holds less) and,
+    beside it, a block's merge into the sorted distinct patterns, under 48
+    bytes a pattern and a block cell; then the token table from the count
+    that pass found, 144 bytes a value, with under 96 bytes a cell of a block."""
     cells = np.asarray(a, dtype=float).view(np.int64)
     step = max(1, _GRID_BLOCK_CELLS // max(1, cells.shape[1]))
     blocks = [cells[i:i + step] for i in range(0, len(cells), step)]
-    bits = np.zeros(0, dtype=np.int64)
+    bits, grid = np.zeros(0, dtype=np.int64), 8 * cells.size
     for b in blocks:  # the sorted distinct patterns other than 0, a block at a time
+        check_budget(grid + 48 * (len(bits) + b.size),
+                     f"distinct values of a {len(cells)} x {cells.shape[1]} grid")
         merged = np.sort(np.concatenate([bits, b[b != 0]]))
         bits = merged[np.diff(merged, prepend=~merged[:1]) != 0]  # ~x != x keeps the first
+    check_budget(grid + 96 * max(_GRID_BLOCK_CELLS, cells.shape[1]) + 144 * (len(bits) + 1),
+                 f"grid token table of {len(bits) + 1} values")
     tokens = np.char.mod(b"%.18e", np.append(bits, 0).view(float))
     table = np.char.add(tokens, np.array([[b","], [b"\n"]])).ravel()
     with open(path, "wb") as fh:
@@ -343,28 +352,16 @@ def _write_grid(path: str, a: np.ndarray) -> None:
 def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     """The join basis B (<prefix>.npz, one float64 array `basis`), the JSON
     sidecar and, for people and reference checks to read, q's CSV real/imag
-    grids.
-
-    The dense d^m x d^m grid is checked against the memory budget before it
-    exists: 16 bytes a cell, as the real join matrix with its zero .imag
-    copy or, with padding, as the complex Kronecker product beside the
-    join's real D^n x D^n matrix.  The writer adds under 96 bytes a cell of
-    its block of rows (mask, ids, search arrays, gathered table rows, their
-    bytes and the unpadded copy) and under 144 bytes a distinct value for
-    its token table (patterns, formatted tokens and both copies).  B B^T is
-    block diagonal over the type classes of nonzero rank, every other cell
-    +-0.0, and the padding's identity repeats its values, so a grid holds at
-    most sum_c |c|^2 + 2 distinct values.
-    """
+    grids: q.matrix() and, as q is real, a broadcast view of zeros.  The
+    d^m x d^m matrix is checked before it exists: 8 bytes a cell, beside the
+    join's D^n x D^n matrix while a padded Kronecker product is formed, and
+    the writer's block.  The writer checks its own pass and token table."""
     dim = q.d ** q.m
     join_cells = (q.d ** (q.l * q.n)) ** 2 if q.pad else 0
-    distinct = 2 + sum((math.factorial(q.n) // math.prod(map(math.factorial, c))) ** 2
-                       for c in q.join.class_ranks)
-    check_budget(16 * dim ** 2 + 8 * join_cells + 96 * max(_GRID_BLOCK_CELLS, dim)
-                 + 144 * distinct, f"projector grid of {dim} x {dim}")
-    mat = q.matrix()
-    _write_grid(path_prefix + ".real.csv", mat.real)
-    _write_grid(path_prefix + ".imag.csv", mat.imag)
+    check_budget(8 * dim ** 2 + 8 * join_cells + 96 * max(_GRID_BLOCK_CELLS, dim),
+                 f"projector grid of {dim} x {dim}")
+    _write_grid(path_prefix + ".real.csv", q.matrix())  # freed before B's chunked write
+    _write_grid(path_prefix + ".imag.csv", np.broadcast_to(0.0, (dim, dim)))
     np.savez(path_prefix + ".npz", basis=q.join.basis)  # a float64 array is never pickled
     sidecar = {
         "m": q.m, "d": q.d, "r": q.r, "l": q.l, "n": q.n, "R": q.R,

@@ -88,9 +88,10 @@ class QuantumSource:
 
         Each site's einsum holds x before and after that site and its
         iteration buffers (256 KiB), so the peak is the largest such pair of
-        complex arrays plus the buffers."""
+        complex arrays plus the buffers: x grows by d^2 a site (the closed
+        last site chi times less), so one of the last two pairs."""
         p, chi = np.shape(left)
-        sizes = [16 * p * chi * self.d ** (2 * site) for site in range(n + 1)]
+        sizes = [16 * p * chi * self.d ** (2 * site) for site in range(max(0, n - 2), n + 1)]
         if close:
             sizes[-1] //= chi
         check_budget(max(map(sum, zip(sizes, sizes[1:])), default=sizes[0]) + 2 ** 18,

@@ -59,13 +59,13 @@ def _export_and_load(m, l):
 
 def _export_padded(tmp_path):
     # one padded site over a 2^10 join: the join's real matrix, 8 MiB, is
-    # larger than the writer's block (4 MiB) beside the 64 MiB complex grid
+    # held beside the 32 MiB real grid while the Kronecker product is formed
     q = assemble_q(11, 2, 0.2, override=(1, 10, 0.2))
     return lambda: export_projector(q, str(tmp_path / "q"))
 
 
 def _export_unpadded(tmp_path):
-    # the n = 11 join's 35642 distinct values: the largest token table here
+    # the n = 11 grid's 35643 distinct bit patterns: the largest token table here
     q = assemble_q(11, 2, 0.5, override=(1, 11, 0.5))
     return lambda: export_projector(q, str(tmp_path / "q"))
 
@@ -309,18 +309,40 @@ def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
 
 
 def test_build_projector_past_the_budget_writes_nothing(monkeypatch, tmp_path, capsys):
-    # the n = 14 grid is 2 GiB with a 2 GiB zero .imag (two CSV files of
-    # about 6.7 GB); n = 13 is admitted
-    q = assemble_q(13, 2, None, override=(1, 13, 0.5))
-    assert admitted_bytes(monkeypatch, lambda: export_projector(q, str(tmp_path / "q13"))) \
-        < MEMORY_BUDGET
+    # q is real: the m = 14 matrix is 2 GiB and is admitted beside the
+    # writer's block (its two CSV files would be about 6.7 GB, so the export
+    # stops at that first check, and its join is a broadcast view); the
+    # m = 15 matrix, 8 GiB, is refused before any file is written
+    q = UniversalProjector(m=14, d=2, r=0.5, l=1, n=14, R=0.5, k_order=0,
+                           join=JoinResult(np.broadcast_to(np.zeros(1), (2 ** 14, 1031)), {},
+                                           0.0),
+                           pad=0, code=build_code(2, 0.5, 14))
+    assert admitted_bytes(monkeypatch, lambda: export_projector(q, str(tmp_path / "q14"))) \
+        == 8 * 2 ** 28 + 96 * 2 ** 16
     forbid(monkeypatch, UniversalProjector, "matrix")
     forbid(monkeypatch, projectors, "_write_grid")
-    out = str(tmp_path / "q14")
-    assert main(["build-projector", "--l", "1", "--n", "14", "--R", "0.5", "--out", out]) == 1
+    out = str(tmp_path / "q15")
+    assert main(["build-projector", "--l", "1", "--n", "15", "--R", "0.5", "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: projector grid of 16384 x 16384 needs")
+    assert err.startswith("error: projector grid of 32768 x 32768 needs")
     assert "memory budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_token_table_past_the_budget_is_refused_before_formatting(monkeypatch, tmp_path):
+    # the export's up-front check counts the m = 11 matrix and the writer's
+    # block.  Under a budget above it the writer's pass over the grid's
+    # distinct values runs, and the token table, checked from the 35643
+    # values that pass found, is refused before a token is formatted or a
+    # file is opened
+    q = assemble_q(11, 2, 0.5, override=(1, 11, 0.5))
+    prefix = str(tmp_path / "q")
+    up_front = admitted_bytes(monkeypatch, lambda: export_projector(q, prefix))
+    assert up_front == 8 * 2 ** 22 + 96 * 2 ** 16
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front + 2 ** 20)
+    forbid(monkeypatch, np.char, "mod")
+    with pytest.raises(SizeError, match="grid token table of 35643 values needs 43 MiB"):
+        export_projector(q, prefix)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -360,6 +382,31 @@ def test_compress_sized_by_the_sidecar_before_reading(monkeypatch, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: projector basis of 2^20 x 20000 needs 166105 MiB")
     assert "memory budget" in err
+
+
+def test_sizes_past_the_digit_limit_are_size_errors(tmp_path, capsys):
+    # sizes with more decimal digits than Python converts are stated as a
+    # power of two: a batch row whose type-state graph is over 16^5000
+    # sequences is that row's SizeError, beside a good n = 4 row; a basis
+    # over 2^20000 sequences and the 30000-site operator strings are one
+    # error line each
+    iid = '{"kind": "iid", "probs": [0.9, 0.1]}'
+    for mode in ("orbit", "code"):
+        cfg = ExperimentConfig.from_dict({"sources": [json.loads(iid)], "r": 0.5,
+                                          "n_range": [20000, 4], "projector_mode": mode,
+                                          "override_schedule": {"l": 4}})
+        rows = run_experiment(cfg)
+        assert [r.n for r in rows] == [20000, 4]
+        assert rows[0].error.startswith("SizeError: the type-state graph of the 16^5000 ")
+        assert "over 2^" in rows[0].error and "memory budget" in rows[0].error
+        assert rows[1].error == "" and rows[1].accept_prob > 0
+    prefix = _sidecar(tmp_path, m=20000, n=20000)
+    for argv in (["compress", "--scheme", "c1", "--projector", prefix, "--source", iid],
+                 ["entropy", iid, "--n", "30000"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert " needs over 2^" in err and "memory budget" in err
 
 
 def test_lag_terms_past_the_budget_are_refused_before_allocation(monkeypatch, capsys):

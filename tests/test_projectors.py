@@ -451,14 +451,20 @@ def _savetxt_bytes(path, a):
 
 
 def test_grid_writer_matches_savetxt_on_projector(tmp_path):
-    # n = 9: 351 distinct real values, an all-zero imag grid, several row blocks
-    q = assemble_q(9, 2, 0.5, override=(1, 9, 0.5))
-    prefix = str(tmp_path / "q")
-    export_projector(q, prefix)
-    mat = q.matrix()
-    for part in ("real", "imag"):
-        expected = _savetxt_bytes(tmp_path / f"ref.{part}.csv", getattr(mat, part))
-        assert (tmp_path / f"q.{part}.csv").read_bytes() == expected, part
+    # q is real: the .real grid is savetxt of q.matrix(), the .imag grid of
+    # zeros.  m = 9 unpadded holds 347 distinct bit patterns over several
+    # row blocks; the padded q are real Kronecker products with -0.0 cells
+    for m, r, override in [(9, 0.5, (1, 9, 0.5)), (9, None, (2, 4, 1.0)),
+                           (11, None, (2, 5, 1.0))]:
+        q = assemble_q(m, 2, r, override=override)
+        prefix = str(tmp_path / "q")
+        export_projector(q, prefix)
+        mat = q.matrix()
+        assert mat.dtype == np.float64
+        assert np.signbit(mat[mat == 0]).any() == bool(q.pad)
+        for part, grid in (("real", mat), ("imag", np.zeros(mat.shape))):
+            expected = _savetxt_bytes(tmp_path / f"ref.{part}.csv", grid)
+            assert (tmp_path / f"q.{part}.csv").read_bytes() == expected, (m, part)
 
 
 def test_grid_writer_matches_savetxt_on_special_values(tmp_path):
