@@ -19,39 +19,38 @@ CHOI_EIG_FLOOR = -1e-10
 
 
 class KrausChannel:
-    def __init__(self, kraus, validate: bool = True):
+    def __init__(self, kraus):
         self.kraus = [np.asarray(a, dtype=complex) for a in kraus]
         if not self.kraus:
             raise ValidationError("channel needs at least one Kraus operator")
-        d = self.kraus[0].shape[0]
+        d = self.kraus[0].shape[0] if self.kraus[0].ndim else 0  # a 0-d one fails below
         for a in self.kraus:
             if a.shape != (d, d):
                 raise ValidationError("Kraus operators must be square with equal dims")
         if not all(np.isfinite(a).all() for a in self.kraus):
             raise ValidationError("Kraus operators have non-finite entries")
         self.d = d
-        if validate:
-            rep = validate_channel(self)
-            if rep["completeness_deviation"] > COMPLETENESS_TOL:
-                raise ValidationError(
-                    f"Kraus family not trace-preserving "
-                    f"(deviation {rep['completeness_deviation']:.3e})")
-            if rep["min_choi_eigenvalue"] < CHOI_EIG_FLOOR:
-                raise ValidationError(
-                    f"Choi matrix not PSD (min eigenvalue {rep['min_choi_eigenvalue']:.3e})")
+        rep = validate_channel(self.kraus)
+        if rep["completeness_deviation"] > COMPLETENESS_TOL:
+            raise ValidationError(
+                f"Kraus family not trace-preserving "
+                f"(deviation {rep['completeness_deviation']:.3e})")
+        if rep["min_choi_eigenvalue"] < CHOI_EIG_FLOOR:
+            raise ValidationError(
+                f"Choi matrix not PSD (min eigenvalue {rep['min_choi_eigenvalue']:.3e})")
 
     def superoperator(self) -> np.ndarray:
         """sum_i A_i kron conj(A_i), the map on the row-major vec."""
         return sum(np.kron(a, a.conj()) for a in self.kraus)
 
 
-def validate_channel(c: KrausChannel) -> dict:
-    """Report-style check: completeness deviation and minimum Choi eigenvalue."""
-    d = c.d
-    comp = sum(a.conj().T @ a for a in c.kraus)
+def validate_channel(kraus) -> dict:
+    """Report-style check of Kraus arrays: completeness deviation and minimum Choi eigenvalue."""
+    d = len(kraus[0])
+    comp = sum(a.conj().T @ a for a in kraus)
     dev = float(np.max(np.abs(comp - np.eye(d))))
     choi = np.zeros((d * d, d * d), dtype=complex)
-    for a in c.kraus:
+    for a in kraus:
         v = a.reshape(-1, order="F")  # column-stacking vec
         choi += np.outer(v, v.conj())
     with solving("Choi matrix eigenvalues"):

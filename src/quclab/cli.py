@@ -60,8 +60,7 @@ def _cmd_check_ergodic(args) -> int:
 
 
 def _cmd_build_projector(args) -> int:
-    q = assemble_q(args.l * args.n, args.d, None, k_order=args.k,
-                   override=(args.l, args.n, args.R))
+    q = assemble_q(args.l * args.n, args.d, args.l, args.R, args.k)
     export_projector(q, args.out)
     print(f"wrote {args.out}.real.csv / .imag.csv / .npz / .json  "
           f"(rank {q.join.rank}, trace-rate {q.trace_log_rate:.6f})")

@@ -95,7 +95,8 @@ def _field(spec: dict, key: str, convert=lambda v: np.asarray(v, dtype=float),
 
 
 def _complex(spec: dict, re_key: str, im_key: str) -> np.ndarray:
-    return _field(spec, re_key) + 1j * _field(spec, im_key, default=0.0)
+    re = _field(spec, re_key)  # an im that does not broadcast to re's shape is malformed
+    return re + 1j * _field(spec, im_key, lambda v: np.broadcast_to(v, re.shape).astype(float), 0.0)
 
 
 def _integer(v):
@@ -156,7 +157,7 @@ def build_source(spec: dict) -> QuantumSource:
     kind = spec.get("kind")
     if kind == "iid":
         if "probs" in spec:
-            return IIDSource(np.diag(_field(spec, "probs")))
+            return IIDSource(_field(spec, "probs", lambda v: np.diag(np.asarray(v, dtype=float))))
         return IIDSource(_complex(spec, "rho_re", "rho_im"))
     if kind == "classical":
         process = build_process(_field(spec, "process", dict))
@@ -329,13 +330,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                 d = source.d
                 l = cfg.override_schedule.get("l", 1)
                 R = float(cfg.override_schedule.get("R", l * cfg.r))
-                n_blocks = n // l
-                pad = n - l * n_blocks
                 diagonal = source.classical_view() is not None
                 if cfg.projector_mode == "orbit":
-                    up = _built(projectors, (n, d, l, n_blocks, R, cfg.k_order),
-                                lambda: assemble_q(n, d, cfg.r, k_order=cfg.k_order,
-                                                   override=(l, n_blocks, R)))
+                    up = _built(projectors, (n, d, l, R, cfg.k_order),
+                                lambda: assemble_q(n, d, l, R, cfg.k_order))
                     row.achieved_rate = up.trace_log_rate
                     row.join_rank = up.join.rank
                     row.invariance_residual = up.join.invariance_residual
@@ -345,11 +343,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
                             source, up.code, l, cfg.scheme)
                     else:
                         row.accept_prob, row.entanglement_fidelity, row.path = _orbit_row(
-                            up.join.basis, d, l * n_blocks, pad, source, cfg.scheme)
+                            up.join.basis, d, l * up.n, up.pad, source, cfg.scheme)
                 else:
                     if not diagonal:
                         raise ConfigError("projector_mode=code needs a diagonal source")
                     row.path = "code"
+                    n_blocks, pad = divmod(n, l)
                     key = (d ** l, R, n_blocks, cfg.k_order)
                     code = _built(codes, key, lambda: build_code(*key))
                     row.accept_prob, row.entanglement_fidelity = _diag_row(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import check_hermitian, hermitian_eig
+from .operators import hermitian_eig
 from .processes import entropy_bits
 from .sources import (ClassicallyCorrelatedSource, IIDSource, QuantumSource)
 
@@ -62,37 +62,8 @@ def fidelity(phi, sigma) -> float:
     return float(np.sqrt(np.clip(w, 0.0, None)).sum())
 
 
-def purification(rho):
-    """|Theta> on (system x reference) from the eigendecomposition of rho."""
-    w, v = hermitian_eig(np.asarray(rho, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    d = rho.shape[0]
-    theta = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        theta += np.sqrt(w[i]) * np.kron(v[:, i], np.eye(d)[:, i])
-    return theta
-
-
-def entanglement_fidelity(rho, kraus, method: str = "intrinsic") -> float:
-    """F_e of a state under a Kraus-form map.
-
-    'intrinsic': sum_i |tr(A_i rho)|^2 (production path, no dimension
-    squaring).  'purification': purify, apply (map x id) and take the squared
-    fidelity against the purification; retained as the independent check.
-    """
+def entanglement_fidelity(rho, kraus) -> float:
+    """F_e of a state under a Kraus-form map: sum_i |tr(A_i rho)|^2, with no
+    dimension squaring."""
     rho = np.asarray(rho, dtype=complex)
-    kraus = [np.asarray(a, dtype=complex) for a in kraus]
-    if method == "intrinsic":
-        return float(sum(abs(np.trace(a @ rho)) ** 2 for a in kraus))
-    if method == "purification":
-        check_hermitian(rho)
-        d = rho.shape[0]
-        theta = purification(rho)
-        out = np.zeros((d * d, d * d), dtype=complex)
-        pure = np.outer(theta, theta.conj())
-        for a in kraus:
-            big = np.kron(a, np.eye(d))
-            out += big @ pure @ big.conj().T
-        return float((theta.conj() @ out @ theta).real)
-    raise ValidationError(f"unknown method {method!r}")
-
+    return float(sum(abs(np.trace(np.asarray(a, dtype=complex) @ rho)) ** 2 for a in kraus))

@@ -118,6 +118,8 @@ def partial_trace(a, site_dims, traced_sites) -> np.ndarray:
 def validate_density(rho) -> dict:
     """Check Hermiticity, positivity and unit trace; returns the deviations."""
     rho = _as_matrix(rho)
+    if not rho.size:
+        raise ValidationError("density operator is empty")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITIAN_TOL:
         raise ValidationError(f"density operator not Hermitian (deviation {herm:.3e})")

@@ -212,8 +212,8 @@ def orbit_join_basis(members: np.ndarray, block_dim: int, n: int) -> JoinResult:
 def rate_upper_bound(d: int, l: int, n: int | None = None) -> float:
     """Additive excess over r in the trace-rate upper bound.
 
-    With the paper schedule n >= d^(3l); passing an explicit n recomputes the
-    bound for an override schedule.
+    With the paper schedule n >= d^(3l); passing the block count n of other
+    blocks recomputes the bound for them.
     """
     if n is None:
         n = d ** (3 * l)
@@ -222,16 +222,26 @@ def rate_upper_bound(d: int, l: int, n: int | None = None) -> float:
 
 @dataclass
 class UniversalProjector:
+    """q as assemble_q builds it.  The code holds n, the rate R and the order
+    k; pad = m - l n and the per-site rate r = R / l are derived."""
+
     m: int
     d: int
-    r: float
     l: int
-    n: int
-    R: float
-    k_order: int
-    join: JoinResult
-    pad: int
     code: BlockCode
+    join: JoinResult
+
+    @property
+    def n(self) -> int:
+        return self.code.n
+
+    @property
+    def pad(self) -> int:
+        return self.m - self.l * self.n
+
+    @property
+    def r(self) -> float:
+        return self.code.R / self.l
 
     @property
     def trace(self) -> float:
@@ -249,31 +259,19 @@ class UniversalProjector:
         return q
 
 
-def assemble_q(m: int, d: int, r: float | None, k_order: int = 0,
-               override: tuple[int, int, float] | None = None) -> UniversalProjector:
-    """Build q_r^(m): the orbit join of the code projector on l-blocks,
-    identity-padded when l*n does not divide m exactly.
-
-    `override` = (l, n, R) replaces the paper schedule for desk-scale runs;
-    with it, r = None stands for R / l.  build_code checks n >= 1 and k >= 0.
-    """
+def assemble_q(m: int, d: int, l: int, R: float, k_order: int = 0) -> UniversalProjector:
+    """q on m sites of dimension d: the orbit join of the rate-R, order-k
+    code on the n = m // l blocks of l sites, identity-padded on the m - l n
+    sites left.  The paper's q_r^(m) takes the blocks of its schedule:
+    s = schedule(m, d, r); assemble_q(m, d, s.l, s.R).  build_code checks
+    n >= 1, R and k >= 0."""
     if d < 2:
         raise ValidationError(f"site dimension d = {d} must be >= 2")
-    if override is not None:
-        l, n, R = override
-        if l < 1:
-            raise ValidationError(f"block length l = {l} must be >= 1")
-        if l * n > m:
-            raise ValidationError("override blocks exceed m sites")
-        r = R / l if r is None else r
-    else:
-        sch = schedule(m, d, r)
-        l, n, R = sch.l, sch.n, sch.R
-    pad = m - l * n
-    code = build_code(d ** l, R, n, k_order)
-    join = orbit_join_basis(code.member_indices(), d ** l, n)
-    return UniversalProjector(m=m, d=d, r=r, l=l, n=n, R=R, k_order=k_order,
-                              join=join, pad=pad, code=code)
+    if l < 1:
+        raise ValidationError(f"block length l = {l} must be >= 1")
+    code = build_code(d ** l, R, m // l, k_order)
+    return UniversalProjector(m=m, d=d, l=l, code=code,
+                              join=orbit_join_basis(code.member_indices(), d ** l, code.n))
 
 
 def trace_q_rho(b: np.ndarray, d: int, sites: int, s: QuantumSource) -> tuple[float, str]:
@@ -364,8 +362,8 @@ def export_projector(q: UniversalProjector, path_prefix: str) -> None:
     _write_grid(path_prefix + ".imag.csv", np.broadcast_to(0.0, (dim, dim)))
     np.savez(path_prefix + ".npz", basis=q.join.basis)  # a float64 array is never pickled
     sidecar = {
-        "m": q.m, "d": q.d, "r": q.r, "l": q.l, "n": q.n, "R": q.R,
-        "k_order": q.k_order, "pad": q.pad, "trace": q.trace,
+        "m": q.m, "d": q.d, "r": q.r, "l": q.l, "n": q.n, "R": q.code.R,
+        "k_order": q.code.k, "pad": q.pad, "trace": q.trace,
         "rank": q.join.rank, "code_size": q.code.size,
         "metadata": {"rank_rtol": JOIN_RTOL,
                      "invariance_residual": q.join.invariance_residual,

@@ -27,7 +27,7 @@ class QuantumAlphabet:
 
     def __init__(self, vectors):
         v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2:
+        if v.ndim != 2 or not v.size:
             raise ValidationError("alphabet must be a (d, count) column matrix")
         self.d, self.count = v.shape
         if not np.all(np.isfinite(v)):

@@ -1,8 +1,8 @@
 """Reference implementations the tests share, one copy each: the slow
-definitions the package's paths are checked against (Kraus sums, digit
-expansions, marginalization, projector checks), random channels, sequence
-probabilities from a kind's own `prob`, forbidden-call stubs and the
-recorders of the memory budget's checks."""
+definitions the package's paths are checked against (Kraus sums, the
+purified entanglement fidelity, digit expansions, marginalization, projector
+checks), random channels, sequence probabilities from a kind's own `prob`,
+forbidden-call stubs and the recorders of the memory budget's checks."""
 
 import tracemalloc
 
@@ -11,7 +11,8 @@ import pytest
 
 from quclab import channels, codes, errors, processes, projectors, sources
 from quclab.channels import KrausChannel
-from quclab.operators import HERMITIAN_TOL, IDEMPOTENT_TOL, _as_matrix, hermitian_eig
+from quclab.operators import (HERMITIAN_TOL, IDEMPOTENT_TOL, _as_matrix, check_hermitian,
+                              hermitian_eig)
 from quclab.processes import Distribution
 from randmat import haar_unitary
 
@@ -33,6 +34,33 @@ def dual_single(c: KrausChannel, obs: np.ndarray) -> np.ndarray:
     for a in c.kraus:
         out += a.conj().T @ obs @ a
     return out
+
+
+def purification(rho):
+    """|Theta> on (system x reference) from the eigendecomposition of rho."""
+    w, v = hermitian_eig(np.asarray(rho, dtype=complex))
+    w = np.clip(w, 0.0, None)
+    d = rho.shape[0]
+    theta = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        theta += np.sqrt(w[i]) * np.kron(v[:, i], np.eye(d)[:, i])
+    return theta
+
+
+def purified_entanglement_fidelity(rho, kraus) -> float:
+    """F_e by its definition: purify rho, apply (map x id) and take the
+    squared fidelity against the purification; the independent check of
+    info.entanglement_fidelity's intrinsic formula."""
+    rho = np.asarray(rho, dtype=complex)
+    check_hermitian(rho)
+    d = rho.shape[0]
+    theta = purification(rho)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    pure = np.outer(theta, theta.conj())
+    for a in kraus:
+        big = np.kron(np.asarray(a, dtype=complex), np.eye(d))
+        out += big @ pure @ big.conj().T
+    return float((theta.conj() @ out @ theta).real)
 
 
 def random_channel(d, n_kraus, rng) -> KrausChannel:

@@ -23,7 +23,8 @@ from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet, conditional_expectation,
                             verify_invariance)
 from randmat import haar_unitary, random_density, random_hermitian, random_projector
-from reference import projector_leq, random_channel, validate_projector
+from reference import (projector_leq, purified_entanglement_fidelity, random_channel,
+                       validate_projector)
 
 MARKOV_P = [[0.9, 0.1], [0.2, 0.8]]
 R_TARGET = 0.7
@@ -50,7 +51,7 @@ def test_criterion_01_validators():
     for _ in range(60):
         c = random_channel(int(rng.integers(2, 4)), int(rng.integers(1, 4)), rng)
         from quclab.channels import validate_channel
-        rep = validate_channel(c)
+        rep = validate_channel(c.kraus)
         ok &= rep["completeness_deviation"] <= 1e-10
         ok &= rep["min_choi_eigenvalue"] >= -1e-10
     ok &= (time.perf_counter() - t0) < 10.0
@@ -106,8 +107,8 @@ def test_criterion_04_entanglement_fidelity_dual_path():
         d = int(rng.choice([2, 4]))
         rho = random_density(d, rng)
         c = random_channel(d, int(rng.integers(1, 4)), rng)
-        fi = entanglement_fidelity(rho, c.kraus, method="intrinsic")
-        fp = entanglement_fidelity(rho, c.kraus, method="purification")
+        fi = entanglement_fidelity(rho, c.kraus)
+        fp = purified_entanglement_fidelity(rho, c.kraus)
         dev = max(dev, abs(fi - fp))
     _verdict(4, dev <= 1e-9)
 
@@ -169,7 +170,7 @@ def test_criterion_07_converse():
     vals = []
     ok = True
     for n in N_RANGE:
-        q = assemble_q(n, 2, R_TARGET, override=(1, n, R_TARGET))
+        q = assemble_q(n, 2, 1, R_TARGET)
         accept = acceptance_probability(q, src)
         ok &= abs(accept - q.trace / 2 ** n) <= 1e-10
         vals.append(accept)

@@ -51,35 +51,36 @@ def _apply(phase):
 
 def _export_and_load(m, l):
     def factory(tmp_path):
-        q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
+        q = assemble_q(m, 2, l, 0.5 * l)
         prefix = str(tmp_path / "q")
         return lambda: (export_projector(q, prefix), load_projector_matrix(prefix))
     return factory
 
 
 def _export_padded(tmp_path):
-    # one padded site over a 2^10 join: the join's real matrix, 8 MiB, is
-    # held beside the 32 MiB real grid while the Kronecker product is formed
-    q = assemble_q(11, 2, 0.2, override=(1, 10, 0.2))
+    # one padded site behind five l = 2 blocks, a 4^5 = 2^10 join: the join's
+    # real matrix, 8 MiB, is held beside the 32 MiB real grid while the
+    # Kronecker product is formed
+    q = assemble_q(11, 2, 2, 0.4)
     return lambda: export_projector(q, str(tmp_path / "q"))
 
 
 def _export_unpadded(tmp_path):
     # the n = 11 grid's 35643 distinct bit patterns: the largest token table here
-    q = assemble_q(11, 2, 0.5, override=(1, 11, 0.5))
+    q = assemble_q(11, 2, 1, 0.5)
     return lambda: export_projector(q, str(tmp_path / "q"))
 
 
 def _padded_row(tmp_path):
     # a padded c1 row: rho_10 B over the join's sites, then rho_11 f for the
     # one flag column
-    q = assemble_q(11, 2, None, override=(2, 5, 1.0))
+    q = assemble_q(11, 2, 2, 1.0)
     s = build_source(DEPOLARIZED_MARKOV)
     return lambda: harness._orbit_row(q.join.basis, 2, 10, q.pad, s, "c1")
 
 
 def _basis_export(tmp_path, m: int) -> str:
-    return export_basis(assemble_q(m, 2, None, override=(1, m, 0.5)), str(tmp_path / "q"))
+    return export_basis(assemble_q(m, 2, 1, 0.5), str(tmp_path / "q"))
 
 
 def _compress(tmp_path):
@@ -145,9 +146,9 @@ SITES = {
         ClassicallyCorrelatedSource, PeriodicProcess(_cycle(200)),
         QuantumAlphabet.computational(2)),
     "channel-sites": _periodic_sites,
-    "assemble-q": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(1, 11, 0.5)),
-    "assemble-q-padded": lambda tmp_path: lambda: assemble_q(11, 2, 0.5, override=(2, 5, 1.0)),
-    "assemble-q-d3": lambda tmp_path: lambda: assemble_q(7, 3, 0.5, override=(1, 7, 0.8)),
+    "assemble-q": lambda tmp_path: lambda: assemble_q(11, 2, 1, 0.5),
+    "assemble-q-padded": lambda tmp_path: lambda: assemble_q(11, 2, 2, 1.0),
+    "assemble-q-d3": lambda tmp_path: lambda: assemble_q(7, 3, 1, 0.8),
     "export-load": _export_and_load(8, 1),
     "export-load-padded": _export_and_load(9, 2),
     "export-padded": _export_padded,
@@ -235,7 +236,7 @@ def test_join_past_the_budget_is_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(errors, "MEMORY_BUDGET", up_front - 1)
     forbid(monkeypatch, projectors, "all_sequences")
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
-        assemble_q(10, 2, 0.5, override=(1, 10, 0.5))
+        assemble_q(10, 2, 1, 0.5)
     forbid(monkeypatch, np, "zeros")
     with pytest.raises(SizeError, match="orbit join over 2\\^10"):
         orbit_join_basis(members, 2, 10)
@@ -290,9 +291,8 @@ def test_padded_basis_past_the_budget_is_refused_before_allocation(monkeypatch):
     # row sweeps it through the 14 joined sites, rho_14 B, which the real
     # sweep refuses at 24 chi 2^14 4552 bytes (3.3 GiB) before it allocates
     basis = np.broadcast_to(np.zeros(1), (4 ** 7, 4552))
-    q = UniversalProjector(m=15, d=2, r=0.5, l=2, n=7, R=1.0, k_order=0,
-                           join=JoinResult(basis, {}, 0.0), pad=1,
-                           code=build_code(4, 1.0, 7))
+    q = UniversalProjector(m=15, d=2, l=2, code=build_code(4, 1.0, 7),
+                           join=JoinResult(basis, {}, 0.0))
     source = build_source(DEPOLARIZED_MARKOV)
     forbid(monkeypatch, np, "matmul")
     _refused(lambda: acceptance_probability(q, source),
@@ -313,10 +313,9 @@ def test_build_projector_past_the_budget_writes_nothing(monkeypatch, tmp_path, c
     # writer's block (its two CSV files would be about 6.7 GB, so the export
     # stops at that first check, and its join is a broadcast view); the
     # m = 15 matrix, 8 GiB, is refused before any file is written
-    q = UniversalProjector(m=14, d=2, r=0.5, l=1, n=14, R=0.5, k_order=0,
+    q = UniversalProjector(m=14, d=2, l=1, code=build_code(2, 0.5, 14),
                            join=JoinResult(np.broadcast_to(np.zeros(1), (2 ** 14, 1031)), {},
-                                           0.0),
-                           pad=0, code=build_code(2, 0.5, 14))
+                                           0.0))
     assert admitted_bytes(monkeypatch, lambda: export_projector(q, str(tmp_path / "q14"))) \
         == 8 * 2 ** 28 + 96 * 2 ** 16
     forbid(monkeypatch, UniversalProjector, "matrix")
@@ -335,7 +334,7 @@ def test_grid_token_table_past_the_budget_is_refused_before_formatting(monkeypat
     # distinct values runs, and the token table, checked from the 35643
     # values that pass found, is refused before a token is formatted or a
     # file is opened
-    q = assemble_q(11, 2, 0.5, override=(1, 11, 0.5))
+    q = assemble_q(11, 2, 1, 0.5)
     prefix = str(tmp_path / "q")
     up_front = admitted_bytes(monkeypatch, lambda: export_projector(q, prefix))
     assert up_front == 8 * 2 ** 22 + 96 * 2 ** 16

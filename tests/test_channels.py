@@ -14,27 +14,27 @@ from reference import apply_single, dual_single, random_channel
 
 
 def test_identity_channel_report():
-    rep = validate_channel(identity_channel(2))
+    rep = validate_channel(identity_channel(2).kraus)
     assert rep["completeness_deviation"] == 0.0
     assert rep["min_choi_eigenvalue"] >= -1e-12
 
 
 def test_depolarizing_completeness():
-    rep = validate_channel(depolarizing(0.25))
+    rep = validate_channel(depolarizing(0.25).kraus)
     assert rep["completeness_deviation"] <= 1e-12
 
 
 def test_incomplete_kraus_rejected():
     with pytest.raises(ValidationError):
         KrausChannel([np.diag([1.0, 0.0])])
-    rep = validate_channel(KrausChannel([np.diag([1.0, 0.0])], validate=False))
+    rep = validate_channel([np.diag([1.0, 0.0])])
     assert abs(rep["completeness_deviation"] - 1.0) < 1e-15
 
 
 def test_choi_psd_on_random_channels():
     rng = np.random.default_rng(42)
     for _ in range(5):
-        rep = validate_channel(random_channel(2, 3, rng))
+        rep = validate_channel(random_channel(2, 3, rng).kraus)
         assert rep["min_choi_eigenvalue"] >= -1e-10
 
 

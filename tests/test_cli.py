@@ -65,6 +65,13 @@ def test_check_ergodic_rejects_a_non_finite_channel(capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+def test_check_ergodic_rejects_a_kraus_operator_that_is_no_matrix(capsys):
+    # the one operator [1, 0] is two scalars, re and im: once an IndexError
+    chan = '{"name":"custom","kraus":[[1,0]]}'
+    assert main(["check-ergodic", BERN, "--channel", chan]) == 1
+    assert capsys.readouterr().err == "error: Kraus operators must be square with equal dims\n"
+
+
 def test_check_ergodic_with_channel(capsys):
     src = ('{"kind":"classical","process":{"kind":"markov",'
            '"transition":[[0.9,0.1],[0.2,0.8]]}}')
@@ -177,7 +184,7 @@ def test_compress_c2_matches_library_scheme(name, tmp_path, capsys):
     assert main(["compress", "--scheme", "c2", "--projector", out,
                  "--source", json.dumps(spec)]) == 0
     printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
-    p = assemble_q(8, 2, None, override=(1, 8, 0.5)).matrix()
+    p = assemble_q(8, 2, 1, 0.5).matrix()
     rho = build_source(spec).marginal(8)
     accept = float(np.einsum("ij,ji->", p, rho).real)
     assert printed == {"accept_prob": f"{accept:.10f}", "fidelity^2": f"{accept:.10f}",
@@ -218,7 +225,7 @@ def exports(tmp_path_factory) -> dict:
     out = tmp_path_factory.mktemp("exports")
     joins = {}
     for l, m in [(1, 8), (2, 11)]:
-        q = assemble_q(m, 2, None, override=(l, m // l, 0.5 * l))
+        q = assemble_q(m, 2, l, 0.5 * l)
         joins[l, m] = q, export_basis(q, str(out / f"q{m}"))
     return joins
 

@@ -12,7 +12,7 @@ from quclab.processes import MarkovProcess, PeriodicProcess
 from quclab.projectors import acceptance_probability, assemble_q, trace_q_rho
 from quclab.sources import IIDSource, QuantumSource
 from randmat import random_density, random_projector
-from reference import forbid, range_basis
+from reference import forbid, purified_entanglement_fidelity, range_basis
 
 
 def test_c1_identity():
@@ -55,7 +55,7 @@ def test_c1_fe_matches_kraus_formula():
     comp = sum(a.conj().T @ a for a in kraus)
     assert np.max(np.abs(comp - np.eye(4))) < 1e-10  # trace preserving
     assert abs(fe - entanglement_fidelity(rho, kraus)) < 1e-10
-    assert abs(fe - entanglement_fidelity(rho, kraus, method="purification")) < 1e-9
+    assert abs(fe - purified_entanglement_fidelity(rho, kraus)) < 1e-9
 
 
 def test_c1_flag_outside_range():
@@ -382,6 +382,35 @@ def test_malformed_source_spec_is_a_row_error(bad, named):
     assert all(r.error == "" for r in alone)
 
 
+# specs whose fields numpy could not read as the kind asks: each once ended
+# the batch with a raw ValueError or IndexError before any row was written
+UNREADABLE_SPECS = [
+    ({"kind": "iid", "probs": 0.5}, "ConfigError: spec field 'probs' is malformed"),
+    ({"kind": "iid", "probs": []}, "ValidationError: density operator is empty"),
+    ({"kind": "iid", "rho_re": [[1, 0], [0, 0]], "rho_im": [[0, 0, 0]]},
+     "ConfigError: spec field 'rho_im' is malformed"),
+    (_classical(MARKOV_PROCESS, alphabet={"re": [[1, 0], [0, 1]], "im": [[0, 0, 0]]}),
+     "ConfigError: spec field 'im' is malformed"),
+    (_classical(MARKOV_PROCESS, alphabet={"re": [[]]}),
+     "ValidationError: alphabet must be a (d, count) column matrix"),
+    (_channel({"name": "custom", "kraus": [[1, 0]]}),
+     "ValidationError: Kraus operators must be square with equal dims"),
+]
+
+
+def test_unreadable_source_specs_are_row_errors(tmp_path):
+    good = {"id": "good", "kind": "iid", "probs": [0.9, 0.1]}
+    out = str(tmp_path / "rep")
+    rows = _rows([spec for spec, _ in UNREADABLE_SPECS] + [good], n_range=[4, 5], output=out)
+    alone = _rows([good], n_range=[4, 5])
+    for i, (spec, error) in enumerate(UNREADABLE_SPECS):
+        for row in rows[2 * i:2 * i + 2]:
+            assert row.source == f"source{i}" and row.error.startswith(error), spec
+            assert row.accept_prob is None
+    assert report_csv(rows[-2:]) == report_csv(alone) and alone[0].error == ""
+    assert (tmp_path / "rep.csv").read_text() == report_csv(rows)
+
+
 def test_output_files(tmp_path):
     out = str(tmp_path / "rep")
     cfg = ExperimentConfig.from_dict({
@@ -582,8 +611,8 @@ def test_range_flag_matches_range_basis():
     random_basis = np.vstack([np.zeros((3, 3)), np.linalg.qr(g)[0]])
     # the second join has one identity-padded site: b (x) 1_2, whose flag is
     # the unpadded flag with a zero appended to each entry, as rows pad it
-    join = assemble_q(7, 2, 0.5, override=(1, 6, 0.6)).join.basis
-    bases = [assemble_q(6, 2, 0.5, override=(1, 6, 0.5)).join.basis,
+    join = assemble_q(7, 2, 2, 1.2).join.basis
+    bases = [assemble_q(6, 2, 1, 0.5).join.basis,
              np.kron(join, np.eye(2)), random_basis]
     for b in bases:
         assert np.max(np.abs(range_flag(b) - _flag_reference(b))) < 1e-12
@@ -593,7 +622,7 @@ def test_range_flag_matches_range_basis():
 
 def test_basis_row_matches_dense_c1():
     from quclab.projectors import assemble_q
-    up = assemble_q(6, 2, 0.5, override=(1, 6, 0.5))
+    up = assemble_q(6, 2, 1, 0.5)
     rows = _rows(DENSE_SOURCES, n_range=[6])
     for spec, row in zip(DENSE_SOURCES, rows):
         assert row.error == "" and row.path == DENSE_PATHS[spec["id"]]
@@ -606,7 +635,7 @@ def test_basis_row_matches_dense_c1():
 def test_dense_c2_row_reports_acceptance():
     from quclab.info import fidelity
     from quclab.projectors import assemble_q
-    up = assemble_q(6, 2, 0.5, override=(1, 6, 0.5))
+    up = assemble_q(6, 2, 1, 0.5)
     for spec, row in zip(DENSE_SOURCES, _rows(DENSE_SOURCES, n_range=[6], scheme="c2")):
         assert row.error == ""
         assert row.entanglement_fidelity == row.accept_prob
@@ -632,7 +661,7 @@ def test_dense_rows_build_no_dense_projector(monkeypatch):
 def test_dense_rows_form_no_dense_state(monkeypatch):
     from quclab.projectors import acceptance_probability, assemble_q
     from quclab.sources import QuantumSource
-    q = assemble_q(5, 2, 0.5, override=(1, 5, 0.5))
+    q = assemble_q(5, 2, 1, 0.5)
     dense = float(np.trace(q.matrix() @ build_source(DENSE_SOURCES[0]).marginal(5)).real)
 
     forbid(monkeypatch, QuantumSource, "marginal", why="dense source marginal formed")
@@ -657,9 +686,8 @@ def _iid_sources(d):
                           "alphabet": {"re": [[1.0, 0.6], [0.0, 0.8]]}})]
 
 
-def _dense_row(up, rho, scheme):
+def _dense_row(q, rho, scheme):
     """A row's (accept, F_e) from the dense projector and marginal."""
-    q = up.matrix()
     accept = float(np.trace(q @ rho).real)
     return accept, (compress_c1(q, rho)[1] if scheme == "c1" else accept)
 
@@ -668,23 +696,26 @@ def _dense_row(up, rho, scheme):
     (2, 1, 5, 6), (2, 2, 3, 7), (2, 3, 2, 8), (3, 1, 4, 5), (3, 2, 2, 5), (3, 3, 1, 4)])
 @pytest.mark.parametrize("scheme", ["c1", "c2"])
 def test_invariant_rows_match_the_sweep(d, l, n_blocks, m, scheme):
-    # every case pads m - l * n_blocks > 0 sites with the identity; the
-    # sweep over the join's l n sites and the dense row are the references
-    up = assemble_q(m, d, None, override=(l, n_blocks, 0.5 * l))
-    assert up.pad > 0
+    # every case pads m - l * n_blocks > 0 sites with the identity, behind
+    # the join on l n_blocks sites; the sweep over those sites and the dense
+    # row of q_J (x) 1 are the references
+    up = assemble_q(l * n_blocks, d, l, 0.5 * l)
+    pad = m - l * n_blocks
+    assert pad > 0
     b = up.join.basis
+    q = np.kron(up.matrix(), np.eye(d ** pad))
     for source in _iid_sources(d):
         assert len(source.left) == 1 and source.classical_view() is None
-        *row, path = _orbit_row(b, d, l * n_blocks, up.pad, source, scheme)
+        *row, path = _orbit_row(b, d, l * n_blocks, pad, source, scheme)
         assert path == "invariant"
         assert abs(row[0] - np.vdot(b, source.apply(l * n_blocks, b)).real) <= 1e-12
-        dense = _dense_row(up, source.marginal(m), scheme)
+        dense = _dense_row(q, source.marginal(m), scheme)
         assert np.max(np.abs(np.subtract(row, dense))) <= 1e-12
         assert abs(acceptance_probability(up, source) - dense[0]) <= 1e-12
 
 
 def test_acceptance_probability_takes_the_row_paths(monkeypatch):
-    up = assemble_q(7, 2, None, override=(2, 3, 1.0))
+    up = assemble_q(7, 2, 2, 1.0)
     paths = [trace_q_rho(up.join.basis, 2, 6, build_source(spec))[1]
              for spec in DENSE_SOURCES + [{"kind": "iid", "probs": [0.9, 0.1]}]]
     assert paths == ["dense", "invariant", "classical"]
@@ -710,9 +741,9 @@ PERIODIC = {"id": "periodic", "kind": "classical",
 @pytest.mark.parametrize("l, m", [(2, 7), (2, 9), (3, 7), (3, 8)])
 @pytest.mark.parametrize("scheme", ["c1", "c2"])
 def test_padded_rows_match_the_dense_row(l, m, scheme, monkeypatch):
-    up = assemble_q(m, 2, 0.5, override=(l, m // l, 0.5 * l))
+    up = assemble_q(m, 2, l, 0.5 * l)
     assert up.pad >= 1
-    dense = {spec["id"]: _dense_row(up, build_source(spec).marginal(m), scheme)
+    dense = {spec["id"]: _dense_row(up.matrix(), build_source(spec).marginal(m), scheme)
              for spec in DENSE_SOURCES + [MARKOV, PERIODIC]}
     # the classical path: a diagonal source's rows take the code measure, so
     # its q row is computed here as run_experiment computes the others

@@ -5,14 +5,13 @@ import pytest
 
 from quclab.channels import depolarizing
 from quclab.errors import ValidationError
-from quclab.info import (entanglement_fidelity, fidelity, mean_entropy,
-                         purification, von_neumann_entropy)
+from quclab.info import entanglement_fidelity, fidelity, mean_entropy, von_neumann_entropy
 from quclab.operators import partial_trace
 from quclab.processes import IIDProcess, MarkovProcess, MixtureProcess, entropy_bits
 from quclab.sources import (ClassicallyCorrelatedSource, IIDSource,
                             QuantumAlphabet)
 from randmat import random_density
-from reference import apply_single, random_channel
+from reference import apply_single, purification, purified_entanglement_fidelity, random_channel
 
 H01 = entropy_bits([0.9, 0.1])
 
@@ -125,8 +124,8 @@ def test_entanglement_fidelity_dual_paths():
         d = rng.choice([2, 4])
         rho = random_density(d, rng)
         c = random_channel(d, 2, rng)
-        fi = entanglement_fidelity(rho, c.kraus, method="intrinsic")
-        fp = entanglement_fidelity(rho, c.kraus, method="purification")
+        fi = entanglement_fidelity(rho, c.kraus)
+        fp = purified_entanglement_fidelity(rho, c.kraus)
         assert abs(fi - fp) < 1e-9
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -327,7 +328,7 @@ def test_rate_upper_bound_paper_schedule():
 
 
 def test_assemble_q_exact_blocks():
-    q = assemble_q(4, 2, 0.7, override=(1, 4, 0.7))
+    q = assemble_q(4, 2, 1, 0.7)
     assert q.pad == 0
     assert q.trace == q.join.rank
     assert q.r <= q.trace_log_rate <= q.r + rate_upper_bound(2, 1, 4)
@@ -340,47 +341,50 @@ def test_assemble_q_exact_blocks():
     (2, (1, 0, 0.5), 0, "n = 0"), (2, (5, 0, 0.5), 0, "n = 0"),
     (2, (1, 4, 0.5), -1, "k = -1")])
 def test_assemble_q_rejects_bad_blocks(d, override, k, match):
-    # d = 0 without an override used to loop forever in the schedule search
+    # override: blocks (l, n, R) on m = l n sites in place of the paper
+    # schedule's, whose search for d = 0 used to loop forever
     with pytest.raises(ValidationError, match=match):
-        assemble_q(4, d, 0.5, k_order=k, override=override)
+        if override is None:
+            s = schedule(4, d, 0.5)
+            override = (s.l, s.n, s.R)
+        l, n, R = override
+        assemble_q(l * n, d, l, R, k_order=k)
 
 
-def test_assemble_q_rate_defaults_to_override():
-    q = assemble_q(6, 2, None, override=(2, 3, 0.9))
-    assert q.r == 0.9 / 2
-    explicit = assemble_q(6, 2, 0.45, override=(2, 3, 0.9))
-    assert q.join.class_ranks == explicit.join.class_ranks
-    assert q.join.invariance_residual == explicit.join.invariance_residual
+def test_assemble_q_stores_each_parameter_once():
+    # q holds m, d, l, the code (n, R, k) and its join; pad and r = R / l
+    # are derived, so with R = 1.2 on l = 2 blocks r is 0.6 whatever rate
+    # an experiment's config names
+    q = assemble_q(7, 2, 2, 1.2, k_order=1)
+    assert [f.name for f in dataclasses.fields(q)] == ["m", "d", "l", "code", "join"]
+    assert (q.n, q.pad, q.code.R, q.code.k, q.r) == (3, 1, 1.2, 1, 0.6)
 
 
 @pytest.mark.parametrize("m, r, rank", [(8, 0.25, 23), (9, 0.5, 74), (12, 0.5, 476)])
 def test_assemble_q_follows_the_paper_schedule(m, r, rank):
-    # with no override the blocks are schedule()'s, and q is the one those
-    # blocks give
+    # the paper's q takes schedule()'s blocks, m // l of them
     s = schedule(m, 2, r)
-    q = assemble_q(m, 2, r)
-    given = assemble_q(m, 2, r, override=(s.l, s.n, s.R))
-    assert (q.l, q.n, q.R, q.pad, q.join.rank) == (s.l, s.n, s.R, m - s.l * s.n, rank)
-    assert q.join.class_ranks == given.join.class_ranks
-    assert np.array_equal(q.join.basis, given.join.basis)
+    q = assemble_q(m, 2, s.l, s.R)
+    assert (q.l, q.n, q.code.R, q.pad, q.r, q.join.rank) == (
+        s.l, s.n, s.R, m - s.l * s.n, r, rank)
 
 
 def test_assemble_q_padding():
-    q = assemble_q(5, 2, 0.7, override=(1, 4, 0.7))
+    q = assemble_q(7, 2, 2, 1.4)
     assert q.pad == 1
-    base = assemble_q(4, 2, 0.7, override=(1, 4, 0.7))
+    base = assemble_q(6, 2, 2, 1.4)
     assert q.trace == base.trace * 2
     assert np.allclose(q.matrix(), np.kron(base.matrix(), np.eye(2)))
 
 
 def test_acceptance_identity_projector():
-    q = assemble_q(3, 2, 1.0, override=(1, 3, 1.0))
+    q = assemble_q(3, 2, 1, 1.0)
     s = IIDSource(np.diag([0.9, 0.1]))
     assert abs(acceptance_probability(q, s) - 1.0) < 1e-12
 
 
 def test_acceptance_diag_matches_dense():
-    q = assemble_q(4, 2, 0.7, override=(1, 4, 0.7))
+    q = assemble_q(4, 2, 1, 0.7)
     s = IIDSource(np.diag([0.9, 0.1]))
     fast = acceptance_probability(q, s)
     dense = float(np.trace(q.matrix() @ s.marginal(4)).real)
@@ -389,7 +393,7 @@ def test_acceptance_diag_matches_dense():
 
 def test_acceptance_pure_source():
     # pure source vector sits inside the code orbit, so it is always accepted
-    q = assemble_q(4, 2, 0.7, override=(1, 4, 0.7))
+    q = assemble_q(4, 2, 1, 0.7)
     s = IIDSource(np.diag([1.0, 0.0]))
     assert acceptance_probability(q, s) >= 1.0 - 1e-8
     # and after an arbitrary single-site rotation too (basis covariance)
@@ -411,7 +415,7 @@ def test_acceptance_matches_code_measure_for_diagonal_projector():
 
 
 def test_export_load_roundtrip(tmp_path):
-    q = assemble_q(3, 2, 0.7, override=(1, 3, 0.7))
+    q = assemble_q(3, 2, 1, 0.7)
     prefix = str(tmp_path / "q")
     export_projector(q, prefix)
     b, meta = load_projector_matrix(prefix)
@@ -432,7 +436,7 @@ def test_export_load_roundtrip(tmp_path):
 def test_load_refuses_a_basis_of_the_wrong_type_or_shape(tmp_path):
     # the sidecar fixes B's shape and B is real; an object array is refused
     # unread, as pickled data
-    q = assemble_q(3, 2, 0.7, override=(1, 3, 0.7))
+    q = assemble_q(3, 2, 1, 0.7)
     prefix = str(tmp_path / "q")
     export_projector(q, prefix)
     b = q.join.basis
@@ -452,11 +456,11 @@ def _savetxt_bytes(path, a):
 
 def test_grid_writer_matches_savetxt_on_projector(tmp_path):
     # q is real: the .real grid is savetxt of q.matrix(), the .imag grid of
-    # zeros.  m = 9 unpadded holds 347 distinct bit patterns over several
-    # row blocks; the padded q are real Kronecker products with -0.0 cells
-    for m, r, override in [(9, 0.5, (1, 9, 0.5)), (9, None, (2, 4, 1.0)),
-                           (11, None, (2, 5, 1.0))]:
-        q = assemble_q(m, 2, r, override=override)
+    # zeros.  Each m = 9 grid spans four of the writer's row blocks: the
+    # unpadded q holds 347 distinct bit patterns, the padded one is a real
+    # Kronecker product with -0.0 cells
+    for l, R in [(1, 0.5), (2, 1.0)]:
+        q = assemble_q(9, 2, l, R)
         prefix = str(tmp_path / "q")
         export_projector(q, prefix)
         mat = q.matrix()
@@ -464,7 +468,7 @@ def test_grid_writer_matches_savetxt_on_projector(tmp_path):
         assert np.signbit(mat[mat == 0]).any() == bool(q.pad)
         for part, grid in (("real", mat), ("imag", np.zeros(mat.shape))):
             expected = _savetxt_bytes(tmp_path / f"ref.{part}.csv", grid)
-            assert (tmp_path / f"q.{part}.csv").read_bytes() == expected, (m, part)
+            assert (tmp_path / f"q.{part}.csv").read_bytes() == expected, (l, part)
 
 
 def test_grid_writer_matches_savetxt_on_special_values(tmp_path):
